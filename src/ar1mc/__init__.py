@@ -2,15 +2,11 @@
 
 from .estimator import (
     LsEstimate,
-    ScaledError,
     SingularDesignError,
     error_rates,
     ls_estimate,
-    normal_equations_oracle,
-    scale_error,
 )
 from .innovations import (
-    BnSequence,
     InnovationModel,
     compute_bn,
     custom,
@@ -24,9 +20,7 @@ from .innovations import (
     uniform_sym,
 )
 from .limits import (
-    BrownianGrid,
     LimitParams,
-    brownian_time_change,
     cumulative_growth,
     default_truncation,
     growth_dispersion,
@@ -37,7 +31,6 @@ from .limits import (
     sample_limit,
     sample_moderate_limit,
     sample_stationary_limit,
-    sample_time_changed_functionals,
     sample_unit_root_limit,
 )
 from .montecarlo import (
@@ -45,13 +38,11 @@ from .montecarlo import (
     ExperimentConfig,
     McReport,
     ks_two_sample,
-    normalized_stationary_sums,
-    normalized_tilde_sums,
     rate_slope,
     run_experiment,
     summarize,
 )
-from .process import Ar1Path, Regime, companion_series, resolve_rho, simulate_path
+from .process import Ar1Path, Regime, resolve_rho, simulate_path
 from .rng import DEFAULT_SEED, derive_seed, generator
 
 __version__ = "0.1.0"

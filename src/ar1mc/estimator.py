@@ -28,16 +28,7 @@ import numpy as np
 from .innovations import InnovationModel, ell_at_bn
 from .process import Ar1Path, Regime, resolve_rho
 
-__all__ = [
-    "SingularDesignError",
-    "Sums",
-    "LsEstimate",
-    "ScaledError",
-    "ls_estimate",
-    "normal_equations_oracle",
-    "error_rates",
-    "scale_error",
-]
+__all__ = ["SingularDesignError", "LsEstimate", "ls_estimate", "error_rates"]
 
 # Relative floor for Delta3: below this the lagged regressor is constant
 # to working precision and the normal equations are singular.
@@ -49,96 +40,38 @@ class SingularDesignError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sums:
-    """Raw sums underlying the closed form (kept for audit/recompute)."""
-
-    sum_lag: float       # sum y_{t-1}
-    sum_y: float         # sum y_t
-    sum_lag_sq: float    # sum y_{t-1}^2
-    sum_cross: float     # sum y_t y_{t-1}
-
-
-@dataclass(frozen=True)
 class LsEstimate:
     mu_hat: float
     rho_hat: float
     delta1: float
     delta2: float
     delta3: float
-    sums: Sums
 
 
-@dataclass(frozen=True)
-class ScaledError:
-    """Rate-multiplied estimation errors for one replication."""
-
-    mu_component: float
-    rho_component: float
-    mu_rate: float
-    rho_rate: float
-
-
-def _centered_pieces(path: Ar1Path):
+def ls_estimate(path: Ar1Path) -> LsEstimate:
+    """Least-squares (mu_hat, rho_hat) with the Delta decomposition."""
     x = path.lagged()
     z = path.y
     n = path.n
     if n < 2:
         raise ValueError("need n >= 2 observations")
     xbar = float(np.mean(x))
-    zbar = float(np.mean(z))
     xc = x - xbar
-    zc = z - zbar
     sxx = float(np.sum(xc * xc))
-    sum_lag_sq = float(np.sum(x * x))
     delta3 = n * sxx
-    if delta3 <= _SINGULAR_EPS * n * sum_lag_sq:
+    if delta3 <= _SINGULAR_EPS * n * float(np.sum(x * x)):
         raise SingularDesignError(
             f"lagged regressor is numerically constant (Delta3={delta3:.3e})"
         )
-    return x, z, n, xbar, zbar, xc, zc, sxx, sum_lag_sq, delta3
-
-
-def _deltas(path: Ar1Path, xbar, xc, sxx, n):
+    zbar = float(np.mean(z))
+    rho_hat = float(np.sum(xc * (z - zbar))) / sxx
+    mu_hat = zbar - rho_hat * xbar
     e = path.e
     ebar = float(np.mean(e))
     sxe = float(np.sum(xc * (e - ebar)))
     delta1 = n * (ebar * sxx - xbar * sxe)
     delta2 = n * sxe
-    return delta1, delta2
-
-
-def _raw_sums(x, z):
-    return Sums(
-        sum_lag=float(np.sum(x)),
-        sum_y=float(np.sum(z)),
-        sum_lag_sq=float(np.sum(x * x)),
-        sum_cross=float(np.sum(z * x)),
-    )
-
-
-def ls_estimate(path: Ar1Path) -> LsEstimate:
-    """Least-squares (mu_hat, rho_hat) with the Delta decomposition."""
-    x, z, n, xbar, zbar, xc, zc, sxx, _, delta3 = _centered_pieces(path)
-    sxz = float(np.sum(xc * zc))
-    rho_hat = sxz / sxx
-    mu_hat = zbar - rho_hat * xbar
-    delta1, delta2 = _deltas(path, xbar, xc, sxx, n)
-    return LsEstimate(mu_hat, rho_hat, delta1, delta2, n * sxx, _raw_sums(x, z))
-
-
-def normal_equations_oracle(path: Ar1Path) -> LsEstimate:
-    """Independent route: explicitly form and solve the 2x2 normal equations.
-
-    The system is assembled in the centered parametrization
-    y_t = a + b*(y_{t-1} - xbar) for conditioning and solved with LAPACK,
-    then mapped back to (mu_hat, rho_hat) = (a - b*xbar, b).
-    """
-    x, z, n, xbar, zbar, xc, zc, sxx, _, delta3 = _centered_pieces(path)
-    design = np.array([[float(n), float(np.sum(xc))], [float(np.sum(xc)), sxx]])
-    rhs = np.array([float(np.sum(z)), float(np.sum(xc * z))])
-    a, b = np.linalg.solve(design, rhs)
-    delta1, delta2 = _deltas(path, xbar, xc, sxx, n)
-    return LsEstimate(float(a - b * xbar), float(b), delta1, delta2, n * sxx, _raw_sums(x, z))
+    return LsEstimate(mu_hat, rho_hat, delta1, delta2, delta3)
 
 
 def error_rates(regime: Regime, model: InnovationModel, n: int) -> tuple[float, float]:
@@ -178,35 +111,3 @@ def error_rates(regime: Regime, model: InnovationModel, n: int) -> tuple[float, 
     # P6
     rho_n = resolve_rho(regime, n)
     return math.sqrt(n / ell), math.sqrt(n ** (3.0 * regime.alpha) / ell) * rho_n ** n
-
-
-def scale_error(
-    estimate: LsEstimate,
-    truth: tuple[float, float],
-    regime: Regime,
-    model: InnovationModel,
-    n: int,
-) -> ScaledError:
-    """Multiply (estimate - truth) by the regime's divergence rates.
-
-    ``truth`` must be the (mu, rho_n) pair that generated the path: the
-    errors are taken through the Delta ratios, which equal
-    (mu_hat - mu, rho_hat - rho_n) exactly in that case.  Literal
-    subtraction of the rounded estimates cannot resolve errors below
-    ulp(rho_hat), and the explosive-side rates exceed 1/ulp by many
-    orders of magnitude; the decomposition keeps the error's own
-    relative precision instead, and agrees with the subtraction to
-    ~1e-12 relative whenever the subtraction is well conditioned.
-    """
-    mu, rho_n = truth
-    if not (math.isfinite(mu) and math.isfinite(rho_n)):
-        raise ValueError("truth must be finite")
-    mu_rate, rho_rate = error_rates(regime, model, n)
-    err_mu = estimate.delta1 / estimate.delta3
-    err_rho = estimate.delta2 / estimate.delta3
-    return ScaledError(
-        mu_component=mu_rate * err_mu,
-        rho_component=rho_rate * err_rho,
-        mu_rate=mu_rate,
-        rho_rate=rho_rate,
-    )

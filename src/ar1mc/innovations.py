@@ -32,7 +32,6 @@ _ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
 __all__ = [
     "InnovationModel",
-    "BnSequence",
     "gaussian",
     "uniform_sym",
     "rademacher",
@@ -223,10 +222,6 @@ _EPS = float(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=256)
-def _positivity_edge_cached(model: InnovationModel, s_max: float) -> float:
-    return _positivity_edge(model, s_max)
-
-
 def _positivity_edge(model: InnovationModel, s_max: float) -> float:
     """inf{x >= 1 : l(x) > 0}, located by bisection to a few ulps."""
     if eval_l(model, 1.0) > 0.0:
@@ -259,7 +254,7 @@ def compute_bn(model: InnovationModel, n: int, s_max: float = 1e12) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    b0 = _positivity_edge_cached(model, s_max)
+    b0 = _positivity_edge(model, s_max)
     if n == 0:
         return b0
     floor = b0 + 1.0
@@ -299,23 +294,6 @@ def compute_bn(model: InnovationModel, n: int, s_max: float = 1e12) -> float:
         if guard > 100_000:
             raise RuntimeError("could not certify n*l(b_n) <= b_n^2 near the root")
     return float(root)
-
-
-class BnSequence:
-    """Memoized view of the ``b_n`` sequence of one model."""
-
-    def __init__(self, model: InnovationModel, s_max: float = 1e12):
-        self.model = model
-        self.s_max = s_max
-        self.b0 = _positivity_edge_cached(model, s_max)
-        self.values: dict[int, float] = {}
-
-    def value(self, n: int) -> float:
-        if n not in self.values:
-            self.values[n] = compute_bn(self.model, n, self.s_max)
-        return self.values[n]
-
-    __call__ = value
 
 
 def ell_at_bn(model: InnovationModel, n: int) -> float:

@@ -8,9 +8,9 @@ columns are the limits of the scaled mu-error and rho-error:
             X1 = W1 - mu(1+rho)/sigma * W2 with finite variance sigma^2,
             X1 = W1 when the truncated variance diverges.
     P2      (W1, (rho^2-1) U1 / (U2 + mu*rho/(rho-1))) where U1, U2 are
-            independent weighted series of fresh innovations from the
-            actual error model -- the explosive limit is distribution
-            specific, so no Gaussian shortcut is valid here.
+            independent weighted series of raw (unnormalized) fresh
+            innovations from the actual error model -- the explosive limit
+            is distribution specific, so no Gaussian shortcut is valid here.
     P3/P4   (Y1/d, Y2/(mu*d)) built from Brownian functionals of the
             deterministic growth curve G_c(s) = int_0^s exp(c*u) du.
     P5      the rank-one pair (mu/(c*d), 1/d) * Z  (degenerate joint law).
@@ -27,15 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .innovations import InnovationModel, ell_at_bn
+from .innovations import InnovationModel
 from .process import Regime
 from .rng import generator
 
 __all__ = [
-    "BrownianGrid",
     "LimitParams",
     "cumulative_growth",
-    "brownian_time_change",
     "growth_mean",
     "growth_mean_sq",
     "growth_dispersion",
@@ -44,7 +42,6 @@ __all__ = [
     "sample_explosive_limit",
     "sample_unit_root_limit",
     "sample_moderate_limit",
-    "sample_time_changed_functionals",
     "default_truncation",
     "sample_limit",
 ]
@@ -52,28 +49,6 @@ __all__ = [
 # Rows of standard normals drawn per chunk in grid samplers; bounds memory
 # at ~chunk*m doubles without affecting results.
 _CHUNK_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class BrownianGrid:
-    """A standard Brownian path discretized on m equal steps of [0, 1].
-
-    ``increments`` are iid N(0, 1/m); ``w`` holds the running sums with
-    w[0] = 0, so w[k] approximates W(k/m) and w[m] is W(1).  Grid samplers
-    use this convention with left-endpoint sums for stochastic integrals.
-    """
-
-    m: int
-    increments: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def sample(cls, m: int, seed: int) -> "BrownianGrid":
-        if m < 100:
-            raise ValueError("m must be >= 100")
-        inc = generator(seed).standard_normal(m) / math.sqrt(m)
-        w = np.concatenate(([0.0], np.cumsum(inc)))
-        return cls(m=m, increments=inc, w=w)
 
 
 @dataclass(frozen=True)
@@ -110,15 +85,6 @@ def cumulative_growth(c: float, s):
     else:
         out = np.expm1(c * s_arr) / c
     return float(out) if np.ndim(s) == 0 else out
-
-
-def brownian_time_change(c: float, s):
-    """T_c(s) = int_0^s exp(2c(1-u)) du; the clock of the tilde-series limit.
-
-    Equals exp(2c) * G_{-2c}(s); increasing in s with T_c(0) = 0 and
-    T_0(s) = s.
-    """
-    return math.exp(2.0 * c) * cumulative_growth(-2.0 * c, s)
 
 
 def growth_mean(c: float) -> float:
@@ -215,9 +181,11 @@ def sample_explosive_limit(
     """Explosive limit (P2): a standard normal and a ratio of two weighted
     innovation series.
 
-    U1 = sum_{t<=M} rho^-(M-t) eps_t / sqrt(l(b_M)) and
-    U2 = rho*y0 + rho * sum_{t<M} rho^-t eps'_t / sqrt(l(b_M)) use disjoint
-    fresh draws from ``model``, truncated once rho^-M < 1e-12.
+    U1 = sum_{t<=M} rho^-(M-t) eps_t and
+    U2 = rho*y0 + rho * sum_{t<M} rho^-t eps'_t use disjoint fresh draws
+    from ``model``, truncated once rho^-M < 1e-12.  The series stay raw
+    (not divided by sqrt(l(b_M))): the rate rho^n carries no l(b_n), so the
+    innovation scale must meet the shift mu*rho/(rho-1) and y0 unchanged.
     """
     regime = params.regime
     if regime.tag != "P2":
@@ -227,7 +195,6 @@ def sample_explosive_limit(
     if abs(rho) ** (-m) > 1e-12:
         raise ValueError(f"truncation M={m} too small: |rho|^-M must be < 1e-12")
     shift = params.mu * rho / (rho - 1.0)
-    root_ell = math.sqrt(ell_at_bn(model, m))
     rng = generator(seed)
     w1 = rng.standard_normal(draws)
     # weights rho^-(M-t), t = 1..M, and rho^-t, t = 1..M-1
@@ -238,9 +205,9 @@ def sample_explosive_limit(
     for lo, hi in _chunks(draws):
         rows = hi - lo
         eps1 = model._sample(rng, rows * m).reshape(rows, m)
-        u1[lo:hi] = np.sum(eps1 * w_u1, axis=1) / root_ell
+        u1[lo:hi] = np.sum(eps1 * w_u1, axis=1)
         eps2 = model._sample(rng, rows * (m - 1)).reshape(rows, m - 1)
-        u2[lo:hi] = rho * params.y0 + rho * np.sum(eps2 * w_u2, axis=1) / root_ell
+        u2[lo:hi] = rho * params.y0 + rho * np.sum(eps2 * w_u2, axis=1)
     denom = u2 + shift
     if np.any(np.abs(denom) < 1e-300):
         raise FloatingPointError("explosive limit denominator vanished")
@@ -315,40 +282,6 @@ def sample_moderate_limit(params: LimitParams, draws: int, seed: int) -> np.ndar
         v23 = rng.standard_normal(draws) * math.sqrt(1.0 / (2.0 * c))
         return np.column_stack([v21, (2.0 * c * c / mu) * v23])
     raise ValueError("moderate-deviation limit laws apply to P5/P6 only")
-
-
-def sample_time_changed_functionals(c: float, grid_m: int, draws: int, seed: int) -> dict:
-    """Limits of the normalized tilde-series sums at P3/P4, per draw:
-
-        int_sq  = int_0^1 exp(-2c(1-s)) W(T_c(s))^2 ds
-        int_lin = int_0^1 exp(-c(1-s))  W(T_c(s))    ds
-        ito     = -c * int_sq + (W(T_c(1))^2 - 1)/2
-
-    One Brownian path per draw, evaluated at the time-changed points
-    T_c(k/m); the two integrals use left-endpoint Riemann sums.
-    """
-    if grid_m < 1000:
-        raise ValueError("grid_m must be >= 1000")
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    rng = generator(seed)
-    s = np.arange(grid_m + 1) / grid_m
-    clock = brownian_time_change(c, s)
-    root_inc = np.sqrt(np.diff(clock))
-    damp_sq = np.exp(-2.0 * c * (1.0 - s[:-1])) / grid_m
-    damp_lin = np.exp(-c * (1.0 - s[:-1])) / grid_m
-    int_sq = np.empty(draws)
-    int_lin = np.empty(draws)
-    w_end = np.empty(draws)
-    for lo, hi in _chunks(draws):
-        z = rng.standard_normal((hi - lo, grid_m)) * root_inc
-        w = np.cumsum(z, axis=1)  # W at T_c(s_k), k = 1..m
-        left = np.concatenate([np.zeros((hi - lo, 1)), w[:, :-1]], axis=1)
-        int_sq[lo:hi] = np.sum(left * left * damp_sq, axis=1)
-        int_lin[lo:hi] = np.sum(left * damp_lin, axis=1)
-        w_end[lo:hi] = w[:, -1]
-    ito = -c * int_sq + 0.5 * (w_end * w_end - 1.0)
-    return {"int_sq": int_sq, "int_lin": int_lin, "ito": ito}
 
 
 def sample_limit(

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import SingularDesignError, error_rates, ls_estimate
-from .innovations import InnovationModel, ell_at_bn, model_from_config
+from .innovations import InnovationModel, model_from_config
 from .limits import sample_limit
-from .process import Regime, companion_series, simulate_path
+from .process import Regime, simulate_path
 from .rng import derive_seed
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "ks_two_sample",
     "rate_slope",
     "summarize",
-    "normalized_stationary_sums",
-    "normalized_tilde_sums",
 ]
 
 # Stream ids under the master seed.
@@ -54,6 +52,14 @@ _QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 
 class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
+
+
+def _convert(raw: dict, key: str, convert, default=None):
+    """``convert(raw[key])``, with a malformed value reported as ConfigError."""
+    try:
+        return convert(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -108,20 +114,19 @@ class ExperimentConfig:
         try:
             regime = Regime.from_config(raw["regime"])
             model_from_config(raw["model"])  # validate now, resolve per use
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        trunc = raw.get("truncation_M")
         return cls(
             regime=regime,
             model=dict(raw["model"]),
-            mu=float(raw["mu"]),
-            y0=float(raw.get("y0", 0.0)),
-            n_list=tuple(int(n) for n in raw["n_list"]),
-            replications=int(raw["replications"]),
-            limit_draws=int(raw["limit_draws"]),
-            master_seed=int(raw["seed"]),
-            grid_m=int(raw.get("grid_m", 2000)),
-            truncation=None if trunc is None else int(trunc),
+            mu=_convert(raw, "mu", float),
+            y0=_convert(raw, "y0", float, 0.0),
+            n_list=_convert(raw, "n_list", lambda v: tuple(int(n) for n in v)),
+            replications=_convert(raw, "replications", int),
+            limit_draws=_convert(raw, "limit_draws", int),
+            master_seed=_convert(raw, "seed", int),
+            grid_m=_convert(raw, "grid_m", int, 2000),
+            truncation=_convert(raw, "truncation_M", lambda v: None if v is None else int(v)),
         )
 
     def to_dict(self) -> dict:
@@ -300,7 +305,9 @@ def _replicate_block(payload):
 def _run_pairs(regime, mu, y0, model, n, pairs):
     # Estimation errors travel as the Delta ratios, which equal
     # (mu_hat - mu, rho_hat - rho_n) exactly for the generating truth but
-    # survive rates beyond 1/ulp(rho_hat) (see estimator.scale_error).
+    # keep their own relative precision below ulp(rho_hat), where literal
+    # subtraction of the rounded estimates resolves nothing; the
+    # explosive-side rates run_experiment applies exceed 1/ulp.
     out = []
     for r, seed in pairs:
         path = simulate_path(regime, mu, y0, model, n, seed)
@@ -443,46 +450,3 @@ def _rmse(errors: np.ndarray, trimmed: bool) -> float:
         lo, hi = np.quantile(err, (0.01, 0.99))
         err = err[(err >= lo) & (err <= hi)]
     return float(np.sqrt(np.mean(err * err)))
-
-
-# --- normalized sums whose limits the functional samplers draw --------------
-
-
-def normalized_stationary_sums(path, model) -> dict:
-    """Normalized sums entering the stationary theory (all scale-free):
-
-        mean_lag    (1/n) sum y_{t-1}
-        mean_sq_lag (1/(n l(b_n))) sum y_{t-1}^2
-        w1          (1/sqrt(n l(b_n))) sum e_t
-        w2          (1/(sqrt(n) l(b_n))) sum (y_{t-1} - mu/(1-rho)) e_t
-    """
-    n = path.n
-    ell = ell_at_bn(model, n)
-    lag = path.lagged()
-    centered_lag = lag - path.mu / (1.0 - path.rho)
-    return {
-        "mean_lag": float(np.sum(lag) / n),
-        "mean_sq_lag": float(np.sum(lag * lag) / (n * ell)),
-        "w1": float(np.sum(path.e) / math.sqrt(n * ell)),
-        "w2": float(np.sum(centered_lag * path.e) / (math.sqrt(n) * ell)),
-    }
-
-
-def normalized_tilde_sums(path, model) -> dict:
-    """Normalized sums of the drift-free companion series at P3/P4:
-
-        int_sq   sum ytilde_t^2 / (n^2 l(b_n))
-        int_lin  sum ytilde_t / (n^{3/2} sqrt(l(b_n)))
-        ito      sum ytilde_{t-1} e_t / (n l(b_n))
-
-    Their joint limits are what ``sample_time_changed_functionals`` draws.
-    """
-    n = path.n
-    ell = ell_at_bn(model, n)
-    tilde = companion_series(path, "tilde_unit")
-    tilde_lag = np.concatenate(([0.0], tilde[:-1]))
-    return {
-        "int_sq": float(np.sum(tilde * tilde) / (n * n * ell)),
-        "int_lin": float(np.sum(tilde) / (n ** 1.5 * math.sqrt(ell))),
-        "ito": float(np.sum(tilde_lag * path.e) / (n * ell)),
-    }

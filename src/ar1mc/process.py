@@ -22,7 +22,7 @@ from scipy.signal import lfilter
 
 from .innovations import InnovationModel, sample_innovations
 
-__all__ = ["Regime", "Ar1Path", "resolve_rho", "simulate_path", "companion_series"]
+__all__ = ["Regime", "Ar1Path", "resolve_rho", "simulate_path"]
 
 _TAGS = ("P1", "P2", "P3", "P4", "P5", "P6")
 
@@ -141,20 +141,6 @@ def _recurse(x: np.ndarray, rho: float, init: float) -> np.ndarray:
     return out
 
 
-def _recurse_kahan(x: np.ndarray, rho: float, init: float) -> np.ndarray:
-    # Compensated recursion: carries the rounding error of each step into
-    # the next, which keeps the refit residual small for very long paths.
-    out = np.empty(len(x))
-    y = init
-    carry = 0.0
-    for t in range(len(x)):
-        term = x[t] + carry
-        s = rho * y + term
-        carry = term - (s - rho * y)
-        out[t] = y = s
-    return out
-
-
 def _explosive_path(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
     # For |rho| > 1 the recursion adds O(1) innovations onto terms of size
     # rho^t; each step then rounds at eps*|y_t|, which acts as a fake
@@ -176,13 +162,8 @@ def simulate_path(
     model: InnovationModel,
     n: int,
     seed: int,
-    kahan: bool | None = None,
 ) -> Ar1Path:
-    """Simulate y_1..y_n under ``regime`` with innovations from ``model``.
-
-    ``kahan=None`` switches to the compensated recursion automatically for
-    n > 10^6, where plain accumulation starts to erode the refit identity.
-    """
+    """Simulate y_1..y_n under ``regime`` with innovations from ``model``."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not (math.isfinite(mu) and math.isfinite(y0)):
@@ -196,38 +177,7 @@ def simulate_path(
     if abs(rho) > 1:
         y = _explosive_path(mu, rho, y0, e)
     else:
-        x = mu + e
-        if kahan is None:
-            kahan = n > 10 ** 6
-        y = _recurse_kahan(x, rho, y0) if kahan else _recurse(x, rho, y0)
+        y = _recurse(mu + e, rho, y0)
     if not np.isfinite(y[-1]):
         raise OverflowError("simulated path overflowed double precision")
     return Ar1Path(mu=mu, rho=rho, y0=y0, y=y, e=e)
-
-
-_COMPANIONS = ("centered", "tilde_explosive", "tilde_unit")
-
-
-def companion_series(path: Ar1Path, kind: str) -> np.ndarray:
-    """Auxiliary series (t = 1..n) satisfying its own AR recursion.
-
-    centered          y_t - mu/(1-rho)          (start y_0 - mu/(1-rho))
-    tilde_explosive   sum_i rho^{t-i} e_i + rho^t y_0   (start y_0)
-    tilde_unit        sum_i rho^{t-i} e_i       (start 0)
-
-    The tilde variants are rebuilt from the innovations, not read off y,
-    so they can serve as an independent cross-check on the path.
-    """
-    if kind == "centered":
-        if path.rho == 1.0:
-            raise ValueError("centered series is undefined at rho = 1")
-        return path.y - path.mu / (1.0 - path.rho)
-    if kind == "tilde_explosive":
-        if abs(path.rho) > 1:
-            return _explosive_path(0.0, path.rho, path.y0, path.e)
-        return _recurse(path.e, path.rho, path.y0)
-    if kind == "tilde_unit":
-        if abs(path.rho) > 1:
-            return _explosive_path(0.0, path.rho, 0.0, path.e)
-        return _recurse(path.e, path.rho, 0.0)
-    raise ValueError(f"unknown companion kind {kind!r}; expected one of {_COMPANIONS}")

@@ -1,0 +1,152 @@
+"""Reference constructions for the lemma-level checks of the paper.
+
+These are independent routes to quantities the pipeline computes, or
+objects the theory is stated in terms of (companion series, normalized
+sums and their functional limits).  Only the tests use them.  They build
+on the public ``ar1mc`` API alone, so a reference never shares private
+code with what it checks.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.signal import lfilter
+
+from ar1mc import SingularDesignError, cumulative_growth, ell_at_bn, generator
+
+# Rows of standard normals per chunk in the functional sampler; bounds
+# memory without affecting results.
+_CHUNK_ROWS = 4096
+
+
+def normal_equations_oracle(path) -> tuple[float, float]:
+    """(mu_hat, rho_hat) from explicitly formed and solved 2x2 normal equations.
+
+    The system is assembled in the centered parametrization
+    y_t = a + b*(y_{t-1} - xbar) for conditioning and solved with LAPACK,
+    then mapped back to (mu_hat, rho_hat) = (a - b*xbar, b).  A lagged
+    regressor that is constant to working precision raises
+    SingularDesignError, as the estimator does.
+    """
+    x = path.lagged()
+    z = path.y
+    n = path.n
+    xbar = float(np.mean(x))
+    xc = x - xbar
+    sxx = float(np.sum(xc * xc))
+    if sxx <= 1e-12 * float(np.sum(x * x)):
+        raise SingularDesignError("lagged regressor is numerically constant")
+    design = np.array([[float(n), float(np.sum(xc))], [float(np.sum(xc)), sxx]])
+    rhs = np.array([float(np.sum(z)), float(np.sum(xc * z))])
+    a, b = np.linalg.solve(design, rhs)
+    return float(a - b * xbar), float(b)
+
+
+_COMPANIONS = ("centered", "tilde_explosive", "tilde_unit")
+
+
+def companion_series(path, kind: str) -> np.ndarray:
+    """Auxiliary series (t = 1..n) satisfying its own AR recursion.
+
+    centered          y_t - mu/(1-rho)          (start y_0 - mu/(1-rho))
+    tilde_explosive   sum_i rho^{t-i} e_i + rho^t y_0   (start y_0)
+    tilde_unit        sum_i rho^{t-i} e_i       (start 0)
+
+    The tilde variants are rebuilt from the innovations by running the
+    recursion, not read off y, so they cross-check the path.
+    """
+    if kind == "centered":
+        if path.rho == 1.0:
+            raise ValueError("centered series is undefined at rho = 1")
+        return path.y - path.mu / (1.0 - path.rho)
+    if kind in ("tilde_explosive", "tilde_unit"):
+        start = path.y0 if kind == "tilde_explosive" else 0.0
+        out, _ = lfilter([1.0], [1.0, -path.rho], path.e, zi=np.array([path.rho * start]))
+        return out
+    raise ValueError(f"unknown companion kind {kind!r}; expected one of {_COMPANIONS}")
+
+
+def normalized_stationary_sums(path, model) -> dict:
+    """Normalized sums entering the stationary theory (all scale-free):
+
+        mean_lag    (1/n) sum y_{t-1}
+        mean_sq_lag (1/(n l(b_n))) sum y_{t-1}^2
+        w1          (1/sqrt(n l(b_n))) sum e_t
+        w2          (1/(sqrt(n) l(b_n))) sum (y_{t-1} - mu/(1-rho)) e_t
+    """
+    n = path.n
+    ell = ell_at_bn(model, n)
+    lag = path.lagged()
+    centered_lag = lag - path.mu / (1.0 - path.rho)
+    return {
+        "mean_lag": float(np.sum(lag) / n),
+        "mean_sq_lag": float(np.sum(lag * lag) / (n * ell)),
+        "w1": float(np.sum(path.e) / math.sqrt(n * ell)),
+        "w2": float(np.sum(centered_lag * path.e) / (math.sqrt(n) * ell)),
+    }
+
+
+def normalized_tilde_sums(path, model) -> dict:
+    """Normalized sums of the drift-free companion series at P3/P4:
+
+        int_sq   sum ytilde_t^2 / (n^2 l(b_n))
+        int_lin  sum ytilde_t / (n^{3/2} sqrt(l(b_n)))
+        ito      sum ytilde_{t-1} e_t / (n l(b_n))
+
+    Their joint limits are what ``sample_time_changed_functionals`` draws.
+    """
+    n = path.n
+    ell = ell_at_bn(model, n)
+    tilde = companion_series(path, "tilde_unit")
+    tilde_lag = np.concatenate(([0.0], tilde[:-1]))
+    return {
+        "int_sq": float(np.sum(tilde * tilde) / (n * n * ell)),
+        "int_lin": float(np.sum(tilde) / (n ** 1.5 * math.sqrt(ell))),
+        "ito": float(np.sum(tilde_lag * path.e) / (n * ell)),
+    }
+
+
+def brownian_time_change(c: float, s):
+    """T_c(s) = int_0^s exp(2c(1-u)) du; the clock of the tilde-series limit.
+
+    Equals exp(2c) * G_{-2c}(s); increasing in s with T_c(0) = 0 and
+    T_0(s) = s.
+    """
+    return math.exp(2.0 * c) * cumulative_growth(-2.0 * c, s)
+
+
+def sample_time_changed_functionals(c: float, grid_m: int, draws: int, seed: int) -> dict:
+    """Limits of the normalized tilde-series sums at P3/P4, per draw:
+
+        int_sq  = int_0^1 exp(-2c(1-s)) W(T_c(s))^2 ds
+        int_lin = int_0^1 exp(-c(1-s))  W(T_c(s))    ds
+        ito     = -c * int_sq + (W(T_c(1))^2 - 1)/2
+
+    One Brownian path per draw, evaluated at the time-changed points
+    T_c(k/m); the two integrals use left-endpoint Riemann sums.
+    """
+    if grid_m < 1000:
+        raise ValueError("grid_m must be >= 1000")
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    rng = generator(seed)
+    s = np.arange(grid_m + 1) / grid_m
+    clock = brownian_time_change(c, s)
+    root_inc = np.sqrt(np.diff(clock))
+    damp_sq = np.exp(-2.0 * c * (1.0 - s[:-1])) / grid_m
+    damp_lin = np.exp(-c * (1.0 - s[:-1])) / grid_m
+    int_sq = np.empty(draws)
+    int_lin = np.empty(draws)
+    w_end = np.empty(draws)
+    for lo in range(0, draws, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, draws)
+        z = rng.standard_normal((hi - lo, grid_m)) * root_inc
+        w = np.cumsum(z, axis=1)  # W at T_c(s_k), k = 1..m
+        left = np.concatenate([np.zeros((hi - lo, 1)), w[:, :-1]], axis=1)
+        int_sq[lo:hi] = np.sum(left * left * damp_sq, axis=1)
+        int_lin[lo:hi] = np.sum(left * damp_lin, axis=1)
+        w_end[lo:hi] = w[:, -1]
+    ito = -c * int_sq + 0.5 * (w_end * w_end - 1.0)
+    return {"int_sq": int_sq, "int_lin": int_lin, "ito": ito}

@@ -15,6 +15,7 @@ from scipy import stats as sps
 
 import ar1mc as m
 from ar1mc.montecarlo import ks_two_sample
+from paper_lemmas import normal_equations_oracle
 
 
 def report(cid, ok, detail):
@@ -66,17 +67,17 @@ def test_c01_estimator_against_oracle_and_delta_identities():
         reg, mu, y0, model, n = conditioned_fixture(rng, i)
         path = m.simulate_path(reg, mu, y0, model, n, int(rng.integers(2 ** 32)))
         a = m.ls_estimate(path)
-        b = m.normal_equations_oracle(path)
+        mu_orc, rho_orc = normal_equations_oracle(path)
         worst_pair = max(
             worst_pair,
-            abs(a.rho_hat - b.rho_hat) / max(abs(b.rho_hat), 1.0),
-            abs(a.mu_hat - b.mu_hat) / max(abs(b.mu_hat), 1.0),
+            abs(a.rho_hat - rho_orc) / max(abs(rho_orc), 1.0),
+            abs(a.mu_hat - mu_orc) / max(abs(mu_orc), 1.0),
         )
         # identity deviation beyond the quantization of the comparator must
         # be <= 1e-10 rel; mu_hat is assembled as zbar - rho_hat*xbar, so
         # its subtraction quantizes at ulps of |xbar|, not of |mu_hat|
         mu_err, rho_err = a.mu_hat - mu, a.rho_hat - path.rho
-        xbar = abs(a.sums.sum_lag) / path.n
+        xbar = abs(float(np.sum(path.lagged()))) / path.n
         mu_scale = max(1.0, abs(a.mu_hat), abs(mu)) + xbar * (1.0 + abs(a.rho_hat))
         for ratio, err, scale in (
             (a.delta1 / a.delta3, mu_err, mu_scale),

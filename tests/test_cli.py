@@ -152,11 +152,17 @@ class TestMc:
         assert code == 2
         assert "missing.json" in err
 
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "exp.json", typo_key=1)
+    @pytest.mark.parametrize("overrides, named", [
+        ({"typo_key": 1}, "typo_key"),
+        ({"mu": None}, "mu"),
+        ({"n_list": 100}, "n_list"),
+    ], ids=["unknown-key", "null-mu", "scalar-n_list"])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, overrides, named):
+        cfg = write_config(tmp_path / "exp.json", **overrides)
         code, _, err = run(["mc", "--config", str(cfg)], capsys)
         assert code == 2
-        assert "typo_key" in err
+        assert named in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ar1mc.estimator import (
-    SingularDesignError,
-    error_rates,
-    ls_estimate,
-    normal_equations_oracle,
-    scale_error,
-)
+from ar1mc.estimator import SingularDesignError, error_rates, ls_estimate
 from ar1mc.innovations import compute_bn, gaussian, pareto_tail2, rademacher, uniform_sym
+from ar1mc.montecarlo import ExperimentConfig, run_experiment
 from ar1mc.process import Ar1Path, Regime, simulate_path
+from paper_lemmas import normal_equations_oracle
 
 
 def path_from_y(y_full, mu, rho):
@@ -57,9 +53,9 @@ class TestClosedForm:
         est = ls_estimate(path)
         assert est.mu_hat == pytest.approx(1.0, abs=1e-12)
         assert est.rho_hat == pytest.approx(2.0, abs=1e-12)
-        orc = normal_equations_oracle(path)
-        assert orc.mu_hat == pytest.approx(1.0, abs=1e-12)
-        assert orc.rho_hat == pytest.approx(2.0, abs=1e-12)
+        mu_orc, rho_orc = normal_equations_oracle(path)
+        assert mu_orc == pytest.approx(1.0, abs=1e-12)
+        assert rho_orc == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_path_singular(self):
         path = path_from_y([3.0, 3.0, 3.0, 3.0], mu=0.0, rho=1.0)
@@ -68,27 +64,14 @@ class TestClosedForm:
         with pytest.raises(SingularDesignError):
             normal_equations_oracle(path)
 
-    def test_sums_recompute_estimates(self):
-        rng = np.random.default_rng(1)
-        path = random_fixture(rng, 0)
-        est = ls_estimate(path)
-        n, s = path.n, est.sums
-        delta3 = n * s.sum_lag_sq - s.sum_lag ** 2
-        rho_raw = (n * s.sum_cross - s.sum_lag * s.sum_y) / delta3
-        mu_raw = (s.sum_y * s.sum_lag_sq - s.sum_lag * s.sum_cross) / delta3
-        assert rho_raw == pytest.approx(est.rho_hat, rel=1e-12)
-        assert mu_raw == pytest.approx(est.mu_hat, rel=1e-12)
-        assert delta3 == pytest.approx(est.delta3, rel=1e-9)
-        assert est.delta3 > 0
-
     def test_oracle_agreement_on_fixtures(self):
         rng = np.random.default_rng(7)
         for i in range(200):
             path = random_fixture(rng, i)
             a = ls_estimate(path)
-            b = normal_equations_oracle(path)
-            assert abs(a.rho_hat - b.rho_hat) <= 1e-10 * max(abs(b.rho_hat), 1.0)
-            assert abs(a.mu_hat - b.mu_hat) <= 1e-10 * max(abs(b.mu_hat), 1.0)
+            mu_orc, rho_orc = normal_equations_oracle(path)
+            assert abs(a.rho_hat - rho_orc) <= 1e-10 * max(abs(rho_orc), 1.0)
+            assert abs(a.mu_hat - mu_orc) <= 1e-10 * max(abs(mu_orc), 1.0)
 
     def test_delta_identities_on_fixtures(self):
         rng = np.random.default_rng(11)
@@ -175,18 +158,26 @@ class TestRates:
         assert mu_rate == pytest.approx(math.sqrt(n ** 0.75), rel=1e-12)  # no l(b_n)
 
     def test_scale_error_matches_subtraction_when_well_conditioned(self):
-        path = simulate_path(Regime("P1", rho=0.5), 1.0, 0.0, gaussian(1.0), 500, 21)
-        est = ls_estimate(path)
-        scaled = scale_error(est, (1.0, 0.5), Regime("P1", rho=0.5), gaussian(1.0), 500)
-        assert scaled.mu_component == pytest.approx(scaled.mu_rate * (est.mu_hat - 1.0), rel=1e-9)
-        assert scaled.rho_component == pytest.approx(scaled.rho_rate * (est.rho_hat - 0.5), rel=1e-9)
+        reg = Regime("P1", rho=0.5)
+        cfg = ExperimentConfig(regime=reg, model={"id": "gaussian", "sigma": 1.0}, mu=1.0,
+                               n_list=(500,), replications=100, limit_draws=1000,
+                               master_seed=21)
+        block = run_experiment(cfg).per_n[0]
+        assert block.singular == 0
+        assert np.allclose(block.scaled_mu, block.mu_rate * (block.mu_hat - 1.0),
+                           rtol=1e-9, atol=0)
+        assert np.allclose(block.scaled_rho, block.rho_rate * (block.rho_hat - 0.5),
+                           rtol=1e-9, atol=0)
 
     def test_scale_error_resolves_below_ulp(self):
         # moderately explosive: the error is ~1e-22 while ulp(rho_hat) ~ 2e-16;
         # the decomposition must still produce O(1) scaled errors
         reg = Regime("P6", c=1.0, alpha=0.5)
-        path = simulate_path(reg, 2.0, 0.0, gaussian(1.0), 2000, 77)
-        est = ls_estimate(path)
-        scaled = scale_error(est, (2.0, path.rho), reg, gaussian(1.0), 2000)
-        assert abs(scaled.rho_component) < 50.0
-        assert abs(scaled.rho_component) > 1e-6
+        cfg = ExperimentConfig(regime=reg, model={"id": "gaussian", "sigma": 1.0}, mu=2.0,
+                               n_list=(2000,), replications=100, limit_draws=1000,
+                               master_seed=77)
+        block = run_experiment(cfg).per_n[0]
+        err = np.abs(block.scaled_rho / block.rho_rate)
+        assert np.all(err < 1e-3 * np.spacing(block.rho_hat))
+        assert np.all(np.abs(block.scaled_rho) < 50.0)
+        assert np.all(np.abs(block.scaled_rho) > 1e-6)

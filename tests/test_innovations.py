@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from ar1mc.innovations import (
-    BnSequence,
     compute_bn,
     custom,
     ell_at_bn,
@@ -162,12 +161,6 @@ class TestBn:
         model = gaussian(1.0)
         for n in (100, 10_000):
             assert compute_bn(model, n) == pytest.approx(math.sqrt(n), rel=1e-3)
-
-    def test_sequence_view_caches(self):
-        seq = BnSequence(rademacher())
-        assert seq.b0 == 1.0
-        assert seq(100) == compute_bn(rademacher(), 100)
-        assert 100 in seq.values
 
     def test_zero_truncated_moment_rejected(self):
         dead = custom("dead", lambda x: np.zeros_like(np.asarray(x, dtype=float)),

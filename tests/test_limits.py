@@ -9,7 +9,6 @@ from scipy.stats import kstest
 from ar1mc.innovations import gaussian, pareto_tail2, rademacher
 from ar1mc.limits import (
     LimitParams,
-    brownian_time_change,
     cumulative_growth,
     default_truncation,
     growth_dispersion,
@@ -20,11 +19,11 @@ from ar1mc.limits import (
     sample_limit,
     sample_moderate_limit,
     sample_stationary_limit,
-    sample_time_changed_functionals,
     sample_unit_root_limit,
 )
 from ar1mc.montecarlo import ks_two_sample
 from ar1mc.process import Regime
+from paper_lemmas import brownian_time_change, sample_time_changed_functionals
 
 C_VALUES = [-3.0, -1.0, -1e-4, 0.0, 1e-6, 0.5, 2.0]
 
@@ -323,26 +322,3 @@ class TestDispatch:
         assert p.sigma2 == 1.0
         p = LimitParams.for_model(Regime("P1", rho=0.5), 1.0, pareto_tail2())
         assert p.sigma2 is None
-
-
-class TestBrownianGrid:
-    def test_running_sums_and_endpoint(self):
-        from ar1mc.limits import BrownianGrid
-
-        grid = BrownianGrid.sample(500, 5)
-        assert grid.w[0] == 0.0
-        assert len(grid.w) == 501 and len(grid.increments) == 500
-        assert grid.w[-1] == pytest.approx(grid.increments.sum(), rel=1e-12)
-
-    def test_increment_variance(self):
-        from ar1mc.limits import BrownianGrid
-
-        m = 200
-        pooled = np.concatenate([BrownianGrid.sample(m, s).increments for s in range(100)])
-        assert pooled.var() == pytest.approx(1.0 / m, rel=0.05)
-
-    def test_grid_floor(self):
-        from ar1mc.limits import BrownianGrid
-
-        with pytest.raises(ValueError):
-            BrownianGrid.sample(10, 1)

@@ -11,14 +11,16 @@ from ar1mc.montecarlo import (
     ConfigError,
     ExperimentConfig,
     ks_two_sample,
-    normalized_stationary_sums,
-    normalized_tilde_sums,
     rate_slope,
     run_experiment,
     summarize,
 )
-from ar1mc.limits import sample_time_changed_functionals
 from ar1mc.process import Regime, simulate_path
+from paper_lemmas import (
+    normalized_stationary_sums,
+    normalized_tilde_sums,
+    sample_time_changed_functionals,
+)
 
 
 def small_config(**overrides):
@@ -228,6 +230,15 @@ class TestRunExperiment:
             corrs[n] = run_experiment(cfg).per_n[0].component_correlation
         assert abs(corrs[4000]) > 0.6
         assert abs(corrs[4000]) > abs(corrs[250])
+
+    def test_explosive_limit_matches_heavy_tailed_innovations(self):
+        # the P2 rate rho^n has no l(b_n) in it, so the limit's innovation
+        # series must stay raw against the mu*rho/(rho-1) shift; dividing
+        # them by sqrt(l(b_M)) puts KS(rho) near 0.21 here
+        cfg = small_config(regime=Regime("P2", rho=1.2), model={"id": "pareto2"},
+                           n_list=(120,), replications=2000, limit_draws=100_000,
+                           master_seed=11)
+        assert run_experiment(cfg).per_n[0].ks_rho < 0.08
 
     def test_replication_rows_shape(self):
         rep = run_experiment(small_config())

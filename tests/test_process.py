@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ar1mc.innovations import custom, gaussian, pareto_tail2
-from ar1mc.process import Regime, companion_series, resolve_rho, simulate_path
+from ar1mc.process import Regime, resolve_rho, simulate_path
+from paper_lemmas import companion_series
 
 
 def zero_model():
@@ -79,13 +80,6 @@ class TestSimulate:
         a = simulate_path(Regime("P2", rho=1.2), 1.0, 0.0, gaussian(1.0), 60, 9)
         b = simulate_path(Regime("P1", rho=0.5), 1.0, 0.0, gaussian(1.0), 60, 9)
         assert np.array_equal(a.e, b.e)
-
-    def test_kahan_matches_plain(self):
-        reg = Regime("P1", rho=0.9)
-        a = simulate_path(reg, 1.0, 0.0, gaussian(1.0), 2000, 3, kahan=False)
-        b = simulate_path(reg, 1.0, 0.0, gaussian(1.0), 2000, 3, kahan=True)
-        assert np.allclose(a.y, b.y, rtol=1e-12)
-        assert b.refit_residual() <= 1e-10 * (1.0 + np.max(np.abs(b.y)))
 
     def test_overflow_cap(self):
         with pytest.raises(OverflowError):
