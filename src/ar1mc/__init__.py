@@ -21,13 +21,11 @@ from .innovations import (
 )
 from .limits import (
     LimitParams,
-    cumulative_growth,
     default_truncation,
     growth_dispersion,
     growth_mean,
     growth_mean_sq,
     sample_explosive_limit,
-    sample_growth_functionals,
     sample_limit,
     sample_moderate_limit,
     sample_stationary_limit,

@@ -90,12 +90,17 @@ def _read_path_csv(filename: str) -> Ar1Path:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ConfigError(f"{filename}: malformed row {line!r}")
-            ts.append(int(parts[0]))
-            ys.append(float(parts[1]))
-            es.append(float(parts[2]) if parts[2] else None)
+            try:
+                t_str, y_str, e_str = line.split(",")
+                t, y = int(t_str), float(y_str)
+                e = float(e_str) if e_str else None
+            except ValueError:
+                raise ConfigError(f"{filename}: malformed row {line!r}") from None
+            if not math.isfinite(y) or (e is not None and not math.isfinite(e)):
+                raise ConfigError(f"{filename}: non-finite value in row {line!r}")
+            ts.append(t)
+            ys.append(y)
+            es.append(e)
     if not ts or ts != list(range(len(ts))):
         raise ConfigError(f"{filename}: rows must cover t = 0..n in order")
     if len(ts) < 3:
@@ -105,7 +110,7 @@ def _read_path_csv(filename: str) -> Ar1Path:
     # mu/rho slots are unknown here; estimation only reads y0, y and e.
     return Ar1Path(
         mu=0.0, rho=0.0, y0=ys[0],
-        y=np.array(ys[1:]), e=np.array([float(e) for e in es[1:]]),
+        y=np.array(ys[1:]), e=np.array(es[1:]),
     )
 
 
@@ -137,7 +142,7 @@ def _cmd_limit_sample(args) -> int:
     draws = sample_limit(
         regime, args.mu, model,
         draws=args.draws, seed=args.seed,
-        grid_m=args.grid_m, truncation=args.truncation, y0=args.y0,
+        truncation=args.truncation, y0=args.y0,
     )
     lines = ["draw,comp1,comp2"]
     for i in range(draws.shape[0]):
@@ -261,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y0", type=float, default=0.0)
     p.add_argument("--draws", type=int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--grid-m", type=int, default=2000, dest="grid_m")
     p.add_argument("--truncation", type=int, help="series cutoff for the explosive law")
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_limit_sample)

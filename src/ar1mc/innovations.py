@@ -61,24 +61,10 @@ class InnovationModel:
     variance: float | None
     _ell: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _sample: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
-    params: tuple = ()
 
     @property
     def has_finite_variance(self) -> bool:
         return self.variance is not None
-
-    def config(self) -> dict | None:
-        """Registry form ``{"id": ..., params...}``; None for custom models."""
-        kind = self.name
-        if kind == "gaussian":
-            return {"id": "gaussian", "sigma": self.params[0]}
-        if kind == "uniform":
-            return {"id": "uniform", "sigma": self.params[0]}
-        if kind == "rademacher":
-            return {"id": "rademacher"}
-        if kind == "pareto2":
-            return {"id": "pareto2"}
-        return None
 
 
 def eval_l(model: InnovationModel, x) -> float | np.ndarray:
@@ -124,7 +110,7 @@ def gaussian(sigma: float = 1.0) -> InnovationModel:
     def sample(rng, n):
         return sigma * rng.standard_normal(n)
 
-    return InnovationModel("gaussian", s2, ell, sample, (sigma,))
+    return InnovationModel("gaussian", s2, ell, sample)
 
 
 def uniform_sym(sigma: float = 1.0) -> InnovationModel:
@@ -140,7 +126,7 @@ def uniform_sym(sigma: float = 1.0) -> InnovationModel:
     def sample(rng, n):
         return rng.uniform(-a, a, n)
 
-    return InnovationModel("uniform", sigma * sigma, ell, sample, (sigma,))
+    return InnovationModel("uniform", sigma * sigma, ell, sample)
 
 
 def rademacher() -> InnovationModel:

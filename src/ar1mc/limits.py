@@ -11,13 +11,11 @@ columns are the limits of the scaled mu-error and rho-error:
             independent weighted series of raw (unnormalized) fresh
             innovations from the actual error model -- the explosive limit
             is distribution specific, so no Gaussian shortcut is valid here.
-    P3/P4   (Y1/d, Y2/(mu*d)) built from Brownian functionals of the
-            deterministic growth curve G_c(s) = int_0^s exp(c*u) du.
+    P3/P4   (Y1/d, Y2/(mu*d)), linear in W(1) and the Wiener integral
+            int_0^1 G_c dW of the deterministic growth curve
+            G_c(s) = int_0^s exp(c*u) du, hence exactly bivariate normal.
     P5      the rank-one pair (mu/(c*d), 1/d) * Z  (degenerate joint law).
     P6      (V1, (2c^2/mu) V2) with independent centered normals.
-
-Grid-based samplers discretize a standard Brownian motion on m steps and
-use left-endpoint (non-anticipating) sums for stochastic integrals.
 """
 
 from __future__ import annotations
@@ -33,11 +31,9 @@ from .rng import generator
 
 __all__ = [
     "LimitParams",
-    "cumulative_growth",
     "growth_mean",
     "growth_mean_sq",
     "growth_dispersion",
-    "sample_growth_functionals",
     "sample_stationary_limit",
     "sample_explosive_limit",
     "sample_unit_root_limit",
@@ -46,8 +42,8 @@ __all__ = [
     "sample_limit",
 ]
 
-# Rows of standard normals drawn per chunk in grid samplers; bounds memory
-# at ~chunk*m doubles without affecting results.
+# Rows of innovations drawn per chunk by the explosive sampler; bounds
+# memory at ~chunk*M doubles without affecting results.
 _CHUNK_ROWS = 4096
 
 
@@ -70,21 +66,7 @@ class LimitParams:
         return cls(regime=regime, mu=mu, sigma2=model.variance, y0=y0)
 
 
-# --- deterministic growth curve and its integrals --------------------------
-
-
-def cumulative_growth(c: float, s):
-    """G_c(s) = int_0^s exp(c*u) du = (exp(c*s) - 1)/c, = s at c = 0.
-
-    Continuous in c; evaluated through expm1 so small |c*s| keeps full
-    relative precision.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    if c == 0.0:
-        out = s_arr.copy()
-    else:
-        out = np.expm1(c * s_arr) / c
-    return float(out) if np.ndim(s) == 0 else out
+# --- integrals of the growth curve G_c(s) = int_0^s exp(c*u) du ------------
 
 
 def growth_mean(c: float) -> float:
@@ -111,37 +93,6 @@ def growth_mean_sq(c: float) -> float:
 def growth_dispersion(c: float) -> float:
     """d = int G_c^2 - (int G_c)^2 > 0; the shared denominator at P3/P4."""
     return growth_mean_sq(c) - growth_mean(c) ** 2
-
-
-def _chunks(total: int):
-    start = 0
-    while start < total:
-        stop = min(start + _CHUNK_ROWS, total)
-        yield start, stop
-        start = stop
-
-
-def sample_growth_functionals(c: float, grid_m: int, draws: int, seed: int):
-    """Joint draws of W(1) and the Ito integral int_0^1 G_c(s) dW(s).
-
-    Returns (w1, ito, int_g, int_g2): two (draws,) arrays from a common
-    Brownian path discretized on grid_m steps, plus the two deterministic
-    integrals (closed form).  The Ito sum uses left endpoints k/m.
-    """
-    if grid_m < 100:
-        raise ValueError("grid_m must be >= 100")
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    rng = generator(seed)
-    weights = cumulative_growth(c, np.arange(grid_m) / grid_m)
-    scale = 1.0 / math.sqrt(grid_m)
-    w1 = np.empty(draws)
-    ito = np.empty(draws)
-    for lo, hi in _chunks(draws):
-        dw = rng.standard_normal((hi - lo, grid_m)) * scale
-        w1[lo:hi] = np.sum(dw, axis=1)
-        ito[lo:hi] = np.sum(dw * weights, axis=1)
-    return w1, ito, growth_mean(c), growth_mean_sq(c)
 
 
 # --- per-regime samplers ----------------------------------------------------
@@ -202,7 +153,8 @@ def sample_explosive_limit(
     w_u2 = rho ** -np.arange(1, m, dtype=float)
     u1 = np.empty(draws)
     u2 = np.empty(draws)
-    for lo, hi in _chunks(draws):
+    for lo in range(0, draws, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, draws)
         rows = hi - lo
         eps1 = model._sample(rng, rows * m).reshape(rows, m)
         u1[lo:hi] = np.sum(eps1 * w_u1, axis=1)
@@ -215,23 +167,26 @@ def sample_explosive_limit(
     return np.column_stack([w1, comp2])
 
 
-def sample_unit_root_limit(c: float, mu: float, grid_m: int, draws: int, seed: int) -> np.ndarray:
+def sample_unit_root_limit(c: float, mu: float, draws: int, seed: int) -> np.ndarray:
     """Unit-root / near-unit-root limit (P3 with c=0, P4 with c != 0).
 
-    From one functional draw per replicate:
-        Y1 = W(1) int G_c^2 - int G_c * int G_c dW,
-        Y2 = int G_c dW - W(1) int G_c,
-    the pair is (Y1/d, Y2/(mu*d)).  Requires mu != 0.
+    With W1 = W(1) and I = int G_c dW,
+        Y1 = W1 int G_c^2 - int G_c * I,   Y2 = I - W1 int G_c,
+    and the pair is (Y1/d, Y2/(mu*d)).  G_c is deterministic, so (W1, I)
+    is bivariate normal with Var W1 = 1, Var I = int G_c^2 and
+    Cov = int G_c.  Writing I = g W1 + sqrt(d) Z with g = int G_c and Z
+    independent of W1 gives the pair exactly as
+        (W1 - (g/sqrt(d)) Z,  Z/(mu sqrt(d))).
+    Requires mu != 0.
     """
     if mu == 0.0:
         raise ValueError("unit-root limit requires mu != 0")
-    if grid_m < 1000:
-        raise ValueError("grid_m must be >= 1000 for the unit-root sampler")
-    w1, ito, int_g, int_g2 = sample_growth_functionals(c, grid_m, draws, seed)
-    d = growth_dispersion(c)
-    y1 = w1 * int_g2 - int_g * ito
-    y2 = ito - w1 * int_g
-    return np.column_stack([y1 / d, y2 / (mu * d)])
+    rng = generator(seed)
+    w1 = rng.standard_normal(draws)
+    z = rng.standard_normal(draws)
+    g = growth_mean(c)
+    root_d = math.sqrt(growth_dispersion(c))
+    return np.column_stack([w1 - (g / root_d) * z, z / (mu * root_d)])
 
 
 def sample_moderate_limit(params: LimitParams, draws: int, seed: int) -> np.ndarray:
@@ -290,7 +245,6 @@ def sample_limit(
     model: InnovationModel,
     draws: int,
     seed: int,
-    grid_m: int = 2000,
     truncation: int | None = None,
     y0: float = 0.0,
 ) -> np.ndarray:
@@ -302,7 +256,7 @@ def sample_limit(
     if tag == "P2":
         return sample_explosive_limit(params, model, draws, seed, truncation)
     if tag == "P3":
-        return sample_unit_root_limit(0.0, mu, grid_m, draws, seed)
+        return sample_unit_root_limit(0.0, mu, draws, seed)
     if tag == "P4":
-        return sample_unit_root_limit(regime.c, mu, grid_m, draws, seed)
+        return sample_unit_root_limit(regime.c, mu, draws, seed)
     return sample_moderate_limit(params, draws, seed)

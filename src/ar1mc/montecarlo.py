@@ -62,6 +62,13 @@ def _convert(raw: dict, key: str, convert, default=None):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
+def _strict_int(value) -> int:
+    """``value`` itself if it is a JSON integer; floats and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo experiment; ``model`` is a registry config record."""
@@ -74,9 +81,10 @@ class ExperimentConfig:
     limit_draws: int
     master_seed: int
     y0: float = 0.0
-    grid_m: int = 2000
     truncation: int | None = None
 
+    # "grid_m" (the step count of the retired Brownian-grid sampler) is
+    # still accepted so older config files load; its value is ignored.
     _KEYS = {
         "regime", "model", "mu", "y0", "n_list", "replications",
         "limit_draws", "seed", "grid_m", "truncation_M",
@@ -97,8 +105,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if not math.isfinite(self.mu) or not math.isfinite(self.y0):
             raise ConfigError("mu and y0 must be finite")
-        if self.grid_m < 1000:
-            raise ConfigError("grid_m must be >= 1000")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -121,12 +127,11 @@ class ExperimentConfig:
             model=dict(raw["model"]),
             mu=_convert(raw, "mu", float),
             y0=_convert(raw, "y0", float, 0.0),
-            n_list=_convert(raw, "n_list", lambda v: tuple(int(n) for n in v)),
-            replications=_convert(raw, "replications", int),
-            limit_draws=_convert(raw, "limit_draws", int),
-            master_seed=_convert(raw, "seed", int),
-            grid_m=_convert(raw, "grid_m", int, 2000),
-            truncation=_convert(raw, "truncation_M", lambda v: None if v is None else int(v)),
+            n_list=_convert(raw, "n_list", lambda v: tuple(_strict_int(n) for n in v)),
+            replications=_convert(raw, "replications", _strict_int),
+            limit_draws=_convert(raw, "limit_draws", _strict_int),
+            master_seed=_convert(raw, "seed", _strict_int),
+            truncation=_convert(raw, "truncation_M", lambda v: None if v is None else _strict_int(v)),
         )
 
     def to_dict(self) -> dict:
@@ -139,7 +144,6 @@ class ExperimentConfig:
             "replications": self.replications,
             "limit_draws": self.limit_draws,
             "seed": self.master_seed,
-            "grid_m": self.grid_m,
             "truncation_M": self.truncation,
         }
 
@@ -332,6 +336,8 @@ def run_experiment(
     a model object that has no registry entry (custom laws); such models
     cannot cross process boundaries, so they always run in-process.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     model = model_override if model_override is not None else model_from_config(config.model)
     regime, mu, y0 = config.regime, config.mu, config.y0
     R = config.replications
@@ -371,7 +377,6 @@ def run_experiment(
         regime, mu, model,
         draws=config.limit_draws,
         seed=derive_seed(config.master_seed, _LIMIT_STREAM),
-        grid_m=config.grid_m,
         truncation=config.truncation,
         y0=y0,
     )

@@ -129,11 +129,6 @@ class Ar1Path:
         """The regressor series y_0..y_{n-1}."""
         return np.concatenate(([self.y0], self.y[:-1]))
 
-    def refit_residual(self) -> float:
-        """max_t |y_t - mu - rho*y_{t-1} - e_t|, for round-off checks."""
-        resid = self.y - (self.mu + self.rho * self.lagged() + self.e)
-        return float(np.max(np.abs(resid)))
-
 
 def _recurse(x: np.ndarray, rho: float, init: float) -> np.ndarray:
     """y_t = x_t + rho*y_{t-1} with y_0 = init, via a C-loop filter."""

@@ -14,11 +14,24 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from ar1mc import SingularDesignError, cumulative_growth, ell_at_bn, generator
+from ar1mc import (
+    SingularDesignError,
+    ell_at_bn,
+    generator,
+    growth_dispersion,
+    growth_mean,
+    growth_mean_sq,
+)
 
-# Rows of standard normals per chunk in the functional sampler; bounds
-# memory without affecting results.
+# Rows of standard normals per chunk in the grid samplers; bounds memory
+# without affecting results.
 _CHUNK_ROWS = 4096
+
+
+def refit_residual(path) -> float:
+    """max_t |y_t - mu - rho*y_{t-1} - e_t|, for round-off checks."""
+    resid = path.y - (path.mu + path.rho * path.lagged() + path.e)
+    return float(np.max(np.abs(resid)))
 
 
 def normal_equations_oracle(path) -> tuple[float, float]:
@@ -106,6 +119,59 @@ def normalized_tilde_sums(path, model) -> dict:
         "int_lin": float(np.sum(tilde) / (n ** 1.5 * math.sqrt(ell))),
         "ito": float(np.sum(tilde_lag * path.e) / (n * ell)),
     }
+
+
+def cumulative_growth(c: float, s):
+    """G_c(s) = int_0^s exp(c*u) du = (exp(c*s) - 1)/c, = s at c = 0.
+
+    Continuous in c; evaluated through expm1 so small |c*s| keeps full
+    relative precision.
+    """
+    s_arr = np.asarray(s, dtype=float)
+    if c == 0.0:
+        out = s_arr.copy()
+    else:
+        out = np.expm1(c * s_arr) / c
+    return float(out) if np.ndim(s) == 0 else out
+
+
+def sample_growth_functionals(c: float, grid_m: int, draws: int, seed: int):
+    """Joint draws of W(1) and the Ito integral int_0^1 G_c(s) dW(s).
+
+    Returns (w1, ito, int_g, int_g2): two (draws,) arrays from a common
+    Brownian path discretized on grid_m steps, plus the two deterministic
+    integrals (closed form).  The Ito sum uses left endpoints k/m.
+    """
+    if grid_m < 100:
+        raise ValueError("grid_m must be >= 100")
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    rng = generator(seed)
+    weights = cumulative_growth(c, np.arange(grid_m) / grid_m)
+    scale = 1.0 / math.sqrt(grid_m)
+    w1 = np.empty(draws)
+    ito = np.empty(draws)
+    for lo in range(0, draws, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, draws)
+        dw = rng.standard_normal((hi - lo, grid_m)) * scale
+        w1[lo:hi] = np.sum(dw, axis=1)
+        ito[lo:hi] = np.sum(dw * weights, axis=1)
+    return w1, ito, growth_mean(c), growth_mean_sq(c)
+
+
+def grid_unit_root_limit(c: float, mu: float, grid_m: int, draws: int, seed: int) -> np.ndarray:
+    """The P3/P4 limit pair (Y1/d, Y2/(mu*d)) built from grid functionals:
+
+        Y1 = W(1) int G_c^2 - int G_c * int G_c dW,
+        Y2 = int G_c dW - W(1) int G_c,
+
+    an independent route to the exact normal law the pipeline samples.
+    """
+    w1, ito, int_g, int_g2 = sample_growth_functionals(c, grid_m, draws, seed)
+    d = growth_dispersion(c)
+    y1 = w1 * int_g2 - int_g * ito
+    y2 = ito - w1 * int_g
+    return np.column_stack([y1 / d, y2 / (mu * d)])
 
 
 def brownian_time_change(c: float, s):

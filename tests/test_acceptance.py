@@ -15,7 +15,7 @@ from scipy import stats as sps
 
 import ar1mc as m
 from ar1mc.montecarlo import ks_two_sample
-from paper_lemmas import normal_equations_oracle
+from paper_lemmas import grid_unit_root_limit, normal_equations_oracle, sample_growth_functionals
 
 
 def report(cid, ok, detail):
@@ -23,10 +23,10 @@ def report(cid, ok, detail):
     return ok
 
 
-def run_mc(regime, model_cfg, mu, n_list, reps, draws, seed, y0=0.0, grid_m=2000):
+def run_mc(regime, model_cfg, mu, n_list, reps, draws, seed, y0=0.0):
     cfg = m.ExperimentConfig(
         regime=regime, model=model_cfg, mu=mu, y0=y0, n_list=tuple(n_list),
-        replications=reps, limit_draws=draws, master_seed=seed, grid_m=grid_m,
+        replications=reps, limit_draws=draws, master_seed=seed,
     )
     return m.run_experiment(cfg)
 
@@ -248,16 +248,17 @@ def test_c09_bn_invariants():
 
 def test_c10_limit_sampler_internal_consistency():
     t0 = time.time()
-    # grid refinement of the drift-functional sampler
+    # grid refinement: the Brownian-grid construction against the exact law
     worst_refine = 0.0
     for c in (-1.0, 0.0, 1.0):
-        a = m.sample_unit_root_limit(c, 1.0, 1000, 10_000, 101)
-        b = m.sample_unit_root_limit(c, 1.0, 2000, 10_000, 202)
-        worst_refine = max(worst_refine,
-                           ks_two_sample(a[:, 0], b[:, 0]),
-                           ks_two_sample(a[:, 1], b[:, 1]))
+        exact = m.sample_unit_root_limit(c, 1.0, 100_000, 303)
+        for grid_m, seed in ((1000, 101), (2000, 202)):
+            grid = grid_unit_root_limit(c, 1.0, grid_m, 10_000, seed)
+            worst_refine = max(worst_refine,
+                               ks_two_sample(grid[:, 0], exact[:, 0]),
+                               ks_two_sample(grid[:, 1], exact[:, 1]))
     # Ito isometry at c = 0
-    _, ito, _, _ = m.sample_growth_functionals(0.0, 2000, 100_000, 57)
+    _, ito, _, _ = sample_growth_functionals(0.0, 2000, 100_000, 57)
     iso_dev = abs(ito.var(ddof=1) - 1.0 / 3.0) * 3.0
     # explosive ratio law collapses to a scaled Cauchy at mu=0, y0=0
     params = m.LimitParams(m.Regime("P2", rho=2.0), mu=0.0, sigma2=1.0)

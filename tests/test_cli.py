@@ -102,6 +102,15 @@ class TestEstimateRoundTrip:
         assert code == 2
         assert "innovation" in err
 
+    def test_non_finite_values_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "nan.csv"
+        csv.write_text("t,y,e\n0,1.0,\n1,2.0,0.5\n2,nan,0.1\n3,4.0,0.2\n")
+        code, out, err = run(["estimate", "--in", str(csv)], capsys)
+        assert code == 2
+        assert "nan.csv" in err
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
 
 class TestLimitSample:
     def test_csv_header_and_rows(self, tmp_path, capsys):
@@ -156,13 +165,22 @@ class TestMc:
         ({"typo_key": 1}, "typo_key"),
         ({"mu": None}, "mu"),
         ({"n_list": 100}, "n_list"),
-    ], ids=["unknown-key", "null-mu", "scalar-n_list"])
+        ({"n_list": [100.7]}, "n_list"),
+        ({"seed": True}, "seed"),
+    ], ids=["unknown-key", "null-mu", "scalar-n_list", "fractional-n_list", "bool-seed"])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "exp.json", **overrides)
         code, _, err = run(["mc", "--config", str(cfg)], capsys)
         assert code == 2
         assert named in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["mc", "rates"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "exp.json", n_list=[100, 200, 400])
+        code, _, err = run([command, "--config", str(cfg), "--workers", "0"], capsys)
+        assert code == 2
+        assert "workers" in err
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -188,10 +188,12 @@ class TestBn:
 
 class TestModelConfig:
     def test_round_trip_ids(self):
-        for cfg in ({"id": "gaussian", "sigma": 2.0}, {"id": "uniform", "sigma": 0.5},
-                    {"id": "rademacher"}, {"id": "pareto2"}):
+        for cfg, variance in (({"id": "gaussian", "sigma": 2.0}, 4.0),
+                              ({"id": "uniform", "sigma": 0.5}, 0.25),
+                              ({"id": "rademacher"}, 1.0), ({"id": "pareto2"}, None)):
             model = model_from_config(cfg)
-            assert model.config() == cfg or model.config()["id"] == cfg["id"]
+            assert model.name == cfg["id"]
+            assert model.variance == variance
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):

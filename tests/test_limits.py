@@ -9,13 +9,11 @@ from scipy.stats import kstest
 from ar1mc.innovations import gaussian, pareto_tail2, rademacher
 from ar1mc.limits import (
     LimitParams,
-    cumulative_growth,
     default_truncation,
     growth_dispersion,
     growth_mean,
     growth_mean_sq,
     sample_explosive_limit,
-    sample_growth_functionals,
     sample_limit,
     sample_moderate_limit,
     sample_stationary_limit,
@@ -23,7 +21,13 @@ from ar1mc.limits import (
 )
 from ar1mc.montecarlo import ks_two_sample
 from ar1mc.process import Regime
-from paper_lemmas import brownian_time_change, sample_time_changed_functionals
+from paper_lemmas import (
+    brownian_time_change,
+    cumulative_growth,
+    grid_unit_root_limit,
+    sample_growth_functionals,
+    sample_time_changed_functionals,
+)
 
 C_VALUES = [-3.0, -1.0, -1e-4, 0.0, 1e-6, 0.5, 2.0]
 
@@ -204,28 +208,35 @@ class TestExplosiveLimit:
 
 
 class TestUnitRootLimit:
-    def test_gaussian_variance_at_unit_root(self):
-        # c=0, mu=1: second component is N(0, 12)
-        d = sample_unit_root_limit(0.0, 1.0, 2000, 100_000, 97)
-        assert d[:, 1].var(ddof=1) == pytest.approx(12.0, rel=0.03)
-        assert d[:, 0].var(ddof=1) == pytest.approx(4.0, rel=0.03)
+    @pytest.mark.parametrize("c", [-2.0, 0.0, 1.5])
+    def test_gaussian_variance_at_unit_root(self, c):
+        # exact covariance [[int G^2/d, -int G/(mu d)], [., 1/(mu^2 d)]];
+        # at c=0, mu=1 it is [[4, -6], [-6, 12]]
+        mu = 1.0
+        g, g2, d = growth_mean(c), growth_mean_sq(c), growth_dispersion(c)
+        cov = np.cov(sample_unit_root_limit(c, mu, 100_000, 97).T)
+        assert cov[0, 0] == pytest.approx(g2 / d, rel=0.03)
+        assert cov[0, 1] == pytest.approx(-g / (mu * d), rel=0.03)
+        assert cov[1, 1] == pytest.approx(1.0 / (mu * mu * d), rel=0.03)
 
     def test_inverse_mu_scaling_drawwise(self):
-        a = sample_unit_root_limit(0.0, 1.0, 1000, 500, 99)
-        b = sample_unit_root_limit(0.0, 2.0, 1000, 500, 99)
+        a = sample_unit_root_limit(0.0, 1.0, 500, 99)
+        b = sample_unit_root_limit(0.0, 2.0, 500, 99)
         assert np.allclose(a[:, 1], 2.0 * b[:, 1], rtol=1e-12)
         assert np.allclose(a[:, 0], b[:, 0], rtol=1e-12)
 
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
     def test_grid_refinement_consistency(self, c):
-        a = sample_unit_root_limit(c, 1.0, 1000, 10_000, 101)
-        b = sample_unit_root_limit(c, 1.0, 2000, 10_000, 202)
-        assert ks_two_sample(a[:, 0], b[:, 0]) < 0.02
-        assert ks_two_sample(a[:, 1], b[:, 1]) < 0.02
+        # the Brownian-grid construction converges to the exact normal law
+        exact = sample_unit_root_limit(c, 1.0, 100_000, 303)
+        for grid_m, seed in ((1000, 101), (2000, 202)):
+            grid = grid_unit_root_limit(c, 1.0, grid_m, 10_000, seed)
+            assert ks_two_sample(grid[:, 0], exact[:, 0]) < 0.02
+            assert ks_two_sample(grid[:, 1], exact[:, 1]) < 0.02
 
     def test_mu_zero_rejected(self):
         with pytest.raises(ValueError):
-            sample_unit_root_limit(0.0, 0.0, 1000, 10, 1)
+            sample_unit_root_limit(0.0, 0.0, 10, 1)
 
 
 class TestModerateLimit:
@@ -305,7 +316,7 @@ class TestDispatch:
         for regime in (Regime("P1", rho=0.5), Regime("P2", rho=1.3), Regime("P3"),
                        Regime("P4", c=-1.0), Regime("P5", c=-1.0, alpha=0.4),
                        Regime("P6", c=1.0, alpha=0.5)):
-            d = sample_limit(regime, 1.0, model, 1500, 7, grid_m=1000)
+            d = sample_limit(regime, 1.0, model, 1500, 7)
             assert d.shape == (1500, 2)
             assert np.all(np.isfinite(d))
 

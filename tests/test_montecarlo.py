@@ -135,11 +135,12 @@ class TestConfig:
             "replications": 150,
             "limit_draws": 1500,
             "seed": 42,
-            "grid_m": 1000,
             "truncation_M": None,
         }
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.to_dict() == raw
+        # the retired grid_m key still loads, and is ignored
+        assert ExperimentConfig.from_dict({**raw, "grid_m": 2000}) == cfg
 
     def test_unknown_key_rejected(self):
         raw = {"regime": {"tag": "P3"}, "model": {"id": "gaussian"}, "mu": 1.0,
@@ -159,7 +160,7 @@ class TestConfig:
         dict(n_list=()),
         dict(n_list=(100, 100)),
         dict(master_seed=-1),
-        dict(grid_m=500),
+        dict(y0=math.nan),
         dict(mu=math.inf),
     ])
     def test_validation(self, bad):

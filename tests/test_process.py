@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from ar1mc.innovations import custom, gaussian, pareto_tail2
 from ar1mc.process import Regime, resolve_rho, simulate_path
-from paper_lemmas import companion_series
+from paper_lemmas import companion_series, refit_residual
 
 
 def zero_model():
@@ -73,7 +73,7 @@ class TestSimulate:
     def test_refit_identity(self, regime, model):
         path = simulate_path(regime, 1.0, 0.5, model, 500, 42)
         tol = 1e-10 * (1.0 + np.max(np.abs(path.y)))
-        assert path.refit_residual() <= tol
+        assert refit_residual(path) <= tol
 
     def test_same_seed_same_innovations_both_routes(self):
         # |rho| > 1 uses the closed-form construction; innovations must agree
