@@ -20,16 +20,11 @@ from .innovations import (
     uniform_sym,
 )
 from .limits import (
-    LimitParams,
     default_truncation,
     growth_dispersion,
     growth_mean,
     growth_mean_sq,
-    sample_explosive_limit,
     sample_limit,
-    sample_moderate_limit,
-    sample_stationary_limit,
-    sample_unit_root_limit,
 )
 from .montecarlo import (
     ConfigError,

@@ -57,9 +57,15 @@ def ls_estimate(path: Ar1Path) -> LsEstimate:
         raise ValueError("need n >= 2 observations")
     xbar = float(np.mean(x))
     xc = x - xbar
-    sxx = float(np.sum(xc * xc))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        sxx = float(np.sum(xc * xc))
+        sum_sq = float(np.sum(x * x))
     delta3 = n * sxx
-    if delta3 <= _SINGULAR_EPS * n * float(np.sum(x * x)):
+    if not (math.isfinite(delta3) and math.isfinite(sum_sq)):
+        raise OverflowError(
+            "sums of squares of the lagged series overflow double precision"
+        )
+    if delta3 <= _SINGULAR_EPS * n * sum_sq:
         raise SingularDesignError(
             f"lagged regressor is numerically constant (Delta3={delta3:.3e})"
         )

@@ -92,14 +92,31 @@ def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
 # --- built-in models -------------------------------------------------------
 
 
+def _finite_real(value, what: str) -> float:
+    """``value`` as a float if it is a finite int or float (bools refused)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def _scale_variance(sigma: float) -> float:
+    """sigma^2, which must be a positive finite float for sigma > 0."""
+    s2 = sigma * sigma
+    if not (sigma > 0 and 0.0 < s2 < math.inf):
+        raise ValueError(f"sigma must be positive with 0 < sigma^2 < inf, got {sigma!r}")
+    return s2
+
+
 def gaussian(sigma: float = 1.0) -> InnovationModel:
     """N(0, sigma^2) innovations.
 
     l(x) = sigma^2 * (erf(a/sqrt(2)) - a*sqrt(2/pi)*exp(-a^2/2)),  a = x/sigma.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    s2 = sigma * sigma
+    s2 = _scale_variance(sigma)
 
     def ell(x):
         a = x / sigma
@@ -115,8 +132,7 @@ def gaussian(sigma: float = 1.0) -> InnovationModel:
 
 def uniform_sym(sigma: float = 1.0) -> InnovationModel:
     """Uniform on [-a, a] with a = sigma*sqrt(3), so the variance is sigma^2."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    s2 = _scale_variance(sigma)
     a = sigma * math.sqrt(3.0)
 
     def ell(x):
@@ -126,7 +142,7 @@ def uniform_sym(sigma: float = 1.0) -> InnovationModel:
     def sample(rng, n):
         return rng.uniform(-a, a, n)
 
-    return InnovationModel("uniform", sigma * sigma, ell, sample)
+    return InnovationModel("uniform", s2, ell, sample)
 
 
 def rademacher() -> InnovationModel:
@@ -191,10 +207,9 @@ def model_from_config(cfg: dict) -> InnovationModel:
     extra = set(cfg) - {"id", "sigma"}
     if extra:
         raise ValueError(f"unknown model config keys: {sorted(extra)}")
-    if kind == "gaussian":
-        return gaussian(float(cfg.get("sigma", 1.0)))
-    if kind == "uniform":
-        return uniform_sym(float(cfg.get("sigma", 1.0)))
+    if kind in ("gaussian", "uniform"):
+        sigma = _finite_real(cfg.get("sigma", 1.0), "model sigma")
+        return gaussian(sigma) if kind == "gaussian" else uniform_sym(sigma)
     if kind in ("rademacher", "pareto2"):
         if "sigma" in cfg:
             raise ValueError(f"model '{kind}' takes no sigma parameter")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import SingularDesignError, error_rates, ls_estimate
-from .innovations import InnovationModel, model_from_config
+from .innovations import _finite_real, model_from_config
 from .limits import sample_limit
 from .process import Regime, simulate_path
 from .rng import derive_seed
@@ -54,24 +54,30 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
-def _convert(raw: dict, key: str, convert, default=None):
-    """``convert(raw[key])``, with a malformed value reported as ConfigError."""
-    try:
-        return convert(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
-def _strict_int(value) -> int:
-    """``value`` itself if it is a JSON integer; floats and bools are refused."""
+def _check_int(key: str, value, low: int | None = None) -> None:
+    """Refuse anything but an int (not a bool) that is >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+        raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"config key {key!r}: must be >= {low}, got {value}")
+
+
+def _check_real(key: str, value) -> float:
+    """``value`` as a float if it is a finite int or float (not a bool)."""
+    try:
+        return _finite_real(value, f"config key {key!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment; ``model`` is a registry config record."""
+    """One Monte Carlo experiment; ``model`` is a registry config record.
+
+    Construction validates every field with exact types: integers are
+    ints (not bools or floats), reals are finite ints or floats, and every
+    failure is a ConfigError naming the JSON key of the field.
+    """
 
     regime: Regime
     model: dict
@@ -91,20 +97,27 @@ class ExperimentConfig:
     }
 
     def __post_init__(self):
-        if self.replications < 100:
-            raise ConfigError("replications must be >= 100")
-        if self.limit_draws < 1000:
-            raise ConfigError("limit_draws must be >= 1000")
-        if not self.n_list:
-            raise ConfigError("n_list must be nonempty")
-        if any(n < 50 for n in self.n_list):
-            raise ConfigError("all sample sizes must be >= 50")
+        if not isinstance(self.regime, Regime):
+            raise ConfigError(f"config key 'regime': expected a Regime, got {self.regime!r}")
+        try:
+            model_from_config(self.model)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'model': {exc}") from None
+        object.__setattr__(self, "mu", _check_real("mu", self.mu))
+        object.__setattr__(self, "y0", _check_real("y0", self.y0))
+        if not isinstance(self.n_list, (list, tuple)) or not self.n_list:
+            raise ConfigError(
+                f"config key 'n_list': expected a nonempty list, got {self.n_list!r}")
+        object.__setattr__(self, "n_list", tuple(self.n_list))
+        for n in self.n_list:
+            _check_int("n_list", n, 50)
         if len(set(self.n_list)) != len(self.n_list):
-            raise ConfigError("n_list entries must be distinct")
-        if self.master_seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if not math.isfinite(self.mu) or not math.isfinite(self.y0):
-            raise ConfigError("mu and y0 must be finite")
+            raise ConfigError("config key 'n_list': entries must be distinct")
+        _check_int("replications", self.replications, 100)
+        _check_int("limit_draws", self.limit_draws, 1000)
+        _check_int("seed", self.master_seed, 0)
+        if self.truncation is not None:
+            _check_int("truncation_M", self.truncation)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -119,19 +132,18 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         try:
             regime = Regime.from_config(raw["regime"])
-            model_from_config(raw["model"])  # validate now, resolve per use
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(f"config key 'regime': {exc}") from None
         return cls(
             regime=regime,
-            model=dict(raw["model"]),
-            mu=_convert(raw, "mu", float),
-            y0=_convert(raw, "y0", float, 0.0),
-            n_list=_convert(raw, "n_list", lambda v: tuple(_strict_int(n) for n in v)),
-            replications=_convert(raw, "replications", _strict_int),
-            limit_draws=_convert(raw, "limit_draws", _strict_int),
-            master_seed=_convert(raw, "seed", _strict_int),
-            truncation=_convert(raw, "truncation_M", lambda v: None if v is None else _strict_int(v)),
+            model=raw["model"],
+            mu=raw["mu"],
+            y0=raw.get("y0", 0.0),
+            n_list=raw["n_list"],
+            replications=raw["replications"],
+            limit_draws=raw["limit_draws"],
+            master_seed=raw["seed"],
+            truncation=raw.get("truncation_M"),
         )
 
     def to_dict(self) -> dict:
@@ -300,78 +312,60 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _replicate_block(payload):
-    """Worker task: run one block of replications; pure in its payload."""
-    regime, mu, y0, model_cfg, n, pairs = payload
+    """Worker task: run one block of replications; pure in its payload.
+
+    Returns one row (mu_hat, rho_hat, mu error, rho error, singular) per
+    seed, with NaN estimates where the design is singular.  The errors are
+    the Delta ratios, which equal (mu_hat - mu, rho_hat - rho_n) exactly
+    for the generating truth but keep their own relative precision below
+    ulp(rho_hat), where literal subtraction of the rounded estimates
+    resolves nothing; the explosive-side rates run_experiment applies
+    exceed 1/ulp.
+    """
+    regime, mu, y0, model_cfg, n, seeds = payload
     model = model_from_config(model_cfg)
-    return _run_pairs(regime, mu, y0, model, n, pairs)
-
-
-def _run_pairs(regime, mu, y0, model, n, pairs):
-    # Estimation errors travel as the Delta ratios, which equal
-    # (mu_hat - mu, rho_hat - rho_n) exactly for the generating truth but
-    # keep their own relative precision below ulp(rho_hat), where literal
-    # subtraction of the rounded estimates resolves nothing; the
-    # explosive-side rates run_experiment applies exceed 1/ulp.
-    out = []
-    for r, seed in pairs:
+    rows = []
+    for seed in seeds:
         path = simulate_path(regime, mu, y0, model, n, seed)
         try:
             est = ls_estimate(path)
-            out.append((r, est.mu_hat, est.rho_hat,
-                        est.delta1 / est.delta3, est.delta2 / est.delta3, False))
+            rows.append((est.mu_hat, est.rho_hat,
+                         est.delta1 / est.delta3, est.delta2 / est.delta3, 0.0))
         except SingularDesignError:
-            out.append((r, math.nan, math.nan, math.nan, math.nan, True))
-    return out
+            rows.append((math.nan, math.nan, math.nan, math.nan, 1.0))
+    return rows
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    model_override: InnovationModel | None = None,
-) -> McReport:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     """Run the full experiment described by ``config``.
 
     ``workers`` only chooses how replication blocks are scheduled; the
-    report is bit-identical for every value.  ``model_override`` swaps in
-    a model object that has no registry entry (custom laws); such models
-    cannot cross process boundaries, so they always run in-process.
+    report is bit-identical for every value.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    model = model_override if model_override is not None else model_from_config(config.model)
+    model = model_from_config(config.model)
     regime, mu, y0 = config.regime, config.mu, config.y0
     R = config.replications
 
-    blocks = []
+    payloads, offsets = [], []
     for n in config.n_list:
-        seeds = [(r, derive_seed(config.master_seed, _PATH_STREAM, n, r)) for r in range(R)]
+        seeds = [derive_seed(config.master_seed, _PATH_STREAM, n, r) for r in range(R)]
         for lo in range(0, R, _BLOCK):
-            blocks.append((regime, mu, y0, config.model, n, seeds[lo:lo + _BLOCK]))
+            payloads.append((regime, mu, y0, config.model, n, seeds[lo:lo + _BLOCK]))
+            offsets.append((n, lo))
 
-    if workers > 1 and model_override is None:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            block_results = list(pool.map(_replicate_block, blocks))
+            results = list(pool.map(_replicate_block, payloads))
     else:
-        block_results = [
-            _run_pairs(regime, mu, y0, model, n, pairs)
-            for (regime_, mu_, y0_, _cfg, n, pairs) in blocks
-        ]
+        results = list(map(_replicate_block, payloads))
 
-    # Collect into per-n arrays indexed by replication id: the reduction
-    # order is fixed by (n, r), never by completion order.
-    mu_hat = {n: np.full(R, np.nan) for n in config.n_list}
-    rho_hat = {n: np.full(R, np.nan) for n in config.n_list}
-    err_mu = {n: np.full(R, np.nan) for n in config.n_list}
-    err_rho = {n: np.full(R, np.nan) for n in config.n_list}
-    singular = {n: np.zeros(R, dtype=bool) for n in config.n_list}
-    for (block, results) in zip(blocks, block_results):
-        n = block[4]
-        for r, m_h, r_h, e_m, e_r, sing in results:
-            mu_hat[n][r] = m_h
-            rho_hat[n][r] = r_h
-            err_mu[n][r] = e_m
-            err_rho[n][r] = e_r
-            singular[n][r] = sing
+    # Rows land at their replication ids: the reduction order is fixed by
+    # (n, r), never by completion order.
+    table = {n: np.empty((R, 5)) for n in config.n_list}
+    for (n, lo), rows in zip(offsets, results):
+        table[n][lo:lo + len(rows)] = rows
 
     limit = sample_limit(
         regime, mu, model,
@@ -385,14 +379,16 @@ def run_experiment(
     rmse_mu, rmse_rho, fit_ns = [], [], []
     trimmed = regime.tag in ("P2", "P6")
     for n in config.n_list:
-        valid = ~singular[n]
+        mu_hat, rho_hat, err_mu, err_rho, flag = table[n].T
+        singular = flag != 0.0
+        valid = ~singular
         n_valid = int(np.sum(valid))
         scaled_mu = np.full(R, np.nan)
         scaled_rho = np.full(R, np.nan)
         if n_valid:
             mu_rate, rho_rate = error_rates(regime, model, n)
-            scaled_mu[valid] = mu_rate * err_mu[n][valid]
-            scaled_rho[valid] = rho_rate * err_rho[n][valid]
+            scaled_mu[valid] = mu_rate * err_mu[valid]
+            scaled_rho[valid] = rho_rate * err_rho[valid]
             block = PerSizeReport(
                 n=n,
                 valid=n_valid,
@@ -407,8 +403,8 @@ def run_experiment(
                 scaled_mu_summary=summarize(scaled_mu[valid]),
                 scaled_rho_summary=summarize(scaled_rho[valid]),
             )
-            rmse_mu.append(_rmse(err_mu[n][valid], trimmed))
-            rmse_rho.append(_rmse(err_rho[n][valid], trimmed))
+            rmse_mu.append(_rmse(err_mu[valid], trimmed))
+            rmse_rho.append(_rmse(err_rho[valid], trimmed))
             fit_ns.append(n)
         else:
             block = PerSizeReport(
@@ -416,11 +412,11 @@ def run_experiment(
                 ks_mu=None, ks_rho=None, component_correlation=None,
                 scaled_mu_summary=None, scaled_rho_summary=None,
             )
-        block.mu_hat = mu_hat[n]
-        block.rho_hat = rho_hat[n]
+        block.mu_hat = mu_hat
+        block.rho_hat = rho_hat
         block.scaled_mu = scaled_mu
         block.scaled_rho = scaled_rho
-        block.singular_mask = singular[n]
+        block.singular_mask = singular
         per_n.append(block)
 
     rate_fit = None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .innovations import InnovationModel, sample_innovations
+from .innovations import InnovationModel, _finite_real, sample_innovations
 
 __all__ = ["Regime", "Ar1Path", "resolve_rho", "simulate_path"]
 
@@ -75,8 +75,9 @@ class Regime:
                 raise ValueError(f"regime {self.tag} requires parameter {name!r}")
             if have and not wanted:
                 raise ValueError(f"regime {self.tag} does not take parameter {name!r}")
-            if have and not math.isfinite(getattr(self, name)):
-                raise ValueError(f"regime parameter {name!r} must be finite")
+            if have:
+                value = _finite_real(getattr(self, name), f"regime parameter {name!r}")
+                object.__setattr__(self, name, value)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Regime":
@@ -85,7 +86,7 @@ class Regime:
         extra = set(cfg) - {"tag", "rho", "c", "alpha"}
         if extra:
             raise ValueError(f"unknown regime config keys: {sorted(extra)}")
-        kw = {k: float(cfg[k]) for k in ("rho", "c", "alpha") if k in cfg}
+        kw = {k: cfg[k] for k in ("rho", "c", "alpha") if k in cfg}
         return cls(cfg["tag"], **kw)
 
     def to_config(self) -> dict:

@@ -251,7 +251,8 @@ def test_c10_limit_sampler_internal_consistency():
     # grid refinement: the Brownian-grid construction against the exact law
     worst_refine = 0.0
     for c in (-1.0, 0.0, 1.0):
-        exact = m.sample_unit_root_limit(c, 1.0, 100_000, 303)
+        regime = m.Regime("P3") if c == 0.0 else m.Regime("P4", c=c)
+        exact = m.sample_limit(regime, 1.0, m.gaussian(1.0), 100_000, 303)
         for grid_m, seed in ((1000, 101), (2000, 202)):
             grid = grid_unit_root_limit(c, 1.0, grid_m, 10_000, seed)
             worst_refine = max(worst_refine,
@@ -261,8 +262,7 @@ def test_c10_limit_sampler_internal_consistency():
     _, ito, _, _ = sample_growth_functionals(0.0, 2000, 100_000, 57)
     iso_dev = abs(ito.var(ddof=1) - 1.0 / 3.0) * 3.0
     # explosive ratio law collapses to a scaled Cauchy at mu=0, y0=0
-    params = m.LimitParams(m.Regime("P2", rho=2.0), mu=0.0, sigma2=1.0)
-    draws = m.sample_explosive_limit(params, m.gaussian(1.0), 100_000, 61)
+    draws = m.sample_limit(m.Regime("P2", rho=2.0), 0.0, m.gaussian(1.0), 100_000, 61)
     q25, q75 = np.quantile(draws[:, 1], [0.25, 0.75])
     iqr = q75 - q25
     elapsed = time.time() - t0

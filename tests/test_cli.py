@@ -130,6 +130,17 @@ class TestLimitSample:
                             "--mu", "1", "--draws", "100", "--truncation", "5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--regime", "P3", "--mu", "nan"],
+        ["--regime", "P2", "--rho", "1.2", "--mu", "1", "--y0", "inf"],
+        ["--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws", "0"],
+    ], ids=["nan-mu", "inf-y0", "zero-draws"])
+    def test_bad_inputs_exit_2(self, capsys, argv):
+        code, out, err = run(["limit-sample"] + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
     def test_default_seed_documented_constant(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -167,12 +178,28 @@ class TestMc:
         ({"n_list": 100}, "n_list"),
         ({"n_list": [100.7]}, "n_list"),
         ({"seed": True}, "seed"),
-    ], ids=["unknown-key", "null-mu", "scalar-n_list", "fractional-n_list", "bool-seed"])
+        ({"regime": {"tag": "P1", "rho": "0.5"}}, "rho"),
+        ({"mu": "1.0"}, "mu"),
+        ({"model": {"id": "gaussian", "sigma": "2"}}, "sigma"),
+        ({"model": {"id": "gaussian", "sigma": True}}, "sigma"),
+        ({"model": {"id": "gaussian", "sigma": 1e-320}}, "sigma"),
+    ], ids=["unknown-key", "null-mu", "scalar-n_list", "fractional-n_list", "bool-seed",
+            "string-rho", "string-mu", "string-sigma", "bool-sigma", "tiny-sigma"])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "exp.json", **overrides)
         code, _, err = run(["mc", "--config", str(cfg)], capsys)
         assert code == 2
         assert named in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
+    def test_overflowing_squares_exit_1(self, tmp_path, capsys):
+        # rho^n is about 1e158 here: below the path guard, but y^2 overflows
+        cfg = write_config(tmp_path / "exp.json", regime={"tag": "P2", "rho": 1.2},
+                           n_list=[2000])
+        code, out, err = run(["mc", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "overflow" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["mc", "rates"])

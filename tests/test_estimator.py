@@ -64,6 +64,14 @@ class TestClosedForm:
         with pytest.raises(SingularDesignError):
             normal_equations_oracle(path)
 
+    @pytest.mark.parametrize("level", [1e155, 1e160])
+    def test_overflowing_squares_refused(self, level):
+        # y_{t-1}^2 overflows, so the singularity test cannot be evaluated;
+        # it must not be read as a singular design
+        path = path_from_y(level * np.array([1.0, 1.5, 0.5, 2.0, 1.0]), mu=0.0, rho=1.0)
+        with pytest.raises(OverflowError):
+            ls_estimate(path)
+
     def test_oracle_agreement_on_fixtures(self):
         rng = np.random.default_rng(7)
         for i in range(200):

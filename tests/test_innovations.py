@@ -207,6 +207,12 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             model_from_config({"id": "rademacher", "sigma": 2.0})
 
+    @pytest.mark.parametrize("factory", [gaussian, uniform_sym])
+    @pytest.mark.parametrize("sigma", [1e-320, 1e200, -1.0, math.nan])
+    def test_scale_needs_positive_finite_variance(self, factory, sigma):
+        with pytest.raises(ValueError):
+            factory(sigma)
+
     def test_custom_requires_positive_declared_variance(self):
         with pytest.raises(ValueError):
             custom("bad", lambda x: x, lambda rng, n: np.zeros(n), variance=0.0)

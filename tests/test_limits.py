@@ -8,16 +8,11 @@ from scipy.stats import kstest
 
 from ar1mc.innovations import gaussian, pareto_tail2, rademacher
 from ar1mc.limits import (
-    LimitParams,
     default_truncation,
     growth_dispersion,
     growth_mean,
     growth_mean_sq,
-    sample_explosive_limit,
     sample_limit,
-    sample_moderate_limit,
-    sample_stationary_limit,
-    sample_unit_root_limit,
 )
 from ar1mc.montecarlo import ks_two_sample
 from ar1mc.process import Regime
@@ -30,6 +25,11 @@ from paper_lemmas import (
 )
 
 C_VALUES = [-3.0, -1.0, -1e-4, 0.0, 1e-6, 0.5, 2.0]
+
+
+def unit_root(c):
+    """The regime whose limit is the unit-root law with constant ``c``."""
+    return Regime("P3") if c == 0.0 else Regime("P4", c=c)
 
 
 class TestGrowthCurve:
@@ -128,28 +128,25 @@ class TestGrowthFunctionals:
 class TestStationaryLimit:
     def test_finite_branch_covariance_at_zero_rho(self):
         # mu=1, sigma=1, rho=0: covariance [[2, -1], [-1, 1]]
-        params = LimitParams(Regime("P1", rho=0.0), mu=1.0, sigma2=1.0)
-        d = sample_stationary_limit(params, 200_000, 13)
+        d = sample_limit(Regime("P1", rho=0.0), 1.0, gaussian(1.0), 200_000, 13)
         cov = np.cov(d.T)
         assert cov[0, 0] == pytest.approx(2.0, rel=0.03)
         assert cov[0, 1] == pytest.approx(-1.0, rel=0.05)
         assert cov[1, 1] == pytest.approx(1.0, rel=0.03)
 
     def test_finite_branch_diagonal_when_mu_zero(self):
-        params = LimitParams(Regime("P1", rho=0.6), mu=0.0, sigma2=1.0)
-        d = sample_stationary_limit(params, 100_000, 17)
+        d = sample_limit(Regime("P1", rho=0.6), 0.0, gaussian(1.0), 100_000, 17)
         assert abs(np.corrcoef(d.T)[0, 1]) < 0.01
         assert d[:, 1].var(ddof=1) == pytest.approx(1.0 - 0.36, rel=0.03)
 
     def test_infinite_branch_independent_components(self):
-        params = LimitParams(Regime("P1", rho=0.5), mu=1.0, sigma2=None)
-        d = sample_stationary_limit(params, 100_000, 19)
+        d = sample_limit(Regime("P1", rho=0.5), 1.0, pareto_tail2(), 100_000, 19)
         assert abs(np.corrcoef(d.T)[0, 1]) < 0.01
         assert kstest(d[:, 0], "norm").statistic < 0.01
 
     def test_rho_variance_same_in_both_branches(self):
-        fin = sample_stationary_limit(LimitParams(Regime("P1", rho=0.5), 1.0, 1.0), 100_000, 23)
-        inf = sample_stationary_limit(LimitParams(Regime("P1", rho=0.5), 1.0, None), 100_000, 23)
+        fin = sample_limit(Regime("P1", rho=0.5), 1.0, gaussian(1.0), 100_000, 23)
+        inf = sample_limit(Regime("P1", rho=0.5), 1.0, pareto_tail2(), 100_000, 23)
         assert fin[:, 1].var(ddof=1) == pytest.approx(0.75, rel=0.03)
         assert np.array_equal(fin[:, 1], inf[:, 1])
 
@@ -157,27 +154,24 @@ class TestStationaryLimit:
 class TestExplosiveLimit:
     def test_cauchy_case(self):
         # mu=0, y0=0, rho=2, gaussian: ratio of independent N(0, 4/3), scale 3
-        params = LimitParams(Regime("P2", rho=2.0), mu=0.0, sigma2=1.0)
-        d = sample_explosive_limit(params, gaussian(1.0), 100_000, 61)
+        d = sample_limit(Regime("P2", rho=2.0), 0.0, gaussian(1.0), 100_000, 61)
         q25, q50, q75 = np.quantile(d[:, 1], [0.25, 0.5, 0.75])
         assert abs(q50) < 0.05
         assert q75 - q25 == pytest.approx(6.0, rel=0.05)
 
     def test_first_component_standard_normal(self):
-        params = LimitParams(Regime("P2", rho=1.2), mu=1.0, sigma2=1.0)
-        d = sample_explosive_limit(params, gaussian(1.0), 100_000, 67)
+        d = sample_limit(Regime("P2", rho=1.2), 1.0, gaussian(1.0), 100_000, 67)
         assert kstest(d[:, 0], "norm").statistic < 0.01
 
     def test_large_intercept_dominates_denominator(self):
-        params = LimitParams(Regime("P2", rho=2.0), mu=1e12, sigma2=1.0)
-        d = sample_explosive_limit(params, gaussian(1.0), 1000, 71)
+        d = sample_limit(Regime("P2", rho=2.0), 1e12, gaussian(1.0), 1000, 71)
         assert np.max(np.abs(d[:, 1])) < 1e-9
 
     def test_truncation_invariance(self):
-        params = LimitParams(Regime("P2", rho=2.0), mu=0.0, sigma2=1.0)
+        regime = Regime("P2", rho=2.0)
         m = default_truncation(2.0)
-        a = sample_explosive_limit(params, gaussian(1.0), 20_000, 73, truncation=m)
-        b = sample_explosive_limit(params, gaussian(1.0), 20_000, 74, truncation=m + 10)
+        a = sample_limit(regime, 0.0, gaussian(1.0), 20_000, 73, truncation=m)
+        b = sample_limit(regime, 0.0, gaussian(1.0), 20_000, 74, truncation=m + 10)
         assert ks_two_sample(a[:, 1], b[:, 1]) < 0.02
 
     def test_default_truncation_threshold(self):
@@ -187,23 +181,21 @@ class TestExplosiveLimit:
             assert rho ** -(m - 2) >= 1e-12
 
     def test_too_small_truncation_rejected(self):
-        params = LimitParams(Regime("P2", rho=1.2), mu=1.0, sigma2=1.0)
         with pytest.raises(ValueError):
-            sample_explosive_limit(params, gaussian(1.0), 100, 1, truncation=20)
+            sample_limit(Regime("P2", rho=1.2), 1.0, gaussian(1.0), 100, 1, truncation=20)
 
     def test_depends_on_innovation_model(self):
         # no invariance principle: two-point innovations give a visibly
         # different ratio law than gaussian ones (ks noise here is ~0.01)
-        p = LimitParams(Regime("P2", rho=2.0), mu=1.0, sigma2=1.0)
-        a = sample_explosive_limit(p, gaussian(1.0), 40_000, 75)
-        b = sample_explosive_limit(p, rademacher(), 40_000, 75)
+        regime = Regime("P2", rho=2.0)
+        a = sample_limit(regime, 1.0, gaussian(1.0), 40_000, 75)
+        b = sample_limit(regime, 1.0, rademacher(), 40_000, 75)
         assert ks_two_sample(a[:, 1], b[:, 1]) > 0.03
 
     def test_y0_shifts_denominator(self):
-        base = LimitParams(Regime("P2", rho=2.0), mu=1.0, sigma2=1.0, y0=0.0)
-        moved = LimitParams(Regime("P2", rho=2.0), mu=1.0, sigma2=1.0, y0=5.0)
-        a = sample_explosive_limit(base, gaussian(1.0), 30_000, 77)
-        b = sample_explosive_limit(moved, gaussian(1.0), 30_000, 77)
+        regime = Regime("P2", rho=2.0)
+        a = sample_limit(regime, 1.0, gaussian(1.0), 30_000, 77, y0=0.0)
+        b = sample_limit(regime, 1.0, gaussian(1.0), 30_000, 77, y0=5.0)
         assert ks_two_sample(a[:, 1], b[:, 1]) > 0.05
 
 
@@ -214,21 +206,21 @@ class TestUnitRootLimit:
         # at c=0, mu=1 it is [[4, -6], [-6, 12]]
         mu = 1.0
         g, g2, d = growth_mean(c), growth_mean_sq(c), growth_dispersion(c)
-        cov = np.cov(sample_unit_root_limit(c, mu, 100_000, 97).T)
+        cov = np.cov(sample_limit(unit_root(c), mu, gaussian(1.0), 100_000, 97).T)
         assert cov[0, 0] == pytest.approx(g2 / d, rel=0.03)
         assert cov[0, 1] == pytest.approx(-g / (mu * d), rel=0.03)
         assert cov[1, 1] == pytest.approx(1.0 / (mu * mu * d), rel=0.03)
 
     def test_inverse_mu_scaling_drawwise(self):
-        a = sample_unit_root_limit(0.0, 1.0, 500, 99)
-        b = sample_unit_root_limit(0.0, 2.0, 500, 99)
+        a = sample_limit(Regime("P3"), 1.0, gaussian(1.0), 500, 99)
+        b = sample_limit(Regime("P3"), 2.0, gaussian(1.0), 500, 99)
         assert np.allclose(a[:, 1], 2.0 * b[:, 1], rtol=1e-12)
         assert np.allclose(a[:, 0], b[:, 0], rtol=1e-12)
 
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
     def test_grid_refinement_consistency(self, c):
         # the Brownian-grid construction converges to the exact normal law
-        exact = sample_unit_root_limit(c, 1.0, 100_000, 303)
+        exact = sample_limit(unit_root(c), 1.0, gaussian(1.0), 100_000, 303)
         for grid_m, seed in ((1000, 101), (2000, 202)):
             grid = grid_unit_root_limit(c, 1.0, grid_m, 10_000, seed)
             assert ks_two_sample(grid[:, 0], exact[:, 0]) < 0.02
@@ -236,21 +228,19 @@ class TestUnitRootLimit:
 
     def test_mu_zero_rejected(self):
         with pytest.raises(ValueError):
-            sample_unit_root_limit(0.0, 0.0, 10, 1)
+            sample_limit(Regime("P3"), 0.0, gaussian(1.0), 10, 1)
 
 
 class TestModerateLimit:
     def test_p5_infinite_branch_large_alpha(self):
         # c=-1, mu=1, alpha>1/2: first component is 2*V12 ~ N(0, 2)
-        params = LimitParams(Regime("P5", c=-1.0, alpha=0.75), mu=1.0, sigma2=None)
-        d = sample_moderate_limit(params, 100_000, 93)
+        d = sample_limit(Regime("P5", c=-1.0, alpha=0.75), 1.0, pareto_tail2(), 100_000, 93)
         assert d[:, 0].var(ddof=1) == pytest.approx(2.0, rel=0.03)
 
     def test_p5_rank_one_pair(self):
-        for sigma2 in (1.0, None):
+        for model in (gaussian(1.0), pareto_tail2()):
             for alpha in (0.25, 0.75):
-                params = LimitParams(Regime("P5", c=-1.0, alpha=alpha), mu=1.0, sigma2=sigma2)
-                d = sample_moderate_limit(params, 5000, 95)
+                d = sample_limit(Regime("P5", c=-1.0, alpha=alpha), 1.0, model, 5000, 95)
                 # comp1 = (mu/c) * comp2 exactly
                 assert np.allclose(d[:, 0], -d[:, 1], rtol=1e-12)
                 corr = np.corrcoef(d.T)[0, 1]
@@ -258,33 +248,29 @@ class TestModerateLimit:
 
     def test_p5_finite_branch_small_alpha_variance(self):
         # alpha<1/2, sigma=1: scaled rho error is -2c*V14 ~ N(0, -2c)
-        params = LimitParams(Regime("P5", c=-2.0, alpha=0.25), mu=1.0, sigma2=1.0)
-        d = sample_moderate_limit(params, 100_000, 97)
+        d = sample_limit(Regime("P5", c=-2.0, alpha=0.25), 1.0, gaussian(1.0), 100_000, 97)
         assert d[:, 1].var(ddof=1) == pytest.approx(4.0, rel=0.03)
 
     def test_p5_boundary_alpha_activates_both_terms_in_finite_branch(self):
         # at alpha = 1/2 the finite branch sums both indicator terms:
         # Z = -V12 + V14 with d = 1, so Var(comp2) = 1 at c=-1, mu=sigma=1
-        params = LimitParams(Regime("P5", c=-1.0, alpha=0.5), mu=1.0, sigma2=1.0)
-        d = sample_moderate_limit(params, 100_000, 95)
+        regime = Regime("P5", c=-1.0, alpha=0.5)
+        d = sample_limit(regime, 1.0, gaussian(1.0), 100_000, 95)
         assert d[:, 1].var(ddof=1) == pytest.approx(1.0, rel=0.03)
         # the infinite branch takes only the alpha <= 1/2 term: Var = -2c = 2
-        params = LimitParams(Regime("P5", c=-1.0, alpha=0.5), mu=1.0, sigma2=None)
-        d = sample_moderate_limit(params, 100_000, 96)
+        d = sample_limit(regime, 1.0, pareto_tail2(), 100_000, 96)
         assert d[:, 1].var(ddof=1) == pytest.approx(2.0, rel=0.03)
 
     def test_p6_component_laws(self):
         # c=1, mu=2: comp2 ~ N(0, (2c^2/mu)^2 / (2c)) = N(0, 1/2)
-        params = LimitParams(Regime("P6", c=1.0, alpha=0.5), mu=2.0, sigma2=1.0)
-        d = sample_moderate_limit(params, 100_000, 99)
+        d = sample_limit(Regime("P6", c=1.0, alpha=0.5), 2.0, gaussian(1.0), 100_000, 99)
         assert kstest(d[:, 0], "norm").statistic < 0.01
         assert d[:, 1].var(ddof=1) == pytest.approx(0.5, rel=0.03)
         assert abs(np.corrcoef(d.T)[0, 1]) < 0.01
 
     def test_p6_mu_zero_rejected(self):
-        params = LimitParams(Regime("P6", c=1.0, alpha=0.5), mu=0.0, sigma2=1.0)
         with pytest.raises(ValueError):
-            sample_moderate_limit(params, 100, 1)
+            sample_limit(Regime("P6", c=1.0, alpha=0.5), 0.0, gaussian(1.0), 100, 1)
 
 
 class TestTimeChangedFunctionals:
@@ -327,9 +313,3 @@ class TestDispatch:
         # finite branch couples the components, infinite branch does not
         assert abs(np.corrcoef(fin.T)[0, 1]) > 0.5
         assert abs(np.corrcoef(inf.T)[0, 1]) < 0.02
-
-    def test_params_for_model(self):
-        p = LimitParams.for_model(Regime("P1", rho=0.5), 1.0, rademacher())
-        assert p.sigma2 == 1.0
-        p = LimitParams.for_model(Regime("P1", rho=0.5), 1.0, pareto_tail2())
-        assert p.sigma2 is None

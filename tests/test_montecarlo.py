@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ar1mc.innovations import custom, gaussian
+from ar1mc.innovations import gaussian
 from ar1mc.montecarlo import (
     ConfigError,
     ExperimentConfig,
@@ -35,6 +35,46 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# Fuzzed configs: a valid config with a few keys replaced by anything JSON
+# can hold (NaN and infinities included, as Python's json module reads
+# them), by numbers of every kind, or by near-valid regime/model records.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+NUMBERS = st.integers(-10**400, 10**400) | st.floats() | st.booleans() | st.text(max_size=4)
+RECORDS = st.fixed_dictionaries(
+    {"tag": st.sampled_from(["P1", "P2", "P3", "P4", "P5", "P6", "P7"])},
+    optional={"rho": NUMBERS, "c": NUMBERS, "alpha": NUMBERS},
+) | st.fixed_dictionaries(
+    {"id": st.sampled_from(["gaussian", "uniform", "rademacher", "pareto2", "cauchy"])},
+    optional={"sigma": NUMBERS},
+)
+ANY_VALUE = JSON_VALUES | NUMBERS | RECORDS | st.lists(NUMBERS, max_size=3)
+VALID_FIELDS = {
+    "regime": st.sampled_from([{"tag": "P1", "rho": -0.5}, {"tag": "P2", "rho": 2},
+                               {"tag": "P3"}, {"tag": "P5", "c": -1.0, "alpha": 0.5}]),
+    "model": st.sampled_from([{"id": "gaussian"}, {"id": "uniform", "sigma": 2},
+                              {"id": "pareto2"}]),
+    "mu": st.integers(-5, 5) | st.floats(-1e300, 1e300),
+    "n_list": st.lists(st.integers(50, 10**6), min_size=1, max_size=4, unique=True),
+    "replications": st.integers(100, 10**6),
+    "limit_draws": st.integers(1000, 10**7),
+}
+VALID_JSON = st.fixed_dictionaries(
+    {**VALID_FIELDS, "seed": st.integers(0, 2**70)},
+    optional={"y0": VALID_FIELDS["mu"], "truncation_M": st.none() | st.integers(1, 500),
+              "grid_m": JSON_VALUES},
+)
+
+
+def fuzzed(valid, keys):
+    """``valid`` with up to two of ``keys`` replaced or added."""
+    overrides = st.dictionaries(st.sampled_from(keys), ANY_VALUE, max_size=2)
+    return st.tuples(valid, overrides).map(lambda pair: {**pair[0], **pair[1]})
 
 
 class TestKs:
@@ -162,10 +202,43 @@ class TestConfig:
         dict(master_seed=-1),
         dict(y0=math.nan),
         dict(mu=math.inf),
+        dict(n_list=(100.7,)),
+        dict(replications=100.5),
+        dict(master_seed=True),
+        dict(model={"id": "bogus"}),
+        dict(regime={"tag": "P1", "rho": 0.5}),
+        dict(mu="1.0"),
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             small_config(**bad)
+
+    @settings(max_examples=200)
+    @given(raw=fuzzed(VALID_JSON, sorted(ExperimentConfig._KEYS) + ["workers"]))
+    def test_fuzzed_json_config_loads_or_is_refused(self, raw):
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @settings(max_examples=200)
+    @given(fields=fuzzed(
+        st.fixed_dictionaries({
+            **VALID_FIELDS,
+            "regime": st.sampled_from([Regime("P1", rho=0.5), Regime("P6", c=1.0, alpha=0.5)]),
+            "master_seed": st.integers(0, 2**70),
+        }),
+        ["regime", "model", "mu", "y0", "n_list", "replications", "limit_draws",
+         "master_seed", "truncation"],
+    ))
+    def test_fuzzed_fields_raise_only_config_error(self, fields):
+        try:
+            cfg = ExperimentConfig(**fields)
+        except ConfigError:
+            return
+        assert isinstance(cfg.mu, float) and math.isfinite(cfg.mu)
+        assert all(type(n) is int and n >= 50 for n in cfg.n_list)
 
     def test_bad_regime_config_flagged(self):
         raw = {"regime": {"tag": "P5", "c": 1.0, "alpha": 0.5}, "model": {"id": "gaussian"},
@@ -205,18 +278,19 @@ class TestRunExperiment:
         assert doc["limit"]["comp2"]["count"] == 2000
 
     def test_degenerate_model_records_all_singular(self):
-        dead = custom("zero", lambda x: np.zeros_like(np.asarray(x, float)),
-                      lambda rng, n: np.zeros(n), variance=1.0)
-        cfg = small_config(model={"id": "gaussian", "sigma": 1.0}, mu=1.0, y0=2.0,
+        # innovations of scale 1e-100 vanish against the fixed point
+        # y0 = mu/(1-rho) = 2, so every lagged series is constant
+        cfg = small_config(model={"id": "gaussian", "sigma": 1e-100}, mu=1.0, y0=2.0,
                            regime=Regime("P1", rho=0.5))
-        # custom models cannot cross process boundaries; workers > 1 must
-        # silently fall back to in-process execution with identical results
-        rep = run_experiment(cfg, workers=2, model_override=dead)
-        block = rep.per_n[0]
-        assert block.singular == 120 and block.valid == 0
-        assert block.ks_rho is None and block.mu_rate is None
-        doc = json.loads(rep.to_json())
-        assert doc["per_n"][0]["scaled_rho"] is None
+        docs = []
+        for workers in (1, 2):
+            rep = run_experiment(cfg, workers=workers)
+            block = rep.per_n[0]
+            assert block.singular == 120 and block.valid == 0
+            assert block.ks_rho is None and block.mu_rate is None
+            docs.append(rep.to_json())
+        assert json.loads(docs[0])["per_n"][0]["scaled_rho"] is None
+        assert docs[0] == docs[1]
 
     def test_heavy_tailed_moderately_stationary_degeneracy(self):
         # the joint limit is rank one for heavy-tailed innovations too, but

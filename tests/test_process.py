@@ -35,6 +35,8 @@ class TestRegime:
         dict(tag="P3", rho=1.0),          # parameter not taken
         dict(tag="P1"),                    # parameter missing
         dict(tag="P1", rho=math.nan),
+        dict(tag="P1", rho="0.5"),         # strings are not numbers
+        dict(tag="P4", c=True),            # nor are bools
     ])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ValueError):
