@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -129,6 +130,8 @@ def _cmd_estimate(args) -> int:
         "delta3": est.delta3,
         "n": path.n,
     }
+    if not all(math.isfinite(v) for v in astuple(est)):
+        raise OverflowError("least-squares estimates overflow double precision")
     if args.json:
         _write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"mu_hat  = {_fmt(est.mu_hat)}")
@@ -237,8 +240,16 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--sigma", type=float, help="scale for gaussian/uniform models")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, as every other error is; the
+    usage text stays available through --help."""
+
+    def error(self, message):
+        self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ar1mc",
         description="AR(1)-with-intercept simulation and limit-theory Monte Carlo",
     )
@@ -296,7 +307,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except OverflowError as exc:
+    except ArithmeticError as exc:  # overflow, or a degenerate law's division
         print(f"error: {exc}", file=sys.stderr)
         return _RUNTIME_EXIT
     except OSError as exc:

@@ -48,36 +48,56 @@ class LsEstimate:
     delta3: float
 
 
-def ls_estimate(path: Ar1Path) -> LsEstimate:
-    """Least-squares (mu_hat, rho_hat) with the Delta decomposition."""
-    x = path.lagged()
-    z = path.y
-    n = path.n
+def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.ndarray]:
+    """Least squares for each row of paths ``y`` (shape (rows, n)), all from y0.
+
+    Returns an LsEstimate whose fields are arrays with one entry per row,
+    and the mask of rows whose design is singular; there the estimates and
+    Delta1/Delta2 are NaN and Delta3 keeps its value.  Every sum runs along
+    a C-contiguous row, so each row gets the same pairwise sums, and hence
+    the same floats, as it would on its own.
+    """
+    rows, n = y.shape
     if n < 2:
         raise ValueError("need n >= 2 observations")
-    xbar = float(np.mean(x))
-    xc = x - xbar
-    with np.errstate(over="ignore"):  # an overflow is refused just below
-        sxx = float(np.sum(xc * xc))
-        sum_sq = float(np.sum(x * x))
-    delta3 = n * sxx
-    if not (math.isfinite(delta3) and math.isfinite(sum_sq)):
-        raise OverflowError(
-            "sums of squares of the lagged series overflow double precision"
-        )
-    if delta3 <= _SINGULAR_EPS * n * sum_sq:
+    x = np.empty_like(y)
+    x[:, 0] = y0
+    x[:, 1:] = y[:, :-1]
+    # Overflow is refused below and singular rows are masked before any
+    # division, so no warning is left for numpy to raise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = np.mean(x, axis=1)
+        xc = x - xbar[:, np.newaxis]
+        sxx = np.sum(xc * xc, axis=1)
+        sum_sq = np.sum(x * x, axis=1)
+        delta3 = n * sxx
+        if not (np.all(np.isfinite(delta3)) and np.all(np.isfinite(sum_sq))):
+            raise OverflowError(
+                "sums of squares of the lagged series overflow double precision"
+            )
+        singular = delta3 <= _SINGULAR_EPS * n * sum_sq
+        sxx = np.where(singular, 1.0, sxx)
+        zbar = np.mean(y, axis=1)
+        rho_hat = np.sum(xc * (y - zbar[:, np.newaxis]), axis=1) / sxx
+        mu_hat = zbar - rho_hat * xbar
+        ebar = np.mean(e, axis=1)
+        sxe = np.sum(xc * (e - ebar[:, np.newaxis]), axis=1)
+        delta1 = n * (ebar * sxx - xbar * sxe)
+        delta2 = n * sxe
+    for values in (mu_hat, rho_hat, delta1, delta2):
+        values[singular] = np.nan
+    return LsEstimate(mu_hat, rho_hat, delta1, delta2, delta3), singular
+
+
+def ls_estimate(path: Ar1Path) -> LsEstimate:
+    """Least-squares (mu_hat, rho_hat) with the Delta decomposition."""
+    est, singular = ls_rows(path.y0, path.y[np.newaxis], path.e[np.newaxis])
+    if singular[0]:
         raise SingularDesignError(
-            f"lagged regressor is numerically constant (Delta3={delta3:.3e})"
+            f"lagged regressor is numerically constant (Delta3={est.delta3[0]:.3e})"
         )
-    zbar = float(np.mean(z))
-    rho_hat = float(np.sum(xc * (z - zbar))) / sxx
-    mu_hat = zbar - rho_hat * xbar
-    e = path.e
-    ebar = float(np.mean(e))
-    sxe = float(np.sum(xc * (e - ebar)))
-    delta1 = n * (ebar * sxx - xbar * sxe)
-    delta2 = n * sxe
-    return LsEstimate(mu_hat, rho_hat, delta1, delta2, delta3)
+    return LsEstimate(*(float(v[0]) for v in (
+        est.mu_hat, est.rho_hat, est.delta1, est.delta2, est.delta3)))
 
 
 def error_rates(regime: Regime, model: InnovationModel, n: int) -> tuple[float, float]:

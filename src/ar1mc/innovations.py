@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from .rng import generator
+from .rng import generator, keyed_generators
 
 _ROOT2 = math.sqrt(2.0)
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
@@ -87,6 +87,20 @@ def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     return model._sample(generator(seed), int(n))
+
+
+def sample_innovation_rows(model: InnovationModel, keys: np.ndarray, n: int) -> np.ndarray:
+    """One row of ``n`` innovations per Philox key (see ``rng.philox_keys``).
+
+    Row i is the draw of a fresh ``Generator(Philox(key=keys[i]))``, so it
+    equals ``sample_innovations`` for the seed that key was derived from.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out = np.empty((len(keys), int(n)))
+    for row, rng in zip(out, keyed_generators(keys)):
+        row[:] = model._sample(rng, int(n))
+    return out
 
 
 # --- built-in models -------------------------------------------------------

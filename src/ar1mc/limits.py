@@ -177,6 +177,8 @@ def _moderately_stationary_law(c, alpha, mu, sigma2, draws, rng) -> np.ndarray:
         else:
             z = v14
             d = 1.0 / (-2.0 * c)
+    if d == 0.0:  # alpha > 1/2 leaves only the mu^2 term
+        raise ValueError("moderately stationary limit with alpha > 1/2 requires mu^2 > 0")
     return np.column_stack([(mu / (c * d)) * z, z / d])
 
 
@@ -210,14 +212,21 @@ def sample_limit(
         raise ValueError("mu and y0 must be finite")
     rng = generator(seed)
     tag = regime.tag
-    if tag == "P1":
-        return _stationary_law(regime.rho, mu, model.variance, draws, rng)
-    if tag == "P2":
-        return _explosive_law(regime.rho, mu, y0, model, truncation, draws, rng)
-    if tag == "P3":
-        return _unit_root_law(0.0, mu, draws, rng)
-    if tag == "P4":
-        return _unit_root_law(regime.c, mu, draws, rng)
-    if tag == "P5":
-        return _moderately_stationary_law(regime.c, regime.alpha, mu, model.variance, draws, rng)
-    return _moderately_explosive_law(regime.c, mu, draws, rng)
+    # Draws that overflow are refused below, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if tag == "P1":
+            out = _stationary_law(regime.rho, mu, model.variance, draws, rng)
+        elif tag == "P2":
+            out = _explosive_law(regime.rho, mu, y0, model, truncation, draws, rng)
+        elif tag == "P3":
+            out = _unit_root_law(0.0, mu, draws, rng)
+        elif tag == "P4":
+            out = _unit_root_law(regime.c, mu, draws, rng)
+        elif tag == "P5":
+            out = _moderately_stationary_law(
+                regime.c, regime.alpha, mu, model.variance, draws, rng)
+        else:
+            out = _moderately_explosive_law(regime.c, mu, draws, rng)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"{tag} limit draws overflow double precision at these parameters")
+    return out

@@ -131,24 +131,50 @@ class Ar1Path:
         return np.concatenate(([self.y0], self.y[:-1]))
 
 
-def _recurse(x: np.ndarray, rho: float, init: float) -> np.ndarray:
-    """y_t = x_t + rho*y_{t-1} with y_0 = init, via a C-loop filter."""
-    out, _ = lfilter([1.0], [1.0, -rho], x, zi=np.array([rho * init]))
-    return out
+def path_root(regime: Regime, mu: float, y0: float, n: int) -> float:
+    """The root rho_n of a path of length ``n``, once its inputs are checked.
+
+    Refuses n < 2, non-finite mu or y0, and explosive roots with rho^n
+    beyond the overflow limit, before any innovation is drawn.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if not (math.isfinite(mu) and math.isfinite(y0)):
+        raise ValueError("mu and y0 must be finite")
+    rho = resolve_rho(regime, n)
+    if abs(rho) > 1 and n * math.log(abs(rho)) > math.log(_OVERFLOW_LIMIT):
+        raise OverflowError(
+            f"rho^n exceeds {_OVERFLOW_LIMIT:g} at rho={rho}, n={n}; shorten the path"
+        )
+    return rho
 
 
-def _explosive_path(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
-    # For |rho| > 1 the recursion adds O(1) innovations onto terms of size
-    # rho^t; each step then rounds at eps*|y_t|, which acts as a fake
-    # innovation that the diverging rates of the error theory amplify.
-    # Building the path elementwise from the exact solution
-    #     y_t = mu*(rho^t - 1)/(rho - 1) + rho^t*y0 + rho^t * sum_i e_i rho^-i
-    # keeps every ingredient accurate to a few ulps of itself.
-    n = len(e)
-    t = np.arange(1, n + 1)
-    p = np.power(rho, t)
-    w = np.cumsum(e * np.power(rho, -t))
-    return mu * (p - 1.0) / (rho - 1.0) + p * (y0 + w)
+def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
+    """y_1..y_n for each row of innovations ``e`` (shape (rows, n)), all from y0.
+
+    Each row is computed exactly as a path on its own would be: the same
+    C-loop filter or closed form, elementwise or along the row.
+    """
+    rows, n = e.shape
+    # An overflowing path is refused below, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if abs(rho) > 1:
+            # For |rho| > 1 the recursion adds O(1) innovations onto terms of
+            # size rho^t; each step then rounds at eps*|y_t|, which acts as a
+            # fake innovation that the diverging rates of the error theory
+            # amplify.  Building the path elementwise from the exact solution
+            #     y_t = mu*(rho^t - 1)/(rho - 1) + rho^t*y0 + rho^t * sum_i e_i rho^-i
+            # keeps every ingredient accurate to a few ulps of itself.
+            t = np.arange(1, n + 1)
+            p = np.power(rho, t)
+            w = np.cumsum(e * np.power(rho, -t), axis=1)
+            y = mu * (p - 1.0) / (rho - 1.0) + p * (y0 + w)
+        else:
+            y, _ = lfilter([1.0], [1.0, -rho], mu + e, axis=1,
+                           zi=np.full((rows, 1), rho * y0))
+    if not np.all(np.isfinite(y[:, -1])):
+        raise OverflowError("simulated path overflowed double precision")
+    return y
 
 
 def simulate_path(
@@ -160,20 +186,7 @@ def simulate_path(
     seed: int,
 ) -> Ar1Path:
     """Simulate y_1..y_n under ``regime`` with innovations from ``model``."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not (math.isfinite(mu) and math.isfinite(y0)):
-        raise ValueError("mu and y0 must be finite")
-    rho = resolve_rho(regime, n)
-    if abs(rho) > 1 and n * math.log(abs(rho)) > math.log(_OVERFLOW_LIMIT):
-        raise OverflowError(
-            f"rho^n exceeds {_OVERFLOW_LIMIT:g} at rho={rho}, n={n}; shorten the path"
-        )
+    rho = path_root(regime, mu, y0, n)
     e = sample_innovations(model, n, seed)
-    if abs(rho) > 1:
-        y = _explosive_path(mu, rho, y0, e)
-    else:
-        y = _recurse(mu + e, rho, y0)
-    if not np.isfinite(y[-1]):
-        raise OverflowError("simulated path overflowed double precision")
+    y = recurse_rows(mu, rho, y0, e[np.newaxis])[0]
     return Ar1Path(mu=mu, rho=rho, y0=y0, y=y, e=e)

@@ -16,11 +16,15 @@ from scipy.signal import lfilter
 
 from ar1mc import (
     SingularDesignError,
+    derive_seed,
     ell_at_bn,
     generator,
     growth_dispersion,
     growth_mean,
     growth_mean_sq,
+    model_from_config,
+    resolve_rho,
+    sample_innovations,
 )
 
 # Rows of standard normals per chunk in the grid samplers; bounds memory
@@ -55,6 +59,41 @@ def normal_equations_oracle(path) -> tuple[float, float]:
     rhs = np.array([float(np.sum(z)), float(np.sum(xc * z))])
     a, b = np.linalg.solve(design, rhs)
     return float(a - b * xbar), float(b)
+
+
+def replication_reference(config, n: int, r: int) -> tuple[float, float, float, float]:
+    """Replication r at size n of an experiment, one path on its own.
+
+    Returns (mu_hat, rho_hat, mu error, rho error), all NaN when the design
+    is singular; the errors are the Delta ratios Delta1/Delta3 and
+    Delta2/Delta3.  This is the per-replication pipeline the Monte Carlo
+    engine runs in blocks of rows: innovations from the stream
+    (master_seed, 1, n, r), the 1-D C-loop filter (|rho| <= 1) or the
+    closed-form explosive path, then centered least squares on 1-D sums.
+    """
+    model = model_from_config(config.model)
+    e = sample_innovations(model, n, derive_seed(config.master_seed, 1, n, r))
+    rho = resolve_rho(config.regime, n)
+    mu, y0 = config.mu, config.y0
+    if abs(rho) > 1:
+        t = np.arange(1, n + 1)
+        p = np.power(rho, t)
+        y = mu * (p - 1.0) / (rho - 1.0) + p * (y0 + np.cumsum(e * np.power(rho, -t)))
+    else:
+        y, _ = lfilter([1.0], [1.0, -rho], mu + e, zi=np.array([rho * y0]))
+    x = np.concatenate(([y0], y[:-1]))
+    xbar = float(np.mean(x))
+    xc = x - xbar
+    sxx = float(np.sum(xc * xc))
+    delta3 = n * sxx
+    if delta3 <= 1e-12 * n * float(np.sum(x * x)):
+        return (math.nan,) * 4
+    zbar = float(np.mean(y))
+    rho_hat = float(np.sum(xc * (y - zbar))) / sxx
+    ebar = float(np.mean(e))
+    sxe = float(np.sum(xc * (e - ebar)))
+    delta1 = n * (ebar * sxx - xbar * sxe)
+    return zbar - rho_hat * xbar, rho_hat, delta1 / delta3, n * sxe / delta3
 
 
 _COMPANIONS = ("centered", "tilde_explosive", "tilde_unit")

@@ -1,6 +1,10 @@
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ar1mc.cli import main
 from ar1mc.estimator import ls_estimate
@@ -56,6 +60,9 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--regime", "P3", "--n", "50", "--mu", "1", "--frobnicate"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--frobnicate" in err
 
     def test_overflow_is_runtime_error(self, capsys):
         code, _, err = run(["simulate", "--regime", "P2", "--rho", "2.0",
@@ -111,6 +118,15 @@ class TestEstimateRoundTrip:
         assert len(err.strip().splitlines()) == 1
         assert out == ""
 
+    def test_overflowing_estimates_exit_1(self, tmp_path, capsys):
+        # every sum of squares is finite, but Delta1 is not
+        csv = tmp_path / "big.csv"
+        csv.write_text("t,y,e\n0,0,\n1,1,1e308\n2,2,-1e308\n3,1e308,1e308\n")
+        code, out, err = run(["estimate", "--in", str(csv)], capsys)
+        assert code == 1
+        assert "overflow" in err
+        assert out == ""
+
 
 class TestLimitSample:
     def test_csv_header_and_rows(self, tmp_path, capsys):
@@ -134,10 +150,23 @@ class TestLimitSample:
         ["--regime", "P3", "--mu", "nan"],
         ["--regime", "P2", "--rho", "1.2", "--mu", "1", "--y0", "inf"],
         ["--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws", "0"],
-    ], ids=["nan-mu", "inf-y0", "zero-draws"])
+        ["--regime", "P5", "--c", "-1", "--alpha", "0.75", "--mu", "0"],
+    ], ids=["nan-mu", "inf-y0", "zero-draws", "zero-mu-P5"])
     def test_bad_inputs_exit_2(self, capsys, argv):
         code, out, err = run(["limit-sample"] + argv, capsys)
         assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
+    @pytest.mark.parametrize("argv", [
+        ["--regime", "P2", "--rho", "1e300", "--mu", "1", "--y0", "1e10"],
+        ["--regime", "P6", "--c", "1e200", "--alpha", "0.5", "--mu", "1"],
+        ["--regime", "P4", "--c=-1e300", "--mu", "1"],
+    ], ids=["P2-huge-rho", "P6-huge-c", "P4-huge-negative-c"])
+    def test_overflowing_law_exits_1(self, capsys, argv):
+        code, out, err = run(["limit-sample"] + argv, capsys)
+        assert code == 1
         assert out == ""
         assert len(err.strip().splitlines()) == 1
 
@@ -202,6 +231,24 @@ class TestMc:
         assert "overflow" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"regime": {"tag": "P3"}, "mu": 0.0},
+        {"regime": {"tag": "P6", "c": 1.0, "alpha": 0.5}, "mu": 0.0},
+        {"regime": {"tag": "P5", "c": -1.0, "alpha": 0.75}, "mu": 0.0},
+        {"regime": {"tag": "P2", "rho": 1.2}, "truncation_M": 0},
+    ], ids=["P3-zero-mu", "P6-zero-mu", "P5-zero-mu", "P2-zero-truncation"])
+    def test_undrawable_limit_refused_before_simulating(self, tmp_path, capsys,
+                                                        monkeypatch, overrides):
+        def no_replications(payload):
+            raise AssertionError("a replication block ran")
+
+        monkeypatch.setattr("ar1mc.montecarlo._replicate_block", no_replications)
+        cfg = write_config(tmp_path / "exp.json", n_list=[5000, 10000], replications=1000,
+                           **overrides)
+        code, _, err = run(["mc", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["mc", "rates"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path / "exp.json", n_list=[100, 200, 400])
@@ -251,3 +298,140 @@ class TestRates:
         cfg = write_config(tmp_path / "exp.json", n_list=[100, 200])
         code, _, err = run(["rates", "--config", str(cfg)], capsys)
         assert code == 2
+
+
+# --- fuzzed outside inputs ----------------------------------------------------
+#
+# Property: whatever the argv or the path CSV, ar1mc exits 0, 1 or 2 and
+# writes at most one line to stderr.  Warnings are errors here, so a numpy
+# warning (two stderr lines in a real run) fails the property as loudly as a
+# traceback does.  Sizes (--n, --draws, replications) come from a small range
+# and explosive roots keep |rho| >= 1.5, so that no example asks for a large
+# allocation: see the unbounded-work entries in CHANGES.md.
+
+_FLAG_VALUES = {
+    "--regime": st.sampled_from(["P1", "P2", "P3", "P4", "P5", "P6", "P7", ""]),
+    "--model": st.sampled_from(["gaussian", "uniform", "rademacher", "pareto2", "cauchy"]),
+}
+_SIZE_FLAGS = ("--n", "--draws", "--truncation", "--workers", "--seed")
+_REAL_FLAGS = ("--rho", "--c", "--alpha", "--sigma", "--mu", "--y0")
+_FILE_FLAGS = ("--out", "--in", "--json", "--config", "--csv")
+# Each subcommand with the flags it requires (most examples carry them, so
+# that most runs get past argument parsing) and whether it takes a regime.
+_SUBCOMMANDS = {
+    "simulate": (("--regime", "--mu", "--n"), True),
+    "estimate": (("--in",), False),
+    "limit-sample": (("--regime", "--mu"), True),
+    "mc": (("--config",), False),
+    "rates": (("--config",), False),
+    "fit": ((), False),
+    "-h": ((), False),
+}
+_ALL_FLAGS = list(_FLAG_VALUES) + list(_SIZE_FLAGS) + list(_REAL_FLAGS) + list(_FILE_FLAGS)
+
+_reals = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "-0.5", "1.5", "-2", "3", "0.25", "0.75"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "1e200", "x", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_sizes = st.one_of(
+    st.integers(-3, 400).map(str),
+    st.sampled_from(["0", "1", "2", "1.5", "ten", "", str(2 ** 70), "-" + str(2 ** 70)]),
+)
+
+
+def _explosive_roots_only_far_from_one(argv):
+    # P2's limit series have M ~ 27.6/log|rho| terms per draw, and a chunk
+    # of 4096 draws holds 4096*M floats: |rho| near 1 means gigabytes.
+    for flag, value in zip(argv, argv[1:]):
+        if flag == "--rho":
+            try:
+                rho = abs(float(value))
+            except ValueError:
+                continue
+            if 1.0 < rho < 1.5:
+                return False
+    return True
+
+
+@st.composite
+def _argv(draw, files):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    required, takes_regime = _SUBCOMMANDS[command]
+    flags = [f for f in required if draw(st.integers(0, 9))]
+    if takes_regime:
+        flags += [f for f in ("--rho", "--c", "--alpha") if draw(st.booleans())]
+    flags += draw(st.lists(st.sampled_from(_ALL_FLAGS + ["--frobnicate"]), max_size=5))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag in _FLAG_VALUES:
+            argv.append(draw(_FLAG_VALUES[flag]))
+        elif flag in _SIZE_FLAGS:
+            argv.append(draw(_sizes))
+        elif flag in _REAL_FLAGS:
+            argv.append(draw(_reals))
+        elif flag in _FILE_FLAGS:
+            argv.append(draw(st.sampled_from(files)))
+    return argv
+
+
+def _run_fuzzed(argv):
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) <= 1, (argv, err)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Inputs the fuzzed argv may name: configs, a path CSV, odd paths."""
+    root = tmp_path_factory.mktemp("fuzz")
+    small = write_config(root / "small.json", n_list=[50, 60, 70], replications=100,
+                         limit_draws=1000)
+    p3 = write_config(root / "p3.json", regime={"tag": "P3"}, n_list=[50],
+                      replications=100, limit_draws=1000)
+    bad = root / "bad.json"
+    bad.write_text("{not json")
+    path_csv = root / "path.csv"
+    assert main(["simulate", "--regime", "P1", "--rho", "0.5", "--n", "60", "--mu", "1",
+                 "--out", str(path_csv)]) == 0
+    binary = root / "binary.csv"
+    binary.write_bytes(b"t,y,e\n\xff\xfe\x00\n")
+    out = root / "out.txt"
+    return [str(p) for p in (small, p3, bad, path_csv, binary, out, root,
+                             root / "missing" / "x.json")]
+
+
+@st.composite
+def _path_csv_text(draw):
+    header = draw(st.sampled_from(["t,y,e", "t,y,e", "t,y", "", "t,y,e,extra"]))
+    rows = []
+    for t in range(draw(st.integers(0, 12))):
+        t_field = str(t) if draw(st.booleans()) or t == 0 else draw(_reals)
+        y = draw(_reals)
+        e = "" if t == 0 else draw(st.one_of(_reals, st.just("")))
+        rows.append(",".join([t_field, y, e]) if draw(st.integers(0, 9)) else draw(st.text(max_size=8)))
+    return "\n".join([header] + rows) + "\n"
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_fuzzed_argv_exits_cleanly(self, data, fuzz_files):
+        argv = data.draw(_argv(fuzz_files).filter(_explosive_roots_only_far_from_one))
+        _run_fuzzed(argv)
+
+    @settings(max_examples=300)
+    @given(text=_path_csv_text())
+    def test_fuzzed_path_csv_exits_cleanly(self, text, tmp_path_factory):
+        csv = tmp_path_factory.mktemp("csv") / "path.csv"
+        csv.write_text(text)
+        _run_fuzzed(["estimate", "--in", str(csv)])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ar1mc.innovations import gaussian
+from ar1mc.estimator import error_rates
+from ar1mc.innovations import gaussian, model_from_config
 from ar1mc.montecarlo import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +20,7 @@ from ar1mc.process import Regime, simulate_path
 from paper_lemmas import (
     normalized_stationary_sums,
     normalized_tilde_sums,
+    replication_reference,
     sample_time_changed_functionals,
 )
 
@@ -335,6 +337,56 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         ks = [b.ks_rho for b in rep.per_n]
         assert all(later <= earlier + 0.01 for earlier, later in zip(ks, ks[1:]))
+
+
+# Regimes for the stream-map check, with sizes whose chunks of rows do not
+# divide R = 130: at n = 1500 a chunk holds 43 rows.
+_STREAM_REGIMES = {
+    "P1": (Regime("P1", rho=0.5), (100, 1500)),
+    "P2": (Regime("P2", rho=1.05), (60, 1500)),
+    "P3": (Regime("P3"), (100, 1500)),
+    "P4": (Regime("P4", c=-2.0), (100, 1500)),
+    "P5": (Regime("P5", c=-1.0, alpha=0.5), (100, 1500)),
+    "P6": (Regime("P6", c=1.0, alpha=0.5), (100, 1500)),
+}
+_STREAM_CASES = [
+    (tag, model) for tag in _STREAM_REGIMES for model in ({"id": "gaussian"}, {"id": "pareto2"})
+]
+
+
+class TestStreamMap:
+    """Replication (n, r) draws from stream (master_seed, 1, n, r), and the
+    block engine gives exactly what that path gives on its own."""
+
+    def check(self, cfg):
+        report = run_experiment(cfg)
+        model = model_from_config(cfg.model)
+        for block in report.per_n:
+            ref = np.array([replication_reference(cfg, block.n, r)
+                            for r in range(cfg.replications)])
+            mu_rate, rho_rate = error_rates(cfg.regime, model, block.n)
+            assert np.array_equal(block.mu_hat, ref[:, 0], equal_nan=True)
+            assert np.array_equal(block.rho_hat, ref[:, 1], equal_nan=True)
+            assert np.array_equal(block.scaled_mu, mu_rate * ref[:, 2], equal_nan=True)
+            assert np.array_equal(block.scaled_rho, rho_rate * ref[:, 3], equal_nan=True)
+            assert np.array_equal(block.singular_mask, np.isnan(ref[:, 0]))
+        return report
+
+    @pytest.mark.parametrize("tag, model", _STREAM_CASES,
+                             ids=[f"{t}-{m['id']}" for t, m in _STREAM_CASES])
+    def test_engine_matches_path_by_path_reference(self, tag, model):
+        regime, n_list = _STREAM_REGIMES[tag]
+        self.check(small_config(regime=regime, model=model, n_list=n_list,
+                                replications=130, limit_draws=1000, master_seed=2**40 + 3))
+
+    def test_rademacher_explosive(self):
+        self.check(small_config(regime=Regime("P2", rho=-1.3), model={"id": "rademacher"},
+                                n_list=(60, 90), replications=300, y0=0.5))
+
+    def test_all_singular(self):
+        report = self.check(small_config(model={"id": "gaussian", "sigma": 1e-100}, mu=1.0,
+                                         y0=2.0, n_list=(100, 1500), replications=130))
+        assert all(block.singular == 130 for block in report.per_n)
 
 
 class TestNormalizedSums:
