@@ -9,7 +9,6 @@ from .estimator import (
 from .innovations import (
     InnovationModel,
     compute_bn,
-    custom,
     ell_at_bn,
     eval_l,
     gaussian,

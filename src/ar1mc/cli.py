@@ -18,15 +18,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import asdict
 
 import numpy as np
 
-from .estimator import SingularDesignError, ls_estimate
+from .estimator import ls_rows
 from .innovations import MODEL_IDS, model_from_config
 from .limits import sample_limit
 from .montecarlo import ConfigError, ExperimentConfig, run_experiment
-from .process import Ar1Path, Regime, simulate_path
+from .process import Regime, simulate_path
 from .rng import DEFAULT_SEED
 
 _USAGE_EXIT = 2
@@ -81,7 +81,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _read_path_csv(filename: str) -> Ar1Path:
+def _read_path_csv(filename: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """(y0, y_1..y_n, e_1..e_n) from a path CSV as ``simulate`` writes it."""
     with open(filename) as fh:
         header = fh.readline().strip()
         if header != "t,y,e":
@@ -108,34 +109,24 @@ def _read_path_csv(filename: str) -> Ar1Path:
         raise ConfigError(f"{filename}: need at least t = 0, 1, 2")
     if any(e is None for e in es[1:]):
         raise ConfigError(f"{filename}: innovation column is required for t >= 1")
-    # mu/rho slots are unknown here; estimation only reads y0, y and e.
-    return Ar1Path(
-        mu=0.0, rho=0.0, y0=ys[0],
-        y=np.array(ys[1:]), e=np.array(es[1:]),
-    )
+    return ys[0], np.array(ys[1:]), np.array(es[1:])
 
 
 def _cmd_estimate(args) -> int:
-    path = _read_path_csv(args.infile)
-    try:
-        est = ls_estimate(path)
-    except SingularDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    y0, y, e = _read_path_csv(args.infile)
+    est, singular = ls_rows(y0, y[np.newaxis], e[np.newaxis])
+    if singular[0]:
+        print("error: lagged regressor is numerically constant "
+              f"(Delta3={est.delta3[0]:.3e})", file=sys.stderr)
         return _RUNTIME_EXIT
-    payload = {
-        "mu_hat": est.mu_hat,
-        "rho_hat": est.rho_hat,
-        "delta1": est.delta1,
-        "delta2": est.delta2,
-        "delta3": est.delta3,
-        "n": path.n,
-    }
-    if not all(math.isfinite(v) for v in astuple(est)):
+    payload = {name: float(value[0]) for name, value in asdict(est).items()}
+    if not all(math.isfinite(v) for v in payload.values()):
         raise OverflowError("least-squares estimates overflow double precision")
+    payload["n"] = len(y)
     if args.json:
         _write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"mu_hat  = {_fmt(est.mu_hat)}")
-    print(f"rho_hat = {_fmt(est.rho_hat)}")
+    print(f"mu_hat  = {_fmt(payload['mu_hat'])}")
+    print(f"rho_hat = {_fmt(payload['rho_hat'])}")
     return 0
 
 

@@ -22,8 +22,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erf
 
 from .rng import generator, keyed_generators
 
@@ -36,7 +34,6 @@ __all__ = [
     "uniform_sym",
     "rademacher",
     "pareto_tail2",
-    "custom",
     "model_from_config",
     "eval_l",
     "sample_innovations",
@@ -132,11 +129,17 @@ def gaussian(sigma: float = 1.0) -> InnovationModel:
     """
     s2 = _scale_variance(sigma)
 
-    def ell(x):
+    def ell_scalar(x):
         a = x / sigma
-        if isinstance(a, float):
-            return s2 * (math.erf(a / _ROOT2) - a * _ROOT_2_PI * math.exp(-0.5 * a * a))
-        return s2 * (erf(a / _ROOT2) - a * _ROOT_2_PI * np.exp(-0.5 * a * a))
+        return s2 * (math.erf(a / _ROOT2) - a * _ROOT_2_PI * math.exp(-0.5 * a * a))
+
+    # Arrays take the scalar formula elementwise, so both forms give the
+    # same floats (numpy has no erf, and np.exp may differ from math.exp
+    # by an ulp).
+    ell_array = np.vectorize(ell_scalar, otypes=[float])
+
+    def ell(x):
+        return ell_scalar(x) if isinstance(x, float) else ell_array(x)
 
     def sample(rng, n):
         return sigma * rng.standard_normal(n)
@@ -193,23 +196,6 @@ def pareto_tail2() -> InnovationModel:
     return InnovationModel("pareto2", None, ell, sample)
 
 
-def custom(
-    name: str,
-    ell: Callable[[np.ndarray], np.ndarray],
-    sample: Callable[[np.random.Generator, int], np.ndarray],
-    variance: float | None,
-) -> InnovationModel:
-    """User-supplied model; ``variance`` must be declared explicitly
-    (sigma^2 > 0, or None for the slowly-varying-to-infinity class).
-
-    ``ell`` must accept python floats as well as numpy arrays (numpy-style
-    ufunc code handles both).
-    """
-    if variance is not None and not variance > 0:
-        raise ValueError("declared variance must be positive (or None)")
-    return InnovationModel(name, variance, ell, sample)
-
-
 MODEL_IDS = ("gaussian", "uniform", "rademacher", "pareto2")
 
 
@@ -257,6 +243,54 @@ def _positivity_edge(model: InnovationModel, s_max: float) -> float:
     return hi
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of ``f`` in the bracket [xa, xb] by Brent's method.
+
+    Brent (1973), Algorithms for Minimization without Derivatives, ch. 4,
+    in the form of scipy's ``brentq`` C loop, operation for operation, so
+    both return the same float.  Raises ValueError unless f(xa) and f(xb)
+    differ in sign, and RuntimeError after ``maxiter`` iterations.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def compute_bn(model: InnovationModel, n: int, s_max: float = 1e12) -> float:
     """The n-th normalizer ``b_n``; ``n = 0`` returns ``b_0``.
 
@@ -288,11 +322,11 @@ def compute_bn(model: InnovationModel, n: int, s_max: float = 1e12) -> float:
                 f"no s <= {s_max:g} with l(s)/s^2 <= 1/{n} for model "
                 f"{model.name!r}; its l is inconsistent with slow variation"
             )
-    base = brentq(ratio_excess, lo, hi, xtol=1e-12, rtol=1e-12)
+    base = _brentq(ratio_excess, lo, hi, xtol=1e-12, rtol=1e-12)
     # Polish with the fixed point s = sqrt(n*l(s)): a contraction wherever
     # l varies slower than s^2 (all admissible models), and exact in one
     # step when l is flat at the crossing (two-point laws).  Bail out if
-    # an ill-behaved custom l drives it away from the bracketed root.
+    # an ill-behaved l drives it away from the bracketed root.
     root = base
     for _ in range(64):
         nxt = math.sqrt(n * eval_l(model, root))

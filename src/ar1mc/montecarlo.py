@@ -28,7 +28,8 @@ import numpy as np
 from .estimator import error_rates, ls_estimate, ls_rows  # noqa: F401
 from .innovations import _finite_real, model_from_config, sample_innovation_rows
 from .limits import sample_limit
-from .process import Regime, path_root, recurse_rows, simulate_path  # noqa: F401
+from .process import Regime, load_filter, path_root, recurse_rows, uses_filter
+from .process import simulate_path  # noqa: F401
 from .rng import derive_seed, philox_keys
 
 __all__ = [
@@ -321,11 +322,12 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 def _replicate_block(payload):
     """Worker task: run replications r_lo..r_hi-1 at size n; pure in its payload.
 
-    Returns one row (mu_hat, rho_hat, mu error, rho error, singular) per
-    replication, with NaN estimates where the design is singular.  The
-    errors are the Delta ratios, which equal (mu_hat - mu, rho_hat - rho_n)
-    exactly for the generating truth but keep their own relative precision
-    below ulp(rho_hat), where literal subtraction of the rounded estimates
+    ``rho`` is the root ``path_root`` accepted for size n.  Returns one
+    row (mu_hat, rho_hat, mu error, rho error, singular) per replication,
+    with NaN estimates where the design is singular.  The errors are the
+    Delta ratios, which equal (mu_hat - mu, rho_hat - rho_n) exactly for
+    the generating truth but keep their own relative precision below
+    ulp(rho_hat), where literal subtraction of the rounded estimates
     resolves nothing; the explosive-side rates run_experiment applies
     exceed 1/ulp.
 
@@ -334,9 +336,8 @@ def _replicate_block(payload):
     chunk.  Every row equals the single path simulate_path and
     ls_estimate would give for that stream.
     """
-    regime, mu, y0, model_cfg, n, master_seed, r_lo, r_hi = payload
+    rho, mu, y0, model_cfg, n, master_seed, r_lo, r_hi = payload
     model = model_from_config(model_cfg)
-    rho = path_root(regime, mu, y0, n)
     keys = philox_keys(master_seed, (_PATH_STREAM, n), np.arange(r_lo, r_hi))
     out = np.empty((r_hi - r_lo, 5))
     step = max(1, _CHUNK_ELEMENTS // n)
@@ -375,15 +376,23 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
         y0=y0,
     )
 
+    # Every root is checked before any block runs.  When one needs scipy's
+    # filter it is imported here, once: forked pool workers inherit it.
+    roots = {n: path_root(regime, mu, y0, n) for n in config.n_list}
+    if any(uses_filter(rho) for rho in roots.values()):
+        load_filter()
+
     payloads, offsets = [], []
     for n in config.n_list:
         for lo in range(0, R, _BLOCK):
-            payloads.append((regime, mu, y0, config.model, n, config.master_seed,
+            payloads.append((roots[n], mu, y0, config.model, n, config.master_seed,
                              lo, min(lo + _BLOCK, R)))
             offsets.append((n, lo))
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork pool starts all of its processes at the first submit, so it
+        # is never larger than the number of tasks.
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             results = list(pool.map(_replicate_block, payloads))
     else:
         results = list(map(_replicate_block, payloads))

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .innovations import InnovationModel, _finite_real, sample_innovations
 
@@ -149,11 +148,24 @@ def path_root(regime: Regime, mu: float, y0: float, n: int) -> float:
     return rho
 
 
+def uses_filter(rho: float) -> bool:
+    """Whether ``recurse_rows`` runs the recursion at ``rho`` through lfilter."""
+    return abs(rho) <= 1 and rho != 1.0
+
+
+def load_filter():
+    """scipy's ``lfilter``, imported on first use: the import costs about a
+    second, and only roots for which ``uses_filter`` holds need it."""
+    from scipy.signal import lfilter
+
+    return lfilter
+
+
 def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
     """y_1..y_n for each row of innovations ``e`` (shape (rows, n)), all from y0.
 
     Each row is computed exactly as a path on its own would be: the same
-    C-loop filter or closed form, elementwise or along the row.
+    C-loop filter, running sum or closed form, elementwise or along the row.
     """
     rows, n = e.shape
     # An overflowing path is refused below, so numpy need not warn about it.
@@ -169,9 +181,15 @@ def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
             p = np.power(rho, t)
             w = np.cumsum(e * np.power(rho, -t), axis=1)
             y = mu * (p - 1.0) / (rho - 1.0) + p * (y0 + w)
+        elif rho == 1.0:
+            # lfilter's y_t = x_t + 1.0*y_{t-1} with y_0 = 1.0*y0, as a
+            # running sum: the same additions in the same order.
+            x = mu + e
+            x[:, 0] += y0
+            y = np.cumsum(x, axis=1)
         else:
-            y, _ = lfilter([1.0], [1.0, -rho], mu + e, axis=1,
-                           zi=np.full((rows, 1), rho * y0))
+            y, _ = load_filter()([1.0], [1.0, -rho], mu + e, axis=1,
+                                 zi=np.full((rows, 1), rho * y0))
     if not np.all(np.isfinite(y[:, -1])):
         raise OverflowError("simulated path overflowed double precision")
     return y

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+import ar1mc.innovations as innovations
 from ar1mc.innovations import (
+    InnovationModel,
     compute_bn,
-    custom,
     ell_at_bn,
     eval_l,
     gaussian,
@@ -163,18 +165,17 @@ class TestBn:
             assert compute_bn(model, n) == pytest.approx(math.sqrt(n), rel=1e-3)
 
     def test_zero_truncated_moment_rejected(self):
-        dead = custom("dead", lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                      lambda rng, n: np.zeros(n), variance=1.0)
+        dead = InnovationModel("dead", 1.0, lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                               lambda rng, n: np.zeros(n))
         with pytest.raises(ValueError):
             compute_bn(dead, 10)
 
     def test_custom_positivity_edge_location(self):
         # all mass at +/-3: l jumps from 0 to 9 at x = 3
-        tri = custom(
-            "pm3",
+        tri = InnovationModel(
+            "pm3", 9.0,
             lambda x: np.where(np.asarray(x, dtype=float) >= 3.0, 9.0, 0.0),
             lambda rng, n: 3.0 * (rng.integers(0, 2, n) * 2.0 - 1.0),
-            variance=9.0,
         )
         assert compute_bn(tri, 0) == pytest.approx(3.0, rel=1e-12)
         # floor b0 + 1 = 4 binds until 1/j < 9/16
@@ -184,6 +185,57 @@ class TestBn:
     def test_ell_at_bn_consistency(self):
         model = pareto_tail2()
         assert ell_at_bn(model, 100) == eval_l(model, compute_bn(model, 100))
+
+
+class TestBrentPort:
+    """``_brentq`` returns the float scipy's ``brentq`` returns."""
+
+    def test_matches_scipy_on_bn_brackets(self, monkeypatch):
+        port = innovations._brentq
+        calls = []
+
+        def both(f, lo, hi, xtol, rtol):
+            ours = port(f, lo, hi, xtol=xtol, rtol=rtol)
+            calls.append((ours, brentq(f, lo, hi, xtol=xtol, rtol=rtol)))
+            return ours
+
+        monkeypatch.setattr(innovations, "_brentq", both)
+        ns = np.unique(np.round(np.logspace(0, 7, 120)).astype(int))
+        for model in ALL_MODELS:
+            for n in ns:
+                compute_bn(model, int(n))
+        assert len(calls) > 400
+        mismatches = [(a, b) for a, b in calls if a.hex() != b.hex()]
+        assert not mismatches, mismatches[:5]
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+        (lambda x: math.exp(x) - 1e6, 0.0, 100.0),
+        (lambda x: math.atan(x - 0.3), -1e6, 1.0),
+        (lambda x: (x - 1.0) ** 5, 0.0, 7.0),
+    ], ids=["cos", "cubic", "exp", "atan", "flat-fifth"])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_matches_scipy_on_textbook_roots(self, f, lo, hi, tol):
+        ours = innovations._brentq(f, lo, hi, xtol=tol, rtol=1e-12)
+        assert ours.hex() == brentq(f, lo, hi, xtol=tol, rtol=1e-12).hex()
+
+    def test_endpoint_root_returned(self):
+        assert innovations._brentq(lambda x: x - 2.0, 2.0, 5.0, 1e-12, 1e-12) == 2.0
+        assert innovations._brentq(lambda x: x - 5.0, 2.0, 5.0, 1e-12, 1e-12) == 5.0
+
+    def test_same_signs_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            innovations._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+
+    def test_non_convergence_raised(self):
+        def fifth(x):
+            return (x - 1.0) ** 5
+
+        with pytest.raises(RuntimeError):
+            innovations._brentq(fifth, 0.0, 7.0, 1e-12, 1e-12, maxiter=3)
+        with pytest.raises(RuntimeError):
+            brentq(fifth, 0.0, 7.0, xtol=1e-12, rtol=1e-12, maxiter=3)
 
 
 class TestModelConfig:
@@ -212,10 +264,6 @@ class TestModelConfig:
     def test_scale_needs_positive_finite_variance(self, factory, sigma):
         with pytest.raises(ValueError):
             factory(sigma)
-
-    def test_custom_requires_positive_declared_variance(self):
-        with pytest.raises(ValueError):
-            custom("bad", lambda x: x, lambda rng, n: np.zeros(n), variance=0.0)
 
     def test_variance_classes(self):
         assert gaussian(2.0).variance == 4.0

@@ -354,6 +354,32 @@ _STREAM_CASES = [
 ]
 
 
+def test_pool_never_exceeds_task_count(monkeypatch):
+    # A fork pool starts all max_workers processes at its first submit, so
+    # the pool is sized by the task count; a serial stand-in records it.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    cfg = small_config(n_list=(100, 200), replications=300)  # 2 blocks per n
+    serial = run_experiment(cfg).to_json()
+    monkeypatch.setattr("ar1mc.montecarlo.ProcessPoolExecutor", SerialPool)
+    assert run_experiment(cfg, workers=100_000).to_json() == serial
+    assert run_experiment(cfg, workers=3).to_json() == serial
+    assert sizes == [4, 3]
+
+
 class TestStreamMap:
     """Replication (n, r) draws from stream (master_seed, 1, n, r), and the
     block engine gives exactly what that path gives on its own."""

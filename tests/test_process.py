@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.signal import lfilter
 
-from ar1mc.innovations import custom, gaussian, pareto_tail2
-from ar1mc.process import Regime, resolve_rho, simulate_path
+from ar1mc.innovations import InnovationModel, gaussian, pareto_tail2, sample_innovations
+from ar1mc.process import Regime, recurse_rows, resolve_rho, simulate_path, uses_filter
 from paper_lemmas import companion_series, refit_residual
 
 
 def zero_model():
-    return custom("zero", lambda x: np.zeros_like(np.asarray(x, float)),
-                  lambda rng, n: np.zeros(n), variance=1.0)
+    return InnovationModel("zero", 1.0, lambda x: np.zeros_like(np.asarray(x, float)),
+                           lambda rng, n: np.zeros(n))
 
 
 class TestRegime:
@@ -114,6 +115,27 @@ class TestSimulate:
         v25, v50 = spread(25, 10_000), spread(50, 20_000)
         assert 0.2 <= v25 <= 0.5  # limit dispersion is 1/3 at these parameters
         assert 0.2 <= v50 <= 0.5
+
+
+class TestUnitRootRecursion:
+    """At rho = 1 the running sum replaces lfilter without moving a bit."""
+
+    @pytest.mark.parametrize("mu, y0", [(1.0, 0.5), (-0.3, -2.5), (7.25, 1e6), (1e-3, 3.1e-7)])
+    @pytest.mark.parametrize("model", [gaussian(1.0), pareto_tail2()], ids=lambda m: m.name)
+    def test_running_sum_equals_lfilter(self, mu, y0, model):
+        e = np.stack([sample_innovations(model, 777, seed) for seed in range(9)])
+        before = e.copy()
+        ours = recurse_rows(mu, 1.0, y0, e)
+        ref, _ = lfilter([1.0], [1.0, -1.0], mu + e, axis=1, zi=np.full((9, 1), 1.0 * y0))
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(e, before)
+
+    @pytest.mark.parametrize("rho, filtered", [
+        (1.0, False), (0.5, True), (-0.999, True), (-1.0, True),
+        (math.nextafter(1.0, 0.0), True), (1.01, False), (-1.5, False),
+    ])
+    def test_only_roots_inside_the_unit_disc_use_the_filter(self, rho, filtered):
+        assert uses_filter(rho) is filtered
 
 
 class TestCompanions:
