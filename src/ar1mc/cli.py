@@ -7,7 +7,8 @@ Subcommands:
     mc            run a replicated experiment from a JSON config
     rates         RMSE log-log rate fit over the config's n_list
 
-Exit codes: 0 success, 1 runtime/I-O error, 2 usage or config error.
+Exit codes: 0 success, 1 runtime/I-O error (scipy's filter missing
+included), 2 usage or config error.
 Numbers are written in shortest round-trip decimal form, so files parse
 back to bit-identical floats.
 """
@@ -301,7 +302,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # overflow, or a degenerate law's division
         print(f"error: {exc}", file=sys.stderr)
         return _RUNTIME_EXIT
-    except OSError as exc:
+    except (OSError, ImportError) as exc:  # I/O, or scipy's filter missing
         print(f"error: {exc}", file=sys.stderr)
         return _RUNTIME_EXIT
 

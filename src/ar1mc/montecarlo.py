@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .estimator import error_rates, ls_estimate, ls_rows  # noqa: F401
 from .innovations import _finite_real, model_from_config, sample_innovation_rows
 from .limits import sample_limit
-from .process import Regime, load_filter, path_root, recurse_rows, uses_filter
+from .process import Regime, path_root, recurse_rows
 from .process import simulate_path  # noqa: F401
 from .rng import derive_seed, philox_keys
 
@@ -260,16 +259,26 @@ class McReport:
 
 def ks_two_sample(a, b) -> float:
     """Exact sup-distance between the empirical CDFs of two samples."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("ks_two_sample requires nonempty samples")
-    a = np.sort(a)
-    b = np.sort(b)
-    pooled = np.concatenate([a, b])
-    fa = np.searchsorted(a, pooled, side="right") / a.size
-    fb = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
+    return _ks_sorted(a, b) if a.size <= b.size else _ks_sorted(b, a)
+
+
+def _ks_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    """``ks_two_sample`` of two sorted, nonempty samples, in O(|a| log |b|).
+
+    Between two points of ``a`` the gap |F_a - F_b| is largest at an end:
+    at a point of ``a`` itself, or just before the next one.  Evaluating
+    both sides of every point of ``a`` therefore meets the pooled maximum,
+    as the same float quotients k/|a| and j/|b|.
+    """
+    gap_right = (np.searchsorted(a, a, side="right") / a.size
+                 - np.searchsorted(b, a, side="right") / b.size)
+    gap_left = (np.searchsorted(a, a, side="left") / a.size
+                - np.searchsorted(b, a, side="left") / b.size)
+    return float(max(np.max(np.abs(gap_right)), np.max(np.abs(gap_left))))
 
 
 def rate_slope(n_list, rmse_list) -> tuple[float, float]:
@@ -357,8 +366,13 @@ def _replicate_block(payload):
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     """Run the full experiment described by ``config``.
 
-    ``workers`` only chooses how replication blocks are scheduled; the
-    report is bit-identical for every value.
+    The limit law is drawn and every sample size's root is checked in this
+    process before any replication block runs.  ``workers`` only chooses
+    how the blocks are scheduled (in this process, or in a fork pool of at
+    most that many processes when it is above 1); the report is
+    bit-identical for every value.  Paths with |rho| <= 1 other than 1
+    run through scipy's filter kernel, which each process loads at its
+    first such path.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -376,11 +390,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
         y0=y0,
     )
 
-    # Every root is checked before any block runs.  When one needs scipy's
-    # filter it is imported here, once: forked pool workers inherit it.
+    # Every root is checked before any block runs.
     roots = {n: path_root(regime, mu, y0, n) for n in config.n_list}
-    if any(uses_filter(rho) for rho in roots.values()):
-        load_filter()
 
     payloads, offsets = [], []
     for n in config.n_list:
@@ -390,6 +401,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
             offsets.append((n, lo))
 
     if workers > 1:
+        # Imported here: a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # A fork pool starts all of its processes at the first submit, so it
         # is never larger than the number of tasks.
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
@@ -403,6 +417,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     for (n, lo), rows in zip(offsets, results):
         table[n][lo:lo + len(rows)] = rows
 
+    # Each limit column is sorted once, for the KS distances of every n.
+    limit_sorted = [np.sort(limit[:, k]) for k in (0, 1)]
     per_n = []
     rmse_mu, rmse_rho, fit_ns = [], [], []
     trimmed = regime.tag in ("P2", "P6")
@@ -423,8 +439,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
                 singular=R - n_valid,
                 mu_rate=mu_rate,
                 rho_rate=rho_rate,
-                ks_mu=ks_two_sample(scaled_mu[valid], limit[:, 0]),
-                ks_rho=ks_two_sample(scaled_rho[valid], limit[:, 1]),
+                ks_mu=_ks_sorted(np.sort(scaled_mu[valid]), limit_sorted[0]),
+                ks_rho=_ks_sorted(np.sort(scaled_rho[valid]), limit_sorted[1]),
                 component_correlation=(
                     _pearson(scaled_mu[valid], scaled_rho[valid]) if n_valid > 1 else None
                 ),

@@ -10,11 +10,21 @@ with a constant start y_0.  A regime fixes how rho_n depends on n:
     P4  rho = 1 + c/n, c != 0    (near unit root)
     P5  rho = 1 + c/n^alpha, c < 0, alpha in (0,1)   (moderately stationary)
     P6  rho = 1 + c/n^alpha, c > 0, alpha in (0,1)   (moderately explosive)
+
+The recursion runs row-wise in one of three forms: the exact closed form
+for |rho| > 1, a running sum at rho = 1, and otherwise the C loop of
+scipy's ``lfilter``.  That loop is the only part of scipy used here: it is
+loaded from its extension file at first use, and no scipy package module
+is imported.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,17 +158,28 @@ def path_root(regime: Regime, mu: float, y0: float, n: int) -> float:
     return rho
 
 
-def uses_filter(rho: float) -> bool:
-    """Whether ``recurse_rows`` runs the recursion at ``rho`` through lfilter."""
-    return abs(rho) <= 1 and rho != 1.0
-
-
+@functools.cache
 def load_filter():
-    """scipy's ``lfilter``, imported on first use: the import costs about a
-    second, and only roots for which ``uses_filter`` holds need it."""
-    from scipy.signal import lfilter
+    """The C loop of scipy's ``lfilter``: ``_linear_filter`` from scipy's
+    ``signal/_sigtools`` extension, loaded from its file on first use and
+    kept for the life of the process.
 
-    return lfilter
+    Only that extension is loaded; no scipy package module is imported.
+    Raises ImportError, naming scipy and the extension, when it is missing.
+    """
+    spec = importlib.util.find_spec("scipy")  # finds scipy without importing it
+    dirs = spec.submodule_search_locations if spec is not None else None
+    paths = [os.path.join(d, "signal", "_sigtools" + suffix)
+             for d in dirs or () for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError("scipy's signal/_sigtools extension was not found; roots "
+                          "with |rho| <= 1 other than 1 need scipy installed")
+    # The last part of the module name selects the extension's init function.
+    loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._sigtools", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module._linear_filter
 
 
 def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
@@ -188,8 +209,9 @@ def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
             x[:, 0] += y0
             y = np.cumsum(x, axis=1)
         else:
-            y, _ = load_filter()([1.0], [1.0, -rho], mu + e, axis=1,
-                                 zi=np.full((rows, 1), rho * y0))
+            # lfilter's own call for this IIR filter, with its arguments.
+            y, _ = load_filter()(np.array([1.0]), np.array([1.0, -rho]), mu + e, 1,
+                                 np.full((rows, 1), rho * y0))
     if not np.all(np.isfinite(y[:, -1])):
         raise OverflowError("simulated path overflowed double precision")
     return y

@@ -1,9 +1,10 @@
-"""``import ar1mc`` loads numpy only; scipy's filter is loaded by the runs
-that need it (roots with |rho| <= 1 other than 1), in the parent process.
+"""``import ar1mc`` loads numpy only, and no ``ar1mc`` command imports a
+scipy module: roots with |rho| <= 1 other than 1 load only the C filter
+loop from scipy's ``signal/_sigtools`` extension file.
 
 Each check runs in a fresh interpreter, because the test session itself
 has imported scipy.  ``sys.modules["scipy"] = None`` makes any import of
-scipy fail there.
+scipy fail there, and hides scipy from ``importlib.util.find_spec``.
 """
 
 import json
@@ -55,16 +56,53 @@ def test_explosive_limit_sample_runs_without_scipy(tmp_path):
     assert len((tmp_path / "draws.csv").read_text().splitlines()) == 1001
 
 
-def test_stationary_run_loads_the_filter_in_the_parent(tmp_path):
-    config = write_config(tmp_path / "p1.json", {"tag": "P1", "rho": 0.5})
+def test_cli_imports_no_process_pool(tmp_path):
     code = (
         "import sys\n"
         "import ar1mc.cli\n"
+        "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    done = python(code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stationary_run_imports_no_scipy_module(tmp_path, workers):
+    config = write_config(tmp_path / "p1.json", {"tag": "P1", "rho": 0.5})
+    code = (
+        "import sys\n"
         "from ar1mc.cli import _load_config\n"
         "from ar1mc.montecarlo import run_experiment\n"
-        "assert 'scipy.signal' not in sys.modules, 'loaded at import'\n"
-        "run_experiment(_load_config(sys.argv[1], None), workers=2)\n"
-        "assert 'scipy.signal' in sys.modules, 'not loaded in the parent'\n"
+        "report = run_experiment(_load_config(sys.argv[1], None), workers=int(sys.argv[2]))\n"
+        "assert report.per_n[1].valid == 100\n"
+        "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not scipy, scipy\n"
     )
-    done = python(code, config, cwd=tmp_path)
+    done = python(code, config, workers, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def assert_one_line_error(done):
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert "scipy" in lines[0] and "_sigtools" in lines[0], lines[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stationary_mc_without_scipy_exits_1(tmp_path, workers):
+    config = write_config(tmp_path / "p1.json", {"tag": "P1", "rho": 0.5})
+    done = python(NO_SCIPY + MAIN, "mc", "--config", config, "--workers", workers,
+                  "--out", tmp_path / "report.json", cwd=tmp_path)
+    assert_one_line_error(done)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_stationary_simulate_without_scipy_exits_1(tmp_path):
+    done = python(NO_SCIPY + MAIN, "simulate", "--regime", "P1", "--rho", "0.5",
+                  "--mu", "1", "--n", "50", "--out", tmp_path / "path.csv", cwd=tmp_path)
+    assert_one_line_error(done)
+    assert not (tmp_path / "path.csv").exists()

@@ -11,6 +11,7 @@ from ar1mc.innovations import gaussian, model_from_config
 from ar1mc.montecarlo import (
     ConfigError,
     ExperimentConfig,
+    _ks_sorted,
     ks_two_sample,
     rate_slope,
     run_experiment,
@@ -104,6 +105,23 @@ class TestKs:
         ref = stats.ks_2samp(np.asarray(a), np.asarray(b)).statistic
         assert ours == pytest.approx(ref, abs=1e-12)
         assert 0.0 <= ours <= 1.0
+
+    @settings(max_examples=300)
+    @given(
+        # few distinct values, so both samples are full of ties
+        a=st.lists(st.integers(-6, 6) | st.floats(-3, 3), min_size=1, max_size=60),
+        b=st.lists(st.integers(-6, 6) | st.floats(-3, 3), min_size=1, max_size=200),
+    )
+    def test_matches_pooled_formula(self, a, b):
+        a = np.sort(np.asarray(a, dtype=float))
+        b = np.sort(np.asarray(b, dtype=float))
+        pooled = np.concatenate([a, b])
+        fa = np.searchsorted(a, pooled, side="right") / a.size
+        fb = np.searchsorted(b, pooled, side="right") / b.size
+        expect = float(np.max(np.abs(fa - fb)))
+        assert _ks_sorted(a, b) == expect
+        assert _ks_sorted(b, a) == expect
+        assert ks_two_sample(b[::-1], a) == expect
 
 
 class TestRateSlope:
@@ -374,7 +392,7 @@ def test_pool_never_exceeds_task_count(monkeypatch):
 
     cfg = small_config(n_list=(100, 200), replications=300)  # 2 blocks per n
     serial = run_experiment(cfg).to_json()
-    monkeypatch.setattr("ar1mc.montecarlo.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     assert run_experiment(cfg, workers=100_000).to_json() == serial
     assert run_experiment(cfg, workers=3).to_json() == serial
     assert sizes == [4, 3]

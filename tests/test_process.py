@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
 from ar1mc.innovations import InnovationModel, gaussian, pareto_tail2, sample_innovations
-from ar1mc.process import Regime, recurse_rows, resolve_rho, simulate_path, uses_filter
+from ar1mc.process import Regime, recurse_rows, resolve_rho, simulate_path
 from paper_lemmas import companion_series, refit_residual
 
 
@@ -117,25 +117,34 @@ class TestSimulate:
         assert 0.2 <= v50 <= 0.5
 
 
-class TestUnitRootRecursion:
-    """At rho = 1 the running sum replaces lfilter without moving a bit."""
+MU_Y0 = [(1.0, 0.5), (-0.3, -2.5), (7.25, 1e6), (1e-3, 3.1e-7)]
 
-    @pytest.mark.parametrize("mu, y0", [(1.0, 0.5), (-0.3, -2.5), (7.25, 1e6), (1e-3, 3.1e-7)])
+
+def assert_recursion_equals_lfilter(rho, mu, y0, model):
+    """recurse_rows equals public lfilter bit for bit on 9 rows of n=777,
+    and leaves the innovations unchanged."""
+    e = np.stack([sample_innovations(model, 777, seed) for seed in range(9)])
+    before = e.copy()
+    ours = recurse_rows(mu, rho, y0, e)
+    ref, _ = lfilter([1.0], [1.0, -rho], mu + e, axis=1, zi=np.full((9, 1), rho * y0))
+    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(e, before)
+
+
+class TestUnitRootRecursion:
+    """Inside the unit disc recurse_rows runs lfilter's own C loop, and at
+    rho = 1 the running sum replaces it; neither moves a bit."""
+
+    @pytest.mark.parametrize("mu, y0", MU_Y0)
     @pytest.mark.parametrize("model", [gaussian(1.0), pareto_tail2()], ids=lambda m: m.name)
     def test_running_sum_equals_lfilter(self, mu, y0, model):
-        e = np.stack([sample_innovations(model, 777, seed) for seed in range(9)])
-        before = e.copy()
-        ours = recurse_rows(mu, 1.0, y0, e)
-        ref, _ = lfilter([1.0], [1.0, -1.0], mu + e, axis=1, zi=np.full((9, 1), 1.0 * y0))
-        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
-        assert np.array_equal(e, before)
+        assert_recursion_equals_lfilter(1.0, mu, y0, model)
 
-    @pytest.mark.parametrize("rho, filtered", [
-        (1.0, False), (0.5, True), (-0.999, True), (-1.0, True),
-        (math.nextafter(1.0, 0.0), True), (1.01, False), (-1.5, False),
-    ])
-    def test_only_roots_inside_the_unit_disc_use_the_filter(self, rho, filtered):
-        assert uses_filter(rho) is filtered
+    @pytest.mark.parametrize("rho", [0.5, -0.5, 0.0, 0.999, -1.0, 1 - 3 / 50])
+    @pytest.mark.parametrize("mu, y0", MU_Y0)
+    @pytest.mark.parametrize("model", [gaussian(1.0), pareto_tail2()], ids=lambda m: m.name)
+    def test_filter_kernel_equals_lfilter(self, rho, mu, y0, model):
+        assert_recursion_equals_lfilter(rho, mu, y0, model)
 
 
 class TestCompanions:
