@@ -56,7 +56,7 @@ class InnovationModel:
 
     name: str
     variance: float | None
-    _ell: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    _ell: Callable[[float], float] = field(repr=False)
     _sample: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
 
     @property
@@ -64,19 +64,11 @@ class InnovationModel:
         return self.variance is not None
 
 
-def eval_l(model: InnovationModel, x) -> float | np.ndarray:
+def eval_l(model: InnovationModel, x: float) -> float:
     """Truncated second moment ``l(x) = E[e^2 1{|e| <= x}]`` at ``x >= 0``."""
-    if isinstance(x, (int, float)):
-        if x < 0:
-            raise ValueError("l(x) is defined for x >= 0")
-        return float(model._ell(float(x)))
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if x < 0:
         raise ValueError("l(x) is defined for x >= 0")
-    out = model._ell(arr)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(model._ell(float(x)))
 
 
 def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
@@ -129,17 +121,9 @@ def gaussian(sigma: float = 1.0) -> InnovationModel:
     """
     s2 = _scale_variance(sigma)
 
-    def ell_scalar(x):
+    def ell(x):
         a = x / sigma
         return s2 * (math.erf(a / _ROOT2) - a * _ROOT_2_PI * math.exp(-0.5 * a * a))
-
-    # Arrays take the scalar formula elementwise, so both forms give the
-    # same floats (numpy has no erf, and np.exp may differ from math.exp
-    # by an ulp).
-    ell_array = np.vectorize(ell_scalar, otypes=[float])
-
-    def ell(x):
-        return ell_scalar(x) if isinstance(x, float) else ell_array(x)
 
     def sample(rng, n):
         return sigma * rng.standard_normal(n)
@@ -153,8 +137,7 @@ def uniform_sym(sigma: float = 1.0) -> InnovationModel:
     a = sigma * math.sqrt(3.0)
 
     def ell(x):
-        u = min(x, a) if isinstance(x, float) else np.minimum(x, a)
-        return u ** 3 / (3.0 * a)
+        return min(x, a) ** 3 / (3.0 * a)
 
     def sample(rng, n):
         return rng.uniform(-a, a, n)
@@ -166,9 +149,7 @@ def rademacher() -> InnovationModel:
     """Symmetric +/-1 innovations; l(x) = 1{x >= 1}."""
 
     def ell(x):
-        if isinstance(x, float):
-            return 1.0 if x >= 1.0 else 0.0
-        return np.where(x >= 1.0, 1.0, 0.0)
+        return 1.0 if x >= 1.0 else 0.0
 
     def sample(rng, n):
         return rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
@@ -184,9 +165,7 @@ def pareto_tail2() -> InnovationModel:
     """
 
     def ell(x):
-        if isinstance(x, float):
-            return 2.0 * math.log(x) if x >= 1.0 else 0.0
-        return np.where(x >= 1.0, 2.0 * np.log(np.maximum(x, 1.0)), 0.0)
+        return 2.0 * math.log(x) if x >= 1.0 else 0.0
 
     def sample(rng, n):
         mag = 1.0 / np.sqrt(1.0 - rng.random(n))
@@ -220,19 +199,21 @@ def model_from_config(cfg: dict) -> InnovationModel:
 # --- the b_n sequence ------------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
+# Searches for b_0 and b_n give up above this.
+_S_MAX = 1e12
 
 
 @lru_cache(maxsize=256)
-def _positivity_edge(model: InnovationModel, s_max: float) -> float:
+def _positivity_edge(model: InnovationModel) -> float:
     """inf{x >= 1 : l(x) > 0}, located by bisection to a few ulps."""
     if eval_l(model, 1.0) > 0.0:
         return 1.0
     lo, hi = 1.0, 2.0
     while eval_l(model, hi) <= 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > s_max:
+        if hi > _S_MAX:
             raise ValueError(
-                f"l(x) of model {model.name!r} never becomes positive below {s_max:g}"
+                f"l(x) of model {model.name!r} never becomes positive below {_S_MAX:g}"
             )
     while hi - lo > 4.0 * _EPS * hi:
         mid = 0.5 * (lo + hi)
@@ -291,7 +272,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
-def compute_bn(model: InnovationModel, n: int, s_max: float = 1e12) -> float:
+def compute_bn(model: InnovationModel, n: int) -> float:
     """The n-th normalizer ``b_n``; ``n = 0`` returns ``b_0``.
 
     The crossing of ``l(s)/s^2 = 1/n`` is bracketed by geometric growth of
@@ -303,7 +284,7 @@ def compute_bn(model: InnovationModel, n: int, s_max: float = 1e12) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    b0 = _positivity_edge(model, s_max)
+    b0 = _positivity_edge(model)
     if n == 0:
         return b0
     floor = b0 + 1.0
@@ -317,9 +298,9 @@ def compute_bn(model: InnovationModel, n: int, s_max: float = 1e12) -> float:
     lo, hi = floor, 2.0 * floor
     while ratio_excess(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > s_max:
+        if hi > _S_MAX:
             raise ValueError(
-                f"no s <= {s_max:g} with l(s)/s^2 <= 1/{n} for model "
+                f"no s <= {_S_MAX:g} with l(s)/s^2 <= 1/{n} for model "
                 f"{model.name!r}; its l is inconsistent with slow variation"
             )
     base = _brentq(ratio_excess, lo, hi, xtol=1e-12, rtol=1e-12)

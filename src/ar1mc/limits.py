@@ -2,21 +2,18 @@
 
 ``sample_limit`` is the entry point: it checks its inputs once and draws
 from the regime's law a (draws, 2) array whose columns are the limits of
-the scaled mu-error and rho-error:
+the scaled mu-error and rho-error.
 
-    P1      (X1, X2) from two independent normals W1 ~ N(0,1) and
-            W2 ~ N(0, 1/(1-rho^2)):  X2 = (1-rho^2) W2 always, and
-            X1 = W1 - mu(1+rho)/sigma * W2 with finite variance sigma^2,
-            X1 = W1 when the truncated variance diverges.
-    P2      (W1, (rho^2-1) U1 / (U2 + mu*rho/(rho-1))) where U1, U2 are
-            independent weighted series of raw (unnormalized) fresh
-            innovations from the actual error model -- the explosive limit
-            is distribution specific, so no Gaussian shortcut is valid here.
-    P3/P4   (Y1/d, Y2/(mu*d)), linear in W(1) and the Wiener integral
-            int_0^1 G_c dW of the deterministic growth curve
-            G_c(s) = int_0^s exp(c*u) du, hence exactly bivariate normal.
-    P5      the rank-one pair (mu/(c*d), 1/d) * Z  (degenerate joint law).
-    P6      (V1, (2c^2/mu) V2) with independent centered normals.
+Under P1 and P3-P6 the limit is bivariate normal for every innovation
+model, so each of these regimes is one entry of ``_normal_factor``: a 2x2
+matrix A with (comp1, comp2) = A (Z1, Z2) for independent standard
+normals Z1, Z2, hence covariance A A^T.  The model enters only through its
+variance class (P1, P5).  P5 is rank one; P3/P4 are linear in W(1) and the
+Wiener integral of the deterministic growth curve G_c(s) = int_0^s exp(c*u) du.
+
+P2 alone is not normal: ``_explosive_law`` draws (W1, (rho^2-1) U1 /
+(U2 + mu*rho/(rho-1))) with U1, U2 independent weighted series of raw
+innovations from the actual error model.
 """
 
 from __future__ import annotations
@@ -40,6 +37,9 @@ __all__ = [
 # Rows of innovations drawn per chunk by the explosive sampler; bounds
 # memory at ~chunk*M doubles without affecting results.
 _CHUNK_ROWS = 4096
+
+# The P2 series are cut once |rho|^-M falls below this.
+_SERIES_TOL = 1e-12
 
 
 # --- integrals of the growth curve G_c(s) = int_0^s exp(c*u) du ------------
@@ -71,30 +71,14 @@ def growth_dispersion(c: float) -> float:
     return growth_mean_sq(c) - growth_mean(c) ** 2
 
 
-# --- per-regime laws --------------------------------------------------------
-#
-# Each takes the plain parameters of its law and a fresh generator; the
-# order of the draws from ``rng`` fixes the sample for a given seed.
+# --- the limit laws --------------------------------------------------------
 
 
-def _stationary_law(rho, mu, sigma2, draws, rng) -> np.ndarray:
-    """P1; ``sigma2`` is the model variance, or None when it diverges."""
-    w1 = rng.standard_normal(draws)
-    w2 = rng.standard_normal(draws) / math.sqrt(1.0 - rho * rho)
-    if sigma2 is not None:
-        sigma = math.sqrt(sigma2)
-        comp1 = w1 - (mu * (1.0 + rho) / sigma) * w2
-    else:
-        comp1 = w1
-    comp2 = (1.0 - rho * rho) * w2
-    return np.column_stack([comp1, comp2])
-
-
-def default_truncation(rho: float, tol: float = 1e-12) -> int:
-    """Smallest M with |rho|^-M < tol; series tails beyond M are negligible."""
+def default_truncation(rho: float) -> int:
+    """Smallest M with |rho|^-M < _SERIES_TOL; series tails beyond M are negligible."""
     if not abs(rho) > 1:
         raise ValueError("truncation is defined for |rho| > 1")
-    return int(math.ceil(-math.log(tol) / math.log(abs(rho)))) + 1
+    return int(math.ceil(-math.log(_SERIES_TOL) / math.log(abs(rho)))) + 1
 
 
 def _explosive_law(rho, mu, y0, model, truncation, draws, rng) -> np.ndarray:
@@ -102,13 +86,15 @@ def _explosive_law(rho, mu, y0, model, truncation, draws, rng) -> np.ndarray:
 
     U1 = sum_{t<=M} rho^-(M-t) eps_t and
     U2 = rho*y0 + rho * sum_{t<M} rho^-t eps'_t use disjoint fresh draws
-    from ``model``, truncated once rho^-M < 1e-12.  The series stay raw
+    from ``model``, truncated once rho^-M < _SERIES_TOL.  The series stay raw
     (not divided by sqrt(l(b_M))): the rate rho^n carries no l(b_n), so the
     innovation scale must meet the shift mu*rho/(rho-1) and y0 unchanged.
     """
     m = default_truncation(rho) if truncation is None else int(truncation)
-    if abs(rho) ** (-m) > 1e-12:
-        raise ValueError(f"truncation M={m} too small: |rho|^-M must be < 1e-12")
+    if m < 1:
+        raise ValueError(f"truncation M must be >= 1, got {m}")
+    if abs(rho) ** (-m) > _SERIES_TOL:
+        raise ValueError(f"truncation M={m} too small: |rho|^-M must be < {_SERIES_TOL:g}")
     shift = mu * rho / (rho - 1.0)
     w1 = rng.standard_normal(draws)
     # weights rho^-(M-t), t = 1..M, and rho^-t, t = 1..M-1
@@ -130,66 +116,47 @@ def _explosive_law(rho, mu, y0, model, truncation, draws, rng) -> np.ndarray:
     return np.column_stack([w1, comp2])
 
 
-def _unit_root_law(c, mu, draws, rng) -> np.ndarray:
-    """P3 (c = 0) and P4 (c != 0).
+def _normal_factor(regime: Regime, mu: float, variance: float | None):
+    """The factor A = ((a11, a12), (a21, a22)) of the normal law under P1, P3-P6.
 
-    With W1 = W(1) and I = int G_c dW,
-        Y1 = W1 int G_c^2 - int G_c * I,   Y2 = I - W1 int G_c,
-    and the pair is (Y1/d, Y2/(mu*d)).  G_c is deterministic, so (W1, I)
-    is bivariate normal with Var W1 = 1, Var I = int G_c^2 and
-    Cov = int G_c.  Writing I = g W1 + sqrt(d) Z with g = int G_c and Z
-    independent of W1 gives the pair exactly as
-        (W1 - (g/sqrt(d)) Z,  Z/(mu sqrt(d))).
+    ``variance`` is the model's sigma^2, or None when it diverges.
     """
+    tag = regime.tag
+    if tag == "P1":
+        # (W1 - mu(1+rho)/sigma W2, (1-rho^2) W2) with W2 ~ N(0, 1/(1-rho^2));
+        # the coupling term drops when the variance diverges.
+        rho = regime.rho
+        root = math.sqrt(1.0 - rho * rho)
+        coupling = 0.0 if variance is None else -(mu * (1.0 + rho) / math.sqrt(variance)) / root
+        return (1.0, coupling), (0.0, root)
+    if tag == "P5":
+        # Rank one: (mu/(c*d) Z, Z/d) with Z = k1 V12 + k2 V14 and V12, V14
+        # iid N(0, -1/(2c)).  The finite branch keeps both terms at alpha = 1/2.
+        c, alpha = regime.c, regime.alpha
+        s2 = 1.0 if variance is None else variance
+        first = alpha >= 0.5 if variance is not None else alpha > 0.5
+        second = alpha <= 0.5
+        k1 = mu * math.sqrt(s2) / c if first else 0.0
+        k2 = s2 if second else 0.0
+        d = (mu * mu / (-2.0 * c ** 3) if first else 0.0) + (s2 / (-2.0 * c) if second else 0.0)
+        if d == 0.0:  # alpha > 1/2 leaves only the mu^2 term
+            raise ValueError("moderately stationary limit with alpha > 1/2 requires mu^2 > 0")
+        spread = math.sqrt(-1.0 / (2.0 * c))
+        lead = mu / (c * d)
+        return (lead * k1 * spread, lead * k2 * spread), (k1 * spread / d, k2 * spread / d)
     if mu == 0.0:
-        raise ValueError("unit-root limit requires mu != 0")
-    w1 = rng.standard_normal(draws)
-    z = rng.standard_normal(draws)
-    g = growth_mean(c)
+        kind = "moderately explosive" if tag == "P6" else "unit-root"
+        raise ValueError(f"{kind} limit requires mu != 0")
+    if tag == "P6":
+        # (V21, (2c^2/mu) V23) with V23 ~ N(0, 1/(2c))
+        c = regime.c
+        return (1.0, 0.0), (0.0, 2.0 * c * c / mu * math.sqrt(1.0 / (2.0 * c)))
+    # P3 (c = 0) and P4: with g = int G_c and I = g W(1) + sqrt(d) Z the
+    # Wiener integral int G_c dW, the pair (Y1/d, Y2/(mu*d)) is
+    # (W(1) - (g/sqrt(d)) Z, Z/(mu sqrt(d))).
+    c = 0.0 if tag == "P3" else regime.c
     root_d = math.sqrt(growth_dispersion(c))
-    return np.column_stack([w1 - (g / root_d) * z, z / (mu * root_d)])
-
-
-def _moderately_stationary_law(c, alpha, mu, sigma2, draws, rng) -> np.ndarray:
-    """P5 (c < 0): with independent V12, V14 ~ N(0, -1/(2c)), both scaled
-    errors are multiples of one variable Z, so the pair is exactly
-    rank one:  (mu/(c*d) * Z, Z/d).  The indicator structure of (Z, d)
-    differs between the variance branches and is applied literally,
-    including the double activation at alpha = 1/2 in the finite branch.
-    """
-    spread = math.sqrt(-1.0 / (2.0 * c))
-    v12 = rng.standard_normal(draws) * spread
-    v14 = rng.standard_normal(draws) * spread
-    if sigma2 is not None:
-        sigma = math.sqrt(sigma2)
-        z = np.zeros(draws)
-        d = 0.0
-        if alpha >= 0.5:
-            z += (mu * sigma / c) * v12
-            d += mu * mu / (-2.0 * c ** 3)
-        if alpha <= 0.5:
-            z += sigma2 * v14
-            d += sigma2 / (-2.0 * c)
-    else:
-        if alpha > 0.5:
-            z = (mu / c) * v12
-            d = mu * mu / (-2.0 * c ** 3)
-        else:
-            z = v14
-            d = 1.0 / (-2.0 * c)
-    if d == 0.0:  # alpha > 1/2 leaves only the mu^2 term
-        raise ValueError("moderately stationary limit with alpha > 1/2 requires mu^2 > 0")
-    return np.column_stack([(mu / (c * d)) * z, z / d])
-
-
-def _moderately_explosive_law(c, mu, draws, rng) -> np.ndarray:
-    """P6 (c > 0): independent (V21, V23) ~ N(0,1) x N(0, 1/(2c)) give
-    (V21, (2c^2/mu) V23)."""
-    if mu == 0.0:
-        raise ValueError("moderately explosive limit requires mu != 0")
-    v21 = rng.standard_normal(draws)
-    v23 = rng.standard_normal(draws) * math.sqrt(1.0 / (2.0 * c))
-    return np.column_stack([v21, (2.0 * c * c / mu) * v23])
+    return (1.0, -growth_mean(c) / root_d), (0.0, 1.0 / (mu * root_d))
 
 
 def sample_limit(
@@ -211,22 +178,15 @@ def sample_limit(
     if not (math.isfinite(mu) and math.isfinite(y0)):
         raise ValueError("mu and y0 must be finite")
     rng = generator(seed)
-    tag = regime.tag
     # Draws that overflow are refused below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        if tag == "P1":
-            out = _stationary_law(regime.rho, mu, model.variance, draws, rng)
-        elif tag == "P2":
+        if regime.tag == "P2":
             out = _explosive_law(regime.rho, mu, y0, model, truncation, draws, rng)
-        elif tag == "P3":
-            out = _unit_root_law(0.0, mu, draws, rng)
-        elif tag == "P4":
-            out = _unit_root_law(regime.c, mu, draws, rng)
-        elif tag == "P5":
-            out = _moderately_stationary_law(
-                regime.c, regime.alpha, mu, model.variance, draws, rng)
         else:
-            out = _moderately_explosive_law(regime.c, mu, draws, rng)
+            (a11, a12), (a21, a22) = _normal_factor(regime, mu, model.variance)
+            z1 = rng.standard_normal(draws)
+            z2 = rng.standard_normal(draws)
+            out = np.column_stack([a11 * z1 + a12 * z2, a21 * z1 + a22 * z2])
     if not np.all(np.isfinite(out)):
-        raise OverflowError(f"{tag} limit draws overflow double precision at these parameters")
+        raise OverflowError(f"{regime.tag} limit draws overflow double precision at these parameters")
     return out

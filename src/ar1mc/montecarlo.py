@@ -124,7 +124,7 @@ class ExperimentConfig:
         _check_int("limit_draws", self.limit_draws, 1000)
         _check_int("seed", self.master_seed, 0)
         if self.truncation is not None:
-            _check_int("truncation_M", self.truncation)
+            _check_int("truncation_M", self.truncation, 1)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -151,7 +151,8 @@ class TestLimitSample:
         ["--regime", "P2", "--rho", "1.2", "--mu", "1", "--y0", "inf"],
         ["--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws", "0"],
         ["--regime", "P5", "--c", "-1", "--alpha", "0.75", "--mu", "0"],
-    ], ids=["nan-mu", "inf-y0", "zero-draws", "zero-mu-P5"])
+        ["--regime", "P2", "--rho", "2", "--mu", "1", "--truncation", "-2000"],
+    ], ids=["nan-mu", "inf-y0", "zero-draws", "zero-mu-P5", "negative-truncation"])
     def test_bad_inputs_exit_2(self, capsys, argv):
         code, out, err = run(["limit-sample"] + argv, capsys)
         assert code == 2
@@ -212,8 +213,10 @@ class TestMc:
         ({"model": {"id": "gaussian", "sigma": "2"}}, "sigma"),
         ({"model": {"id": "gaussian", "sigma": True}}, "sigma"),
         ({"model": {"id": "gaussian", "sigma": 1e-320}}, "sigma"),
+        ({"truncation_M": -5000}, "truncation_M"),
     ], ids=["unknown-key", "null-mu", "scalar-n_list", "fractional-n_list", "bool-seed",
-            "string-rho", "string-mu", "string-sigma", "bool-sigma", "tiny-sigma"])
+            "string-rho", "string-mu", "string-sigma", "bool-sigma", "tiny-sigma",
+            "truncation_M"])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "exp.json", **overrides)
         code, _, err = run(["mc", "--config", str(cfg)], capsys)

@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 from ar1mc.innovations import gaussian, pareto_tail2, rademacher
 from ar1mc.limits import (
+    _normal_factor,
     default_truncation,
     growth_dispersion,
     growth_mean,
@@ -271,6 +272,53 @@ class TestModerateLimit:
     def test_p6_mu_zero_rejected(self):
         with pytest.raises(ValueError):
             sample_limit(Regime("P6", c=1.0, alpha=0.5), 0.0, gaussian(1.0), 100, 1)
+
+
+def p5_covariance(c, alpha, mu, variance):
+    """Z = k1 V12 + k2 V14 with Var Z = s2*d, so the pair has covariance
+    (s2/d) [[(mu/c)^2, mu/c], [mu/c, 1]]; the infinite branch (s2 = 1)
+    keeps only one term at alpha = 1/2."""
+    s2 = 1.0 if variance is None else variance
+    mean_term = mu * mu / (-2.0 * c ** 3)
+    if variance is None:
+        d = mean_term if alpha > 0.5 else 1.0 / (-2.0 * c)
+    else:
+        d = (mean_term if alpha >= 0.5 else 0.0) + (s2 / (-2.0 * c) if alpha <= 0.5 else 0.0)
+    r = mu / c
+    return s2 / d * np.array([[r * r, r], [r, 1.0]])
+
+
+def unit_root_covariance(c, mu):
+    g, g2, d = growth_mean(c), growth_mean_sq(c), growth_dispersion(c)
+    return np.array([[g2 / d, -g / (mu * d)], [-g / (mu * d), 1.0 / (mu * mu * d)]])
+
+
+MU = 1.5
+NORMAL_CASES = [
+    # P1 at rho 0.6, sigma 2: Var1 = 1 + mu^2 (1+rho)/(sigma^2 (1-rho)),
+    # Cov = -mu (1+rho)/sigma, Var2 = 1 - rho^2
+    ("P1-finite", Regime("P1", rho=0.6), 4.0,
+     np.array([[1.0 + MU * MU * 1.6 / (4.0 * 0.4), -MU * 1.6 / 2.0], [-MU * 1.6 / 2.0, 0.64]])),
+    ("P1-infinite", Regime("P1", rho=0.6), None, np.diag([1.0, 0.64])),
+    ("P3", Regime("P3"), 4.0, np.array([[4.0, -6.0 / MU], [-6.0 / MU, 12.0 / (MU * MU)]])),
+    ("P4-negative-c", Regime("P4", c=-1.5), 4.0, unit_root_covariance(-1.5, MU)),
+    ("P4-positive-c", Regime("P4", c=1.5), None, unit_root_covariance(1.5, MU)),
+] + [
+    (f"P5-alpha{alpha}-{branch}", Regime("P5", c=-1.5, alpha=alpha), variance,
+     p5_covariance(-1.5, alpha, MU, variance))
+    for alpha in (0.25, 0.5, 0.75)
+    for branch, variance in (("finite", 4.0), ("infinite", None))
+] + [
+    ("P6", Regime("P6", c=1.5, alpha=0.5), 4.0, np.diag([1.0, 2.0 * 1.5 ** 3 / (MU * MU)])),
+]
+
+
+class TestNormalFactor:
+    @pytest.mark.parametrize("regime, variance, cov", [case[1:] for case in NORMAL_CASES],
+                             ids=[case[0] for case in NORMAL_CASES])
+    def test_factor_carries_closed_form_covariance(self, regime, variance, cov):
+        a = np.array(_normal_factor(regime, MU, variance))
+        np.testing.assert_allclose(a @ a.T, cov, rtol=1e-12, atol=0)
 
 
 class TestTimeChangedFunctionals:
