@@ -9,9 +9,11 @@ sequence ``b_n`` is defined by
     b_0 = inf{x >= 1 : l(x) > 0},
     b_n = inf{s >= b_0 + 1 : l(s)/s^2 <= 1/n},
 
-which guarantees ``n * l(b_n) <= b_n**2``.  In the finite-variance case
-``b_n`` behaves like ``sigma * sqrt(n)`` and ``l(b_n)`` replaces
-``sigma^2`` in every scaling rate.
+so ``n * l(b_n) <= b_n**2``.  ``compute_bn`` returns the smallest float
+at or above ``b_0 + 1`` that satisfies both float forms of that bound,
+and ``b_0`` as the smallest float with ``l(b_0) > 0``.  In the
+finite-variance case ``b_n`` behaves like ``sigma * sqrt(n)`` and
+``l(b_n)`` replaces ``sigma^2`` in every scaling rate.
 """
 
 from __future__ import annotations
@@ -198,132 +200,69 @@ def model_from_config(cfg: dict) -> InnovationModel:
 
 # --- the b_n sequence ------------------------------------------------------
 
-_EPS = float(np.finfo(float).eps)
 # Searches for b_0 and b_n give up above this.
 _S_MAX = 1e12
 
 
-@lru_cache(maxsize=256)
-def _positivity_edge(model: InnovationModel) -> float:
-    """inf{x >= 1 : l(x) > 0}, located by bisection to a few ulps."""
-    if eval_l(model, 1.0) > 0.0:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    while eval_l(model, hi) <= 0.0:
+def _first_true(pred: Callable[[float], bool], lo: float, what: str) -> float:
+    """The smallest float at or above ``lo`` where the monotone ``pred`` holds.
+
+    The upper end doubles until ``pred`` holds there, raising
+    ``ValueError(what)`` once it passes ``_S_MAX``; bisection then shrinks
+    the bracket until its ends are adjacent floats, of which only the
+    upper satisfies ``pred``.
+    """
+    if pred(lo):
+        return lo
+    hi = 2.0 * lo
+    while not pred(hi):
         lo, hi = hi, 2.0 * hi
         if hi > _S_MAX:
-            raise ValueError(
-                f"l(x) of model {model.name!r} never becomes positive below {_S_MAX:g}"
-            )
-    while hi - lo > 4.0 * _EPS * hi:
+            raise ValueError(what)
+    while math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
-        if eval_l(model, mid) > 0.0:
+        if pred(mid):
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """A root of ``f`` in the bracket [xa, xb] by Brent's method.
-
-    Brent (1973), Algorithms for Minimization without Derivatives, ch. 4,
-    in the form of scipy's ``brentq`` C loop, operation for operation, so
-    both return the same float.  Raises ValueError unless f(xa) and f(xb)
-    differ in sign, and RuntimeError after ``maxiter`` iterations.
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+@lru_cache(maxsize=256)
+def _positivity_edge(model: InnovationModel) -> float:
+    """``b_0``: the smallest float ``x >= 1`` with ``l(x) > 0``."""
+    return _first_true(
+        lambda x: eval_l(model, x) > 0.0, 1.0,
+        f"l(x) of model {model.name!r} never becomes positive below {_S_MAX:g}",
+    )
 
 
 def compute_bn(model: InnovationModel, n: int) -> float:
     """The n-th normalizer ``b_n``; ``n = 0`` returns ``b_0``.
 
-    The crossing of ``l(s)/s^2 = 1/n`` is bracketed by geometric growth of
-    the upper end (``l(s)/s^2`` is eventually decreasing for every model
-    satisfying the slow-variation condition), solved by Brent's method,
-    then polished by iterating ``s = sqrt(n*l(s))`` so that flat regions
-    of ``l`` resolve the crossing exactly.  The returned value always
-    satisfies ``n*l(b_n) <= b_n**2`` in floating point.
+    ``b_n`` is the smallest float ``s >= b_0 + 1`` at which both float
+    forms of the definition hold, ``n*l(s) <= s*s`` and
+    ``l(s)/(s*s) <= 1/n``, found by doubling then bisecting down to
+    adjacent floats.  That it is the smallest rests on ``l(s)/s^2``
+    crossing ``1/n`` once above ``b_0 + 1``, as it does for every model
+    satisfying the slow-variation condition.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     b0 = _positivity_edge(model)
     if n == 0:
         return b0
-    floor = b0 + 1.0
     target = 1.0 / n
 
-    def ratio_excess(s):
-        return eval_l(model, s) / (s * s) - target
+    def settled(s):
+        ell = eval_l(model, s)
+        return n * ell <= s * s and ell / (s * s) <= target
 
-    if ratio_excess(floor) <= 0.0:
-        return floor
-    lo, hi = floor, 2.0 * floor
-    while ratio_excess(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > _S_MAX:
-            raise ValueError(
-                f"no s <= {_S_MAX:g} with l(s)/s^2 <= 1/{n} for model "
-                f"{model.name!r}; its l is inconsistent with slow variation"
-            )
-    base = _brentq(ratio_excess, lo, hi, xtol=1e-12, rtol=1e-12)
-    # Polish with the fixed point s = sqrt(n*l(s)): a contraction wherever
-    # l varies slower than s^2 (all admissible models), and exact in one
-    # step when l is flat at the crossing (two-point laws).  Bail out if
-    # an ill-behaved l drives it away from the bracketed root.
-    root = base
-    for _ in range(64):
-        nxt = math.sqrt(n * eval_l(model, root))
-        if not (floor <= nxt and abs(nxt - base) <= 1e-8 * base):
-            break
-        converged = abs(nxt - root) <= 2.0 * _EPS * root
-        root = nxt
-        if converged:
-            break
-    guard = 0
-    while n * eval_l(model, root) > root * root:
-        root = math.nextafter(root, math.inf)
-        guard += 1
-        if guard > 100_000:
-            raise RuntimeError("could not certify n*l(b_n) <= b_n^2 near the root")
-    return float(root)
+    return _first_true(
+        settled, b0 + 1.0,
+        f"no s <= {_S_MAX:g} with l(s)/s^2 <= 1/{n} for model "
+        f"{model.name!r}; its l is inconsistent with slow variation",
+    )
 
 
 def ell_at_bn(model: InnovationModel, n: int) -> float:

@@ -91,8 +91,6 @@ def _explosive_law(rho, mu, y0, model, truncation, draws, rng) -> np.ndarray:
     innovation scale must meet the shift mu*rho/(rho-1) and y0 unchanged.
     """
     m = default_truncation(rho) if truncation is None else int(truncation)
-    if m < 1:
-        raise ValueError(f"truncation M must be >= 1, got {m}")
     if abs(rho) ** (-m) > _SERIES_TOL:
         raise ValueError(f"truncation M={m} too small: |rho|^-M must be < {_SERIES_TOL:g}")
     shift = mu * rho / (rho - 1.0)
@@ -175,6 +173,8 @@ def sample_limit(
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
+    if truncation is not None and truncation < 1:
+        raise ValueError(f"truncation M must be >= 1, got {truncation}")
     if not (math.isfinite(mu) and math.isfinite(y0)):
         raise ValueError("mu and y0 must be finite")
     rng = generator(seed)

@@ -204,7 +204,6 @@ class PerSizeReport:
 class McReport:
     config: ExperimentConfig
     per_n: list
-    limit_samples: np.ndarray = field(repr=False)
     limit_comp1_summary: Summary = None
     limit_comp2_summary: Summary = None
     limit_correlation: float = None
@@ -479,7 +478,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     return McReport(
         config=config,
         per_n=per_n,
-        limit_samples=limit,
         limit_comp1_summary=summarize(limit[:, 0]),
         limit_comp2_summary=summarize(limit[:, 1]),
         limit_correlation=_pearson(limit[:, 0], limit[:, 1]),

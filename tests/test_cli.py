@@ -152,7 +152,9 @@ class TestLimitSample:
         ["--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws", "0"],
         ["--regime", "P5", "--c", "-1", "--alpha", "0.75", "--mu", "0"],
         ["--regime", "P2", "--rho", "2", "--mu", "1", "--truncation", "-2000"],
-    ], ids=["nan-mu", "inf-y0", "zero-draws", "zero-mu-P5", "negative-truncation"])
+        ["--regime", "P1", "--rho", "0.5", "--mu", "1", "--truncation", "-5"],
+    ], ids=["nan-mu", "inf-y0", "zero-draws", "zero-mu-P5", "negative-truncation",
+            "negative-truncation-P1"])
     def test_bad_inputs_exit_2(self, capsys, argv):
         code, out, err = run(["limit-sample"] + argv, capsys)
         assert code == 2

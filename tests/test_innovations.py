@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
-import ar1mc.innovations as innovations
 from ar1mc.innovations import (
     InnovationModel,
     compute_bn,
@@ -152,6 +150,25 @@ class TestBn:
             assert bn >= prev  # nondecreasing in n
             prev = bn
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_smallest_float_satisfying_definition(self, model):
+        # Squares are taken as b * b, the correctly rounded product; b ** 2
+        # goes through the C library's pow, which may be one ulp off.
+        b0 = compute_bn(model, 0)
+        assert eval_l(model, b0) > 0.0
+        if b0 != 1.0:
+            assert eval_l(model, math.nextafter(b0, 0.0)) == 0.0
+
+        def holds(b, n):
+            ell = eval_l(model, b)
+            return b >= b0 + 1.0 and n * ell <= b * b and ell / (b * b) <= 1.0 / n
+
+        ns = set(range(1, 3001)) | set(np.round(np.logspace(0, 7, 120)).astype(int).tolist())
+        for n in sorted(ns):
+            bn = compute_bn(model, n)
+            assert holds(bn, n), (n, bn)
+            assert not holds(math.nextafter(bn, 0.0), n), (n, bn)
+
     def test_gaussian_bn_grows_like_sqrt_n(self):
         model = gaussian(1.0)
         for n in (100, 10_000):
@@ -162,6 +179,12 @@ class TestBn:
                                lambda rng, n: np.zeros(n))
         with pytest.raises(ValueError):
             compute_bn(dead, 10)
+
+    def test_quadratic_truncated_moment_rejected(self):
+        # l(s)/s^2 stays at 1, so no s below the search cap reaches 1/10
+        quad_l = InnovationModel("quad", None, lambda x: x * x, lambda rng, n: np.zeros(n))
+        with pytest.raises(ValueError, match="slow variation"):
+            compute_bn(quad_l, 10)
 
     def test_custom_positivity_edge_location(self):
         # all mass at +/-3: l jumps from 0 to 9 at x = 3
@@ -178,57 +201,6 @@ class TestBn:
     def test_ell_at_bn_consistency(self):
         model = pareto_tail2()
         assert ell_at_bn(model, 100) == eval_l(model, compute_bn(model, 100))
-
-
-class TestBrentPort:
-    """``_brentq`` returns the float scipy's ``brentq`` returns."""
-
-    def test_matches_scipy_on_bn_brackets(self, monkeypatch):
-        port = innovations._brentq
-        calls = []
-
-        def both(f, lo, hi, xtol, rtol):
-            ours = port(f, lo, hi, xtol=xtol, rtol=rtol)
-            calls.append((ours, brentq(f, lo, hi, xtol=xtol, rtol=rtol)))
-            return ours
-
-        monkeypatch.setattr(innovations, "_brentq", both)
-        ns = np.unique(np.round(np.logspace(0, 7, 120)).astype(int))
-        for model in ALL_MODELS:
-            for n in ns:
-                compute_bn(model, int(n))
-        assert len(calls) > 400
-        mismatches = [(a, b) for a, b in calls if a.hex() != b.hex()]
-        assert not mismatches, mismatches[:5]
-
-    @pytest.mark.parametrize("f, lo, hi", [
-        (lambda x: math.cos(x) - x, 0.0, 1.0),
-        (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
-        (lambda x: math.exp(x) - 1e6, 0.0, 100.0),
-        (lambda x: math.atan(x - 0.3), -1e6, 1.0),
-        (lambda x: (x - 1.0) ** 5, 0.0, 7.0),
-    ], ids=["cos", "cubic", "exp", "atan", "flat-fifth"])
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
-    def test_matches_scipy_on_textbook_roots(self, f, lo, hi, tol):
-        ours = innovations._brentq(f, lo, hi, xtol=tol, rtol=1e-12)
-        assert ours.hex() == brentq(f, lo, hi, xtol=tol, rtol=1e-12).hex()
-
-    def test_endpoint_root_returned(self):
-        assert innovations._brentq(lambda x: x - 2.0, 2.0, 5.0, 1e-12, 1e-12) == 2.0
-        assert innovations._brentq(lambda x: x - 5.0, 2.0, 5.0, 1e-12, 1e-12) == 5.0
-
-    def test_same_signs_rejected(self):
-        with pytest.raises(ValueError, match="different signs"):
-            innovations._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
-
-    def test_non_convergence_raised(self):
-        def fifth(x):
-            return (x - 1.0) ** 5
-
-        with pytest.raises(RuntimeError):
-            innovations._brentq(fifth, 0.0, 7.0, 1e-12, 1e-12, maxiter=3)
-        with pytest.raises(RuntimeError):
-            brentq(fifth, 0.0, 7.0, xtol=1e-12, rtol=1e-12, maxiter=3)
 
 
 class TestModelConfig:
