@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+import ar1mc.innovations as innovations
 from ar1mc.innovations import (
     InnovationModel,
     compute_bn,
@@ -201,6 +203,59 @@ class TestBn:
     def test_ell_at_bn_consistency(self):
         model = pareto_tail2()
         assert ell_at_bn(model, 100) == eval_l(model, compute_bn(model, 100))
+
+
+class TestBrentPort:
+    """The bisection that replaced the Brent port, ``_first_true``, finds the
+    roots scipy's ``brentq`` finds, as the smallest float past each root."""
+
+    def test_matches_scipy_on_bn_brackets(self):
+        ns = np.unique(np.round(np.logspace(0, 7, 120)).astype(int))
+        compared = 0
+        for model in ALL_MODELS:
+            lo = compute_bn(model, 0) + 1.0
+            for n in ns:
+                n = int(n)
+                bn = compute_bn(model, n)
+                f = lambda s: eval_l(model, s) / (s * s) - 1.0 / n
+                if f(lo) <= 0.0:
+                    assert bn == lo
+                    continue
+                root = brentq(f, lo, 2.0 * bn, xtol=1e-12, rtol=1e-12)
+                assert math.isclose(bn, root, rel_tol=4e-12, abs_tol=4e-12), (model.name, n)
+                compared += 1
+        assert compared > 400
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x - math.cos(x), 0.0, 1.0),
+        (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+        (lambda x: math.exp(x) - 1e6, 0.0, 100.0),
+        (lambda x: math.atan(x - 0.3), -1e6, 1.0),
+        (lambda x: (x - 1.0) ** 5, 0.0, 7.0),
+    ], ids=["cos", "cubic", "exp", "atan", "flat-fifth"])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_matches_scipy_on_textbook_roots(self, f, lo, hi, tol):
+        rises = lambda x: f(x) >= 0.0
+        # Doubling needs a positive start; every root here lies above 1e-3.
+        ours = innovations._first_true(rises, max(lo, 1e-3), "no root")
+        assert rises(ours) and not rises(math.nextafter(ours, 0.0))
+        theirs = brentq(f, lo, hi, xtol=tol, rtol=1e-12)
+        assert abs(ours - theirs) <= tol + 1e-12 * abs(theirs) + math.ulp(ours)
+
+    def test_endpoint_root_returned(self):
+        assert innovations._first_true(lambda x: x >= 2.0, 2.0, "none") == 2.0
+        assert innovations._first_true(lambda x: x >= 4.0, 2.0, "none") == 4.0
+        assert innovations._first_true(lambda x: x >= 5.0, 2.0, "none") == 5.0
+
+    def test_same_signs_rejected(self):
+        with pytest.raises(ValueError, match="never holds"):
+            innovations._first_true(lambda x: x * x + 1.0 < 0.0, 1.0, "never holds")
+
+    def test_non_convergence_raised(self):
+        cap = innovations._S_MAX
+        assert innovations._first_true(lambda x: x >= 0.5 * cap, 1.0, "past cap") == 0.5 * cap
+        with pytest.raises(ValueError, match="past cap"):
+            innovations._first_true(lambda x: x >= 2.0 * cap, 1.0, "past cap")
 
 
 class TestModelConfig:
