@@ -72,6 +72,16 @@ class TestClosedForm:
         with pytest.raises(OverflowError):
             ls_estimate(path)
 
+    def test_near_constant_design_above_floor_is_estimated(self):
+        # Delta3 / (n sum x^2) lies between the 1e-12 singularity floor and
+        # 1e-9, so the design is solved, not flagged
+        y_full = 1.0 + 6e-6 * np.random.default_rng(3).standard_normal(201)
+        x = y_full[:-1]
+        ratio = np.sum((x - x.mean()) ** 2) / np.sum(x * x)
+        assert 1e-12 < ratio < 1e-9
+        est = ls_estimate(path_from_y(y_full, 0.0, 1.0))
+        assert math.isfinite(est.mu_hat) and math.isfinite(est.rho_hat)
+
     def test_oracle_agreement_on_fixtures(self):
         rng = np.random.default_rng(7)
         for i in range(200):
@@ -164,6 +174,13 @@ class TestRates:
         assert rho_rate == pytest.approx(mu_rate * n ** 0.75, rel=1e-9)
         mu_rate, _ = error_rates(Regime("P5", c=-1.0, alpha=0.25), model, n)
         assert mu_rate == pytest.approx(math.sqrt(n ** 0.75), rel=1e-12)  # no l(b_n)
+
+    def test_moderately_stationary_infinite_variance_at_half(self):
+        # alpha = 1/2 takes the branch without l(b_n): a_n = n^(1/4), the
+        # rate the variance-only factor of the limit law is scaled for
+        mu_rate, rho_rate = error_rates(Regime("P5", c=-1.0, alpha=0.5), pareto_tail2(), 10_000)
+        assert mu_rate == pytest.approx(10.0, rel=1e-12)
+        assert rho_rate == pytest.approx(1000.0, rel=1e-12)
 
     def test_scale_error_matches_subtraction_when_well_conditioned(self):
         reg = Regime("P1", rho=0.5)

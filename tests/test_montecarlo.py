@@ -12,6 +12,7 @@ from ar1mc.montecarlo import (
     ConfigError,
     ExperimentConfig,
     _ks_sorted,
+    _rmse,
     ks_two_sample,
     rate_slope,
     run_experiment,
@@ -172,6 +173,9 @@ class TestSummarize:
         draws = np.random.default_rng(11).standard_normal(1_000_000)
         assert summarize(draws).quantiles[0.95] == pytest.approx(1.6449, abs=0.01)
 
+    def test_variance_is_unbiased(self):
+        assert summarize([1.0, 2.0, 4.0]).variance == pytest.approx(7.0 / 3.0, rel=1e-15)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
@@ -182,6 +186,15 @@ class TestSummarize:
         qs = [s.quantiles[q] for q in (0.05, 0.25, 0.5, 0.75, 0.95)]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
         assert s.count == len(xs)
+
+
+class TestRmse:
+    def test_trim_keeps_central_98_percent(self):
+        # the 1% and 99% quantiles of 0..100 are 1 and 99
+        err = np.arange(101.0)
+        kept = np.arange(1.0, 100.0)
+        assert _rmse(err, True) == pytest.approx(math.sqrt(np.mean(kept * kept)), rel=1e-14)
+        assert _rmse(err, False) == pytest.approx(math.sqrt(np.mean(err * err)), rel=1e-14)
 
 
 class TestConfig:
@@ -348,6 +361,10 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert rep.rate_fit is not None
         assert -0.9 < rep.rate_fit["rho"]["slope"] < -0.1
+
+    def test_moderately_explosive_rate_fit_is_trimmed(self):
+        cfg = small_config(regime=Regime("P6", c=1.0, alpha=0.5), n_list=(100, 200, 400))
+        assert run_experiment(cfg).rate_fit["trimmed"] is True
 
     def test_ks_decreases_with_n(self):
         cfg = small_config(n_list=(200, 400, 800, 1600), replications=1500,
