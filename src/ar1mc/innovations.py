@@ -80,6 +80,11 @@ def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
     return model._sample(generator(seed), int(n))
 
 
+# Innovations per chunk (rows x columns) in the replication blocks and the
+# P2 limit series alike: bounds peak memory without affecting results.
+_CHUNK_ELEMENTS = 1 << 16
+
+
 def sample_innovation_rows(model: InnovationModel, keys: np.ndarray, n: int) -> np.ndarray:
     """One row of ``n`` innovations per Philox key (see ``rng.philox_keys``).
 

@@ -22,9 +22,9 @@ import math
 
 import numpy as np
 
-from .innovations import InnovationModel
+from .innovations import _CHUNK_ELEMENTS, InnovationModel
 from .process import Regime
-from .rng import generator
+from .rng import generator, keyed_generators, philox_keys
 
 __all__ = [
     "growth_mean",
@@ -33,10 +33,6 @@ __all__ = [
     "default_truncation",
     "sample_limit",
 ]
-
-# Rows of innovations drawn per chunk by the explosive sampler; bounds
-# memory at ~chunk*M doubles without affecting results.
-_CHUNK_ROWS = 4096
 
 # The P2 series are cut once |rho|^-M falls below this.
 _SERIES_TOL = 1e-12
@@ -81,37 +77,40 @@ def default_truncation(rho: float) -> int:
     return int(math.ceil(-math.log(_SERIES_TOL) / math.log(abs(rho)))) + 1
 
 
-def _explosive_law(rho, mu, y0, model, truncation, draws, rng) -> np.ndarray:
+def _explosive_law(rho, mu, y0, model, truncation, draws, seed) -> np.ndarray:
     """P2: a standard normal and a ratio of two weighted innovation series.
 
-    U1 = sum_{t<=M} rho^-(M-t) eps_t and
-    U2 = rho*y0 + rho * sum_{t<M} rho^-t eps'_t use disjoint fresh draws
+    U1 = sum_{s<M} rho^-s eps_s and U2 = rho*y0 + sum_{s<M-1} rho^-s eps'_s
+    (that is, rho * sum_{1<=t<M} rho^-t eps'_t) use disjoint fresh draws
     from ``model``, truncated once rho^-M < _SERIES_TOL.  The series stay raw
     (not divided by sqrt(l(b_M))): the rate rho^n carries no l(b_n), so the
     innovation scale must meet the shift mu*rho/(rho-1) and y0 unchanged.
+
+    Chunk c holds k = max(1, _CHUNK_ELEMENTS // (2M-1)) draws, from stream
+    (seed, c): its k W1 normals, then one row of 2M-1 innovations per draw,
+    whose first M columns give U1 and last M-1 give U2.
     """
     m = default_truncation(rho) if truncation is None else int(truncation)
     if abs(rho) ** (-m) > _SERIES_TOL:
         raise ValueError(f"truncation M={m} too small: |rho|^-M must be < {_SERIES_TOL:g}")
     shift = mu * rho / (rho - 1.0)
-    w1 = rng.standard_normal(draws)
-    # weights rho^-(M-t), t = 1..M, and rho^-t, t = 1..M-1
-    w_u1 = rho ** -(m - np.arange(1, m + 1, dtype=float))
-    w_u2 = rho ** -np.arange(1, m, dtype=float)
-    u1 = np.empty(draws)
+    weights = rho ** -np.arange(m, dtype=float)
+    width = 2 * m - 1
+    step = max(1, _CHUNK_ELEMENTS // width)
+    out = np.empty((draws, 2))  # (W1, U1) until U1 becomes the ratio
     u2 = np.empty(draws)
-    for lo in range(0, draws, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, draws)
-        rows = hi - lo
-        eps1 = model._sample(rng, rows * m).reshape(rows, m)
-        u1[lo:hi] = np.sum(eps1 * w_u1, axis=1)
-        eps2 = model._sample(rng, rows * (m - 1)).reshape(rows, m - 1)
-        u2[lo:hi] = rho * y0 + rho * np.sum(eps2 * w_u2, axis=1)
+    keys = philox_keys(seed, (), np.arange(-(-draws // step)))
+    for lo, rng in zip(range(0, draws, step), keyed_generators(keys)):
+        rows = min(step, draws - lo)
+        out[lo:lo + rows, 0] = rng.standard_normal(rows)
+        eps = model._sample(rng, rows * width).reshape(rows, width)
+        out[lo:lo + rows, 1] = np.sum(eps[:, :m] * weights, axis=1)
+        u2[lo:lo + rows] = rho * y0 + np.sum(eps[:, m:] * weights[:-1], axis=1)
     denom = u2 + shift
     if np.any(np.abs(denom) < 1e-300):
         raise FloatingPointError("explosive limit denominator vanished")
-    comp2 = (rho * rho - 1.0) * u1 / denom
-    return np.column_stack([w1, comp2])
+    out[:, 1] = (rho * rho - 1.0) * out[:, 1] / denom
+    return out
 
 
 def _normal_factor(regime: Regime, mu: float, variance: float | None):
@@ -177,13 +176,13 @@ def sample_limit(
         raise ValueError(f"truncation M must be >= 1, got {truncation}")
     if not (math.isfinite(mu) and math.isfinite(y0)):
         raise ValueError("mu and y0 must be finite")
-    rng = generator(seed)
     # Draws that overflow are refused below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         if regime.tag == "P2":
-            out = _explosive_law(regime.rho, mu, y0, model, truncation, draws, rng)
+            out = _explosive_law(regime.rho, mu, y0, model, truncation, draws, seed)
         else:
             (a11, a12), (a21, a22) = _normal_factor(regime, mu, model.variance)
+            rng = generator(seed)
             z1 = rng.standard_normal(draws)
             z2 = rng.standard_normal(draws)
             out = np.column_stack([a11 * z1 + a12 * z2, a21 * z1 + a22 * z2])

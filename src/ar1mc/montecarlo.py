@@ -25,7 +25,7 @@ import numpy as np
 # below, are not called here; they stay importable from this module because
 # the benchmark's tracer hooks them on it (a bypassed hook reports 0 calls).
 from .estimator import error_rates, ls_estimate, ls_rows  # noqa: F401
-from .innovations import _finite_real, model_from_config, sample_innovation_rows
+from .innovations import _CHUNK_ELEMENTS, _finite_real, model_from_config, sample_innovation_rows
 from .limits import sample_limit
 from .process import Regime, path_root, recurse_rows
 from .process import simulate_path  # noqa: F401
@@ -49,10 +49,6 @@ _LIMIT_STREAM = 2
 
 # Replications dispatched per worker task.
 _BLOCK = 256
-
-# Elements (rows x n) of one chunk of paths a worker builds at a time:
-# bounds peak memory without affecting results.
-_CHUNK_ELEMENTS = 1 << 16
 
 _QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 

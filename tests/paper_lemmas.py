@@ -27,9 +27,10 @@ from ar1mc import (
     sample_innovations,
 )
 
-# Rows of standard normals per chunk in the grid samplers; bounds memory
-# without affecting results.
-_CHUNK_ROWS = 4096
+# Standard normals (rows x grid steps) per chunk in the grid samplers;
+# bounds memory without affecting results, since the rows are drawn in
+# sequence whatever their number per chunk.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def refit_residual(path) -> float:
@@ -190,8 +191,9 @@ def sample_growth_functionals(c: float, grid_m: int, draws: int, seed: int):
     scale = 1.0 / math.sqrt(grid_m)
     w1 = np.empty(draws)
     ito = np.empty(draws)
-    for lo in range(0, draws, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, draws)
+    step = max(1, _CHUNK_ELEMENTS // grid_m)
+    for lo in range(0, draws, step):
+        hi = min(lo + step, draws)
         dw = rng.standard_normal((hi - lo, grid_m)) * scale
         w1[lo:hi] = np.sum(dw, axis=1)
         ito[lo:hi] = np.sum(dw * weights, axis=1)
@@ -245,8 +247,9 @@ def sample_time_changed_functionals(c: float, grid_m: int, draws: int, seed: int
     int_sq = np.empty(draws)
     int_lin = np.empty(draws)
     w_end = np.empty(draws)
-    for lo in range(0, draws, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, draws)
+    step = max(1, _CHUNK_ELEMENTS // grid_m)
+    for lo in range(0, draws, step):
+        hi = min(lo + step, draws)
         z = rng.standard_normal((hi - lo, grid_m)) * root_inc
         w = np.cumsum(z, axis=1)  # W at T_c(s_k), k = 1..m
         left = np.concatenate([np.zeros((hi - lo, 1)), w[:, :-1]], axis=1)

@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,12 @@ from ar1mc.estimator import ls_estimate
 from ar1mc.innovations import gaussian
 from ar1mc.process import Regime, simulate_path
 from ar1mc.rng import DEFAULT_SEED
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Runs the CLI on argv, then prints the process's peak RSS (KiB on Linux).
+PEAK_RSS = ("import resource, sys\nfrom ar1mc.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\nsys.exit(code)\n")
 
 
 def run(argv, capsys):
@@ -172,6 +182,20 @@ class TestLimitSample:
         assert code == 1
         assert out == ""
         assert len(err.strip().splitlines()) == 1
+
+    def test_explosive_peak_memory_flat_in_root(self, tmp_path):
+        # The P2 series have M ~ 27.6/log|rho| terms per draw.  Chunks of at
+        # most 2^16 values keep the peak flat as rho nears 1, where a single
+        # chunk of all 1000 draws would hold about 110 MB per array.
+        peaks = []
+        for rho in ("1.5", "1.01", "1.002"):
+            done = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS, "limit-sample", "--regime", "P2", "--rho", rho,
+                 "--mu", "1", "--draws", "1000", "--out", str(tmp_path / "lim.csv")],
+                env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+                timeout=120, check=True)
+            peaks.append(int(done.stdout) / 1024)
+        assert max(peaks) - min(peaks) < 15.0, peaks
 
     def test_default_seed_documented_constant(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -346,8 +370,8 @@ _sizes = st.one_of(
 
 
 def _explosive_roots_only_far_from_one(argv):
-    # P2's limit series have M ~ 27.6/log|rho| terms per draw, and a chunk
-    # of 4096 draws holds 4096*M floats: |rho| near 1 means gigabytes.
+    # P2's limit series have M ~ 27.6/log|rho| terms per draw, so the time
+    # of a draw grows without bound as |rho| nears 1.
     for flag, value in zip(argv, argv[1:]):
         if flag == "--rho":
             try:

@@ -17,6 +17,7 @@ from ar1mc.limits import (
 )
 from ar1mc.montecarlo import ks_two_sample
 from ar1mc.process import Regime
+from ar1mc.rng import derive_seed, generator
 from paper_lemmas import (
     brownian_time_change,
     cumulative_growth,
@@ -167,6 +168,25 @@ class TestExplosiveLimit:
     def test_large_intercept_dominates_denominator(self):
         d = sample_limit(Regime("P2", rho=2.0), 1e12, gaussian(1.0), 1000, 71)
         assert np.max(np.abs(d[:, 1])) < 1e-9
+
+    def test_chunks_draw_from_keyed_streams(self):
+        # chunk c holds 2^16 // (2M-1) draws from stream (seed, c): its W1
+        # normals, then 2M-1 innovations per draw, U1 from the first M
+        rho, y0, seed, model = 1.2, 0.5, 9, pareto_tail2()
+        m = default_truncation(rho)
+        step = (1 << 16) // (2 * m - 1)
+        draws = 2 * step + 3
+        got = sample_limit(Regime("P2", rho=rho), 1.0, model, draws, seed, y0=y0)
+        for c, lo in enumerate(range(0, draws, step)):
+            rows = min(step, draws - lo)
+            rng = generator(derive_seed(seed, c))
+            w1 = rng.standard_normal(rows)
+            eps = model._sample(rng, rows * (2 * m - 1)).reshape(rows, 2 * m - 1)
+            u1 = eps[:, :m] @ rho ** -np.arange(0.0, m)
+            u2 = rho * y0 + rho * (eps[:, m:] @ rho ** -np.arange(1.0, m))
+            assert np.array_equal(got[lo:lo + rows, 0], w1)
+            comp2 = (rho * rho - 1.0) * u1 / (u2 + rho / (rho - 1.0))
+            assert np.allclose(got[lo:lo + rows, 1], comp2, rtol=1e-9, atol=0)
 
     def test_truncation_invariance(self):
         regime = Regime("P2", rho=2.0)
