@@ -136,8 +136,7 @@ def _cmd_limit_sample(args) -> int:
     model = _model_from_flags(args)
     draws = sample_limit(
         regime, args.mu, model,
-        draws=args.draws, seed=args.seed,
-        truncation=args.truncation, y0=args.y0,
+        draws=args.draws, seed=args.seed, y0=args.y0,
     )
     lines = ["draw,comp1,comp2"]
     for i in range(draws.shape[0]):
@@ -269,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y0", type=float, default=0.0)
     p.add_argument("--draws", type=int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--truncation", type=int, help="series cutoff for the explosive law")
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_limit_sample)
 

@@ -37,10 +37,8 @@ __all__ = [
     "rademacher",
     "pareto_tail2",
     "model_from_config",
-    "eval_l",
     "sample_innovations",
     "compute_bn",
-    "ell_at_bn",
     "MODEL_IDS",
 ]
 

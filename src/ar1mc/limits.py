@@ -26,13 +26,7 @@ from .innovations import _CHUNK_ELEMENTS, InnovationModel
 from .process import Regime
 from .rng import generator, keyed_generators, philox_keys
 
-__all__ = [
-    "growth_mean",
-    "growth_mean_sq",
-    "growth_dispersion",
-    "default_truncation",
-    "sample_limit",
-]
+__all__ = ["sample_limit"]
 
 # The P2 series are cut once |rho|^-M falls below this.
 _SERIES_TOL = 1e-12
@@ -77,7 +71,7 @@ def default_truncation(rho: float) -> int:
     return int(math.ceil(-math.log(_SERIES_TOL) / math.log(abs(rho)))) + 1
 
 
-def _explosive_law(rho, mu, y0, model, truncation, draws, seed) -> np.ndarray:
+def _explosive_law(rho, mu, y0, model, draws, seed) -> np.ndarray:
     """P2: a standard normal and a ratio of two weighted innovation series.
 
     U1 = sum_{s<M} rho^-s eps_s and U2 = rho*y0 + sum_{s<M-1} rho^-s eps'_s
@@ -90,9 +84,7 @@ def _explosive_law(rho, mu, y0, model, truncation, draws, seed) -> np.ndarray:
     (seed, c): its k W1 normals, then one row of 2M-1 innovations per draw,
     whose first M columns give U1 and last M-1 give U2.
     """
-    m = default_truncation(rho) if truncation is None else int(truncation)
-    if abs(rho) ** (-m) > _SERIES_TOL:
-        raise ValueError(f"truncation M={m} too small: |rho|^-M must be < {_SERIES_TOL:g}")
+    m = default_truncation(rho)
     shift = mu * rho / (rho - 1.0)
     weights = rho ** -np.arange(m, dtype=float)
     width = 2 * m - 1
@@ -162,24 +154,21 @@ def sample_limit(
     model: InnovationModel,
     draws: int,
     seed: int,
-    truncation: int | None = None,
     y0: float = 0.0,
 ) -> np.ndarray:
     """``draws`` pairs from the limit law of the scaled errors under ``regime``.
 
     ``model`` picks the variance branch (P1, P5) and supplies the series
-    innovations (P2); ``truncation`` and ``y0`` enter only the P2 law.
+    innovations (P2); ``y0`` enters only the P2 law.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    if truncation is not None and truncation < 1:
-        raise ValueError(f"truncation M must be >= 1, got {truncation}")
     if not (math.isfinite(mu) and math.isfinite(y0)):
         raise ValueError("mu and y0 must be finite")
     # Draws that overflow are refused below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         if regime.tag == "P2":
-            out = _explosive_law(regime.rho, mu, y0, model, truncation, draws, seed)
+            out = _explosive_law(regime.rho, mu, y0, model, draws, seed)
         else:
             (a11, a12), (a21, a22) = _normal_factor(regime, mu, model.variance)
             rng = generator(seed)

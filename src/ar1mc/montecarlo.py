@@ -39,7 +39,6 @@ __all__ = [
     "McReport",
     "run_experiment",
     "ks_two_sample",
-    "rate_slope",
     "summarize",
 ]
 
@@ -90,13 +89,12 @@ class ExperimentConfig:
     limit_draws: int
     master_seed: int
     y0: float = 0.0
-    truncation: int | None = None
 
     # "grid_m" (the step count of the retired Brownian-grid sampler) is
     # still accepted so older config files load; its value is ignored.
     _KEYS = {
         "regime", "model", "mu", "y0", "n_list", "replications",
-        "limit_draws", "seed", "grid_m", "truncation_M",
+        "limit_draws", "seed", "grid_m",
     }
 
     def __post_init__(self):
@@ -119,8 +117,6 @@ class ExperimentConfig:
         _check_int("replications", self.replications, 100)
         _check_int("limit_draws", self.limit_draws, 1000)
         _check_int("seed", self.master_seed, 0)
-        if self.truncation is not None:
-            _check_int("truncation_M", self.truncation, 1)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -146,7 +142,6 @@ class ExperimentConfig:
             replications=raw["replications"],
             limit_draws=raw["limit_draws"],
             master_seed=raw["seed"],
-            truncation=raw.get("truncation_M"),
         )
 
     def to_dict(self) -> dict:
@@ -159,7 +154,6 @@ class ExperimentConfig:
             "replications": self.replications,
             "limit_draws": self.limit_draws,
             "seed": self.master_seed,
-            "truncation_M": self.truncation,
         }
 
 
@@ -381,7 +375,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
         regime, mu, model,
         draws=config.limit_draws,
         seed=derive_seed(config.master_seed, _LIMIT_STREAM),
-        truncation=config.truncation,
         y0=y0,
     )
 

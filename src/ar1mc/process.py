@@ -31,7 +31,7 @@ import numpy as np
 
 from .innovations import InnovationModel, _finite_real, sample_innovations
 
-__all__ = ["Regime", "Ar1Path", "resolve_rho", "simulate_path"]
+__all__ = ["Regime", "Ar1Path", "simulate_path"]
 
 _TAGS = ("P1", "P2", "P3", "P4", "P5", "P6")
 
@@ -134,10 +134,6 @@ class Ar1Path:
     @property
     def n(self) -> int:
         return len(self.y)
-
-    def lagged(self) -> np.ndarray:
-        """The regressor series y_0..y_{n-1}."""
-        return np.concatenate(([self.y0], self.y[:-1]))
 
 
 def path_root(regime: Regime, mu: float, y0: float, n: int) -> float:

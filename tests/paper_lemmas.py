@@ -3,8 +3,8 @@
 These are independent routes to quantities the pipeline computes, or
 objects the theory is stated in terms of (companion series, normalized
 sums and their functional limits).  Only the tests use them.  They build
-on the public ``ar1mc`` API alone, so a reference never shares private
-code with what it checks.
+on the public functions of the ``ar1mc`` modules alone, so a reference
+never shares private code with what it checks.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ from scipy.signal import lfilter
 from ar1mc import (
     SingularDesignError,
     derive_seed,
-    ell_at_bn,
     generator,
-    growth_dispersion,
-    growth_mean,
-    growth_mean_sq,
     model_from_config,
-    resolve_rho,
     sample_innovations,
 )
+from ar1mc.innovations import ell_at_bn
+from ar1mc.limits import growth_dispersion, growth_mean, growth_mean_sq
+from ar1mc.process import resolve_rho
 
 # Standard normals (rows x grid steps) per chunk in the grid samplers;
 # bounds memory without affecting results, since the rows are drawn in
@@ -33,9 +31,14 @@ from ar1mc import (
 _CHUNK_ELEMENTS = 1 << 16
 
 
+def lagged(path) -> np.ndarray:
+    """The regressor series y_0..y_{n-1} of an ``Ar1Path``."""
+    return np.concatenate(([path.y0], path.y[:-1]))
+
+
 def refit_residual(path) -> float:
     """max_t |y_t - mu - rho*y_{t-1} - e_t|, for round-off checks."""
-    resid = path.y - (path.mu + path.rho * path.lagged() + path.e)
+    resid = path.y - (path.mu + path.rho * lagged(path) + path.e)
     return float(np.max(np.abs(resid)))
 
 
@@ -48,7 +51,7 @@ def normal_equations_oracle(path) -> tuple[float, float]:
     regressor that is constant to working precision raises
     SingularDesignError, as the estimator does.
     """
-    x = path.lagged()
+    x = lagged(path)
     z = path.y
     n = path.n
     xbar = float(np.mean(x))
@@ -131,7 +134,7 @@ def normalized_stationary_sums(path, model) -> dict:
     """
     n = path.n
     ell = ell_at_bn(model, n)
-    lag = path.lagged()
+    lag = lagged(path)
     centered_lag = lag - path.mu / (1.0 - path.rho)
     return {
         "mean_lag": float(np.sum(lag) / n),

@@ -14,8 +14,12 @@ import pytest
 from scipy import stats as sps
 
 import ar1mc as m
+from ar1mc.innovations import eval_l
+from ar1mc.limits import default_truncation
 from ar1mc.montecarlo import ks_two_sample
-from paper_lemmas import grid_unit_root_limit, normal_equations_oracle, sample_growth_functionals
+from paper_lemmas import (
+    grid_unit_root_limit, lagged, normal_equations_oracle, sample_growth_functionals,
+)
 
 
 def report(cid, ok, detail):
@@ -77,7 +81,7 @@ def test_c01_estimator_against_oracle_and_delta_identities():
         # be <= 1e-10 rel; mu_hat is assembled as zbar - rho_hat*xbar, so
         # its subtraction quantizes at ulps of |xbar|, not of |mu_hat|
         mu_err, rho_err = a.mu_hat - mu, a.rho_hat - path.rho
-        xbar = abs(float(np.sum(path.lagged()))) / path.n
+        xbar = abs(float(np.sum(lagged(path)))) / path.n
         mu_scale = max(1.0, abs(a.mu_hat), abs(mu)) + xbar * (1.0 + abs(a.rho_hat))
         for ratio, err, scale in (
             (a.delta1 / a.delta3, mu_err, mu_scale),
@@ -159,7 +163,7 @@ def test_c05_explosive_limit():
     rep = run_mc(m.Regime("P2", rho=1.2), {"id": "gaussian", "sigma": 1.0},
                  mu=1.0, n_list=[60], reps=2000, draws=100_000, seed=11, y0=0.0)
     block = rep.per_n[0]
-    trunc = m.default_truncation(1.2)
+    trunc = default_truncation(1.2)
     elapsed = time.time() - t0
     ok = block.ks_rho < 0.06 and 1.2 ** -trunc < 1e-12 and elapsed < 60
     assert report(
@@ -221,7 +225,7 @@ def test_c09_bn_invariants():
     for model in models:
         for n in range(1, 10_001):
             bn = m.compute_bn(model, n)
-            if n * m.eval_l(model, bn) > bn * bn:
+            if n * eval_l(model, bn) > bn * bn:
                 violations += 1
     b100 = m.compute_bn(m.rademacher(), 100)
 

@@ -151,20 +151,22 @@ class TestLimitSample:
         assert first[0] == "0"
         float(first[1]); float(first[2])
 
-    def test_explosive_needs_valid_truncation(self, capsys):
-        code, _, err = run(["limit-sample", "--regime", "P2", "--rho", "1.2",
-                            "--mu", "1", "--draws", "100", "--truncation", "5"], capsys)
-        assert code == 2
+    def test_truncation_flag_is_a_usage_error(self, capsys):
+        # the P2 series cutoff is derived from rho, never set
+        with pytest.raises(SystemExit) as exc:
+            main(["limit-sample", "--regime", "P2", "--rho", "1.2", "--mu", "1",
+                  "--truncation", "50"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--truncation" in err
 
     @pytest.mark.parametrize("argv", [
         ["--regime", "P3", "--mu", "nan"],
         ["--regime", "P2", "--rho", "1.2", "--mu", "1", "--y0", "inf"],
         ["--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws", "0"],
         ["--regime", "P5", "--c", "-1", "--alpha", "0.75", "--mu", "0"],
-        ["--regime", "P2", "--rho", "2", "--mu", "1", "--truncation", "-2000"],
-        ["--regime", "P1", "--rho", "0.5", "--mu", "1", "--truncation", "-5"],
-    ], ids=["nan-mu", "inf-y0", "zero-draws", "zero-mu-P5", "negative-truncation",
-            "negative-truncation-P1"])
+    ], ids=["nan-mu", "inf-y0", "zero-draws", "zero-mu-P5"])
     def test_bad_inputs_exit_2(self, capsys, argv):
         code, out, err = run(["limit-sample"] + argv, capsys)
         assert code == 2
@@ -264,8 +266,7 @@ class TestMc:
         {"regime": {"tag": "P3"}, "mu": 0.0},
         {"regime": {"tag": "P6", "c": 1.0, "alpha": 0.5}, "mu": 0.0},
         {"regime": {"tag": "P5", "c": -1.0, "alpha": 0.75}, "mu": 0.0},
-        {"regime": {"tag": "P2", "rho": 1.2}, "truncation_M": 0},
-    ], ids=["P3-zero-mu", "P6-zero-mu", "P5-zero-mu", "P2-zero-truncation"])
+    ], ids=["P3-zero-mu", "P6-zero-mu", "P5-zero-mu"])
     def test_undrawable_limit_refused_before_simulating(self, tmp_path, capsys,
                                                         monkeypatch, overrides):
         def no_replications(payload):

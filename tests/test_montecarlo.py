@@ -70,8 +70,7 @@ VALID_FIELDS = {
 }
 VALID_JSON = st.fixed_dictionaries(
     {**VALID_FIELDS, "seed": st.integers(0, 2**70)},
-    optional={"y0": VALID_FIELDS["mu"], "truncation_M": st.none() | st.integers(1, 500),
-              "grid_m": JSON_VALUES},
+    optional={"y0": VALID_FIELDS["mu"], "grid_m": JSON_VALUES},
 )
 
 
@@ -208,7 +207,6 @@ class TestConfig:
             "replications": 150,
             "limit_draws": 1500,
             "seed": 42,
-            "truncation_M": None,
         }
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.to_dict() == raw
@@ -247,7 +245,7 @@ class TestConfig:
             small_config(**bad)
 
     @settings(max_examples=200)
-    @given(raw=fuzzed(VALID_JSON, sorted(ExperimentConfig._KEYS) + ["workers"]))
+    @given(raw=fuzzed(VALID_JSON, sorted(ExperimentConfig._KEYS) + ["workers", "truncation_M"]))
     def test_fuzzed_json_config_loads_or_is_refused(self, raw):
         try:
             cfg = ExperimentConfig.from_dict(raw)
@@ -263,7 +261,7 @@ class TestConfig:
             "master_seed": st.integers(0, 2**70),
         }),
         ["regime", "model", "mu", "y0", "n_list", "replications", "limit_draws",
-         "master_seed", "truncation"],
+         "master_seed"],
     ))
     def test_fuzzed_fields_raise_only_config_error(self, fields):
         try:

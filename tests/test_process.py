@@ -7,7 +7,7 @@ from scipy.signal import lfilter
 
 from ar1mc.innovations import InnovationModel, gaussian, pareto_tail2, sample_innovations
 from ar1mc.process import Regime, recurse_rows, resolve_rho, simulate_path
-from paper_lemmas import companion_series, refit_residual
+from paper_lemmas import companion_series, lagged, refit_residual
 
 
 def zero_model():
@@ -98,7 +98,7 @@ class TestSimulate:
 
     def test_lagged_alignment(self):
         path = simulate_path(Regime("P3"), 1.0, 4.0, gaussian(1.0), 10, 2)
-        lag = path.lagged()
+        lag = lagged(path)
         assert lag[0] == 4.0
         assert np.array_equal(lag[1:], path.y[:-1])
 
