@@ -1,31 +1,8 @@
 """AR(1) with intercept: simulation, least squares, and limit-theory checks."""
 
-from .estimator import (
-    LsEstimate,
-    SingularDesignError,
-    error_rates,
-    ls_estimate,
-)
-from .innovations import (
-    InnovationModel,
-    compute_bn,
-    gaussian,
-    model_from_config,
-    pareto_tail2,
-    rademacher,
-    sample_innovations,
-    uniform_sym,
-)
-from .limits import sample_limit
-from .montecarlo import (
-    ConfigError,
-    ExperimentConfig,
-    McReport,
-    ks_two_sample,
-    run_experiment,
-    summarize,
-)
-from .process import Ar1Path, Regime, simulate_path
-from .rng import DEFAULT_SEED, derive_seed, generator
+from .estimator import ls_estimate
+from .innovations import gaussian, pareto_tail2, rademacher, uniform_sym
+from .montecarlo import ExperimentConfig, run_experiment
+from .process import Regime, simulate_path
 
 __version__ = "0.1.0"

@@ -14,16 +14,11 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from ar1mc import (
-    SingularDesignError,
-    derive_seed,
-    generator,
-    model_from_config,
-    sample_innovations,
-)
-from ar1mc.innovations import ell_at_bn
+from ar1mc.estimator import SingularDesignError
+from ar1mc.innovations import ell_at_bn, model_from_config, sample_innovations
 from ar1mc.limits import growth_dispersion, growth_mean, growth_mean_sq
 from ar1mc.process import resolve_rho
+from ar1mc.rng import derive_seed, generator
 
 # Standard normals (rows x grid steps) per chunk in the grid samplers;
 # bounds memory without affecting results, since the rows are drawn in

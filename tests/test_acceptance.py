@@ -14,8 +14,8 @@ import pytest
 from scipy import stats as sps
 
 import ar1mc as m
-from ar1mc.innovations import eval_l
-from ar1mc.limits import default_truncation
+from ar1mc.innovations import compute_bn, eval_l
+from ar1mc.limits import default_truncation, sample_limit
 from ar1mc.montecarlo import ks_two_sample
 from paper_lemmas import (
     grid_unit_root_limit, lagged, normal_equations_oracle, sample_growth_functionals,
@@ -224,10 +224,10 @@ def test_c09_bn_invariants():
     violations = 0
     for model in models:
         for n in range(1, 10_001):
-            bn = m.compute_bn(model, n)
+            bn = compute_bn(model, n)
             if n * eval_l(model, bn) > bn * bn:
                 violations += 1
-    b100 = m.compute_bn(m.rademacher(), 100)
+    b100 = compute_bn(m.rademacher(), 100)
 
     def oracle_bisect(j):
         f = lambda s: 2.0 * math.log(s) / (s * s) - 1.0 / j
@@ -240,7 +240,7 @@ def test_c09_bn_invariants():
             lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
         return 0.5 * (lo + hi)
 
-    pareto_diff = abs(m.compute_bn(m.pareto_tail2(), 100) - oracle_bisect(100))
+    pareto_diff = abs(compute_bn(m.pareto_tail2(), 100) - oracle_bisect(100))
     elapsed = time.time() - t0
     ok = violations == 0 and b100 == 10.0 and pareto_diff <= 1e-6 and elapsed < 5.0
     assert report(
@@ -256,7 +256,7 @@ def test_c10_limit_sampler_internal_consistency():
     worst_refine = 0.0
     for c in (-1.0, 0.0, 1.0):
         regime = m.Regime("P3") if c == 0.0 else m.Regime("P4", c=c)
-        exact = m.sample_limit(regime, 1.0, m.gaussian(1.0), 100_000, 303)
+        exact = sample_limit(regime, 1.0, m.gaussian(1.0), 100_000, 303)
         for grid_m, seed in ((1000, 101), (2000, 202)):
             grid = grid_unit_root_limit(c, 1.0, grid_m, 10_000, seed)
             worst_refine = max(worst_refine,
@@ -266,7 +266,7 @@ def test_c10_limit_sampler_internal_consistency():
     _, ito, _, _ = sample_growth_functionals(0.0, 2000, 100_000, 57)
     iso_dev = abs(ito.var(ddof=1) - 1.0 / 3.0) * 3.0
     # explosive ratio law collapses to a scaled Cauchy at mu=0, y0=0
-    draws = m.sample_limit(m.Regime("P2", rho=2.0), 0.0, m.gaussian(1.0), 100_000, 61)
+    draws = sample_limit(m.Regime("P2", rho=2.0), 0.0, m.gaussian(1.0), 100_000, 61)
     q25, q75 = np.quantile(draws[:, 1], [0.25, 0.75])
     iqr = q75 - q25
     elapsed = time.time() - t0
