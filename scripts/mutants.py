@@ -41,6 +41,10 @@ MUTANTS = [
     ("math.sqrt(n / ell), math.sqrt(n)", "math.sqrt(n / ell), math.sqrt(n - 1)"),
     ("delta2 = n * sxe", "delta2 = (n - 1) * sxe"),
     ("x[:, 0] += y0", "x[:, 0] += 0.0"),
+    ('"replications": len(self.singular_mask)', '"replications": self.valid'),
+    ("return len(self.singular_mask) - self.singular", "return len(self.singular_mask)"),
+    ("np.count_nonzero(self.singular_mask)", "np.count_nonzero(~self.singular_mask)"),
+    ("np.concatenate(results)", "np.concatenate(results[::-1])"),
 ]
 
 # ROADMAP item 5's grid Monte Carlo lemma tests.

@@ -67,6 +67,10 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
+def _write_json(path: str, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 # --- subcommand implementations ---------------------------------------------
 
 
@@ -125,7 +129,7 @@ def _cmd_estimate(args) -> int:
         raise OverflowError("least-squares estimates overflow double precision")
     payload["n"] = len(y)
     if args.json:
-        _write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(args.json, payload)
     print(f"mu_hat  = {_fmt(payload['mu_hat'])}")
     print(f"rho_hat = {_fmt(payload['rho_hat'])}")
     return 0
@@ -134,10 +138,10 @@ def _cmd_estimate(args) -> int:
 def _cmd_limit_sample(args) -> int:
     regime = _regime_from_flags(args)
     model = _model_from_flags(args)
-    draws = sample_limit(
-        regime, args.mu, model,
-        draws=args.draws, seed=args.seed, y0=args.y0,
-    )
+    if args.y0 is not None and regime.tag != "P2":
+        raise ConfigError(f"--y0 enters only the P2 limit law, not the {regime.tag} law")
+    draws = sample_limit(regime, args.mu, model, draws=args.draws, seed=args.seed,
+                         y0=0.0 if args.y0 is None else args.y0)
     lines = ["draw,comp1,comp2"]
     for i in range(draws.shape[0]):
         lines.append(f"{i},{_fmt(draws[i, 0])},{_fmt(draws[i, 1])}")
@@ -185,16 +189,14 @@ def _write_replications_csv(report, filename: str) -> None:
     lines = ["n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular"]
     for n, r, mu_h, rho_h, s_mu, s_rho, sing in report.replication_rows():
         lines.append(f"{n},{r},{_fmt(mu_h)},{_fmt(rho_h)},{_fmt(s_mu)},{_fmt(s_rho)},{sing}")
-    with open(filename, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(filename, "\n".join(lines) + "\n")
 
 
 def _cmd_mc(args) -> int:
     config = _load_config(args.config, args.seed)
     report = run_experiment(config, workers=args.workers)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
+        _write_text(args.out, report.to_json())
     if args.csv:
         _write_replications_csv(report, args.csv)
     _print_report_table(report)
@@ -210,8 +212,7 @@ def _cmd_rates(args) -> int:
         print("error: too many singular replications for a rate fit", file=sys.stderr)
         return _RUNTIME_EXIT
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(report.rate_fit, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, report.rate_fit)
     _print_report_table(report)
     return 0
 
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_regime_flags(p)
     _add_model_flags(p)
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--y0", type=float, default=0.0)
+    p.add_argument("--y0", type=float, help="initial value (P2 only)")
     p.add_argument("--draws", type=int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="output CSV (default: stdout)")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -31,16 +31,8 @@ from .process import Regime, path_root, recurse_rows
 from .process import simulate_path  # noqa: F401
 from .rng import derive_seed, philox_keys
 
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "Summary",
-    "PerSizeReport",
-    "McReport",
-    "run_experiment",
-    "ks_two_sample",
-    "summarize",
-]
+__all__ = ["ConfigError", "ExperimentConfig", "Summary", "PerSizeReport", "McReport",
+           "run_experiment", "ks_two_sample", "summarize"]
 
 # Stream ids under the master seed.
 _PATH_STREAM = 1
@@ -90,11 +82,13 @@ class ExperimentConfig:
     master_seed: int
     y0: float = 0.0
 
-    # "grid_m" (the step count of the retired Brownian-grid sampler) is
-    # still accepted so older config files load; its value is ignored.
+    # JSON key -> field.  "grid_m" (the step count of the retired
+    # Brownian-grid sampler) is still accepted so older config files load;
+    # its value is ignored.
     _KEYS = {
-        "regime", "model", "mu", "y0", "n_list", "replications",
-        "limit_draws", "seed", "grid_m",
+        "regime": "regime", "model": "model", "mu": "mu", "y0": "y0",
+        "n_list": "n_list", "replications": "replications",
+        "limit_draws": "limit_draws", "seed": "master_seed",
     }
 
     def __post_init__(self):
@@ -122,39 +116,25 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("experiment config must be a mapping")
-        unknown = set(raw) - cls._KEYS
+        unknown = set(raw) - set(cls._KEYS) - {"grid_m"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"regime", "model", "mu", "n_list", "replications",
-                   "limit_draws", "seed"} - set(raw)
+        missing = {key for key, name in cls._KEYS.items()
+                   if key not in raw and cls.__dataclass_fields__[name].default is MISSING}
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         try:
             regime = Regime.from_config(raw["regime"])
         except ValueError as exc:
             raise ConfigError(f"config key 'regime': {exc}") from None
-        return cls(
-            regime=regime,
-            model=raw["model"],
-            mu=raw["mu"],
-            y0=raw.get("y0", 0.0),
-            n_list=raw["n_list"],
-            replications=raw["replications"],
-            limit_draws=raw["limit_draws"],
-            master_seed=raw["seed"],
-        )
+        kwargs = {name: raw[key] for key, name in cls._KEYS.items() if key in raw}
+        return cls(**{**kwargs, "regime": regime})
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime.to_config(),
-            "model": dict(self.model),
-            "mu": self.mu,
-            "y0": self.y0,
-            "n_list": list(self.n_list),
-            "replications": self.replications,
-            "limit_draws": self.limit_draws,
-            "seed": self.master_seed,
-        }
+        out = {key: getattr(self, name) for key, name in self._KEYS.items()}
+        out.update(regime=self.regime.to_config(), model=dict(self.model),
+                   n_list=list(self.n_list))
+        return out
 
 
 @dataclass(frozen=True)
@@ -173,74 +153,75 @@ class Summary:
 @dataclass
 class PerSizeReport:
     n: int
-    valid: int
-    singular: int
-    mu_rate: float | None
-    rho_rate: float | None
-    ks_mu: float | None
-    ks_rho: float | None
-    component_correlation: float | None
-    scaled_mu_summary: Summary | None
-    scaled_rho_summary: Summary | None
     # raw per-replication values (nan where singular); not serialized to JSON
-    mu_hat: np.ndarray = field(repr=False, default=None)
-    rho_hat: np.ndarray = field(repr=False, default=None)
-    scaled_mu: np.ndarray = field(repr=False, default=None)
-    scaled_rho: np.ndarray = field(repr=False, default=None)
-    singular_mask: np.ndarray = field(repr=False, default=None)
+    mu_hat: np.ndarray = field(repr=False)
+    rho_hat: np.ndarray = field(repr=False)
+    scaled_mu: np.ndarray = field(repr=False)
+    scaled_rho: np.ndarray = field(repr=False)
+    singular_mask: np.ndarray = field(repr=False)
+    # None when every replication at this size is singular
+    mu_rate: float | None = None
+    rho_rate: float | None = None
+    ks_mu: float | None = None
+    ks_rho: float | None = None
+    component_correlation: float | None = None
+    scaled_mu_summary: Summary | None = None
+    scaled_rho_summary: Summary | None = None
+
+    @property
+    def singular(self) -> int:
+        return int(np.count_nonzero(self.singular_mask))
+
+    @property
+    def valid(self) -> int:
+        return len(self.singular_mask) - self.singular
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "replications": len(self.singular_mask),
+            "valid": self.valid,
+            "singular": self.singular,
+            "mu_rate": self.mu_rate,
+            "rho_rate": self.rho_rate,
+            "ks_mu": self.ks_mu,
+            "ks_rho": self.ks_rho,
+            "component_correlation": self.component_correlation,
+            "scaled_mu": None if self.scaled_mu_summary is None
+            else self.scaled_mu_summary.to_dict(),
+            "scaled_rho": None if self.scaled_rho_summary is None
+            else self.scaled_rho_summary.to_dict(),
+        }
 
 
 @dataclass
 class McReport:
     config: ExperimentConfig
     per_n: list
-    limit_comp1_summary: Summary = None
-    limit_comp2_summary: Summary = None
-    limit_correlation: float = None
-    rate_fit: dict | None = None
+    limit_comp1_summary: Summary
+    limit_comp2_summary: Summary
+    limit_correlation: float
+    rate_fit: dict | None
 
-    def to_json_dict(self) -> dict:
-        per_n = []
-        for block in self.per_n:
-            per_n.append({
-                "n": block.n,
-                "replications": block.valid + block.singular,
-                "valid": block.valid,
-                "singular": block.singular,
-                "mu_rate": block.mu_rate,
-                "rho_rate": block.rho_rate,
-                "ks_mu": block.ks_mu,
-                "ks_rho": block.ks_rho,
-                "component_correlation": block.component_correlation,
-                "scaled_mu": None if block.scaled_mu_summary is None
-                else block.scaled_mu_summary.to_dict(),
-                "scaled_rho": None if block.scaled_rho_summary is None
-                else block.scaled_rho_summary.to_dict(),
-            })
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "config": self.config.to_dict(),
-            "per_n": per_n,
+            "per_n": [block.to_dict() for block in self.per_n],
             "limit": {
                 "comp1": self.limit_comp1_summary.to_dict(),
                 "comp2": self.limit_comp2_summary.to_dict(),
                 "component_correlation": self.limit_correlation,
             },
             "rate_fit": self.rate_fit,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        }, indent=2, sort_keys=True) + "\n"
 
     def replication_rows(self):
         """Rows (n, r, mu_hat, rho_hat, scaled_mu, scaled_rho, singular)."""
         for block in self.per_n:
-            for r in range(len(block.mu_hat)):
-                yield (
-                    block.n, r,
-                    block.mu_hat[r], block.rho_hat[r],
-                    block.scaled_mu[r], block.scaled_rho[r],
-                    int(block.singular_mask[r]),
-                )
+            columns = zip(block.mu_hat, block.rho_hat, block.scaled_mu, block.scaled_rho,
+                          block.singular_mask)
+            for r, (mu_h, rho_h, s_mu, s_rho, sing) in enumerate(columns):
+                yield block.n, r, mu_h, rho_h, s_mu, s_rho, int(sing)
 
 
 # --- elementary diagnostics -------------------------------------------------
@@ -381,12 +362,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     # Every root is checked before any block runs.
     roots = {n: path_root(regime, mu, y0, n) for n in config.n_list}
 
-    payloads, offsets = [], []
-    for n in config.n_list:
-        for lo in range(0, R, _BLOCK):
-            payloads.append((roots[n], mu, y0, config.model, n, config.master_seed,
-                             lo, min(lo + _BLOCK, R)))
-            offsets.append((n, lo))
+    payloads = [(roots[n], mu, y0, config.model, n, config.master_seed, lo, min(lo + _BLOCK, R))
+                for n in config.n_list for lo in range(0, R, _BLOCK)]
 
     if workers > 1:
         # Imported here: a serial run never loads multiprocessing.
@@ -399,57 +376,39 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     else:
         results = list(map(_replicate_block, payloads))
 
-    # Rows land at their replication ids: the reduction order is fixed by
-    # (n, r), never by completion order.
-    table = {n: np.empty((R, 5)) for n in config.n_list}
-    for (n, lo), rows in zip(offsets, results):
-        table[n][lo:lo + len(rows)] = rows
+    # Both maps return the blocks in payload order, (n, r): the reduction
+    # order is fixed by the replication ids, never by completion order.
+    rows_by_n = np.concatenate(results).reshape(len(config.n_list), R, 5)
 
     # Each limit column is sorted once, for the KS distances of every n.
     limit_sorted = [np.sort(limit[:, k]) for k in (0, 1)]
     per_n = []
     rmse_mu, rmse_rho, fit_ns = [], [], []
     trimmed = regime.tag in ("P2", "P6")
-    for n in config.n_list:
-        mu_hat, rho_hat, err_mu, err_rho, flag = table[n].T
+    for n, rows in zip(config.n_list, rows_by_n):
+        mu_hat, rho_hat, err_mu, err_rho, flag = rows.T
         singular = flag != 0.0
         valid = ~singular
-        n_valid = int(np.sum(valid))
         scaled_mu = np.full(R, np.nan)
         scaled_rho = np.full(R, np.nan)
-        if n_valid:
+        stats = {}
+        if valid.any():
             mu_rate, rho_rate = error_rates(regime, model, n)
             scaled_mu[valid] = mu_rate * err_mu[valid]
             scaled_rho[valid] = rho_rate * err_rho[valid]
-            block = PerSizeReport(
-                n=n,
-                valid=n_valid,
-                singular=R - n_valid,
-                mu_rate=mu_rate,
-                rho_rate=rho_rate,
-                ks_mu=_ks_sorted(np.sort(scaled_mu[valid]), limit_sorted[0]),
-                ks_rho=_ks_sorted(np.sort(scaled_rho[valid]), limit_sorted[1]),
-                component_correlation=(
-                    _pearson(scaled_mu[valid], scaled_rho[valid]) if n_valid > 1 else None
-                ),
-                scaled_mu_summary=summarize(scaled_mu[valid]),
-                scaled_rho_summary=summarize(scaled_rho[valid]),
+            s_mu, s_rho = scaled_mu[valid], scaled_rho[valid]
+            stats = dict(
+                mu_rate=mu_rate, rho_rate=rho_rate,
+                ks_mu=_ks_sorted(np.sort(s_mu), limit_sorted[0]),
+                ks_rho=_ks_sorted(np.sort(s_rho), limit_sorted[1]),
+                component_correlation=_pearson(s_mu, s_rho) if s_mu.size > 1 else None,
+                scaled_mu_summary=summarize(s_mu), scaled_rho_summary=summarize(s_rho),
             )
             rmse_mu.append(_rmse(err_mu[valid], trimmed))
             rmse_rho.append(_rmse(err_rho[valid], trimmed))
             fit_ns.append(n)
-        else:
-            block = PerSizeReport(
-                n=n, valid=0, singular=R, mu_rate=None, rho_rate=None,
-                ks_mu=None, ks_rho=None, component_correlation=None,
-                scaled_mu_summary=None, scaled_rho_summary=None,
-            )
-        block.mu_hat = mu_hat
-        block.rho_hat = rho_hat
-        block.scaled_mu = scaled_mu
-        block.scaled_rho = scaled_rho
-        block.singular_mask = singular
-        per_n.append(block)
+        per_n.append(PerSizeReport(n=n, mu_hat=mu_hat, rho_hat=rho_hat, scaled_mu=scaled_mu,
+                                   scaled_rho=scaled_rho, singular_mask=singular, **stats))
 
     rate_fit = None
     if len(fit_ns) >= 3:

@@ -161,6 +161,29 @@ class TestLimitSample:
         assert len(err.strip().splitlines()) == 1
         assert "--truncation" in err
 
+    @pytest.mark.parametrize("regime", [
+        ["--regime", "P1", "--rho", "0.5"],
+        ["--regime", "P3"],
+        ["--regime", "P6", "--c", "1", "--alpha", "0.5"],
+    ], ids=["P1", "P3", "P6"])
+    @pytest.mark.parametrize("y0", ["1e300", "0"])
+    def test_y0_outside_p2_exits_2(self, capsys, regime, y0):
+        # y0 enters only the P2 law; elsewhere it would be silently ignored
+        code, out, err = run(["limit-sample", *regime, "--mu", "1", "--y0", y0,
+                              "--draws", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--y0" in err
+
+    def test_p2_y0_defaults_to_zero(self, tmp_path, capsys):
+        args = ["limit-sample", "--regime", "P2", "--rho", "1.2", "--mu", "1", "--draws", "200"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--y0", "0", "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_text() == b.read_text()
+
     @pytest.mark.parametrize("argv", [
         ["--regime", "P3", "--mu", "nan"],
         ["--regime", "P2", "--rho", "1.2", "--mu", "1", "--y0", "inf"],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -212,6 +213,9 @@ class TestConfig:
         assert cfg.to_dict() == raw
         # the retired grid_m key still loads, and is ignored
         assert ExperimentConfig.from_dict({**raw, "grid_m": 2000}) == cfg
+        # every field has exactly one JSON key
+        assert (sorted(ExperimentConfig._KEYS.values())
+                == sorted(f.name for f in dataclasses.fields(ExperimentConfig)))
 
     def test_unknown_key_rejected(self):
         raw = {"regime": {"tag": "P3"}, "model": {"id": "gaussian"}, "mu": 1.0,
@@ -245,7 +249,7 @@ class TestConfig:
             small_config(**bad)
 
     @settings(max_examples=200)
-    @given(raw=fuzzed(VALID_JSON, sorted(ExperimentConfig._KEYS) + ["workers", "truncation_M"]))
+    @given(raw=fuzzed(VALID_JSON, sorted([*ExperimentConfig._KEYS, "grid_m"]) + ["workers", "truncation_M"]))
     def test_fuzzed_json_config_loads_or_is_refused(self, raw):
         try:
             cfg = ExperimentConfig.from_dict(raw)
@@ -446,6 +450,8 @@ class TestStreamMap:
         report = self.check(small_config(model={"id": "gaussian", "sigma": 1e-100}, mu=1.0,
                                          y0=2.0, n_list=(100, 1500), replications=130))
         assert all(block.singular == 130 for block in report.per_n)
+        for doc in json.loads(report.to_json())["per_n"]:
+            assert (doc["replications"], doc["valid"], doc["singular"]) == (130, 0, 130)
 
 
 class TestNormalizedSums:
