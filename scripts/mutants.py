@@ -29,7 +29,7 @@ PACKAGE = Path("src", "ar1mc")
 
 # (old, new): each old string occurs exactly once in src/ar1mc.
 MUTANTS = [
-    ("elif alpha > 0.5:", "elif alpha >= 0.5:"),
+    ("else alpha > 0.5", "else alpha >= 0.5"),
     ("np.quantile(err, (0.01, 0.99))", "np.quantile(err, (0.02, 0.98))"),
     ('trimmed = regime.tag in ("P2", "P6")', 'trimmed = regime.tag in ("P2",)'),
     ("_SINGULAR_EPS = 1e-12", "_SINGULAR_EPS = 1e-9"),
@@ -45,6 +45,16 @@ MUTANTS = [
     ("return len(self.singular_mask) - self.singular", "return len(self.singular_mask)"),
     ("np.count_nonzero(self.singular_mask)", "np.count_nonzero(~self.singular_mask)"),
     ("np.concatenate(results)", "np.concatenate(results[::-1])"),
+    ("alpha >= 0.5 if variance", "alpha > 0.5 if variance"),
+    ("(alpha if first else 0.5)", "(0.5 if first else alpha)"),
+    ("return first, alpha <= 0.5", "return first, alpha < 0.5"),
+    ('tag == "P1" and not abs(rho) < 1', 'tag == "P1" and not abs(rho) <= 1'),
+    ('tag == "P2" and not abs(rho) > 1', 'tag == "P2" and not abs(rho) >= 1'),
+    ('tag == "P4" and c == 0', 'tag == "P4" and c != c'),
+    ('tag == "P5" and not c < 0', 'tag == "P5" and not c <= 0'),
+    ('tag == "P6" and not c > 0', 'tag == "P6" and not c >= 0'),
+    ("not 0 < alpha < 1", "not 0 <= alpha < 1"),
+    ("not 0 < alpha < 1", "not 0 < alpha <= 1"),
 ]
 
 # ROADMAP item 5's grid Monte Carlo lemma tests.

@@ -7,8 +7,8 @@ Subcommands:
     mc            run a replicated experiment from a JSON config
     rates         RMSE log-log rate fit over the config's n_list
 
-Exit codes: 0 success, 1 runtime/I-O error (scipy's filter missing
-included), 2 usage or config error.
+Exit codes: 0 success, 1 runtime, I/O or out-of-memory error (scipy's
+filter missing included), 2 usage or config error.
 Numbers are written in shortest round-trip decimal form, so files parse
 back to bit-identical floats.
 """
@@ -16,6 +16,7 @@ back to bit-identical floats.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .estimator import ls_rows
 from .innovations import MODEL_IDS, model_from_config
 from .limits import sample_limit
 from .montecarlo import ConfigError, ExperimentConfig, run_experiment
-from .process import Regime, simulate_path
+from .process import _TAGS, Regime, simulate_path
 from .rng import DEFAULT_SEED
 
 _USAGE_EXIT = 2
@@ -35,8 +36,12 @@ _RUNTIME_EXIT = 1
 
 
 def _fmt(v) -> str:
+    """One CSV field: None as empty, ints as they are, floats in shortest
+    round-trip form."""
     if v is None:
         return ""
+    if isinstance(v, int):
+        return str(v)
     f = float(v)
     if math.isnan(f):
         return "nan"
@@ -44,12 +49,7 @@ def _fmt(v) -> str:
 
 
 def _regime_from_flags(args) -> Regime:
-    kw = {}
-    for name in ("rho", "c", "alpha"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
-    return Regime(args.regime, **kw)
+    return Regime(args.regime, rho=args.rho, c=args.c, alpha=args.alpha)
 
 
 def _model_from_flags(args):
@@ -71,6 +71,12 @@ def _write_json(path: str, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path: str | None, header: str, rows) -> None:
+    lines = [header]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 # --- subcommand implementations ---------------------------------------------
 
 
@@ -78,11 +84,8 @@ def _cmd_simulate(args) -> int:
     regime = _regime_from_flags(args)
     model = _model_from_flags(args)
     path = simulate_path(regime, args.mu, args.y0, model, args.n, args.seed)
-    lines = ["t,y,e"]
-    lines.append(f"0,{_fmt(path.y0)},")
-    for t in range(path.n):
-        lines.append(f"{t + 1},{_fmt(path.y[t])},{_fmt(path.e[t])}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = zip(range(1, path.n + 1), path.y, path.e)
+    _write_csv(args.out, "t,y,e", itertools.chain([(0, path.y0, None)], rows))
     return 0
 
 
@@ -142,10 +145,7 @@ def _cmd_limit_sample(args) -> int:
         raise ConfigError(f"--y0 enters only the P2 limit law, not the {regime.tag} law")
     draws = sample_limit(regime, args.mu, model, draws=args.draws, seed=args.seed,
                          y0=0.0 if args.y0 is None else args.y0)
-    lines = ["draw,comp1,comp2"]
-    for i in range(draws.shape[0]):
-        lines.append(f"{i},{_fmt(draws[i, 0])},{_fmt(draws[i, 1])}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, "draw,comp1,comp2", zip(range(len(draws)), draws[:, 0], draws[:, 1]))
     return 0
 
 
@@ -185,20 +185,14 @@ def _print_report_table(report) -> None:
         print(f"rate slope rho = {rho_fit['slope']:.4f} (se {rho_fit['stderr']:.4f})")
 
 
-def _write_replications_csv(report, filename: str) -> None:
-    lines = ["n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular"]
-    for n, r, mu_h, rho_h, s_mu, s_rho, sing in report.replication_rows():
-        lines.append(f"{n},{r},{_fmt(mu_h)},{_fmt(rho_h)},{_fmt(s_mu)},{_fmt(s_rho)},{sing}")
-    _write_text(filename, "\n".join(lines) + "\n")
-
-
 def _cmd_mc(args) -> int:
     config = _load_config(args.config, args.seed)
     report = run_experiment(config, workers=args.workers)
     if args.out:
         _write_text(args.out, report.to_json())
     if args.csv:
-        _write_replications_csv(report, args.csv)
+        _write_csv(args.csv, "n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular",
+                   report.replication_rows())
     _print_report_table(report)
     return 0
 
@@ -221,7 +215,7 @@ def _cmd_rates(args) -> int:
 
 
 def _add_regime_flags(p: argparse.ArgumentParser):
-    p.add_argument("--regime", required=True, choices=["P1", "P2", "P3", "P4", "P5", "P6"])
+    p.add_argument("--regime", required=True, choices=list(_TAGS))
     p.add_argument("--rho", type=float, help="autoregressive root (P1/P2)")
     p.add_argument("--c", type=float, help="local-to-unity constant (P4/P5/P6)")
     p.add_argument("--alpha", type=float, help="moderate-deviation exponent (P5/P6)")
@@ -298,10 +292,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except ArithmeticError as exc:  # overflow, or a degenerate law's division
-        print(f"error: {exc}", file=sys.stderr)
-        return _RUNTIME_EXIT
-    except (OSError, ImportError) as exc:  # I/O, or scipy's filter missing
+    except (ArithmeticError, MemoryError, OSError, ImportError) as exc:
+        # overflow or a degenerate law's division, a size too large to
+        # allocate, I/O, or scipy's filter missing
         print(f"error: {exc}", file=sys.stderr)
         return _RUNTIME_EXIT
 

@@ -1,4 +1,4 @@
-"""Least-squares estimation of (mu, rho) and regime-rate error scaling.
+"""Least-squares estimation of (mu, rho) from one path or a block of paths.
 
 The estimator minimizes sum_t (y_t - mu - rho*y_{t-1})^2.  Writing
 x = (y_0..y_{n-1}) and S for raw sums, the closed form is
@@ -20,15 +20,13 @@ process mean is large, and centering avoids that cancellation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .innovations import InnovationModel, ell_at_bn
-from .process import Ar1Path, Regime, resolve_rho
+from .process import Ar1Path
 
-__all__ = ["SingularDesignError", "LsEstimate", "ls_estimate", "error_rates"]
+__all__ = ["SingularDesignError", "LsEstimate", "ls_estimate"]
 
 # Relative floor for Delta3: below this the lagged regressor is constant
 # to working precision and the normal equations are singular.
@@ -98,42 +96,3 @@ def ls_estimate(path: Ar1Path) -> LsEstimate:
         )
     return LsEstimate(*(float(v[0]) for v in (
         est.mu_hat, est.rho_hat, est.delta1, est.delta2, est.delta3)))
-
-
-def error_rates(regime: Regime, model: InnovationModel, n: int) -> tuple[float, float]:
-    """Divergence rates (mu_rate, rho_rate) that stabilize the errors.
-
-    With ell = l(b_n):
-
-        P1     sqrt(n/ell),        sqrt(n)
-        P2     sqrt(n/ell),        rho^n
-        P3/P4  sqrt(n/ell),        sqrt(n^3/ell)
-        P5     a_n,                a_n * n^alpha
-        P6     sqrt(n/ell),        sqrt(n^(3*alpha)/ell) * rho_n^n
-
-    where under P5 the factor a_n is n^(max(alpha,1/2) - alpha/2) in the
-    finite-variance case, and sqrt(n^alpha/ell) for alpha > 1/2 or
-    sqrt(n^(1-alpha)) for alpha <= 1/2 in the infinite-variance case.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ell = ell_at_bn(model, n)
-    tag = regime.tag
-    if tag == "P1":
-        return math.sqrt(n / ell), math.sqrt(n)
-    if tag == "P2":
-        return math.sqrt(n / ell), regime.rho ** n
-    if tag in ("P3", "P4"):
-        return math.sqrt(n / ell), math.sqrt(n ** 3 / ell)
-    if tag == "P5":
-        alpha = regime.alpha
-        if model.has_finite_variance:
-            a_n = n ** (max(alpha, 0.5) - 0.5 * alpha)
-        elif alpha > 0.5:
-            a_n = math.sqrt(n ** alpha / ell)
-        else:
-            a_n = math.sqrt(n ** (1.0 - alpha))
-        return a_n, a_n * n ** alpha
-    # P6
-    rho_n = resolve_rho(regime, n)
-    return math.sqrt(n / ell), math.sqrt(n ** (3.0 * regime.alpha) / ell) * rho_n ** n

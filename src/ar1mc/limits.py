@@ -1,8 +1,11 @@
-"""The limit distributions of the scaled estimation errors.
+"""Each regime's error rates and the limit law of its scaled errors.
 
-``sample_limit`` is the entry point: it checks its inputs once and draws
-from the regime's law a (draws, 2) array whose columns are the limits of
-the scaled mu-error and rho-error.
+``error_rates`` gives the divergence rates that scale the estimation
+errors at sample size n.  ``sample_limit`` is the entry point of the laws:
+it checks its inputs once and draws from the regime's law a (draws, 2)
+array whose columns are the limits of the scaled mu-error and rho-error.
+P5's rates and law keep one or both of two terms, as ``_p5_terms``
+decides.
 
 Under P1 and P3-P6 the limit is bivariate normal for every innovation
 model, so each of these regimes is one entry of ``_normal_factor``: a 2x2
@@ -22,11 +25,11 @@ import math
 
 import numpy as np
 
-from .innovations import _CHUNK_ELEMENTS, InnovationModel
-from .process import Regime
+from .innovations import _CHUNK_ELEMENTS, InnovationModel, ell_at_bn
+from .process import Regime, resolve_rho
 from .rng import generator, keyed_generators, philox_keys
 
-__all__ = ["sample_limit"]
+__all__ = ["error_rates", "sample_limit"]
 
 # The P2 series are cut once |rho|^-M falls below this.
 _SERIES_TOL = 1e-12
@@ -59,6 +62,57 @@ def growth_mean_sq(c: float) -> float:
 def growth_dispersion(c: float) -> float:
     """d = int G_c^2 - (int G_c)^2 > 0; the shared denominator at P3/P4."""
     return growth_mean_sq(c) - growth_mean(c) ** 2
+
+
+# --- the rates -------------------------------------------------------------
+
+
+def _p5_terms(alpha: float, variance: float | None) -> tuple[bool, bool]:
+    """Which of P5's two terms survive at ``alpha``.  The first (mu) term
+    does from alpha = 1/2 on when the model's ``variance`` is finite, and
+    only beyond 1/2 when it is None; the second up to alpha = 1/2."""
+    first = alpha >= 0.5 if variance is not None else alpha > 0.5
+    return first, alpha <= 0.5
+
+
+def error_rates(regime: Regime, model: InnovationModel, n: int) -> tuple[float, float]:
+    """Divergence rates (mu_rate, rho_rate) that stabilize the errors.
+
+    With ell = l(b_n):
+
+        P1     sqrt(n/ell),        sqrt(n)
+        P2     sqrt(n/ell),        rho^n
+        P3/P4  sqrt(n/ell),        sqrt(n^3/ell)
+        P5     a_n,                a_n * n^alpha
+        P6     sqrt(n/ell),        sqrt(n^(3*alpha)/ell) * rho_n^n
+
+    where under P5 the factor a_n is n^(max(alpha,1/2) - alpha/2) in the
+    finite-variance case, and in the infinite-variance case sqrt(n^alpha/ell)
+    when the first term survives (alpha > 1/2), else sqrt(n^(1-alpha)).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ell = ell_at_bn(model, n)
+    tag = regime.tag
+    if tag == "P1":
+        return math.sqrt(n / ell), math.sqrt(n)
+    if tag == "P2":
+        return math.sqrt(n / ell), regime.rho ** n
+    if tag in ("P3", "P4"):
+        return math.sqrt(n / ell), math.sqrt(n ** 3 / ell)
+    if tag == "P5":
+        alpha = regime.alpha
+        first, _ = _p5_terms(alpha, model.variance)
+        if model.has_finite_variance:
+            a_n = n ** ((alpha if first else 0.5) - 0.5 * alpha)
+        elif first:
+            a_n = math.sqrt(n ** alpha / ell)
+        else:
+            a_n = math.sqrt(n ** (1.0 - alpha))
+        return a_n, a_n * n ** alpha
+    # P6
+    rho_n = resolve_rho(regime, n)
+    return math.sqrt(n / ell), math.sqrt(n ** (3.0 * regime.alpha) / ell) * rho_n ** n
 
 
 # --- the limit laws --------------------------------------------------------
@@ -123,8 +177,7 @@ def _normal_factor(regime: Regime, mu: float, variance: float | None):
         # iid N(0, -1/(2c)).  The finite branch keeps both terms at alpha = 1/2.
         c, alpha = regime.c, regime.alpha
         s2 = 1.0 if variance is None else variance
-        first = alpha >= 0.5 if variance is not None else alpha > 0.5
-        second = alpha <= 0.5
+        first, second = _p5_terms(alpha, variance)
         k1 = mu * math.sqrt(s2) / c if first else 0.0
         k2 = s2 if second else 0.0
         d = (mu * mu / (-2.0 * c ** 3) if first else 0.0) + (s2 / (-2.0 * c) if second else 0.0)

@@ -33,7 +33,12 @@ from .innovations import InnovationModel, _finite_real, sample_innovations
 
 __all__ = ["Regime", "Ar1Path", "simulate_path"]
 
-_TAGS = ("P1", "P2", "P3", "P4", "P5", "P6")
+# The parameters each regime takes, in the order of _NAMES, which is the
+# order they are checked and written in.
+_PARAMS = {"P1": ("rho",), "P2": ("rho",), "P3": (), "P4": ("c",),
+           "P5": ("c", "alpha"), "P6": ("c", "alpha")}
+_TAGS = tuple(_PARAMS)
+_NAMES = ("rho", "c", "alpha")
 
 # Explosive paths are refused once rho^n would exceed this, instead of
 # silently producing infinities.
@@ -48,63 +53,40 @@ class Regime:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise ValueError(f"unknown regime tag {self.tag!r}; expected one of {_TAGS}")
-        if self.tag == "P1":
-            self._need(rho=True)
-            if not abs(self.rho) < 1:
-                raise ValueError("P1 requires |rho| < 1")
-        elif self.tag == "P2":
-            self._need(rho=True)
-            if not abs(self.rho) > 1:
-                raise ValueError("P2 requires |rho| > 1")
-        elif self.tag == "P3":
-            self._need()
-        elif self.tag == "P4":
-            self._need(c=True)
-            if self.c == 0:
-                raise ValueError("P4 requires c != 0")
-        elif self.tag == "P5":
-            self._need(c=True, alpha=True)
-            if not self.c < 0:
-                raise ValueError("P5 requires c < 0")
-            if not 0 < self.alpha < 1:
-                raise ValueError("P5 requires alpha in (0, 1)")
-        else:  # P6
-            self._need(c=True, alpha=True)
-            if not self.c > 0:
-                raise ValueError("P6 requires c > 0")
-            if not 0 < self.alpha < 1:
-                raise ValueError("P6 requires alpha in (0, 1)")
-
-    def _need(self, rho=False, c=False, alpha=False):
-        for name, wanted in (("rho", rho), ("c", c), ("alpha", alpha)):
-            have = getattr(self, name) is not None
-            if wanted and not have:
-                raise ValueError(f"regime {self.tag} requires parameter {name!r}")
-            if have and not wanted:
-                raise ValueError(f"regime {self.tag} does not take parameter {name!r}")
-            if have:
-                value = _finite_real(getattr(self, name), f"regime parameter {name!r}")
-                object.__setattr__(self, name, value)
+        tag = self.tag
+        if tag not in _TAGS:
+            raise ValueError(f"unknown regime tag {tag!r}; expected one of {_TAGS}")
+        for name in _NAMES:
+            value, wanted = getattr(self, name), name in _PARAMS[tag]
+            if wanted and value is None:
+                raise ValueError(f"regime {tag} requires parameter {name!r}")
+            if value is not None and not wanted:
+                raise ValueError(f"regime {tag} does not take parameter {name!r}")
+            if value is not None:
+                object.__setattr__(self, name, _finite_real(value, f"regime parameter {name!r}"))
+        rho, c, alpha = self.rho, self.c, self.alpha
+        for broken, rule in (
+            (tag == "P1" and not abs(rho) < 1, "|rho| < 1"),
+            (tag == "P2" and not abs(rho) > 1, "|rho| > 1"),
+            (tag == "P4" and c == 0, "c != 0"),
+            (tag == "P5" and not c < 0, "c < 0"),
+            (tag == "P6" and not c > 0, "c > 0"),
+            (tag in ("P5", "P6") and not 0 < alpha < 1, "alpha in (0, 1)"),
+        ):
+            if broken:
+                raise ValueError(f"{tag} requires {rule}")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Regime":
         if not isinstance(cfg, dict) or "tag" not in cfg:
             raise ValueError("regime config must be a mapping with a 'tag' field")
-        extra = set(cfg) - {"tag", "rho", "c", "alpha"}
+        extra = set(cfg) - {"tag", *_NAMES}
         if extra:
             raise ValueError(f"unknown regime config keys: {sorted(extra)}")
-        kw = {k: cfg[k] for k in ("rho", "c", "alpha") if k in cfg}
-        return cls(cfg["tag"], **kw)
+        return cls(cfg["tag"], **{k: cfg[k] for k in _NAMES if k in cfg})
 
     def to_config(self) -> dict:
-        out = {"tag": self.tag}
-        for k in ("rho", "c", "alpha"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        return out
+        return {"tag": self.tag, **{k: getattr(self, k) for k in _PARAMS[self.tag]}}
 
 
 def resolve_rho(regime: Regime, n: int) -> float:

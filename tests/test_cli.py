@@ -336,6 +336,25 @@ class TestMc:
         assert json.loads(b.read_text())["config"]["seed"] == 123
 
 
+class TestOutOfMemory:
+    # Each run asks numpy for more than 2^48 bytes in one array, beyond any
+    # address space, so it fails before anything is allocated.
+    @pytest.mark.parametrize("argv", [
+        ["limit-sample", "--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws", str(10 ** 16)],
+        ["simulate", "--regime", "P3", "--mu", "1", "--n", str(10 ** 16)],
+        # the series cutoff at this root is about 1.2e17 terms
+        ["limit-sample", "--regime", "P2", "--rho", "1.0000000000000002", "--mu", "1"],
+        ["mc", "--config", "CONFIG"],
+    ], ids=["limit-sample-draws", "simulate-n", "limit-sample-P2-cutoff", "mc-n_list"])
+    def test_size_too_large_exits_1(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path / "exp.json", n_list=[10 ** 16])
+        code, out, err = run([str(cfg) if a == "CONFIG" else a for a in argv], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestRates:
     def test_rate_fit_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.json", n_list=[100, 200, 400, 800],

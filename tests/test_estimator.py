@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ar1mc.estimator import SingularDesignError, error_rates, ls_estimate
+from ar1mc.estimator import SingularDesignError, ls_estimate
 from ar1mc.innovations import compute_bn, gaussian, pareto_tail2, rademacher, uniform_sym
+from ar1mc.limits import error_rates
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
 from ar1mc.process import Ar1Path, Regime, simulate_path
 from paper_lemmas import normal_equations_oracle

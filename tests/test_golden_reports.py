@@ -39,12 +39,17 @@ _spec.loader.exec_module(report_diff)
 
 _SETTINGS = {"mu": 1.5, "y0": 0.75, "replications": 300, "limit_draws": 20000, "seed": 5}
 _MODELS = {"gaussian": {"id": "gaussian", "sigma": 1.0}, "pareto2": {"id": "pareto2"}}
+# Entry labels; P5 runs below, at and above alpha = 1/2, where its rate and
+# law keep the second term, both terms (one under infinite variance) and the
+# first term.
 _REGIMES = {
     "P1": {"tag": "P1", "rho": 0.5},
     "P2": {"tag": "P2", "rho": 1.2},
     "P3": {"tag": "P3"},
     "P4": {"tag": "P4", "c": -2.0},
     "P5": {"tag": "P5", "c": -1.0, "alpha": 0.25},
+    "P5@0.5": {"tag": "P5", "c": -1.0, "alpha": 0.5},
+    "P5@0.75": {"tag": "P5", "c": -1.0, "alpha": 0.75},
     "P6": {"tag": "P6", "c": 1.0, "alpha": 0.5},
 }
 # Entries also run at workers 2, which must not move a byte.
@@ -52,12 +57,13 @@ _POOLED = {"P1-pareto2", "P3-gaussian"}
 
 
 def _config(name: str) -> dict:
-    tag, model = name.split("-")
-    n_list = [60, 120] if tag == "P2" else [200, 400]
-    return {"regime": _REGIMES[tag], "model": _MODELS[model], "n_list": n_list, **_SETTINGS}
+    label, model = name.split("-")
+    regime = _REGIMES[label]
+    n_list = [60, 120] if regime["tag"] == "P2" else [200, 400]
+    return {"regime": regime, "model": _MODELS[model], "n_list": n_list, **_SETTINGS}
 
 
-NAMES = [f"{tag}-{model}" for tag in _REGIMES for model in _MODELS]
+NAMES = [f"{label}-{model}" for label in _REGIMES for model in _MODELS]
 CASES = [(name, w) for name in NAMES for w in ((1, 2) if name in _POOLED else (1,))]
 
 
@@ -105,7 +111,7 @@ def rewrite(tags) -> None:
     registry = json.loads(REGISTRY.read_text()) if REGISTRY.exists() else {"entries": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name in NAMES:
-            if tags and name.split("-")[0] not in tags:
+            if tags and _REGIMES[name.split("-")[0]]["tag"] not in tags:
                 continue
             outputs = run_entry(name, 1, Path(tmp))
             if name in _POOLED and run_entry(name, 2, Path(tmp)) != outputs:

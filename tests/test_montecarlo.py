@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ar1mc.estimator import error_rates
 from ar1mc.innovations import gaussian, model_from_config
+from ar1mc.limits import error_rates
 from ar1mc.montecarlo import (
     ConfigError,
     ExperimentConfig,

@@ -38,14 +38,29 @@ class TestRegime:
         dict(tag="P1", rho=math.nan),
         dict(tag="P1", rho="0.5"),         # strings are not numbers
         dict(tag="P4", c=True),            # nor are bools
+        dict(tag="P2", rho=1.0),           # the boundaries themselves
+        dict(tag="P2", rho=-1.0),
+        dict(tag="P5", c=0.0, alpha=0.5),
+        dict(tag="P5", c=-1.0, alpha=0.0),
+        dict(tag="P6", c=0.0, alpha=0.5),
+        dict(tag="P6", c=1.0, alpha=1.0),
     ])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ValueError):
             Regime(**bad)
 
-    def test_config_round_trip(self):
-        reg = Regime.from_config({"tag": "P5", "c": -1.0, "alpha": 0.5})
-        assert reg == Regime("P5", c=-1.0, alpha=0.5)
+    @pytest.mark.parametrize("cfg", [
+        {"tag": "P1", "rho": 0.5},
+        {"tag": "P2", "rho": -1.5},
+        {"tag": "P3"},
+        {"tag": "P4", "c": -2.0},
+        {"tag": "P5", "c": -1.0, "alpha": 0.5},
+        {"tag": "P6", "c": 1.0, "alpha": 0.5},
+    ], ids=lambda cfg: cfg["tag"])
+    def test_config_round_trip(self, cfg):
+        reg = Regime.from_config(cfg)
+        assert reg == Regime(**cfg)
+        assert reg.to_config() == cfg
         assert Regime.from_config(reg.to_config()) == reg
 
     def test_config_unknown_key_rejected(self):
