@@ -8,16 +8,16 @@ Usage: python scripts/demo_all_regimes.py [--reps 1000] [--seed 20177]
 import argparse
 import time
 
-from ar1mc import ExperimentConfig, Regime, run_experiment
+from ar1mc import ExperimentConfig, Regime, gaussian, pareto_tail2, run_experiment
 
 CASES = [
-    ("stationary", Regime("P1", rho=0.5), {"id": "gaussian", "sigma": 1.0}, 1.0, 2000),
-    ("stationary / heavy tails", Regime("P1", rho=0.5), {"id": "pareto2"}, 1.0, 4000),
-    ("explosive", Regime("P2", rho=1.2), {"id": "gaussian", "sigma": 1.0}, 1.0, 60),
-    ("unit root", Regime("P3"), {"id": "gaussian", "sigma": 1.0}, 1.0, 2000),
-    ("near unit root", Regime("P4", c=-2.0), {"id": "gaussian", "sigma": 1.0}, 1.0, 2000),
-    ("moderately stationary", Regime("P5", c=-1.0, alpha=0.25), {"id": "gaussian", "sigma": 1.0}, 1.0, 2000),
-    ("moderately explosive", Regime("P6", c=1.0, alpha=0.5), {"id": "gaussian", "sigma": 1.0}, 2.0, 2000),
+    ("stationary", Regime("P1", rho=0.5), gaussian(1.0), 1.0, 2000),
+    ("stationary / heavy tails", Regime("P1", rho=0.5), pareto_tail2(), 1.0, 4000),
+    ("explosive", Regime("P2", rho=1.2), gaussian(1.0), 1.0, 60),
+    ("unit root", Regime("P3"), gaussian(1.0), 1.0, 2000),
+    ("near unit root", Regime("P4", c=-2.0), gaussian(1.0), 1.0, 2000),
+    ("moderately stationary", Regime("P5", c=-1.0, alpha=0.25), gaussian(1.0), 1.0, 2000),
+    ("moderately explosive", Regime("P6", c=1.0, alpha=0.5), gaussian(1.0), 2.0, 2000),
 ]
 
 

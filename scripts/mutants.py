@@ -55,6 +55,14 @@ MUTANTS = [
     ('tag == "P6" and not c > 0', 'tag == "P6" and not c >= 0'),
     ("not 0 < alpha < 1", "not 0 <= alpha < 1"),
     ("not 0 < alpha < 1", "not 0 < alpha <= 1"),
+    # The innovation laws.  The last, a variance used as a scale, leaves
+    # sigma = 1 unchanged; only the scale relation of tests/test_metamorphic.py
+    # catches it.
+    ("sigma * math.sqrt(3.0)", "sigma * math.sqrt(2.0)"),
+    ("2.0 * math.log(x)", "math.log(x)"),
+    ("math.exp(-0.5 * a * a)", "math.exp(-a * a)"),
+    ("0.0 < sigma * sigma < math.inf", "0.0 <= sigma * sigma < math.inf"),
+    ("sigma * rng.standard_normal(n)", "sigma * sigma * rng.standard_normal(n)"),
 ]
 
 # ROADMAP item 5's grid Monte Carlo lemma tests.

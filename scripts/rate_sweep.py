@@ -9,7 +9,7 @@ Usage: python scripts/rate_sweep.py [--regime P1|P3] [--reps 2000]
 
 import argparse
 
-from ar1mc import ExperimentConfig, Regime, run_experiment
+from ar1mc import ExperimentConfig, Regime, gaussian, run_experiment
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
 
     regime = Regime("P1", rho=0.5) if args.regime == "P1" else Regime("P3")
     cfg = ExperimentConfig(
-        regime=regime, model={"id": "gaussian", "sigma": 1.0}, mu=1.0,
+        regime=regime, model=gaussian(1.0), mu=1.0,
         n_list=(500, 1000, 2000, 4000, 8000),
         replications=args.reps, limit_draws=1000, master_seed=args.seed,
     )

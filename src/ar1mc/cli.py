@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .estimator import ls_rows
-from .innovations import MODEL_IDS, model_from_config
+from .innovations import MODEL_IDS, InnovationModel
 from .limits import sample_limit
 from .montecarlo import ConfigError, ExperimentConfig, run_experiment
 from .process import _TAGS, Regime, simulate_path
@@ -52,13 +52,6 @@ def _regime_from_flags(args) -> Regime:
     return Regime(args.regime, rho=args.rho, c=args.c, alpha=args.alpha)
 
 
-def _model_from_flags(args):
-    cfg = {"id": args.model}
-    if args.sigma is not None:
-        cfg["sigma"] = args.sigma
-    return model_from_config(cfg)
-
-
 def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -82,7 +75,7 @@ def _write_csv(path: str | None, header: str, rows) -> None:
 
 def _cmd_simulate(args) -> int:
     regime = _regime_from_flags(args)
-    model = _model_from_flags(args)
+    model = InnovationModel(args.model, args.sigma)
     path = simulate_path(regime, args.mu, args.y0, model, args.n, args.seed)
     rows = zip(range(1, path.n + 1), path.y, path.e)
     _write_csv(args.out, "t,y,e", itertools.chain([(0, path.y0, None)], rows))
@@ -140,7 +133,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_limit_sample(args) -> int:
     regime = _regime_from_flags(args)
-    model = _model_from_flags(args)
+    model = InnovationModel(args.model, args.sigma)
     if args.y0 is not None and regime.tag != "P2":
         raise ConfigError(f"--y0 enters only the P2 limit law, not the {regime.tag} law")
     draws = sample_limit(regime, args.mu, model, draws=args.draws, seed=args.seed,
@@ -289,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (ArithmeticError, MemoryError, OSError, ImportError) as exc:

@@ -19,7 +19,8 @@ finite-variance case ``b_n`` behaves like ``sigma * sqrt(n)`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -30,24 +31,75 @@ from .rng import generator, keyed_generators
 _ROOT2 = math.sqrt(2.0)
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
-__all__ = [
-    "InnovationModel",
-    "gaussian",
-    "uniform_sym",
-    "rademacher",
-    "pareto_tail2",
-    "model_from_config",
-    "sample_innovations",
-    "compute_bn",
-    "MODEL_IDS",
-]
+__all__ = ["InnovationModel", "gaussian", "uniform_sym", "rademacher", "pareto_tail2",
+           "sample_innovations", "compute_bn", "MODEL_IDS"]
+
+
+def _finite_real(value, what: str) -> float:
+    """``value`` as a float if it is a finite int or float (bools refused)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+# --- the built-in laws -----------------------------------------------------
+
+
+def _gaussian_ell(x, sigma):
+    """l(x) = sigma^2 * (erf(a/sqrt(2)) - a*sqrt(2/pi)*exp(-a^2/2)),  a = x/sigma."""
+    a = x / sigma
+    return sigma * sigma * (math.erf(a / _ROOT2) - a * _ROOT_2_PI * math.exp(-0.5 * a * a))
+
+
+def _half_width(sigma):
+    """Uniform on [-a, a] with a = sigma*sqrt(3) has variance sigma^2."""
+    return sigma * math.sqrt(3.0)
+
+
+def _uniform_ell(x, sigma):
+    a = _half_width(sigma)
+    return min(x, a) ** 3 / (3.0 * a)
+
+
+def _pareto_sample(rng, n, sigma):
+    """P(|e| > t) = t^-2 for t >= 1, so |e| = 1/sqrt(U) samples the magnitude
+    exactly; an independent sign flip makes the law symmetric."""
+    mag = 1.0 / np.sqrt(1.0 - rng.random(n))
+    sign = rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
+    return mag * sign
+
+
+# model id -> its law: whether it takes sigma, its variance class, l(x, sigma)
+# and the sampler (rng, n, sigma), where sigma is None for the laws that take
+# none.  The one place a model is declared.
+_Law = namedtuple("_Law", "takes_sigma finite_variance ell sample")
+_LAWS = {
+    "gaussian": _Law(True, True, _gaussian_ell,
+                     lambda rng, n, sigma: sigma * rng.standard_normal(n)),
+    "uniform": _Law(True, True, _uniform_ell,
+                    lambda rng, n, sigma: rng.uniform(-_half_width(sigma), _half_width(sigma), n)),
+    # symmetric +/-1: l(x) = 1{x >= 1}
+    "rademacher": _Law(False, True, lambda x, sigma: 1.0 if x >= 1.0 else 0.0,
+                       lambda rng, n, sigma: rng.integers(0, 2, n).astype(float) * 2.0 - 1.0),
+    # symmetric density |x|^-3 on |x| >= 1: infinite variance, l(x) = 2*log(x)
+    "pareto2": _Law(False, False, lambda x, sigma: 2.0 * math.log(x) if x >= 1.0 else 0.0,
+                    _pareto_sample),
+}
+MODEL_IDS = tuple(_LAWS)
 
 
 @dataclass(frozen=True)
 class InnovationModel:
-    """A named mean-zero error distribution.
+    """A built-in mean-zero error law: its id and, for the laws that take
+    one, its scale ``sigma`` (1.0 when left out; None for the others).
 
-    ``variance`` is ``sigma^2`` when the variance is finite, or ``None``
+    A hashable, picklable value that checks itself; its l(x), sampler and
+    variance class are read from ``_LAWS`` by id.  ``variance`` is
+    ``sigma^2`` (1 for rademacher) when the variance is finite, or ``None``
     when the truncated second moment diverges (slowly varying case).  The
     class is always declared, never inferred: which limit-law branch
     applies depends on it and cannot be decided from finitely many
@@ -55,27 +107,83 @@ class InnovationModel:
     """
 
     name: str
-    variance: float | None
-    _ell: Callable[[float], float] = field(repr=False)
-    _sample: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
+    sigma: float | None = None
+
+    def __post_init__(self):
+        law = _LAWS.get(self.name) if isinstance(self.name, str) else None
+        if law is None:
+            raise ValueError(f"unknown model id {self.name!r}; expected one of {MODEL_IDS}")
+        if not law.takes_sigma:
+            if self.sigma is not None:
+                raise ValueError(f"model '{self.name}' takes no sigma parameter")
+            return
+        sigma = _finite_real(1.0 if self.sigma is None else self.sigma, "model sigma")
+        if not (sigma > 0 and 0.0 < sigma * sigma < math.inf):
+            raise ValueError(f"sigma must be positive with 0 < sigma^2 < inf, got {sigma!r}")
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def has_finite_variance(self) -> bool:
-        return self.variance is not None
+        return _LAWS[self.name].finite_variance
+
+    @property
+    def variance(self) -> float | None:
+        if not self.has_finite_variance:
+            return None
+        return 1.0 if self.sigma is None else self.sigma * self.sigma
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` iid draws from ``rng``."""
+        return _LAWS[self.name].sample(rng, n, self.sigma)
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "InnovationModel":
+        """The model of ``{"id": ..., "sigma": ...}``."""
+        if not isinstance(cfg, dict) or "id" not in cfg:
+            raise ValueError("model config must be a mapping with an 'id' field")
+        extra = set(cfg) - {"id", "sigma"}
+        if extra:
+            raise ValueError(f"unknown model config keys: {sorted(extra)}")
+        if cfg.get("sigma", 1.0) is None:  # a JSON null is a value, not an absent key
+            raise ValueError("model sigma must be a finite number, got None")
+        return cls(cfg["id"], cfg.get("sigma"))
+
+    def to_config(self) -> dict:
+        return {"id": self.name, **({} if self.sigma is None else {"sigma": self.sigma})}
+
+
+def gaussian(sigma: float = 1.0) -> InnovationModel:
+    """N(0, sigma^2) innovations."""
+    return InnovationModel("gaussian", sigma)
+
+
+def uniform_sym(sigma: float = 1.0) -> InnovationModel:
+    """Uniform on [-a, a] with a = sigma*sqrt(3), so the variance is sigma^2."""
+    return InnovationModel("uniform", sigma)
+
+
+def rademacher() -> InnovationModel:
+    """Symmetric +/-1 innovations."""
+    return InnovationModel("rademacher")
+
+
+def pareto_tail2() -> InnovationModel:
+    """Symmetric density |x|^-3 on |x| >= 1: infinite variance."""
+    return InnovationModel("pareto2")
 
 
 def eval_l(model: InnovationModel, x: float) -> float:
     """Truncated second moment ``l(x) = E[e^2 1{|e| <= x}]`` at ``x >= 0``."""
     if x < 0:
         raise ValueError("l(x) is defined for x >= 0")
-    return float(model._ell(float(x)))
+    return float(_LAWS[model.name].ell(float(x), model.sigma))
 
 
 def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` iid innovations; deterministic for a fixed seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return model._sample(generator(seed), int(n))
+    return model.sample(generator(seed), int(n))
 
 
 # Innovations per chunk (rows x columns) in the replication blocks and the
@@ -93,112 +201,8 @@ def sample_innovation_rows(model: InnovationModel, keys: np.ndarray, n: int) -> 
         raise ValueError("n must be >= 1")
     out = np.empty((len(keys), int(n)))
     for row, rng in zip(out, keyed_generators(keys)):
-        row[:] = model._sample(rng, int(n))
+        row[:] = model.sample(rng, int(n))
     return out
-
-
-# --- built-in models -------------------------------------------------------
-
-
-def _finite_real(value, what: str) -> float:
-    """``value`` as a float if it is a finite int or float (bools refused)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an int beyond the float range
-            pass
-    raise ValueError(f"{what} must be a finite number, got {value!r}")
-
-
-def _scale_variance(sigma: float) -> float:
-    """sigma^2, which must be a positive finite float for sigma > 0."""
-    s2 = sigma * sigma
-    if not (sigma > 0 and 0.0 < s2 < math.inf):
-        raise ValueError(f"sigma must be positive with 0 < sigma^2 < inf, got {sigma!r}")
-    return s2
-
-
-def gaussian(sigma: float = 1.0) -> InnovationModel:
-    """N(0, sigma^2) innovations.
-
-    l(x) = sigma^2 * (erf(a/sqrt(2)) - a*sqrt(2/pi)*exp(-a^2/2)),  a = x/sigma.
-    """
-    s2 = _scale_variance(sigma)
-
-    def ell(x):
-        a = x / sigma
-        return s2 * (math.erf(a / _ROOT2) - a * _ROOT_2_PI * math.exp(-0.5 * a * a))
-
-    def sample(rng, n):
-        return sigma * rng.standard_normal(n)
-
-    return InnovationModel("gaussian", s2, ell, sample)
-
-
-def uniform_sym(sigma: float = 1.0) -> InnovationModel:
-    """Uniform on [-a, a] with a = sigma*sqrt(3), so the variance is sigma^2."""
-    s2 = _scale_variance(sigma)
-    a = sigma * math.sqrt(3.0)
-
-    def ell(x):
-        return min(x, a) ** 3 / (3.0 * a)
-
-    def sample(rng, n):
-        return rng.uniform(-a, a, n)
-
-    return InnovationModel("uniform", s2, ell, sample)
-
-
-def rademacher() -> InnovationModel:
-    """Symmetric +/-1 innovations; l(x) = 1{x >= 1}."""
-
-    def ell(x):
-        return 1.0 if x >= 1.0 else 0.0
-
-    def sample(rng, n):
-        return rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
-
-    return InnovationModel("rademacher", 1.0, ell, sample)
-
-
-def pareto_tail2() -> InnovationModel:
-    """Symmetric density |x|^-3 on |x| >= 1: infinite variance, l(x) = 2*log(x).
-
-    P(|e| > t) = t^-2 for t >= 1, so |e| = 1/sqrt(U) samples the magnitude
-    exactly; an independent sign flip makes the law symmetric.
-    """
-
-    def ell(x):
-        return 2.0 * math.log(x) if x >= 1.0 else 0.0
-
-    def sample(rng, n):
-        mag = 1.0 / np.sqrt(1.0 - rng.random(n))
-        sign = rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
-        return mag * sign
-
-    return InnovationModel("pareto2", None, ell, sample)
-
-
-MODEL_IDS = ("gaussian", "uniform", "rademacher", "pareto2")
-
-
-def model_from_config(cfg: dict) -> InnovationModel:
-    """Build a built-in model from ``{"id": ..., "sigma": ...}``."""
-    if not isinstance(cfg, dict) or "id" not in cfg:
-        raise ValueError("model config must be a mapping with an 'id' field")
-    kind = cfg["id"]
-    extra = set(cfg) - {"id", "sigma"}
-    if extra:
-        raise ValueError(f"unknown model config keys: {sorted(extra)}")
-    if kind in ("gaussian", "uniform"):
-        sigma = _finite_real(cfg.get("sigma", 1.0), "model sigma")
-        return gaussian(sigma) if kind == "gaussian" else uniform_sym(sigma)
-    if kind in ("rademacher", "pareto2"):
-        if "sigma" in cfg:
-            raise ValueError(f"model '{kind}' takes no sigma parameter")
-        return rademacher() if kind == "rademacher" else pareto_tail2()
-    raise ValueError(f"unknown model id {kind!r}; expected one of {MODEL_IDS}")
 
 
 # --- the b_n sequence ------------------------------------------------------

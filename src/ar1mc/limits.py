@@ -149,7 +149,7 @@ def _explosive_law(rho, mu, y0, model, draws, seed) -> np.ndarray:
     for lo, rng in zip(range(0, draws, step), keyed_generators(keys)):
         rows = min(step, draws - lo)
         out[lo:lo + rows, 0] = rng.standard_normal(rows)
-        eps = model._sample(rng, rows * width).reshape(rows, width)
+        eps = model.sample(rng, rows * width).reshape(rows, width)
         out[lo:lo + rows, 1] = np.sum(eps[:, :m] * weights, axis=1)
         u2[lo:lo + rows] = rho * y0 + np.sum(eps[:, m:] * weights[:-1], axis=1)
     denom = u2 + shift

@@ -25,7 +25,7 @@ import numpy as np
 # below, are not called here; they stay importable from this module because
 # the benchmark's tracer hooks them on it (a bypassed hook reports 0 calls).
 from .estimator import ls_estimate, ls_rows  # noqa: F401
-from .innovations import _CHUNK_ELEMENTS, _finite_real, model_from_config, sample_innovation_rows
+from .innovations import _CHUNK_ELEMENTS, InnovationModel, _finite_real, sample_innovation_rows
 from .limits import error_rates, sample_limit
 from .process import Regime, path_root, recurse_rows
 from .process import simulate_path  # noqa: F401
@@ -66,7 +66,8 @@ def _check_real(key: str, value) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment; ``model`` is a registry config record.
+    """One Monte Carlo experiment: a regime and an innovation model, both
+    checked values, with (mu, y0), the sample sizes and the replications.
 
     Construction validates every field with exact types: integers are
     ints (not bools or floats), reals are finite ints or floats, and every
@@ -74,7 +75,7 @@ class ExperimentConfig:
     """
 
     regime: Regime
-    model: dict
+    model: InnovationModel
     mu: float
     n_list: tuple[int, ...]
     replications: int
@@ -94,10 +95,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.regime, Regime):
             raise ConfigError(f"config key 'regime': expected a Regime, got {self.regime!r}")
-        try:
-            model_from_config(self.model)
-        except ValueError as exc:
-            raise ConfigError(f"config key 'model': {exc}") from None
+        if not isinstance(self.model, InnovationModel):
+            raise ConfigError(f"config key 'model': expected an InnovationModel, got {self.model!r}")
         object.__setattr__(self, "mu", _check_real("mu", self.mu))
         object.__setattr__(self, "y0", _check_real("y0", self.y0))
         if not isinstance(self.n_list, (list, tuple)) or not self.n_list:
@@ -123,16 +122,17 @@ class ExperimentConfig:
                    if key not in raw and cls.__dataclass_fields__[name].default is MISSING}
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        try:
-            regime = Regime.from_config(raw["regime"])
-        except ValueError as exc:
-            raise ConfigError(f"config key 'regime': {exc}") from None
         kwargs = {name: raw[key] for key, name in cls._KEYS.items() if key in raw}
-        return cls(**{**kwargs, "regime": regime})
+        for key, kind in (("regime", Regime), ("model", InnovationModel)):
+            try:
+                kwargs[key] = kind.from_config(raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
         out = {key: getattr(self, name) for key, name in self._KEYS.items()}
-        out.update(regime=self.regime.to_config(), model=dict(self.model),
+        out.update(regime=self.regime.to_config(), model=self.model.to_config(),
                    n_list=list(self.n_list))
         return out
 
@@ -315,8 +315,7 @@ def _replicate_block(payload):
     chunk.  Every row equals the single path simulate_path and
     ls_estimate would give for that stream.
     """
-    rho, mu, y0, model_cfg, n, master_seed, r_lo, r_hi = payload
-    model = model_from_config(model_cfg)
+    rho, mu, y0, model, n, master_seed, r_lo, r_hi = payload
     keys = philox_keys(master_seed, (_PATH_STREAM, n), np.arange(r_lo, r_hi))
     out = np.empty((r_hi - r_lo, 5))
     step = max(1, _CHUNK_ELEMENTS // n)
@@ -346,8 +345,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    model = model_from_config(config.model)
-    regime, mu, y0 = config.regime, config.mu, config.y0
+    regime, model, mu, y0 = config.regime, config.model, config.mu, config.y0
     R = config.replications
 
     # The limit law is drawn first: its stream is separate, and a law that
@@ -362,7 +360,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     # Every root is checked before any block runs.
     roots = {n: path_root(regime, mu, y0, n) for n in config.n_list}
 
-    payloads = [(roots[n], mu, y0, config.model, n, config.master_seed, lo, min(lo + _BLOCK, R))
+    payloads = [(roots[n], mu, y0, model, n, config.master_seed, lo, min(lo + _BLOCK, R))
                 for n in config.n_list for lo in range(0, R, _BLOCK)]
 
     if workers > 1:

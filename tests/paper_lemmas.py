@@ -15,7 +15,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ar1mc.estimator import SingularDesignError
-from ar1mc.innovations import ell_at_bn, model_from_config, sample_innovations
+from ar1mc.innovations import ell_at_bn, sample_innovations
 from ar1mc.limits import growth_dispersion, growth_mean, growth_mean_sq
 from ar1mc.process import resolve_rho
 from ar1mc.rng import derive_seed, generator
@@ -70,8 +70,7 @@ def replication_reference(config, n: int, r: int) -> tuple[float, float, float, 
     (master_seed, 1, n, r), the 1-D C-loop filter (|rho| <= 1) or the
     closed-form explosive path, then centered least squares on 1-D sums.
     """
-    model = model_from_config(config.model)
-    e = sample_innovations(model, n, derive_seed(config.master_seed, 1, n, r))
+    e = sample_innovations(config.model, n, derive_seed(config.master_seed, 1, n, r))
     rho = resolve_rho(config.regime, n)
     mu, y0 = config.mu, config.y0
     if abs(rho) > 1:

@@ -27,9 +27,9 @@ def report(cid, ok, detail):
     return ok
 
 
-def run_mc(regime, model_cfg, mu, n_list, reps, draws, seed, y0=0.0):
+def run_mc(regime, model, mu, n_list, reps, draws, seed, y0=0.0):
     cfg = m.ExperimentConfig(
-        regime=regime, model=model_cfg, mu=mu, y0=y0, n_list=tuple(n_list),
+        regime=regime, model=model, mu=mu, y0=y0, n_list=tuple(n_list),
         replications=reps, limit_draws=draws, master_seed=seed,
     )
     return m.run_experiment(cfg)
@@ -100,7 +100,7 @@ def test_c01_estimator_against_oracle_and_delta_identities():
 
 def test_c02_stationary_finite_variance_limit():
     t0 = time.time()
-    rep = run_mc(m.Regime("P1", rho=0.5), {"id": "gaussian", "sigma": 1.0},
+    rep = run_mc(m.Regime("P1", rho=0.5), m.gaussian(1.0),
                  mu=1.0, n_list=[5000], reps=2000, draws=100_000, seed=777)
     block = rep.per_n[0]
     var = block.scaled_rho_summary.variance
@@ -120,7 +120,7 @@ def test_c02_stationary_finite_variance_limit():
 
 def test_c03_stationary_infinite_variance_ks():
     t0 = time.time()
-    rep = run_mc(m.Regime("P1", rho=0.5), {"id": "pareto2"},
+    rep = run_mc(m.Regime("P1", rho=0.5), m.pareto_tail2(),
                  mu=1.0, n_list=[10_000], reps=2000, draws=100_000, seed=29)
     block = rep.per_n[0]
     elapsed = time.time() - t0
@@ -138,7 +138,7 @@ def test_c03_stationary_infinite_variance_ks():
     "~0.13 only near n~1e56, so no feasible run can meet the 0.15 bound",
 )
 def test_c03_stationary_infinite_variance_component_correlation():
-    rep = run_mc(m.Regime("P1", rho=0.5), {"id": "pareto2"},
+    rep = run_mc(m.Regime("P1", rho=0.5), m.pareto_tail2(),
                  mu=1.0, n_list=[10_000], reps=2000, draws=100_000, seed=29)
     corr = rep.per_n[0].component_correlation
     assert report("C3-corr", abs(corr) < 0.15, f"|corr|={abs(corr):.4f} (<0.15)")
@@ -146,7 +146,7 @@ def test_c03_stationary_infinite_variance_component_correlation():
 
 def test_c04_unit_root_limit():
     t0 = time.time()
-    rep = run_mc(m.Regime("P3"), {"id": "gaussian", "sigma": 1.0},
+    rep = run_mc(m.Regime("P3"), m.gaussian(1.0),
                  mu=1.0, n_list=[5000], reps=2000, draws=100_000, seed=7)
     block = rep.per_n[0]
     var = block.scaled_rho_summary.variance
@@ -160,7 +160,7 @@ def test_c04_unit_root_limit():
 
 def test_c05_explosive_limit():
     t0 = time.time()
-    rep = run_mc(m.Regime("P2", rho=1.2), {"id": "gaussian", "sigma": 1.0},
+    rep = run_mc(m.Regime("P2", rho=1.2), m.gaussian(1.0),
                  mu=1.0, n_list=[60], reps=2000, draws=100_000, seed=11, y0=0.0)
     block = rep.per_n[0]
     trunc = default_truncation(1.2)
@@ -175,7 +175,7 @@ def test_c05_explosive_limit():
 
 def test_c06_moderately_explosive_limit():
     t0 = time.time()
-    rep = run_mc(m.Regime("P6", c=1.0, alpha=0.5), {"id": "gaussian", "sigma": 1.0},
+    rep = run_mc(m.Regime("P6", c=1.0, alpha=0.5), m.gaussian(1.0),
                  mu=2.0, n_list=[2000], reps=2000, draws=100_000, seed=13)
     block = rep.per_n[0]
     scaled = block.scaled_rho[~block.singular_mask]
@@ -192,7 +192,7 @@ def test_c06_moderately_explosive_limit():
 
 def test_c07_moderately_stationary_degeneracy():
     t0 = time.time()
-    rep = run_mc(m.Regime("P5", c=-1.0, alpha=0.25), {"id": "gaussian", "sigma": 1.0},
+    rep = run_mc(m.Regime("P5", c=-1.0, alpha=0.25), m.gaussian(1.0),
                  mu=1.0, n_list=[4000], reps=1000, draws=100_000, seed=17)
     corr = rep.per_n[0].component_correlation
     elapsed = time.time() - t0
@@ -203,9 +203,9 @@ def test_c07_moderately_stationary_degeneracy():
 def test_c08_rate_exponents():
     t0 = time.time()
     sweep = [500, 1000, 2000, 4000, 8000]
-    rep1 = run_mc(m.Regime("P1", rho=0.5), {"id": "gaussian", "sigma": 1.0},
+    rep1 = run_mc(m.Regime("P1", rho=0.5), m.gaussian(1.0),
                   mu=1.0, n_list=sweep, reps=2000, draws=1000, seed=31)
-    rep3 = run_mc(m.Regime("P3"), {"id": "gaussian", "sigma": 1.0},
+    rep3 = run_mc(m.Regime("P3"), m.gaussian(1.0),
                   mu=1.0, n_list=sweep, reps=2000, draws=1000, seed=37)
     s1 = rep1.rate_fit["rho"]["slope"]
     s3 = rep3.rate_fit["rho"]["slope"]

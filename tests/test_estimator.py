@@ -185,7 +185,7 @@ class TestRates:
 
     def test_scale_error_matches_subtraction_when_well_conditioned(self):
         reg = Regime("P1", rho=0.5)
-        cfg = ExperimentConfig(regime=reg, model={"id": "gaussian", "sigma": 1.0}, mu=1.0,
+        cfg = ExperimentConfig(regime=reg, model=gaussian(1.0), mu=1.0,
                                n_list=(500,), replications=100, limit_draws=1000,
                                master_seed=21)
         block = run_experiment(cfg).per_n[0]
@@ -199,7 +199,7 @@ class TestRates:
         # moderately explosive: the error is ~1e-22 while ulp(rho_hat) ~ 2e-16;
         # the decomposition must still produce O(1) scaled errors
         reg = Regime("P6", c=1.0, alpha=0.5)
-        cfg = ExperimentConfig(regime=reg, model={"id": "gaussian", "sigma": 1.0}, mu=2.0,
+        cfg = ExperimentConfig(regime=reg, model=gaussian(1.0), mu=2.0,
                                n_list=(2000,), replications=100, limit_draws=1000,
                                master_seed=77)
         block = run_experiment(cfg).per_n[0]

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from ar1mc.innovations import (
     ell_at_bn,
     eval_l,
     gaussian,
-    model_from_config,
     pareto_tail2,
     rademacher,
     sample_innovations,
@@ -21,6 +21,14 @@ from ar1mc.innovations import (
 )
 
 ALL_MODELS = [gaussian(1.0), gaussian(0.5), uniform_sym(1.0), rademacher(), pareto_tail2()]
+
+
+def law_model(monkeypatch, name, finite_variance, ell):
+    """A model of a law that is not built in, declared in ``_LAWS`` for one
+    test; it takes no sigma and never samples."""
+    monkeypatch.setitem(innovations._LAWS, name,
+                        innovations._Law(False, finite_variance, ell, None))
+    return InnovationModel(name)
 
 
 def bisect_bn(ell, j, lo=2.0):
@@ -176,25 +184,22 @@ class TestBn:
         for n in (100, 10_000):
             assert compute_bn(model, n) == pytest.approx(math.sqrt(n), rel=1e-3)
 
-    def test_zero_truncated_moment_rejected(self):
-        dead = InnovationModel("dead", 1.0, lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                               lambda rng, n: np.zeros(n))
+    def test_zero_truncated_moment_rejected(self, monkeypatch):
+        dead = law_model(monkeypatch, "dead", True,
+                         lambda x, sigma: np.zeros_like(np.asarray(x, dtype=float)))
         with pytest.raises(ValueError):
             compute_bn(dead, 10)
 
-    def test_quadratic_truncated_moment_rejected(self):
+    def test_quadratic_truncated_moment_rejected(self, monkeypatch):
         # l(s)/s^2 stays at 1, so no s below the search cap reaches 1/10
-        quad_l = InnovationModel("quad", None, lambda x: x * x, lambda rng, n: np.zeros(n))
+        quad_l = law_model(monkeypatch, "quad", False, lambda x, sigma: x * x)
         with pytest.raises(ValueError, match="slow variation"):
             compute_bn(quad_l, 10)
 
-    def test_custom_positivity_edge_location(self):
+    def test_custom_positivity_edge_location(self, monkeypatch):
         # all mass at +/-3: l jumps from 0 to 9 at x = 3
-        tri = InnovationModel(
-            "pm3", 9.0,
-            lambda x: np.where(np.asarray(x, dtype=float) >= 3.0, 9.0, 0.0),
-            lambda rng, n: 3.0 * (rng.integers(0, 2, n) * 2.0 - 1.0),
-        )
+        tri = law_model(monkeypatch, "pm3", True,
+                        lambda x, sigma: np.where(np.asarray(x, dtype=float) >= 3.0, 9.0, 0.0))
         assert compute_bn(tri, 0) == pytest.approx(3.0, rel=1e-12)
         # floor b0 + 1 = 4 binds until 1/j < 9/16
         assert compute_bn(tri, 1) == pytest.approx(4.0, rel=1e-12)
@@ -263,21 +268,22 @@ class TestModelConfig:
         for cfg, variance in (({"id": "gaussian", "sigma": 2.0}, 4.0),
                               ({"id": "uniform", "sigma": 0.5}, 0.25),
                               ({"id": "rademacher"}, 1.0), ({"id": "pareto2"}, None)):
-            model = model_from_config(cfg)
+            model = InnovationModel.from_config(cfg)
             assert model.name == cfg["id"]
             assert model.variance == variance
+            assert model.to_config() == cfg
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
-            model_from_config({"id": "cauchy"})
+            InnovationModel.from_config({"id": "cauchy"})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
-            model_from_config({"id": "gaussian", "scale": 1.0})
+            InnovationModel.from_config({"id": "gaussian", "scale": 1.0})
 
     def test_sigma_on_parameterless_model_rejected(self):
         with pytest.raises(ValueError):
-            model_from_config({"id": "rademacher", "sigma": 2.0})
+            InnovationModel.from_config({"id": "rademacher", "sigma": 2.0})
 
     @pytest.mark.parametrize("factory", [gaussian, uniform_sym])
     @pytest.mark.parametrize("sigma", [1e-320, 1e200, -1.0, math.nan])
@@ -289,3 +295,50 @@ class TestModelConfig:
         assert gaussian(2.0).variance == 4.0
         assert pareto_tail2().variance is None
         assert not pareto_tail2().has_finite_variance
+
+    @pytest.mark.parametrize("cfg, echo", [
+        ({"id": "gaussian"}, {"id": "gaussian", "sigma": 1.0}),
+        ({"id": "uniform", "sigma": 2}, {"id": "uniform", "sigma": 2.0}),
+        ({"id": "pareto2"}, {"id": "pareto2"}),
+    ])
+    def test_sigma_echoed_as_float(self, cfg, echo):
+        config = InnovationModel.from_config(cfg).to_config()
+        assert config == echo
+        assert all(type(v) is float for k, v in config.items() if k == "sigma")
+
+    @pytest.mark.parametrize("model_id", ["gaussian", "uniform", "rademacher", "pareto2", "cauchy"])
+    def test_null_sigma_rejected(self, model_id):
+        # a JSON null is a value, not a missing key
+        with pytest.raises(ValueError, match="sigma"):
+            InnovationModel.from_config({"id": model_id, "sigma": None})
+
+
+class TestModelValue:
+    """A model is a value: equal ids and scales give equal, hashable,
+    picklable models, and equal models share one b_0 cache entry."""
+
+    MODELS = [gaussian(1.0), gaussian(0.5), uniform_sym(2.0), rademacher(), pareto_tail2()]
+
+    def test_equal_models_are_equal(self):
+        assert gaussian(1.0) == gaussian(1.0) == gaussian(1) == InnovationModel("gaussian")
+        assert hash(gaussian(1.0)) == hash(gaussian(1))
+        assert gaussian(1.0) != gaussian(2.0) != uniform_sym(2.0)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_pickle_round_trip(self, model):
+        back = pickle.loads(pickle.dumps(model))
+        assert back == model
+        assert np.array_equal(sample_innovations(back, 50, 3), sample_innovations(model, 50, 3))
+
+    def test_equal_model_hits_bn_cache(self):
+        innovations._positivity_edge.cache_clear()
+        compute_bn(gaussian(1.5), 100)
+        compute_bn(gaussian(1.5), 200)
+        info = innovations._positivity_edge.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("name, sigma", [("gaussian", "1"), ("gaussian", True),
+                                             ("pareto2", 1.0), ("cauchy", None), (["x"], None)])
+    def test_constructor_checks_itself(self, name, sigma):
+        with pytest.raises(ValueError):
+            InnovationModel(name, sigma)

@@ -182,7 +182,7 @@ class TestExplosiveLimit:
             rows = min(step, draws - lo)
             rng = generator(derive_seed(seed, c))
             w1 = rng.standard_normal(rows)
-            eps = model._sample(rng, rows * (2 * m - 1)).reshape(rows, 2 * m - 1)
+            eps = model.sample(rng, rows * (2 * m - 1)).reshape(rows, 2 * m - 1)
             u1 = eps[:, :m] @ rho ** -np.arange(0.0, m)
             u2 = rho * y0 + rho * (eps[:, m:] @ rho ** -np.arange(1.0, m))
             assert np.array_equal(got[lo:lo + rows, 0], w1)

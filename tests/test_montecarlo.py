@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ar1mc.innovations import gaussian, model_from_config
+from ar1mc.innovations import gaussian, pareto_tail2, rademacher, uniform_sym
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import (
     ConfigError,
@@ -31,7 +32,7 @@ from paper_lemmas import (
 def small_config(**overrides):
     base = dict(
         regime=Regime("P1", rho=0.5),
-        model={"id": "gaussian", "sigma": 1.0},
+        model=gaussian(1.0),
         mu=1.0,
         n_list=(100,),
         replications=120,
@@ -241,12 +242,21 @@ class TestConfig:
         dict(replications=100.5),
         dict(master_seed=True),
         dict(model={"id": "bogus"}),
+        dict(model={"id": "gaussian", "sigma": 1.0}),  # a record, not a model
         dict(regime={"tag": "P1", "rho": 0.5}),
         dict(mu="1.0"),
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             small_config(**bad)
+
+    def test_config_is_a_hashable_picklable_value(self):
+        cfg = small_config()
+        assert hash(cfg) == hash(small_config())
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        # the checked model cannot be changed behind the config's back
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.model.sigma = -3.0
 
     @settings(max_examples=200)
     @given(raw=fuzzed(VALID_JSON, sorted([*ExperimentConfig._KEYS, "grid_m"]) + ["workers", "truncation_M"]))
@@ -262,6 +272,7 @@ class TestConfig:
         st.fixed_dictionaries({
             **VALID_FIELDS,
             "regime": st.sampled_from([Regime("P1", rho=0.5), Regime("P6", c=1.0, alpha=0.5)]),
+            "model": st.sampled_from([gaussian(1.0), uniform_sym(2.0), pareto_tail2()]),
             "master_seed": st.integers(0, 2**70),
         }),
         ["regime", "model", "mu", "y0", "n_list", "replications", "limit_draws",
@@ -315,7 +326,7 @@ class TestRunExperiment:
     def test_degenerate_model_records_all_singular(self):
         # innovations of scale 1e-100 vanish against the fixed point
         # y0 = mu/(1-rho) = 2, so every lagged series is constant
-        cfg = small_config(model={"id": "gaussian", "sigma": 1e-100}, mu=1.0, y0=2.0,
+        cfg = small_config(model=gaussian(1e-100), mu=1.0, y0=2.0,
                            regime=Regime("P1", rho=0.5))
         docs = []
         for workers in (1, 2):
@@ -335,7 +346,7 @@ class TestRunExperiment:
         corrs = {}
         for n in (250, 4000):
             cfg = small_config(regime=Regime("P5", c=-1.0, alpha=0.25),
-                               model={"id": "pareto2"}, n_list=(n,),
+                               model=pareto_tail2(), n_list=(n,),
                                replications=400, limit_draws=2000, master_seed=3)
             corrs[n] = run_experiment(cfg).per_n[0].component_correlation
         assert abs(corrs[4000]) > 0.6
@@ -345,7 +356,7 @@ class TestRunExperiment:
         # the P2 rate rho^n has no l(b_n) in it, so the limit's innovation
         # series must stay raw against the mu*rho/(rho-1) shift; dividing
         # them by sqrt(l(b_M)) puts KS(rho) near 0.21 here
-        cfg = small_config(regime=Regime("P2", rho=1.2), model={"id": "pareto2"},
+        cfg = small_config(regime=Regime("P2", rho=1.2), model=pareto_tail2(),
                            n_list=(120,), replications=2000, limit_draws=100_000,
                            master_seed=11)
         assert run_experiment(cfg).per_n[0].ks_rho < 0.08
@@ -387,7 +398,7 @@ _STREAM_REGIMES = {
     "P6": (Regime("P6", c=1.0, alpha=0.5), (100, 1500)),
 }
 _STREAM_CASES = [
-    (tag, model) for tag in _STREAM_REGIMES for model in ({"id": "gaussian"}, {"id": "pareto2"})
+    (tag, model) for tag in _STREAM_REGIMES for model in (gaussian(), pareto_tail2())
 ]
 
 
@@ -423,11 +434,10 @@ class TestStreamMap:
 
     def check(self, cfg):
         report = run_experiment(cfg)
-        model = model_from_config(cfg.model)
         for block in report.per_n:
             ref = np.array([replication_reference(cfg, block.n, r)
                             for r in range(cfg.replications)])
-            mu_rate, rho_rate = error_rates(cfg.regime, model, block.n)
+            mu_rate, rho_rate = error_rates(cfg.regime, cfg.model, block.n)
             assert np.array_equal(block.mu_hat, ref[:, 0], equal_nan=True)
             assert np.array_equal(block.rho_hat, ref[:, 1], equal_nan=True)
             assert np.array_equal(block.scaled_mu, mu_rate * ref[:, 2], equal_nan=True)
@@ -436,18 +446,18 @@ class TestStreamMap:
         return report
 
     @pytest.mark.parametrize("tag, model", _STREAM_CASES,
-                             ids=[f"{t}-{m['id']}" for t, m in _STREAM_CASES])
+                             ids=[f"{t}-{m.name}" for t, m in _STREAM_CASES])
     def test_engine_matches_path_by_path_reference(self, tag, model):
         regime, n_list = _STREAM_REGIMES[tag]
         self.check(small_config(regime=regime, model=model, n_list=n_list,
                                 replications=130, limit_draws=1000, master_seed=2**40 + 3))
 
     def test_rademacher_explosive(self):
-        self.check(small_config(regime=Regime("P2", rho=-1.3), model={"id": "rademacher"},
+        self.check(small_config(regime=Regime("P2", rho=-1.3), model=rademacher(),
                                 n_list=(60, 90), replications=300, y0=0.5))
 
     def test_all_singular(self):
-        report = self.check(small_config(model={"id": "gaussian", "sigma": 1e-100}, mu=1.0,
+        report = self.check(small_config(model=gaussian(1e-100), mu=1.0,
                                          y0=2.0, n_list=(100, 1500), replications=130))
         assert all(block.singular == 130 for block in report.per_n)
         for doc in json.loads(report.to_json())["per_n"]:

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
-from ar1mc.innovations import InnovationModel, gaussian, pareto_tail2, sample_innovations
-from ar1mc.process import Regime, recurse_rows, resolve_rho, simulate_path
+from ar1mc.innovations import gaussian, pareto_tail2, sample_innovations
+from ar1mc.process import Ar1Path, Regime, recurse_rows, resolve_rho, simulate_path
 from paper_lemmas import companion_series, lagged, refit_residual
-
-
-def zero_model():
-    return InnovationModel("zero", 1.0, lambda x: np.zeros_like(np.asarray(x, float)),
-                           lambda rng, n: np.zeros(n))
 
 
 class TestRegime:
@@ -70,17 +65,17 @@ class TestRegime:
 
 class TestSimulate:
     def test_null_dynamics(self):
-        path = simulate_path(Regime("P1", rho=0.3), 0.0, 0.0, zero_model(), 5, 1)
-        assert np.all(path.y == 0.0)
+        y = recurse_rows(0.0, 0.3, 0.0, np.zeros((1, 5)))[0]
+        assert np.all(y == 0.0)
 
     def test_fixed_point(self):
         # mu/(1-rho) = 2 is invariant under the noiseless recursion
-        path = simulate_path(Regime("P1", rho=0.5), 1.0, 2.0, zero_model(), 3, 1)
-        assert np.allclose(path.y, [2.0, 2.0, 2.0], rtol=0, atol=0)
+        y = recurse_rows(1.0, 0.5, 2.0, np.zeros((1, 3)))[0]
+        assert np.allclose(y, [2.0, 2.0, 2.0], rtol=0, atol=0)
 
     def test_explosive_hand_recursion(self):
-        path = simulate_path(Regime("P2", rho=2.0), 1.0, 0.0, zero_model(), 3, 1)
-        assert np.allclose(path.y, [1.0, 3.0, 7.0], rtol=1e-15)
+        y = recurse_rows(1.0, 2.0, 0.0, np.zeros((1, 3)))[0]
+        assert np.allclose(y, [1.0, 3.0, 7.0], rtol=1e-15)
 
     @pytest.mark.parametrize("regime", [
         Regime("P1", rho=0.5), Regime("P1", rho=-0.8), Regime("P2", rho=1.2),
@@ -178,7 +173,8 @@ class TestCompanions:
             companion_series(path, "centered")
 
     def test_tilde_explosive_pure_growth(self):
-        path = simulate_path(Regime("P2", rho=2.0), 5.0, 1.0, zero_model(), 3, 1)
+        y = recurse_rows(5.0, 2.0, 1.0, np.zeros((1, 3)))[0]
+        path = Ar1Path(mu=5.0, rho=2.0, y0=1.0, y=y, e=np.zeros(3))
         assert np.allclose(companion_series(path, "tilde_explosive"), [2.0, 4.0, 8.0], rtol=1e-14)
 
     def test_tilde_recursions(self):

@@ -9,8 +9,9 @@ the documentation cannot drift from the program.
 
     PYTHONPATH=src python tests/test_public_api.py DIR
 
-writes README's example config to DIR/exp.json and its ``ar1mc`` command
-lines, as ``python -m ar1mc.cli`` calls, to DIR/examples.sh.
+writes README's example config to DIR/exp.json, its ``ar1mc`` command
+lines, as ``python -m ar1mc.cli`` calls, to DIR/examples.sh, and its
+Python quick start to DIR/quickstart.py.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ def readme_config() -> dict:
     return json.loads(body)
 
 
+def readme_quickstart() -> str:
+    """README's Python quick start, its one ``python`` block."""
+    (body,) = [body for lang, body in _fenced_blocks() if lang == "python"]
+    return body
+
+
 def package_uses() -> set[str]:
     """Names reached through the package namespace, submodules left out."""
     used = set(re.findall(r"\bm\.(\w+)", (ROOT / "README.md").read_text()))
@@ -88,8 +95,13 @@ def test_readme_config_loads():
     ExperimentConfig.from_dict(readme_config())
 
 
+def test_readme_quickstart_compiles():
+    compile(readme_quickstart(), "README.md", "exec")
+
+
 if __name__ == "__main__":
     out = Path(sys.argv[1])
     (out / "exp.json").write_text(json.dumps(readme_config(), indent=2) + "\n")
     (out / "examples.sh").write_text(
         "".join(f"python -m ar1mc.cli {shlex.join(argv)}\n" for argv in readme_commands()))
+    (out / "quickstart.py").write_text(readme_quickstart())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ar1mc.innovations import model_from_config, sample_innovation_rows, sample_innovations
+from ar1mc.innovations import InnovationModel, sample_innovation_rows, sample_innovations
 from ar1mc.rng import _generator_keys, derive_seed, generator, keyed_generators, philox_keys
 
 MASTERS = [0, 1, 7, 20177, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**130 + 17]
@@ -51,7 +51,7 @@ class TestKeyedGenerators:
     def test_rows_equal_fresh_generators(self, model_id):
         # odd lengths leave a cached half word in the bit generator (pareto2
         # and rademacher draw 32-bit integers), which re-keying must clear
-        model = model_from_config({"id": model_id})
+        model = InnovationModel(model_id)
         keys = philox_keys(3, (1, 77), np.arange(6))
         rows = sample_innovation_rows(model, keys, 77)
         expected = [sample_innovations(model, 77, derive_seed(3, 1, 77, r)) for r in range(6)]
