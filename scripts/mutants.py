@@ -63,7 +63,16 @@ MUTANTS = [
     ("math.exp(-0.5 * a * a)", "math.exp(-a * a)"),
     ("0.0 < sigma * sigma < math.inf", "0.0 <= sigma * sigma < math.inf"),
     ("sigma * rng.standard_normal(n)", "sigma * sigma * rng.standard_normal(n)"),
+    # The two refusals that every caller now shares: least squares on a
+    # path whose estimates overflow, and a JSON null in a config mapping.
+    ("if not np.all(np.isfinite(fields)):", "if False:"),
+    ("if value is None:", "if False:"),
 ]
+# Not listed, because it is equivalent: swapping the arguments of a KS call
+# (``ks_two_sample(limit[:, 0], s_mu)``).  ks_two_sample evaluates the gaps
+# at the points of the smaller sample whichever argument holds it, and
+# |k/|a| - j/|b|| is the same float in either order, so every report byte
+# stays; TestKs checks both orders against the pooled formula.
 
 # ROADMAP item 5's grid Monte Carlo lemma tests.
 GRID_LEMMA_TESTS = [

@@ -24,11 +24,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .estimator import ls_rows
+from .estimator import SingularDesignError, ls_estimate
 from .innovations import MODEL_IDS, InnovationModel
 from .limits import sample_limit
 from .montecarlo import ConfigError, ExperimentConfig, run_experiment
-from .process import _TAGS, Regime, simulate_path
+from .process import _TAGS, Ar1Path, Regime, simulate_path
 from .rng import DEFAULT_SEED
 
 _USAGE_EXIT = 2
@@ -82,8 +82,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _read_path_csv(filename: str) -> tuple[float, np.ndarray, np.ndarray]:
-    """(y0, y_1..y_n, e_1..e_n) from a path CSV as ``simulate`` writes it."""
+def _read_path_csv(filename: str) -> Ar1Path:
+    """The path in a CSV as ``simulate`` writes it.  A file holds no
+    generating truth, so its ``mu`` and ``rho`` are NaN."""
     with open(filename) as fh:
         header = fh.readline().strip()
         if header != "t,y,e":
@@ -110,20 +111,12 @@ def _read_path_csv(filename: str) -> tuple[float, np.ndarray, np.ndarray]:
         raise ConfigError(f"{filename}: need at least t = 0, 1, 2")
     if any(e is None for e in es[1:]):
         raise ConfigError(f"{filename}: innovation column is required for t >= 1")
-    return ys[0], np.array(ys[1:]), np.array(es[1:])
+    return Ar1Path(mu=math.nan, rho=math.nan, y0=ys[0], y=np.array(ys[1:]), e=np.array(es[1:]))
 
 
 def _cmd_estimate(args) -> int:
-    y0, y, e = _read_path_csv(args.infile)
-    est, singular = ls_rows(y0, y[np.newaxis], e[np.newaxis])
-    if singular[0]:
-        print("error: lagged regressor is numerically constant "
-              f"(Delta3={est.delta3[0]:.3e})", file=sys.stderr)
-        return _RUNTIME_EXIT
-    payload = {name: float(value[0]) for name, value in asdict(est).items()}
-    if not all(math.isfinite(v) for v in payload.values()):
-        raise OverflowError("least-squares estimates overflow double precision")
-    payload["n"] = len(y)
+    path = _read_path_csv(args.infile)
+    payload = {**asdict(ls_estimate(path)), "n": path.n}
     if args.json:
         _write_json(args.json, payload)
     print(f"mu_hat  = {_fmt(payload['mu_hat'])}")
@@ -282,14 +275,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (SingularDesignError, ArithmeticError, MemoryError, OSError, ImportError) as exc:
+        # a constant lagged series (a ValueError, hence first), overflow or a
+        # degenerate law's division, a size too large to allocate, I/O, or
+        # scipy's filter missing
+        print(f"error: {exc}", file=sys.stderr)
+        return _RUNTIME_EXIT
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (ArithmeticError, MemoryError, OSError, ImportError) as exc:
-        # overflow or a degenerate law's division, a size too large to
-        # allocate, I/O, or scipy's filter missing
-        print(f"error: {exc}", file=sys.stderr)
-        return _RUNTIME_EXIT
 
 
 if __name__ == "__main__":

@@ -88,11 +88,17 @@ def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.nda
 
 
 def ls_estimate(path: Ar1Path) -> LsEstimate:
-    """Least-squares (mu_hat, rho_hat) with the Delta decomposition."""
+    """Least-squares (mu_hat, rho_hat) with the Delta decomposition.
+
+    Raises SingularDesignError when the lagged regressor is numerically
+    constant, and OverflowError when an estimate or a Delta is not finite.
+    """
     est, singular = ls_rows(path.y0, path.y[np.newaxis], path.e[np.newaxis])
     if singular[0]:
         raise SingularDesignError(
             f"lagged regressor is numerically constant (Delta3={est.delta3[0]:.3e})"
         )
-    return LsEstimate(*(float(v[0]) for v in (
-        est.mu_hat, est.rho_hat, est.delta1, est.delta2, est.delta3)))
+    fields = [float(v[0]) for v in (est.mu_hat, est.rho_hat, est.delta1, est.delta2, est.delta3)]
+    if not np.all(np.isfinite(fields)):
+        raise OverflowError("least-squares estimates overflow double precision")
+    return LsEstimate(*fields)

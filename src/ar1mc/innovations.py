@@ -46,6 +46,21 @@ def _finite_real(value, what: str) -> float:
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
+def _config_values(cfg, what: str, keys: tuple[str, ...]) -> list:
+    """The values of ``keys`` in the ``what`` config mapping ``cfg``, None
+    where a key is absent.  ``keys[0]`` is required, and an unknown key or
+    a JSON null (a value, not an absent key) is refused."""
+    if not isinstance(cfg, dict) or keys[0] not in cfg:
+        raise ValueError(f"{what} config must be a mapping with the key {keys[0]!r}")
+    extra = set(cfg) - set(keys)
+    if extra:
+        raise ValueError(f"unknown {what} config keys: {sorted(extra)}")
+    for key, value in cfg.items():
+        if value is None:
+            raise ValueError(f"{what} config key {key!r} must not be null")
+    return [cfg.get(key) for key in keys]
+
+
 # --- the built-in laws -----------------------------------------------------
 
 
@@ -123,12 +138,8 @@ class InnovationModel:
         object.__setattr__(self, "sigma", sigma)
 
     @property
-    def has_finite_variance(self) -> bool:
-        return _LAWS[self.name].finite_variance
-
-    @property
     def variance(self) -> float | None:
-        if not self.has_finite_variance:
+        if not _LAWS[self.name].finite_variance:
             return None
         return 1.0 if self.sigma is None else self.sigma * self.sigma
 
@@ -139,14 +150,7 @@ class InnovationModel:
     @classmethod
     def from_config(cls, cfg: dict) -> "InnovationModel":
         """The model of ``{"id": ..., "sigma": ...}``."""
-        if not isinstance(cfg, dict) or "id" not in cfg:
-            raise ValueError("model config must be a mapping with an 'id' field")
-        extra = set(cfg) - {"id", "sigma"}
-        if extra:
-            raise ValueError(f"unknown model config keys: {sorted(extra)}")
-        if cfg.get("sigma", 1.0) is None:  # a JSON null is a value, not an absent key
-            raise ValueError("model sigma must be a finite number, got None")
-        return cls(cfg["id"], cfg.get("sigma"))
+        return cls(*_config_values(cfg, "model", ("id", "sigma")))
 
     def to_config(self) -> dict:
         return {"id": self.name, **({} if self.sigma is None else {"sigma": self.sigma})}

@@ -103,7 +103,7 @@ def error_rates(regime: Regime, model: InnovationModel, n: int) -> tuple[float, 
     if tag == "P5":
         alpha = regime.alpha
         first, _ = _p5_terms(alpha, model.variance)
-        if model.has_finite_variance:
+        if model.variance is not None:
             a_n = n ** ((alpha if first else 0.5) - 0.5 * alpha)
         elif first:
             a_n = math.sqrt(n ** alpha / ell)

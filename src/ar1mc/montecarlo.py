@@ -228,22 +228,20 @@ class McReport:
 
 
 def ks_two_sample(a, b) -> float:
-    """Exact sup-distance between the empirical CDFs of two samples."""
+    """Exact sup-distance between the empirical CDFs of two nonempty samples.
+
+    Both samples are sorted.  Between two points of the smaller one the gap
+    |F_a - F_b| is largest at an end: at a point of that sample itself, or
+    just before the next one.  Evaluating both sides of each of its points
+    therefore meets the pooled maximum, as the same float quotients k/|a|
+    and j/|b|, so the argument order does not change the result.
+    """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("ks_two_sample requires nonempty samples")
-    return _ks_sorted(a, b) if a.size <= b.size else _ks_sorted(b, a)
-
-
-def _ks_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    """``ks_two_sample`` of two sorted, nonempty samples, in O(|a| log |b|).
-
-    Between two points of ``a`` the gap |F_a - F_b| is largest at an end:
-    at a point of ``a`` itself, or just before the next one.  Evaluating
-    both sides of every point of ``a`` therefore meets the pooled maximum,
-    as the same float quotients k/|a| and j/|b|.
-    """
+    if a.size > b.size:
+        a, b = b, a
     gap_right = (np.searchsorted(a, a, side="right") / a.size
                  - np.searchsorted(b, a, side="right") / b.size)
     gap_left = (np.searchsorted(a, a, side="left") / a.size
@@ -378,8 +376,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     # order is fixed by the replication ids, never by completion order.
     rows_by_n = np.concatenate(results).reshape(len(config.n_list), R, 5)
 
-    # Each limit column is sorted once, for the KS distances of every n.
-    limit_sorted = [np.sort(limit[:, k]) for k in (0, 1)]
     per_n = []
     rmse_mu, rmse_rho, fit_ns = [], [], []
     trimmed = regime.tag in ("P2", "P6")
@@ -397,8 +393,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
             s_mu, s_rho = scaled_mu[valid], scaled_rho[valid]
             stats = dict(
                 mu_rate=mu_rate, rho_rate=rho_rate,
-                ks_mu=_ks_sorted(np.sort(s_mu), limit_sorted[0]),
-                ks_rho=_ks_sorted(np.sort(s_rho), limit_sorted[1]),
+                ks_mu=ks_two_sample(s_mu, limit[:, 0]),
+                ks_rho=ks_two_sample(s_rho, limit[:, 1]),
                 component_correlation=_pearson(s_mu, s_rho) if s_mu.size > 1 else None,
                 scaled_mu_summary=summarize(s_mu), scaled_rho_summary=summarize(s_rho),
             )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .innovations import InnovationModel, _finite_real, sample_innovations
+from .innovations import InnovationModel, _config_values, _finite_real, sample_innovations
 
 __all__ = ["Regime", "Ar1Path", "simulate_path"]
 
@@ -78,12 +78,7 @@ class Regime:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Regime":
-        if not isinstance(cfg, dict) or "tag" not in cfg:
-            raise ValueError("regime config must be a mapping with a 'tag' field")
-        extra = set(cfg) - {"tag", *_NAMES}
-        if extra:
-            raise ValueError(f"unknown regime config keys: {sorted(extra)}")
-        return cls(cfg["tag"], **{k: cfg[k] for k in _NAMES if k in cfg})
+        return cls(*_config_values(cfg, "regime", ("tag", *_NAMES)))
 
     def to_config(self) -> dict:
         return {"tag": self.tag, **{k: getattr(self, k) for k in _PARAMS[self.tag]}}

@@ -265,9 +265,10 @@ class TestMc:
         ({"model": {"id": "gaussian", "sigma": True}}, "sigma"),
         ({"model": {"id": "gaussian", "sigma": 1e-320}}, "sigma"),
         ({"truncation_M": -5000}, "truncation_M"),
+        ({"regime": {"tag": "P3", "rho": None, "c": None}}, "null"),
     ], ids=["unknown-key", "null-mu", "scalar-n_list", "fractional-n_list", "bool-seed",
             "string-rho", "string-mu", "string-sigma", "bool-sigma", "tiny-sigma",
-            "truncation_M"])
+            "truncation_M", "null-regime-parameter"])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "exp.json", **overrides)
         code, _, err = run(["mc", "--config", str(cfg)], capsys)

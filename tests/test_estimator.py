@@ -73,6 +73,13 @@ class TestClosedForm:
         with pytest.raises(OverflowError):
             ls_estimate(path)
 
+    def test_overflowing_estimates_refused(self):
+        # every sum of squares is finite, but Delta1 is not
+        path = Ar1Path(mu=math.nan, rho=math.nan, y0=0.0, y=np.array([1.0, 2.0, 1e308]),
+                       e=np.array([1e308, -1e308, 1e308]))
+        with pytest.raises(OverflowError, match="estimates overflow"):
+            ls_estimate(path)
+
     def test_near_constant_design_above_floor_is_estimated(self):
         # Delta3 / (n sum x^2) lies between the 1e-12 singularity floor and
         # 1e-9, so the design is solved, not flagged

@@ -98,7 +98,7 @@ class TestEvalL:
     def test_bounded_by_variance_when_finite(self):
         xs = np.linspace(0.0, 40.0, 200)
         for model in ALL_MODELS:
-            if model.has_finite_variance:
+            if model.variance is not None:
                 for x in xs:
                     assert eval_l(model, float(x)) <= model.variance + 1e-12
 
@@ -294,7 +294,6 @@ class TestModelConfig:
     def test_variance_classes(self):
         assert gaussian(2.0).variance == 4.0
         assert pareto_tail2().variance is None
-        assert not pareto_tail2().has_finite_variance
 
     @pytest.mark.parametrize("cfg, echo", [
         ({"id": "gaussian"}, {"id": "gaussian", "sigma": 1.0}),

@@ -13,7 +13,6 @@ from ar1mc.limits import error_rates
 from ar1mc.montecarlo import (
     ConfigError,
     ExperimentConfig,
-    _ks_sorted,
     _rmse,
     ks_two_sample,
     rate_slope,
@@ -121,8 +120,8 @@ class TestKs:
         fa = np.searchsorted(a, pooled, side="right") / a.size
         fb = np.searchsorted(b, pooled, side="right") / b.size
         expect = float(np.max(np.abs(fa - fb)))
-        assert _ks_sorted(a, b) == expect
-        assert _ks_sorted(b, a) == expect
+        assert ks_two_sample(a, b) == expect
+        assert ks_two_sample(b, a) == expect
         assert ks_two_sample(b[::-1], a) == expect
 
 
@@ -322,6 +321,24 @@ class TestRunExperiment:
         assert 0.0 <= block["ks_rho"] <= 1.0
         assert doc["rate_fit"] is None  # single n: no slope fit
         assert doc["limit"]["comp2"]["count"] == 2000
+
+    @pytest.mark.parametrize("model, valid_sizes", [(gaussian(1.0), 2), (gaussian(1e-100), 0)],
+                             ids=["valid", "all-singular"])
+    def test_ks_runs_through_its_module_name(self, monkeypatch, model, valid_sizes):
+        # a wrapper on the module attribute (as the benchmark's tracer sets
+        # one) sees both KS distances of each size with valid replications,
+        # and the report does not move
+        cfg = small_config(model=model, mu=1.0, y0=2.0, n_list=(100, 150))
+        plain = run_experiment(cfg).to_json()
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return ks_two_sample(a, b)
+
+        monkeypatch.setattr("ar1mc.montecarlo.ks_two_sample", counted)
+        assert run_experiment(cfg).to_json() == plain
+        assert len(calls) == 2 * valid_sizes
 
     def test_degenerate_model_records_all_singular(self):
         # innovations of scale 1e-100 vanish against the fixed point

@@ -58,6 +58,17 @@ class TestRegime:
         assert reg.to_config() == cfg
         assert Regime.from_config(reg.to_config()) == reg
 
+    @pytest.mark.parametrize("cfg", [
+        {"tag": "P3", "rho": None, "c": None},
+        {"tag": "P1", "rho": None},
+        {"tag": "P5", "c": -1.0, "alpha": None},
+        {"tag": None},
+    ], ids=["P3-rho-c", "P1-rho", "P5-alpha", "tag"])
+    def test_config_null_rejected(self, cfg):
+        # a JSON null is a value, not a missing key
+        with pytest.raises(ValueError, match="null"):
+            Regime.from_config(cfg)
+
     def test_config_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             Regime.from_config({"tag": "P3", "kappa": 1.0})
