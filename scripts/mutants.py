@@ -62,11 +62,20 @@ MUTANTS = [
     ("2.0 * math.log(x)", "math.log(x)"),
     ("math.exp(-0.5 * a * a)", "math.exp(-a * a)"),
     ("0.0 < sigma * sigma < math.inf", "0.0 <= sigma * sigma < math.inf"),
-    ("sigma * rng.standard_normal(n)", "sigma * sigma * rng.standard_normal(n)"),
+    ("standard_normal(out=out), sigma, out=out)", "standard_normal(out=out), sigma * sigma, out=out)"),
     # The two refusals that every caller now shares: least squares on a
     # path whose estimates overflow, and a JSON null in a config mapping.
     ("if not np.all(np.isfinite(fields)):", "if False:"),
     ("if value is None:", "if False:"),
+    # The order of the in-place steps: the normal limit law reads z1 after
+    # overwriting it, and least squares takes the raw sum of squares of the
+    # lagged series after centring it.
+    ("                u = a21 * z1\n                z1 *= a11\n",
+     "                z1 *= a11\n                u = a21 * z1\n"),
+    ("        sum_sq = np.sum(np.multiply(x, x, out=work), axis=1)\n"
+     "        x -= xbar[:, np.newaxis]\n",
+     "        x -= xbar[:, np.newaxis]\n"
+     "        sum_sq = np.sum(np.multiply(x, x, out=work), axis=1)\n"),
 ]
 # Not listed, because it is equivalent: swapping the arguments of a KS call
 # (``ks_two_sample(limit[:, 0], s_mu)``).  ks_two_sample evaluates the gaps

@@ -16,6 +16,7 @@ back to bit-identical floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -42,32 +43,26 @@ def _fmt(v) -> str:
         return ""
     if isinstance(v, int):
         return str(v)
-    f = float(v)
-    if math.isnan(f):
-        return "nan"
-    return repr(f)
+    return repr(float(v))
 
 
 def _regime_from_flags(args) -> Regime:
     return Regime(args.regime, rho=args.rho, c=args.c, alpha=args.alpha)
 
 
-def _write_text(path: str | None, text: str):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_lines(path: str | None, lines) -> None:
+    """Writes ``lines`` one by one, as they are made, to ``path`` or stdout."""
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        fh.writelines(lines)
 
 
 def _write_json(path: str, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_csv(path: str | None, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, itertools.chain([header + "\n"],
+                                       (",".join(map(_fmt, row)) + "\n" for row in rows)))
 
 
 # --- subcommand implementations ---------------------------------------------
@@ -175,7 +170,7 @@ def _cmd_mc(args) -> int:
     config = _load_config(args.config, args.seed)
     report = run_experiment(config, workers=args.workers)
     if args.out:
-        _write_text(args.out, report.to_json())
+        _write_lines(args.out, [report.to_json()])
     if args.csv:
         _write_csv(args.csv, "n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular",
                    report.replication_rows())

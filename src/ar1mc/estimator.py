@@ -61,13 +61,14 @@ def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.nda
     x = np.empty_like(y)
     x[:, 0] = y0
     x[:, 1:] = y[:, :-1]
+    work = np.empty_like(y)  # each product before its sum; x is centred in place
     # Overflow is refused below and singular rows are masked before any
     # division, so no warning is left for numpy to raise.
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = np.mean(x, axis=1)
-        xc = x - xbar[:, np.newaxis]
-        sxx = np.sum(xc * xc, axis=1)
-        sum_sq = np.sum(x * x, axis=1)
+        sum_sq = np.sum(np.multiply(x, x, out=work), axis=1)
+        x -= xbar[:, np.newaxis]
+        sxx = np.sum(np.multiply(x, x, out=work), axis=1)
         delta3 = n * sxx
         if not (np.all(np.isfinite(delta3)) and np.all(np.isfinite(sum_sq))):
             raise OverflowError(
@@ -76,10 +77,12 @@ def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.nda
         singular = delta3 <= _SINGULAR_EPS * n * sum_sq
         sxx = np.where(singular, 1.0, sxx)
         zbar = np.mean(y, axis=1)
-        rho_hat = np.sum(xc * (y - zbar[:, np.newaxis]), axis=1) / sxx
+        np.subtract(y, zbar[:, np.newaxis], out=work)
+        rho_hat = np.sum(np.multiply(x, work, out=work), axis=1) / sxx
         mu_hat = zbar - rho_hat * xbar
         ebar = np.mean(e, axis=1)
-        sxe = np.sum(xc * (e - ebar[:, np.newaxis]), axis=1)
+        np.subtract(e, ebar[:, np.newaxis], out=work)
+        sxe = np.sum(np.multiply(x, work, out=work), axis=1)
         delta1 = n * (ebar * sxx - xbar * sxe)
         delta2 = n * sxe
     for values in (mu_hat, rho_hat, delta1, delta2):

@@ -80,29 +80,36 @@ def _uniform_ell(x, sigma):
     return min(x, a) ** 3 / (3.0 * a)
 
 
-def _pareto_sample(rng, n, sigma):
+def _uniform_fill(rng, out, sigma):
+    """-a + 2a*U for U = ``random()``: the floats of ``uniform(-a, a)``."""
+    a = _half_width(sigma)
+    return np.subtract(np.multiply(rng.random(out=out), 2.0 * a, out=out), a, out=out)
+
+
+def _pareto_fill(rng, out, sigma):
     """P(|e| > t) = t^-2 for t >= 1, so |e| = 1/sqrt(U) samples the magnitude
     exactly; an independent sign flip makes the law symmetric."""
-    mag = 1.0 / np.sqrt(1.0 - rng.random(n))
-    sign = rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
-    return mag * sign
+    np.divide(1.0, np.sqrt(np.subtract(1.0, rng.random(out=out), out=out), out=out), out=out)
+    sign = rng.integers(0, 2, out.size)
+    out *= np.subtract(np.multiply(sign, 2, out=sign), 1, out=sign)
+    return out
 
 
 # model id -> its law: whether it takes sigma, its variance class, l(x, sigma)
-# and the sampler (rng, n, sigma), where sigma is None for the laws that take
-# none.  The one place a model is declared.
-_Law = namedtuple("_Law", "takes_sigma finite_variance ell sample")
+# and fill(rng, out, sigma), which fills and returns the float array out (sigma
+# is None for the laws that take none).  The one place a model is declared.
+_Law = namedtuple("_Law", "takes_sigma finite_variance ell fill")
 _LAWS = {
-    "gaussian": _Law(True, True, _gaussian_ell,
-                     lambda rng, n, sigma: sigma * rng.standard_normal(n)),
-    "uniform": _Law(True, True, _uniform_ell,
-                    lambda rng, n, sigma: rng.uniform(-_half_width(sigma), _half_width(sigma), n)),
+    "gaussian": _Law(True, True, _gaussian_ell, lambda rng, out, sigma: np.multiply(
+        rng.standard_normal(out=out), sigma, out=out)),
+    "uniform": _Law(True, True, _uniform_ell, _uniform_fill),
     # symmetric +/-1: l(x) = 1{x >= 1}
     "rademacher": _Law(False, True, lambda x, sigma: 1.0 if x >= 1.0 else 0.0,
-                       lambda rng, n, sigma: rng.integers(0, 2, n).astype(float) * 2.0 - 1.0),
+                       lambda rng, out, sigma: np.subtract(np.multiply(
+                           rng.integers(0, 2, out.size), 2.0, out=out), 1.0, out=out)),
     # symmetric density |x|^-3 on |x| >= 1: infinite variance, l(x) = 2*log(x)
     "pareto2": _Law(False, False, lambda x, sigma: 2.0 * math.log(x) if x >= 1.0 else 0.0,
-                    _pareto_sample),
+                    _pareto_fill),
 }
 MODEL_IDS = tuple(_LAWS)
 
@@ -145,7 +152,7 @@ class InnovationModel:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` iid draws from ``rng``."""
-        return _LAWS[self.name].sample(rng, n, self.sigma)
+        return _LAWS[self.name].fill(rng, np.empty(n), self.sigma)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "InnovationModel":
@@ -190,8 +197,8 @@ def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
     return model.sample(generator(seed), int(n))
 
 
-# Innovations per chunk (rows x columns) in the replication blocks and the
-# P2 limit series alike: bounds peak memory without affecting results.
+# Values per chunk (rows x columns) in the replication blocks, the P2 limit
+# series and the normal limit laws: bounds memory without affecting results.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -205,7 +212,7 @@ def sample_innovation_rows(model: InnovationModel, keys: np.ndarray, n: int) -> 
         raise ValueError("n must be >= 1")
     out = np.empty((len(keys), int(n)))
     for row, rng in zip(out, keyed_generators(keys)):
-        row[:] = model.sample(rng, int(n))
+        _LAWS[model.name].fill(rng, row, model.sigma)
     return out
 
 

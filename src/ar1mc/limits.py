@@ -224,10 +224,18 @@ def sample_limit(
             out = _explosive_law(regime.rho, mu, y0, model, draws, seed)
         else:
             (a11, a12), (a21, a22) = _normal_factor(regime, mu, model.variance)
-            rng = generator(seed)
-            z1 = rng.standard_normal(draws)
-            z2 = rng.standard_normal(draws)
-            out = np.column_stack([a11 * z1 + a12 * z2, a21 * z1 + a22 * z2])
-    if not np.all(np.isfinite(out)):
+            out, rng = np.empty((2, draws)), generator(seed)
+            for z in out:
+                rng.standard_normal(out=z)
+            for lo in range(0, draws, _CHUNK_ELEMENTS):
+                z1, z2 = out[:, lo:lo + _CHUNK_ELEMENTS]
+                u = a21 * z1
+                z1 *= a11
+                z1 += a12 * z2
+                z2 *= a22
+                z2 += u
+            out = out.T
+    # min and max carry any NaN or infinity, and need no mask the size of out
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise OverflowError(f"{regime.tag} limit draws overflow double precision at these parameters")
     return out

@@ -283,14 +283,18 @@ def summarize(sample) -> Summary:
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    # np.sum-based on purpose: pairwise summation is deterministic across
-    # BLAS thread counts, which the report's byte-stability relies on.
-    ac = a - np.mean(a)
-    bc = b - np.mean(b)
-    denom = math.sqrt(float(np.sum(ac * ac)) * float(np.sum(bc * bc)))
+    # np.sum-based on purpose: pairwise summation is deterministic across BLAS
+    # thread counts, which the report's bytes rely on.  Each centred product
+    # fills one buffer 4096 values at a time and is then summed whole.
+    ma, mb, work, sums = np.mean(a), np.mean(b), np.empty(a.shape), []
+    for x, mx, y, my in ((a, ma, a, ma), (b, mb, b, mb), (a, ma, b, mb)):
+        for lo in range(0, a.size, 4096):
+            np.multiply(x[lo:lo + 4096] - mx, y[lo:lo + 4096] - my, out=work[lo:lo + 4096])
+        sums.append(float(np.sum(work)))
+    denom = math.sqrt(sums[0] * sums[1])
     if denom == 0.0:
         return float("nan")
-    return float(np.sum(ac * bc) / denom)
+    return sums[2] / denom
 
 
 # --- experiment driver -------------------------------------------------------
@@ -321,12 +325,8 @@ def _replicate_block(payload):
         e = sample_innovation_rows(model, keys[lo:lo + step], n)
         est, singular = ls_rows(y0, recurse_rows(mu, rho, y0, e), e)
         delta3 = np.where(singular, 1.0, est.delta3)
-        rows = out[lo:lo + len(e)]
-        rows[:, 0] = est.mu_hat
-        rows[:, 1] = est.rho_hat
-        rows[:, 2] = est.delta1 / delta3
-        rows[:, 3] = est.delta2 / delta3
-        rows[:, 4] = singular
+        out[lo:lo + len(e)] = np.column_stack(
+            [est.mu_hat, est.rho_hat, est.delta1 / delta3, est.delta2 / delta3, singular])
     return out
 
 

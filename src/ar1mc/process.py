@@ -173,14 +173,16 @@ def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
             # keeps every ingredient accurate to a few ulps of itself.
             t = np.arange(1, n + 1)
             p = np.power(rho, t)
-            w = np.cumsum(e * np.power(rho, -t), axis=1)
-            y = mu * (p - 1.0) / (rho - 1.0) + p * (y0 + w)
+            y = np.cumsum(e * np.power(rho, -t), axis=1)
+            y += y0
+            y *= p
+            y += mu * (p - 1.0) / (rho - 1.0)
         elif rho == 1.0:
             # lfilter's y_t = x_t + 1.0*y_{t-1} with y_0 = 1.0*y0, as a
             # running sum: the same additions in the same order.
             x = mu + e
             x[:, 0] += y0
-            y = np.cumsum(x, axis=1)
+            y = np.cumsum(x, axis=1, out=x)
         else:
             # lfilter's own call for this IIR filter, with its arguments.
             y, _ = load_filter()(np.array([1.0]), np.array([1.0, -rho]), mu + e, 1,

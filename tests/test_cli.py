@@ -18,9 +18,14 @@ from ar1mc.rng import DEFAULT_SEED
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# Runs the CLI on argv, then prints the process's peak RSS (KiB on Linux).
-PEAK_RSS = ("import resource, sys\nfrom ar1mc.cli import main\ncode = main(sys.argv[1:])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\nsys.exit(code)\n")
+# Runs the CLI on argv, then prints the process's peak RSS in KiB: Linux's
+# VmHWM, the high-water mark of this program's own memory.  getrusage's
+# ru_maxrss would not do: it keeps the peak of the process that spawned it,
+# so a test runner larger than the command would hide the command's peak.
+PEAK_RSS = ("import sys\nfrom ar1mc.cli import main\ncode = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+            "sys.exit(code)\n")
 
 
 def run(argv, capsys):
@@ -354,6 +359,38 @@ class TestOutOfMemory:
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+
+class TestStreamedCsv:
+    # The CSV writer formats and writes one row at a time, so the peak grows
+    # with the arrays a run draws, not with its text (the whole text of
+    # 200 000 rows would add about 37 MB).
+    @pytest.mark.parametrize("argv", [
+        ["limit-sample", "--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws"],
+        ["simulate", "--regime", "P1", "--rho", "0.5", "--mu", "1", "--n"],
+    ], ids=["limit-sample", "simulate"])
+    def test_peak_memory_flat_in_rows(self, tmp_path, argv):
+        # the two runs are separate processes, so they may run side by side
+        runs = [subprocess.Popen(
+            [sys.executable, "-c", PEAK_RSS, *argv, rows, "--out", str(tmp_path / f"{rows}.csv")],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE, text=True)
+            for rows in ("20000", "200000")]
+        outs = [run.communicate(timeout=120)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        peaks = [int(out) / 1024 for out in outs]
+        assert peaks[1] - peaks[0] < 15.0, peaks
+
+    def test_closed_stdout_pipe_exits_1(self):
+        # 20 000 rows overrun any pipe buffer, so a write meets the closed end.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ar1mc.cli", "limit-sample", "--regime", "P3", "--mu", "1",
+             "--draws", "20000"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
 
 
 class TestRates:

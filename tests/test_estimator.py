@@ -90,6 +90,16 @@ class TestClosedForm:
         est = ls_estimate(path_from_y(y_full, 0.0, 1.0))
         assert math.isfinite(est.mu_hat) and math.isfinite(est.rho_hat)
 
+    def test_near_constant_design_below_floor_is_singular(self):
+        # The floor is relative to the raw sum of squares of the lagged
+        # series, not to its centred sum, which would flag only a constant.
+        y_full = 1.0 + 6e-9 * np.random.default_rng(3).standard_normal(201)
+        x = y_full[:-1]
+        ratio = np.sum((x - x.mean()) ** 2) / np.sum(x * x)
+        assert 0.0 < ratio < 1e-12
+        with pytest.raises(SingularDesignError):
+            ls_estimate(path_from_y(y_full, 0.0, 1.0))
+
     def test_oracle_agreement_on_fixtures(self):
         rng = np.random.default_rng(7)
         for i in range(200):

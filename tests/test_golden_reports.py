@@ -1,4 +1,4 @@
-"""Committed sha256s of fixed-seed ``ar1mc mc`` outputs.
+"""Committed sha256s of fixed-seed ``ar1mc`` outputs.
 
 ``tests/golden_reports.json`` holds, for each config below, the sha256 of
 the report JSON and of the replication CSV that ``ar1mc mc`` writes, next
@@ -12,6 +12,13 @@ A change that moves report bytes on purpose rewrites the entries of the
 regimes it moves, and lists the moves with ``scripts/report_diff.py``:
 
     PYTHONPATH=src python tests/test_golden_reports.py P2
+
+``CLI_PINS`` below holds the sha256 of the CSVs that ``ar1mc simulate``
+and ``ar1mc limit-sample`` write, which the registry does not cover; they
+check the streamed CSV writer and each limit law byte for byte.  A change
+that moves them on purpose prints the new table with
+
+    PYTHONPATH=src python tests/test_golden_reports.py --cli
 """
 
 from __future__ import annotations
@@ -106,6 +113,60 @@ def test_report_bytes_match_registry(registry, name, workers, tmp_path):
     assert got["csv_sha256"] == want["csv_sha256"], f"{where}: replication CSV moved"
 
 
+# simulate and limit-sample entries: command-regime-model.  The limit laws
+# run where the model matters (P1 and P5 through its variance class, P2
+# through its series innovations) under both models, the others under one.
+CLI_NAMES = ([f"simulate-{label}-{model}" for label in ("P1", "P2", "P3") for model in _MODELS]
+             + [f"limit-sample-{label}-{model}" for label in ("P1", "P2", "P5@0.5")
+                for model in _MODELS]
+             + [f"limit-sample-{label}-gaussian" for label in ("P3", "P6")])
+CLI_PINS = {
+    "simulate-P1-gaussian": "cb46c61c054ba9bbb77512b337f6e26ed5a8419501d8a2e984682507405d4ff8",
+    "simulate-P1-pareto2": "29dc5fa7c598007b0c95d5360424c961ed761ae9fc0896f00053a12998f70e7b",
+    "simulate-P2-gaussian": "b2ecc4360ce65f3c708e6f781951efe01b48c1620a3e1a778c0ba37c8a4dcf1d",
+    "simulate-P2-pareto2": "1b65065ab61578b618216b5fda958bc87914228433040dde3819d749bc733f7c",
+    "simulate-P3-gaussian": "037f49484063b59cc607f540c679fc192ac88cec05ae67a1c28086e00d772e48",
+    "simulate-P3-pareto2": "c8416a2c6db2b7b6861e5cc2622e8980bd24da4a30da7992904cf53329845b89",
+    "limit-sample-P1-gaussian": "ea3a2d992302e8a3324f5ab3243f8c747c5a13dd65caec62c833d33cac0eef9c",
+    "limit-sample-P1-pareto2": "d3321e3ef59ec983c65866ee2908bb47b9bc52663da58bcb14ca9e7d25a45657",
+    "limit-sample-P2-gaussian": "8289a42a45bf4f3c6b93e273c315a5b380d9a7992eda2c849beb4fbeade8d9e9",
+    "limit-sample-P2-pareto2": "43308d0455518794c24097d86cc3b258a7beec16db45678c93fc5d90a2a4714d",
+    "limit-sample-P5@0.5-gaussian": "6551ff1f7bd1bdc1b4a6872b16ae2b83ab34d7703a95def2c28e97a2ec988b3b",
+    "limit-sample-P5@0.5-pareto2": "0a886e10fad19e3fc112a2060a59cac01d938aa51f89d92acd0f3bc5c51512f3",
+    "limit-sample-P3-gaussian": "9d46cbdbaaf780759bf3588696eb54269d056b58489a72ac20d79668f7f830dd",
+    "limit-sample-P6-gaussian": "c1ef32ef06e94db0b8aa9c73c351340e6bc454a08e231d3f564792fa122a44ee",
+}
+
+
+def cli_argv(name: str, out: Path) -> list[str]:
+    """The ``ar1mc`` arguments of a ``CLI_NAMES`` entry, writing to ``out``."""
+    command, label, model = name.rsplit("-", 2)
+    regime = _REGIMES[label]
+    argv = [command, "--regime", regime["tag"], "--model", model, "--mu", "1.5", "--seed", "5"]
+    argv += [f"--{key}={value!r}" for key, value in regime.items() if key != "tag"]
+    argv += [f"--sigma={value!r}" for key, value in _MODELS[model].items() if key == "sigma"]
+    if command == "simulate":
+        argv += ["--y0", "0.75", "--n", "1000"]
+    else:
+        argv += ["--draws", "3000"] + (["--y0", "0.75"] if regime["tag"] == "P2" else [])
+    return argv + ["--out", str(out)]
+
+
+def cli_sha256(name: str, workdir: Path) -> str:
+    out = workdir / "out.csv"
+    assert main(cli_argv(name, out)) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_cli_pins_list_every_case():
+    assert sorted(CLI_PINS) == sorted(CLI_NAMES)
+
+
+@pytest.mark.parametrize("name", CLI_NAMES)
+def test_cli_csv_bytes_match_pins(name, tmp_path):
+    assert cli_sha256(name, tmp_path) == CLI_PINS[name], f"{name}: CSV bytes moved"
+
+
 def rewrite(tags) -> None:
     """Recompute the entries of regimes ``tags`` (every regime when empty)."""
     registry = json.loads(REGISTRY.read_text()) if REGISTRY.exists() else {"entries": {}}
@@ -122,4 +183,9 @@ def rewrite(tags) -> None:
 
 
 if __name__ == "__main__":
-    rewrite(set(sys.argv[1:]))
+    if sys.argv[1:] == ["--cli"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in CLI_NAMES:
+                print(f'    "{name}": "{cli_sha256(name, Path(tmp))}",')
+    else:
+        rewrite(set(sys.argv[1:]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from ar1mc import limits
-from ar1mc.innovations import gaussian, pareto_tail2, rademacher
+from ar1mc.innovations import _CHUNK_ELEMENTS, gaussian, pareto_tail2, rademacher
 from ar1mc.limits import (
     _normal_factor,
     default_truncation,
@@ -381,3 +382,34 @@ class TestDispatch:
         # finite branch couples the components, infinite branch does not
         assert abs(np.corrcoef(fin.T)[0, 1]) > 0.5
         assert abs(np.corrcoef(inf.T)[0, 1]) < 0.02
+
+
+class TestNormalLawInPlace:
+    """The normal laws are formed in place, one chunk of scratch at a time."""
+
+    REGIMES = [Regime("P1", rho=0.6), Regime("P3"), Regime("P5", c=-1.5, alpha=0.5),
+               Regime("P6", c=1.5, alpha=0.5)]
+
+    @pytest.mark.parametrize("regime", REGIMES, ids=lambda r: r.tag)
+    def test_each_draw_is_the_factor_times_the_two_normal_draws(self, regime):
+        draws = 2 * _CHUNK_ELEMENTS + 7  # three chunks, the last one short
+        got = sample_limit(regime, MU, gaussian(2.0), draws, 13)
+        (a11, a12), (a21, a22) = _normal_factor(regime, MU, 4.0)
+        rng = generator(13)
+        z1 = rng.standard_normal(draws)
+        z2 = rng.standard_normal(draws)
+        want = np.column_stack([a11 * z1 + a12 * z2, a21 * z1 + a22 * z2])
+        assert np.array_equal(got, want)
+
+    def test_peak_is_the_output_plus_chunk_scratch(self):
+        # The scratch is two chunks of 2^16 values, whatever the draw count;
+        # whole copies of z1 and z2 would add about twice the output.
+        regime = Regime("P5", c=-1.5, alpha=0.5)
+        sample_limit(regime, MU, gaussian(1.0), 10, 3)  # imports what a first draw needs
+        tracemalloc.start()
+        try:
+            out = sample_limit(regime, MU, gaussian(1.0), 400_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 3 * 8 * _CHUNK_ELEMENTS, (peak, out.nbytes)
