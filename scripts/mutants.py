@@ -76,12 +76,25 @@ MUTANTS = [
      "        x -= xbar[:, np.newaxis]\n",
      "        x -= xbar[:, np.newaxis]\n"
      "        sum_sq = np.sum(np.multiply(x, x, out=work), axis=1)\n"),
+    # The blocked closed form of the recursion: the factor rho^s on each
+    # carry, a single sweep of the carries (right only while no carry
+    # reaches past the next block), and the floor of one term per block that
+    # keeps rho = 0 (and roots so small that 1/rho nears overflow) from the
+    # weight 1/rho.
+    ("        carry[:, 1:] *= lead\n", ""),
+    ("for sweep in range(blocks - 1):", "for sweep in range(min(1, blocks - 1)):"),
+    ("max(1, min(n, int(_SPAN / halvings)))", "max(2, min(n, int(_SPAN / halvings)))"),
 ]
 # Not listed, because it is equivalent: swapping the arguments of a KS call
 # (``ks_two_sample(limit[:, 0], s_mu)``).  ks_two_sample evaluates the gaps
 # at the points of the smaller sample whichever argument holds it, and
 # |k/|a| - j/|b|| is the same float in either order, so every report byte
-# stays; TestKs checks both orders against the pooled formula.
+# stays; TestKs checks both orders against the pooled formula.  Nor is
+# comparing the carry sweeps as floats rather than as bits
+# (``np.array_equal(carry, old)``): the two differ only on NaN, where every
+# sweep runs and the path is refused, and on the sign of a zero carry, which
+# can move y only where the block sum it is added to is a zero of the other
+# sign.
 
 # ROADMAP item 5's grid Monte Carlo lemma tests.
 GRID_LEMMA_TESTS = [

@@ -7,8 +7,8 @@ Subcommands:
     mc            run a replicated experiment from a JSON config
     rates         RMSE log-log rate fit over the config's n_list
 
-Exit codes: 0 success, 1 runtime, I/O or out-of-memory error (scipy's
-filter missing included), 2 usage or config error.
+Exit codes: 0 success, 1 runtime, I/O or out-of-memory error, 2 usage or
+config error.
 Numbers are written in shortest round-trip decimal form, so files parse
 back to bit-identical floats.
 """
@@ -20,6 +20,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -269,12 +270,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (SingularDesignError, ArithmeticError, MemoryError, OSError, ImportError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except (SingularDesignError, ArithmeticError, MemoryError, OSError) as exc:
         # a constant lagged series (a ValueError, hence first), overflow or a
-        # degenerate law's division, a size too large to allocate, I/O, or
-        # scipy's filter missing
+        # degenerate law's division, a size too large to allocate, or I/O
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # Python flushes stdout once more at exit; send what is left nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _RUNTIME_EXIT
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

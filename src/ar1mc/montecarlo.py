@@ -337,9 +337,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     process before any replication block runs.  ``workers`` only chooses
     how the blocks are scheduled (in this process, or in a fork pool of at
     most that many processes when it is above 1); the report is
-    bit-identical for every value.  Paths with |rho| <= 1 other than 1
-    run through scipy's filter kernel, which each process loads at its
-    first such path.
+    bit-identical for every value.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -11,20 +11,15 @@ with a constant start y_0.  A regime fixes how rho_n depends on n:
     P5  rho = 1 + c/n^alpha, c < 0, alpha in (0,1)   (moderately stationary)
     P6  rho = 1 + c/n^alpha, c > 0, alpha in (0,1)   (moderately explosive)
 
-The recursion runs row-wise in one of three forms: the exact closed form
-for |rho| > 1, a running sum at rho = 1, and otherwise the C loop of
-scipy's ``lfilter``.  That loop is the only part of scipy used here: it is
-loaded from its extension file at first use, and no scipy package module
-is imported.
+The recursion runs row-wise in numpy alone, in one of two forms: a running
+sum at rho = 1, and for every other root the closed form
+y_t = rho^t * (y_0 + sum_i x_i rho^-i), on blocks short enough that no
+power of rho leaves the double range.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,62 +126,94 @@ def path_root(regime: Regime, mu: float, y0: float, n: int) -> float:
     return rho
 
 
-@functools.cache
-def load_filter():
-    """The C loop of scipy's ``lfilter``: ``_linear_filter`` from scipy's
-    ``signal/_sigtools`` extension, loaded from its file on first use and
-    kept for the life of the process.
+# Within one block of the closed form no power of rho passes 2^(+-_SPAN/2),
+# so |mu + e| from about 2^-672 to 2^674 (1e-202 to 1e202) is weighted
+# inside the normal double range.
+_SPAN = 700
 
-    Only that extension is loaded; no scipy package module is imported.
-    Raises ImportError, naming scipy and the extension, when it is missing.
+
+def _powers(rho: float, k: np.ndarray) -> np.ndarray:
+    """rho^k for integer exponents ``k``.  Inside the unit disc a negative
+    root is raised as |rho|^k with the odd powers negated, since numpy
+    raises a negative base about 20 times slower; explosive roots keep the
+    bits of numpy's own power."""
+    if not -1.0 <= rho < 0.0:
+        return np.power(rho, k)
+    out = np.power(-rho, k)
+    out[k % 2 == 1] *= -1.0
+    return out
+
+
+def _closed_form(e: np.ndarray, rho: float, start: float, mu: float) -> np.ndarray:
+    """y_1..y_n of y_t = mu + rho*y_{t-1} + e_t from y_0 = start for each
+    row of ``e`` (rows, n), which is unchanged, at any root but 1.
+
+    The rows run in blocks of the most terms L with |rho|^-L <= 2^_SPAN
+    (one block when |rho| >= 1), and block b holds, from the value c before it,
+
+        y_{bL+j} = rho^(j-s) * (rho^s * c + sum_{i<=j} x_{bL+i} rho^(s-i)),  j = 1..L.
+
+    Inside the unit disc x = mu + e, since mu's own closed form cancels as
+    rho nears 1, and s = ceil(L/2) keeps every power within 2^(+-_SPAN/2);
+    rho = 0 (L = s = 1) gives y = x.  For |rho| > 1, x = e, s = 0 and mu adds
+    its drift mu*(rho^t - 1)/(rho - 1): the exact solution rounds per term,
+    where each step of the recursion would round at eps*rho^t, a fake
+    innovation that the diverging rates amplify.
     """
-    spec = importlib.util.find_spec("scipy")  # finds scipy without importing it
-    dirs = spec.submodule_search_locations if spec is not None else None
-    paths = [os.path.join(d, "signal", "_sigtools" + suffix)
-             for d in dirs or () for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None:
-        raise ImportError("scipy's signal/_sigtools extension was not found; roots "
-                          "with |rho| <= 1 other than 1 need scipy installed")
-    # The last part of the module name selects the extension's init function.
-    loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._sigtools", path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
-    loader.exec_module(module)
-    return module._linear_filter
+    rows, n = e.shape
+    explosive = abs(rho) > 1
+    halvings = -math.log2(abs(rho)) if rho else math.inf  # log2(1/|rho|)
+    size = n if halvings <= 0 else max(1, min(n, int(_SPAN / halvings)))
+    blocks = -(-n // size)
+    s = 0 if explosive else (size + 1) // 2
+    k = np.arange(1 - s, size + 1 - s)
+    p, w = _powers(rho, k), np.tile(_powers(rho, -k), blocks)[:n]
+    y = np.empty((rows, blocks, size))
+    flat = y.reshape(rows, blocks * size)
+    x = e if explosive else np.add(e, mu, out=flat[:, :n])
+    np.multiply(x, w, out=flat[:, :n])
+    flat[:, n:] = 0.0
+    if size > 1:  # a block of one term is its own sum
+        np.cumsum(y, axis=2, out=y)
+    # carry_{b+1} = rho^s * p[-1] * (carry_b + y[:, b, -1]).  Each sweep forms
+    # every carry from the last sweep's, in the other buffer, so k sweeps
+    # make the first k + 1 exact, and one that moves no bit has met the
+    # recursion.  A carry reaches the next block scaled by |rho|^L <
+    # 2^-(_SPAN/2), so that takes a few sweeps, not one per block.
+    lead = rho ** s
+    both = np.zeros((2, rows, blocks))
+    both[:, :, 0] = lead * start
+    carry = both[0]
+    for sweep in range(blocks - 1):
+        old, carry = carry, both[1 - sweep % 2]
+        np.add(old[:, :-1], y[:, :-1, -1], out=carry[:, 1:])
+        carry[:, 1:] *= p[-1]
+        carry[:, 1:] *= lead
+        if np.array_equal(carry.view(np.int64), old.view(np.int64)):
+            break
+    y += carry[:, :, np.newaxis]
+    y *= p
+    y = flat[:, :n]
+    if explosive:
+        y += mu * (p - 1.0) / (rho - 1.0)
+    return y
 
 
 def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
     """y_1..y_n for each row of innovations ``e`` (shape (rows, n)), all from y0.
 
     Each row is computed exactly as a path on its own would be: the same
-    C-loop filter, running sum or closed form, elementwise or along the row.
+    running sum or closed form, elementwise or along the row.
     """
-    rows, n = e.shape
     # An overflowing path is refused below, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        if abs(rho) > 1:
-            # For |rho| > 1 the recursion adds O(1) innovations onto terms of
-            # size rho^t; each step then rounds at eps*|y_t|, which acts as a
-            # fake innovation that the diverging rates of the error theory
-            # amplify.  Building the path elementwise from the exact solution
-            #     y_t = mu*(rho^t - 1)/(rho - 1) + rho^t*y0 + rho^t * sum_i e_i rho^-i
-            # keeps every ingredient accurate to a few ulps of itself.
-            t = np.arange(1, n + 1)
-            p = np.power(rho, t)
-            y = np.cumsum(e * np.power(rho, -t), axis=1)
-            y += y0
-            y *= p
-            y += mu * (p - 1.0) / (rho - 1.0)
-        elif rho == 1.0:
-            # lfilter's y_t = x_t + 1.0*y_{t-1} with y_0 = 1.0*y0, as a
-            # running sum: the same additions in the same order.
+        if rho == 1.0:
+            # y_t = x_t + y_{t-1} with x = mu + e, as a running sum.
             x = mu + e
             x[:, 0] += y0
             y = np.cumsum(x, axis=1, out=x)
         else:
-            # lfilter's own call for this IIR filter, with its arguments.
-            y, _ = load_filter()(np.array([1.0]), np.array([1.0, -rho]), mu + e, 1,
-                                 np.full((rows, 1), rho * y0))
+            y = _closed_form(e, rho, y0, mu)
     if not np.all(np.isfinite(y[:, -1])):
         raise OverflowError("simulated path overflowed double precision")
     return y

@@ -67,8 +67,9 @@ def replication_reference(config, n: int, r: int) -> tuple[float, float, float, 
     is singular; the errors are the Delta ratios Delta1/Delta3 and
     Delta2/Delta3.  This is the per-replication pipeline the Monte Carlo
     engine runs in blocks of rows: innovations from the stream
-    (master_seed, 1, n, r), the 1-D C-loop filter (|rho| <= 1) or the
-    closed-form explosive path, then centered least squares on 1-D sums.
+    (master_seed, 1, n, r), the closed-form explosive path, lfilter at
+    rho = 1 (a running sum) or the blocked closed form of ``disc_path``,
+    then centered least squares on 1-D sums.
     """
     e = sample_innovations(config.model, n, derive_seed(config.master_seed, 1, n, r))
     rho = resolve_rho(config.regime, n)
@@ -77,8 +78,10 @@ def replication_reference(config, n: int, r: int) -> tuple[float, float, float, 
         t = np.arange(1, n + 1)
         p = np.power(rho, t)
         y = mu * (p - 1.0) / (rho - 1.0) + p * (y0 + np.cumsum(e * np.power(rho, -t)))
-    else:
+    elif rho == 1.0:
         y, _ = lfilter([1.0], [1.0, -rho], mu + e, zi=np.array([rho * y0]))
+    else:
+        y = disc_path(mu + e, rho, y0)
     x = np.concatenate(([y0], y[:-1]))
     xbar = float(np.mean(x))
     xc = x - xbar
@@ -92,6 +95,31 @@ def replication_reference(config, n: int, r: int) -> tuple[float, float, float, 
     sxe = float(np.sum(xc * (e - ebar)))
     delta1 = n * (ebar * sxx - xbar * sxe)
     return zbar - rho_hat * xbar, rho_hat, delta1 / delta3, n * sxe / delta3
+
+
+def disc_path(x: np.ndarray, rho: float, y0: float) -> np.ndarray:
+    """y_t = x_t + rho*y_{t-1} from y0 for |rho| <= 1, rho != 1, on one
+    1-D path, in the blocked closed form the engine runs on rows: blocks
+    of the most terms L <= n with |rho|^-L <= 2^700 (at least 1), each from
+    the value c before it as y_{bL+j} = rho^(j-s) (rho^s*c + sum_{i<=j}
+    x_{bL+i} rho^(s-i)) with s = ceil(L/2), the powers of a negative rho
+    signed by hand, and the carries one block after another.
+    """
+    n = len(x)
+    if abs(rho) == 1:
+        size = n
+    else:  # one term per block at rho = 0
+        size = max(1, min(n, int(700 / -math.log2(abs(rho))))) if rho else 1
+    s = (size + 1) // 2
+    k = np.arange(1, size + 1) - s
+    sign = np.where((k % 2 == 1) & (rho < 0), -1.0, 1.0)
+    p, w = sign * np.power(abs(rho), k), sign * np.power(abs(rho), -k)
+    y, c = np.empty(n), y0
+    for lo in range(0, n, size):
+        m = min(size, n - lo)
+        y[lo:lo + m] = p[:m] * (rho ** s * c + np.cumsum(x[lo:lo + m] * w[:m]))
+        c = y[lo + m - 1]
+    return y
 
 
 _COMPANIONS = ("centered", "tilde_explosive", "tilde_unit")

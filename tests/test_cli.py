@@ -392,6 +392,20 @@ class TestStreamedCsv:
         assert proc.wait(timeout=120) == 1
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
 
+    def test_closed_stdout_pipe_exits_1_when_buffered(self):
+        # With stdout block-buffered, 10 rows stay in the buffer until main
+        # flushes it; the closed pipe must fail there, not at interpreter exit.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ar1mc.cli", "limit-sample", "--regime", "P1", "--rho", "0.5",
+             "--mu", "1", "--draws", "10"],
+            env=dict(env, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+
 
 class TestRates:
     def test_rate_fit_artifact(self, tmp_path, capsys):

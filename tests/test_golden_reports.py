@@ -121,8 +121,8 @@ CLI_NAMES = ([f"simulate-{label}-{model}" for label in ("P1", "P2", "P3") for mo
                 for model in _MODELS]
              + [f"limit-sample-{label}-gaussian" for label in ("P3", "P6")])
 CLI_PINS = {
-    "simulate-P1-gaussian": "cb46c61c054ba9bbb77512b337f6e26ed5a8419501d8a2e984682507405d4ff8",
-    "simulate-P1-pareto2": "29dc5fa7c598007b0c95d5360424c961ed761ae9fc0896f00053a12998f70e7b",
+    "simulate-P1-gaussian": "16cdc15ca66f3ff60e2722a9e2b6717cebc0a34a407f1c85aa1ca94b79cea80a",
+    "simulate-P1-pareto2": "6707d7d180d973e814cf731a79712961798b9d4aa3dbff80d3d4404f906363da",
     "simulate-P2-gaussian": "b2ecc4360ce65f3c708e6f781951efe01b48c1620a3e1a778c0ba37c8a4dcf1d",
     "simulate-P2-pareto2": "1b65065ab61578b618216b5fda958bc87914228433040dde3819d749bc733f7c",
     "simulate-P3-gaussian": "037f49484063b59cc607f540c679fc192ac88cec05ae67a1c28086e00d772e48",

@@ -7,7 +7,7 @@ from scipy.signal import lfilter
 
 from ar1mc.innovations import gaussian, pareto_tail2, sample_innovations
 from ar1mc.process import Ar1Path, Regime, recurse_rows, resolve_rho, simulate_path
-from paper_lemmas import companion_series, lagged, refit_residual
+from paper_lemmas import companion_series, disc_path, lagged, refit_residual
 
 
 class TestRegime:
@@ -139,12 +139,18 @@ class TestSimulate:
 
 
 MU_Y0 = [(1.0, 0.5), (-0.3, -2.5), (7.25, 1e6), (1e-3, 3.1e-7)]
+EPS = np.finfo(float).eps
+
+
+def innovation_rows(model):
+    """9 rows of n = 777 innovations, from seeds 0..8."""
+    return np.stack([sample_innovations(model, 777, seed) for seed in range(9)])
 
 
 def assert_recursion_equals_lfilter(rho, mu, y0, model):
     """recurse_rows equals public lfilter bit for bit on 9 rows of n=777,
     and leaves the innovations unchanged."""
-    e = np.stack([sample_innovations(model, 777, seed) for seed in range(9)])
+    e = innovation_rows(model)
     before = e.copy()
     ours = recurse_rows(mu, rho, y0, e)
     ref, _ = lfilter([1.0], [1.0, -rho], mu + e, axis=1, zi=np.full((9, 1), rho * y0))
@@ -152,20 +158,81 @@ def assert_recursion_equals_lfilter(rho, mu, y0, model):
     assert np.array_equal(e, before)
 
 
+# The exact oracle holds y_t as an integer multiple of 2^-_BITS, exact for
+# every float input here (none has bits below 2^-1074); its one rounding per
+# step, the floor of rho*y_{t-1}, is below 2^-1200.
+_BITS = 1200
+
+
+def _fixed(v: float) -> int:
+    num, den = v.as_integer_ratio()  # den is a power of two up to 2^1074
+    return (num << _BITS) // den
+
+
+def exact_errors(rho, x, y0, *paths):
+    """|path_t - y_t| for each of ``paths``, with y_t = x_t + rho*y_{t-1}
+    from y0 run exactly on each row of ``x``.  y_t is rounded to the float
+    y_f, and path - y_f (exact for nearby floats) is corrected by y_t - y_f."""
+    num, den = rho.as_integer_ratio()
+    nearest, residual = np.empty(x.shape), np.empty(x.shape)
+    for row, values in enumerate(x.tolist()):
+        y = _fixed(y0)
+        for t, v in enumerate(values):
+            y = _fixed(v) + num * y // den
+            nearest[row, t] = y_f = y / (1 << _BITS)  # int division rounds correctly
+            residual[row, t] = (y - _fixed(y_f)) / (1 << _BITS)
+    return [np.abs(path - nearest - residual) for path in paths]
+
+
 class TestUnitRootRecursion:
-    """Inside the unit disc recurse_rows runs lfilter's own C loop, and at
-    rho = 1 the running sum replaces it; neither moves a bit."""
+    """At rho = 1 recurse_rows runs the running sum, which is lfilter's own
+    sum; elsewhere in the unit disc its closed form is as accurate as
+    lfilter, against an exact oracle."""
 
     @pytest.mark.parametrize("mu, y0", MU_Y0)
     @pytest.mark.parametrize("model", [gaussian(1.0), pareto_tail2()], ids=lambda m: m.name)
     def test_running_sum_equals_lfilter(self, mu, y0, model):
         assert_recursion_equals_lfilter(1.0, mu, y0, model)
 
-    @pytest.mark.parametrize("rho", [0.5, -0.5, 0.0, 0.999, -1.0, 1 - 3 / 50])
+    @pytest.mark.parametrize("rho", [0.5, -0.5, 0.2, 0.0, 1e-300, -1e-300, 0.999, 1 - 3 / 50, -1.0])
     @pytest.mark.parametrize("mu, y0", MU_Y0)
     @pytest.mark.parametrize("model", [gaussian(1.0), pareto_tail2()], ids=lambda m: m.name)
-    def test_filter_kernel_equals_lfilter(self, rho, mu, y0, model):
-        assert_recursion_equals_lfilter(rho, mu, y0, model)
+    def test_closed_form_as_accurate_as_lfilter(self, rho, mu, y0, model):
+        # Errors in units of eps*s_t, s_t = |rho|^t |y0| + sum_i |rho|^(t-i) (|mu| + |e_i|),
+        # the scale that bounds lfilter's own rounding; an ulp of y_t would
+        # measure the cancellation in mu + e near y_t = 0, which neither form
+        # controls.  At rho = 0 both must return mu + e exactly.
+        e = innovation_rows(model)
+        before = e.copy()
+        ours = recurse_rows(mu, rho, y0, e)
+        assert np.array_equal(e, before)
+        zi = np.full((len(e), 1), rho * y0)
+        kernel, _ = lfilter([1.0], [1.0, -rho], mu + e, axis=1, zi=zi)
+        scale, _ = lfilter([1.0], [1.0, -abs(rho)], abs(mu) + np.abs(e), axis=1, zi=np.abs(zi))
+        ours, kernel = (err / (EPS * scale) for err in exact_errors(rho, mu + e, y0, ours, kernel))
+        assert np.all(np.isfinite(ours))
+        assert np.median(ours) <= 2.5 * np.median(kernel)
+        assert np.max(ours) <= 2.5 * np.max(kernel)
+
+    # At rho = -2^-350.5 (one term per block) y0 = 1e308 still moves the
+    # fourth term by about 2^-28, so the carries need more than one sweep.
+    @pytest.mark.parametrize("rho", [0.5, -0.5, 0.2, 0.0, -1e-300, -2.0 ** -350.5, -1.0])
+    @pytest.mark.parametrize("mu, y0", [(-0.3, -2.5), (0.0, 1e308)])
+    def test_rows_equal_one_path_reference(self, rho, mu, y0):
+        # blocks, padding, carries and signed powers as a 1-D path has them
+        e = innovation_rows(pareto_tail2())
+        ours = recurse_rows(mu, rho, y0, e)
+        for row, e_row in zip(ours, e):
+            assert np.array_equal(row, disc_path(mu + e_row, rho, y0))
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5, 0.2])
+    @pytest.mark.parametrize("mu", [1e98, 1e200, -1e200])
+    def test_large_mean_inside_double_range(self, rho, mu):
+        # mu + e reaches the block weights, which stay within 2^+-350
+        e = innovation_rows(gaussian(1.0))
+        ours = recurse_rows(mu, rho, 0.0, e)
+        kernel = lfilter([1.0], [1.0, -rho], mu + e, axis=1)
+        assert np.all(np.abs(ours - kernel) <= 4 * EPS * abs(mu) / (1 - abs(rho)))
 
 
 class TestCompanions:
