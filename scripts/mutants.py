@@ -84,6 +84,11 @@ MUTANTS = [
     ("        carry[:, 1:] *= lead\n", ""),
     ("for sweep in range(blocks - 1):", "for sweep in range(min(1, blocks - 1)):"),
     ("max(1, min(n, int(_SPAN / halvings)))", "max(2, min(n, int(_SPAN / halvings)))"),
+    # The growth integrals: the series switch back at |c| = 1e-3, where the
+    # closed forms lose up to 2e-9, and d as a plain difference at every c
+    # (4e-13 at c = -1000).  Only the exact-decimal oracle sees either.
+    ("_GROWTH_SERIES = 0.5", "_GROWTH_SERIES = 1e-3"),
+    ("if c < -30.0:", "if c < -math.inf:"),
 ]
 # Not listed, because it is equivalent: swapping the arguments of a KS call
 # (``ks_two_sample(limit[:, 0], s_mu)``).  ks_two_sample evaluates the gaps

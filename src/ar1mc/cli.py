@@ -5,7 +5,6 @@ Subcommands:
     estimate      least-squares fit of a path CSV
     limit-sample  draw from a regime's limit law, write CSV (draw,comp1,comp2)
     mc            run a replicated experiment from a JSON config
-    rates         RMSE log-log rate fit over the config's n_list
 
 Exit codes: 0 success, 1 runtime, I/O or out-of-memory error, 2 usage or
 config error.
@@ -55,10 +54,6 @@ def _write_lines(path: str | None, lines) -> None:
     """Writes ``lines`` one by one, as they are made, to ``path`` or stdout."""
     with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
         fh.writelines(lines)
-
-
-def _write_json(path: str, payload) -> None:
-    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_csv(path: str | None, header: str, rows) -> None:
@@ -114,7 +109,7 @@ def _cmd_estimate(args) -> int:
     path = _read_path_csv(args.infile)
     payload = {**asdict(ls_estimate(path)), "n": path.n}
     if args.json:
-        _write_json(args.json, payload)
+        _write_lines(args.json, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     print(f"mu_hat  = {_fmt(payload['mu_hat'])}")
     print(f"rho_hat = {_fmt(payload['rho_hat'])}")
     return 0
@@ -175,20 +170,6 @@ def _cmd_mc(args) -> int:
     if args.csv:
         _write_csv(args.csv, "n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular",
                    report.replication_rows())
-    _print_report_table(report)
-    return 0
-
-
-def _cmd_rates(args) -> int:
-    config = _load_config(args.config, args.seed)
-    if len(config.n_list) < 3:
-        raise ConfigError("rates needs a config with at least 3 sample sizes")
-    report = run_experiment(config, workers=args.workers)
-    if report.rate_fit is None:
-        print("error: too many singular replications for a rate fit", file=sys.stderr)
-        return _RUNTIME_EXIT
-    if args.out:
-        _write_json(args.out, report.rate_fit)
     _print_report_table(report)
     return 0
 
@@ -255,13 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("rates", help="RMSE rate-slope fit over the n_list sweep")
-    p.add_argument("--config", required=True, help="experiment JSON")
-    p.add_argument("--out", help="rate-fit JSON path")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_rates)
 
     return parser
 

@@ -37,30 +37,45 @@ _SERIES_TOL = 1e-12
 
 # --- integrals of the growth curve G_c(s) = int_0^s exp(c*u) du ------------
 
+# Below this |c| the closed forms cancel by about 1/c^2, so the integrals
+# are summed as power series instead.
+_GROWTH_SERIES = 0.5
+
+
+def _growth_series(c: float) -> tuple[float, float]:
+    """(int G_c, int G_c^2) as the series sum c^k/(k+2)! and
+    sum (2^(k+2) - 2) c^k/((k+3) (k+2)!); at |c| < 1/2 the tail after 20
+    terms is below 1e-21 relative."""
+    mean = mean_sq = 0.0
+    term = 0.5  # c^k/(k+2)!
+    for k in range(20):
+        mean += term
+        mean_sq += (2.0 ** (k + 2) - 2.0) * term / (k + 3)
+        term *= c / (k + 3)
+    return mean, mean_sq
+
 
 def growth_mean(c: float) -> float:
     """int_0^1 G_c(s) ds = (exp(c) - 1 - c)/c^2, = 1/2 at c = 0."""
-    if abs(c) < 1e-3:
-        # power series sum_k c^k/(k+2)!; truncation error < 1e-24 here
-        acc, term, fact = 0.0, 1.0, 2.0
-        for k in range(8):
-            acc += term / fact
-            term *= c
-            fact *= k + 3
-        return acc
+    if abs(c) < _GROWTH_SERIES:
+        return _growth_series(c)[0]
     return (math.expm1(c) - c) / (c * c)
 
 
 def growth_mean_sq(c: float) -> float:
     """int_0^1 G_c(s)^2 ds, = 1/3 at c = 0."""
-    if abs(c) < 1e-3:
-        coeff = (1.0 / 3.0, 1.0 / 4.0, 7.0 / 60.0, 1.0 / 24.0, 31.0 / 2520.0)
-        return sum(co * c ** k for k, co in enumerate(coeff))
+    if abs(c) < _GROWTH_SERIES:
+        return _growth_series(c)[1]
     return (math.expm1(2.0 * c) / (2.0 * c) - 2.0 * math.expm1(c) / c + 1.0) / (c * c)
 
 
 def growth_dispersion(c: float) -> float:
-    """d = int G_c^2 - (int G_c)^2 > 0; the shared denominator at P3/P4."""
+    """d = int G_c^2 - (int G_c)^2 > 0; the shared denominator at P3/P4.
+    Below c = -30 that difference cancels by about |c|/2, so d is taken
+    from its factored form h (c (h + 2) - 2h)/(2 c^4), h = exp(c) - 1."""
+    if c < -30.0:
+        h = math.expm1(c)
+        return h / (c * c) * ((c * (h + 2.0) - 2.0 * h) / (2.0 * c * c))
     return growth_mean_sq(c) - growth_mean(c) ** 2
 
 

@@ -308,10 +308,9 @@ class TestMc:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("command", ["mc", "rates"])
-    def test_workers_below_one_exits_2(self, tmp_path, capsys, command):
+    def test_workers_below_one_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.json", n_list=[100, 200, 400])
-        code, _, err = run([command, "--config", str(cfg), "--workers", "0"], capsys)
+        code, _, err = run(["mc", "--config", str(cfg), "--workers", "0"], capsys)
         assert code == 2
         assert "workers" in err
 
@@ -408,20 +407,32 @@ class TestStreamedCsv:
 
 
 class TestRates:
+    # The RMSE log-log rate fit is part of every `mc` report.
     def test_rate_fit_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.json", n_list=[100, 200, 400, 800],
                            replications=400)
-        out = tmp_path / "rates.json"
-        code, _, _ = run(["rates", "--config", str(cfg), "--out", str(out)], capsys)
+        out = tmp_path / "report.json"
+        code, _, _ = run(["mc", "--config", str(cfg), "--out", str(out)], capsys)
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text())["rate_fit"]
         assert doc["n_list"] == [100, 200, 400, 800]
         assert -0.75 < doc["rho"]["slope"] < -0.25
 
-    def test_too_few_sizes_exits_2(self, tmp_path, capsys):
+    def test_two_sizes_give_null_rate_fit(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.json", n_list=[100, 200])
-        code, _, err = run(["rates", "--config", str(cfg)], capsys)
-        assert code == 2
+        out = tmp_path / "report.json"
+        code, _, _ = run(["mc", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0
+        assert json.loads(out.read_text())["rate_fit"] is None
+
+    def test_rates_subcommand_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.json", n_list=[100, 200, 400])
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "invalid choice" in err and "rates" in err
 
 
 # --- fuzzed outside inputs ----------------------------------------------------
@@ -447,6 +458,7 @@ _SUBCOMMANDS = {
     "estimate": (("--in",), False),
     "limit-sample": (("--regime", "--mu"), True),
     "mc": (("--config",), False),
+    # "rates" (its fit is in every mc report) and "fit" are unknown commands
     "rates": (("--config",), False),
     "fit": ((), False),
     "-h": ((), False),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -97,7 +98,36 @@ class TestGrowthIntegrals:
 
     def test_series_cutover_is_seamless(self):
         for f in (growth_mean, growth_mean_sq):
-            assert f(1e-3 * (1 - 1e-9)) == pytest.approx(f(1e-3 * (1 + 1e-9)), rel=1e-9)
+            for c in (limits._GROWTH_SERIES, -limits._GROWTH_SERIES):
+                assert f(c * (1 - 1e-9)) == pytest.approx(f(c * (1 + 1e-9)), rel=1e-9)
+
+    # c on both sides of 1e-3 (where the closed forms lose up to 2e-9), of
+    # the series switch at 1/2 and of the factored dispersion below c = -30,
+    # and far out.
+    @pytest.mark.parametrize("c", [
+        0.000999, 0.00100001, 0.0011, -0.0011, 0.002, 0.01, -0.01, 0.1, 0.2, -0.2,
+        0.25, -0.25, 0.4999, 0.5, 0.5001, -0.4999, -0.5, -0.5001, 1.0, -1.0, 2.0, -2.0,
+        -24.0, 30.0, -29.999, -30.0, -30.001, -1000.0, -1e5, 300.0,
+    ])
+    def test_against_exact_decimal(self, c):
+        # The float c is exact in Decimal, and 60 digits leave more than 40
+        # after the closed forms' worst cancellation here (c^2 at c = 1e-3).
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(c)
+            e = x.exp()
+            mean = (e - 1 - x) / (x * x)
+            mean_sq = ((e * e - 1) / (2 * x) - 2 * (e - 1) / x + 1) / (x * x)
+            exact = (mean, mean_sq, mean_sq - mean * mean)
+        eps = np.finfo(float).eps
+        # Beyond the series the closed forms cancel, int G by up to about 8
+        # and int G^2 by up to about 55, both near |c| = 1/2; d adds the
+        # cancellation of int G^2 - (int G)^2, up to about |c|/2 = 15 above
+        # c = -30.  All three bounds are below 1e-13 relative.
+        bounds = (16 * eps, 64 * eps, 256 * eps)
+        got = (growth_mean(c), growth_mean_sq(c), growth_dispersion(c))
+        for value, want, bound in zip(got, exact, bounds):
+            assert abs(Decimal(value) - want) <= Decimal(bound) * abs(want), (c, value)
 
 
 class TestGrowthFunctionals:

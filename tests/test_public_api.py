@@ -85,7 +85,7 @@ def test_public_names_are_the_used_ones():
 
 def test_readme_command_lines_parse():
     commands = readme_commands()
-    assert [argv[0] for argv in commands] == ["simulate", "estimate", "limit-sample", "mc", "rates"]
+    assert [argv[0] for argv in commands] == ["simulate", "estimate", "limit-sample", "mc"]
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
