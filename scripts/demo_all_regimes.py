@@ -8,16 +8,17 @@ Usage: python scripts/demo_all_regimes.py [--reps 1000] [--seed 20177]
 import argparse
 import time
 
-from ar1mc import ExperimentConfig, Regime, gaussian, pareto_tail2, run_experiment
+from ar1mc import ExperimentConfig, InnovationModel, Regime, run_experiment
 
+GAUSSIAN = InnovationModel("gaussian", 1.0)
 CASES = [
-    ("stationary", Regime("P1", rho=0.5), gaussian(1.0), 1.0, 2000),
-    ("stationary / heavy tails", Regime("P1", rho=0.5), pareto_tail2(), 1.0, 4000),
-    ("explosive", Regime("P2", rho=1.2), gaussian(1.0), 1.0, 60),
-    ("unit root", Regime("P3"), gaussian(1.0), 1.0, 2000),
-    ("near unit root", Regime("P4", c=-2.0), gaussian(1.0), 1.0, 2000),
-    ("moderately stationary", Regime("P5", c=-1.0, alpha=0.25), gaussian(1.0), 1.0, 2000),
-    ("moderately explosive", Regime("P6", c=1.0, alpha=0.5), gaussian(1.0), 2.0, 2000),
+    ("stationary", Regime("P1", rho=0.5), GAUSSIAN, 1.0, 2000),
+    ("stationary / heavy tails", Regime("P1", rho=0.5), InnovationModel("pareto2"), 1.0, 4000),
+    ("explosive", Regime("P2", rho=1.2), GAUSSIAN, 1.0, 60),
+    ("unit root", Regime("P3"), GAUSSIAN, 1.0, 2000),
+    ("near unit root", Regime("P4", c=-2.0), GAUSSIAN, 1.0, 2000),
+    ("moderately stationary", Regime("P5", c=-1.0, alpha=0.25), GAUSSIAN, 1.0, 2000),
+    ("moderately explosive", Regime("P6", c=1.0, alpha=0.5), GAUSSIAN, 2.0, 2000),
 ]
 
 
@@ -32,7 +33,7 @@ def main():
     for name, regime, model, mu, n in CASES:
         cfg = ExperimentConfig(
             regime=regime, model=model, mu=mu, n_list=(n,),
-            replications=args.reps, limit_draws=50_000, master_seed=args.seed,
+            replications=args.reps, limit_draws=50_000, seed=args.seed,
         )
         t0 = time.time()
         block = run_experiment(cfg, workers=args.workers).per_n[0]

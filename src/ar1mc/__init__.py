@@ -1,7 +1,7 @@
 """AR(1) with intercept: simulation, least squares, and limit-theory checks."""
 
 from .estimator import ls_estimate
-from .innovations import gaussian, pareto_tail2, rademacher, uniform_sym
+from .innovations import InnovationModel
 from .montecarlo import ExperimentConfig, run_experiment
 from .process import Regime, simulate_path
 

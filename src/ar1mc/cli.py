@@ -126,7 +126,7 @@ def _cmd_limit_sample(args) -> int:
     return 0
 
 
-def _load_config(filename: str, seed_override: int | None) -> ExperimentConfig:
+def _load_config(filename: str) -> ExperimentConfig:
     try:
         with open(filename) as fh:
             raw = json.load(fh)
@@ -134,11 +134,6 @@ def _load_config(filename: str, seed_override: int | None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {filename}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{filename}: invalid JSON ({exc})")
-    if seed_override is not None:
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{filename}: config must be a JSON object")
-        raw = dict(raw)
-        raw["seed"] = seed_override
     return ExperimentConfig.from_dict(raw)
 
 
@@ -163,7 +158,7 @@ def _print_report_table(report) -> None:
 
 
 def _cmd_mc(args) -> int:
-    config = _load_config(args.config, args.seed)
+    config = _load_config(args.config)
     report = run_experiment(config, workers=args.workers)
     if args.out:
         _write_lines(args.out, [report.to_json()])
@@ -233,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment JSON")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--csv", help="per-replication CSV path")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_mc)
 

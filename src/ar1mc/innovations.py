@@ -31,8 +31,7 @@ from .rng import generator, keyed_generators
 _ROOT2 = math.sqrt(2.0)
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
-__all__ = ["InnovationModel", "gaussian", "uniform_sym", "rademacher", "pareto_tail2",
-           "sample_innovations", "compute_bn", "MODEL_IDS"]
+__all__ = ["InnovationModel", "sample_innovations", "compute_bn", "MODEL_IDS"]
 
 
 def _finite_real(value, what: str) -> float:
@@ -161,26 +160,6 @@ class InnovationModel:
 
     def to_config(self) -> dict:
         return {"id": self.name, **({} if self.sigma is None else {"sigma": self.sigma})}
-
-
-def gaussian(sigma: float = 1.0) -> InnovationModel:
-    """N(0, sigma^2) innovations."""
-    return InnovationModel("gaussian", sigma)
-
-
-def uniform_sym(sigma: float = 1.0) -> InnovationModel:
-    """Uniform on [-a, a] with a = sigma*sqrt(3), so the variance is sigma^2."""
-    return InnovationModel("uniform", sigma)
-
-
-def rademacher() -> InnovationModel:
-    """Symmetric +/-1 innovations."""
-    return InnovationModel("rademacher")
-
-
-def pareto_tail2() -> InnovationModel:
-    """Symmetric density |x|^-3 on |x| >= 1: infinite variance."""
-    return InnovationModel("pareto2")
 
 
 def eval_l(model: InnovationModel, x: float) -> float:

@@ -2,7 +2,7 @@
 
 An experiment fixes a regime, an innovation model, (mu, y0), a list of
 sample sizes and a replication count.  Every replication r at sample size
-n draws its innovations from a stream keyed by (master_seed, n, r), so
+n draws its innovations from a stream keyed by (seed, n, r), so
 
   * results are bit-identical no matter how replications are scheduled
     or how many workers run them, and
@@ -80,17 +80,8 @@ class ExperimentConfig:
     n_list: tuple[int, ...]
     replications: int
     limit_draws: int
-    master_seed: int
+    seed: int
     y0: float = 0.0
-
-    # JSON key -> field.  "grid_m" (the step count of the retired
-    # Brownian-grid sampler) is still accepted so older config files load;
-    # its value is ignored.
-    _KEYS = {
-        "regime": "regime", "model": "model", "mu": "mu", "y0": "y0",
-        "n_list": "n_list", "replications": "replications",
-        "limit_draws": "limit_draws", "seed": "master_seed",
-    }
 
     def __post_init__(self):
         if not isinstance(self.regime, Regime):
@@ -109,20 +100,22 @@ class ExperimentConfig:
             raise ConfigError("config key 'n_list': entries must be distinct")
         _check_int("replications", self.replications, 100)
         _check_int("limit_draws", self.limit_draws, 1000)
-        _check_int("seed", self.master_seed, 0)
+        _check_int("seed", self.seed, 0)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("experiment config must be a mapping")
-        unknown = set(raw) - set(cls._KEYS) - {"grid_m"}
+        fields = cls.__dataclass_fields__
+        # "grid_m" (the step count of the retired Brownian-grid sampler) is
+        # still accepted so older config files load; its value is ignored.
+        unknown = set(raw) - set(fields) - {"grid_m"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {key for key, name in cls._KEYS.items()
-                   if key not in raw and cls.__dataclass_fields__[name].default is MISSING}
+        missing = {key for key in fields if key not in raw and fields[key].default is MISSING}
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        kwargs = {name: raw[key] for key, name in cls._KEYS.items() if key in raw}
+        kwargs = {key: raw[key] for key in fields if key in raw}
         for key, kind in (("regime", Regime), ("model", InnovationModel)):
             try:
                 kwargs[key] = kind.from_config(raw[key])
@@ -131,7 +124,7 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        out = {key: getattr(self, name) for key, name in self._KEYS.items()}
+        out = {key: getattr(self, key) for key in self.__dataclass_fields__}
         out.update(regime=self.regime.to_config(), model=self.model.to_config(),
                    n_list=list(self.n_list))
         return out
@@ -313,12 +306,12 @@ def _replicate_block(payload):
     exceed 1/ulp.
 
     Replications run in chunks of rows: one innovation row per stream
-    (master_seed, n, r), then one recursion and one least-squares pass per
+    (seed, n, r), then one recursion and one least-squares pass per
     chunk.  Every row equals the single path simulate_path and
     ls_estimate would give for that stream.
     """
-    rho, mu, y0, model, n, master_seed, r_lo, r_hi = payload
-    keys = philox_keys(master_seed, (_PATH_STREAM, n), np.arange(r_lo, r_hi))
+    rho, mu, y0, model, n, seed, r_lo, r_hi = payload
+    keys = philox_keys(seed, (_PATH_STREAM, n), np.arange(r_lo, r_hi))
     out = np.empty((r_hi - r_lo, 5))
     step = max(1, _CHUNK_ELEMENTS // n)
     for lo in range(0, r_hi - r_lo, step):
@@ -349,14 +342,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     limit = sample_limit(
         regime, mu, model,
         draws=config.limit_draws,
-        seed=derive_seed(config.master_seed, _LIMIT_STREAM),
+        seed=derive_seed(config.seed, _LIMIT_STREAM),
         y0=y0,
     )
 
     # Every root is checked before any block runs.
     roots = {n: path_root(regime, mu, y0, n) for n in config.n_list}
 
-    payloads = [(roots[n], mu, y0, model, n, config.master_seed, lo, min(lo + _BLOCK, R))
+    payloads = [(roots[n], mu, y0, model, n, config.seed, lo, min(lo + _BLOCK, R))
                 for n in config.n_list for lo in range(0, R, _BLOCK)]
 
     if workers > 1:

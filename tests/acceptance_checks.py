@@ -37,7 +37,7 @@ class Check:
 
     def run(self, seed: int | None = None) -> dict[str, float]:
         """The statistics at the fixed seeds, or with every config at ``seed``."""
-        configs = [cfg if seed is None else dataclasses.replace(cfg, master_seed=seed)
+        configs = [cfg if seed is None else dataclasses.replace(cfg, seed=seed)
                    for cfg in self.configs]
         return self.measure([m.run_experiment(cfg) for cfg in configs])
 
@@ -46,9 +46,12 @@ class Check:
         return [name for name, (_, holds) in self.bounds.items() if not holds(statistics[name])]
 
 
+_GAUSSIAN = m.InnovationModel("gaussian", 1.0)
+
+
 def _config(regime, model, mu, n_list, reps, draws, seed, y0=0.0) -> m.ExperimentConfig:
     return m.ExperimentConfig(regime=regime, model=model, mu=mu, y0=y0, n_list=tuple(n_list),
-                              replications=reps, limit_draws=draws, master_seed=seed)
+                              replications=reps, limit_draws=draws, seed=seed)
 
 
 def _ks_vs_half_normal(block) -> float:
@@ -59,7 +62,7 @@ def _ks_vs_half_normal(block) -> float:
 
 CHECKS = {
     "C2": Check(
-        (_config(m.Regime("P1", rho=0.5), m.gaussian(1.0), 1.0, [5000], 2000, 100_000, 777),),
+        (_config(m.Regime("P1", rho=0.5), _GAUSSIAN, 1.0, [5000], 2000, 100_000, 777),),
         lambda reps: {"ks_rho": reps[0].per_n[0].ks_rho,
                       "var": reps[0].per_n[0].scaled_rho_summary.variance,
                       "corr": reps[0].per_n[0].component_correlation},
@@ -70,41 +73,42 @@ CHECKS = {
     ),
     # abs_corr is C3-corr's statistic, a strict expected failure of Tier-1.
     "C3": Check(
-        (_config(m.Regime("P1", rho=0.5), m.pareto_tail2(), 1.0, [10_000], 2000, 100_000, 29),),
+        (_config(m.Regime("P1", rho=0.5), m.InnovationModel("pareto2"), 1.0, [10_000], 2000,
+                 100_000, 29),),
         lambda reps: {"ks_mu": reps[0].per_n[0].ks_mu,
                       "abs_corr": abs(reps[0].per_n[0].component_correlation)},
         {"ks_mu": ("< 0.06", lambda v: v < 0.06)},
     ),
     "C4": Check(
-        (_config(m.Regime("P3"), m.gaussian(1.0), 1.0, [5000], 2000, 100_000, 7),),
+        (_config(m.Regime("P3"), _GAUSSIAN, 1.0, [5000], 2000, 100_000, 7),),
         lambda reps: {"var": reps[0].per_n[0].scaled_rho_summary.variance,
                       "ks_rho": reps[0].per_n[0].ks_rho},
         {"var": ("within 10% of 12", lambda v: abs(v - 12.0) <= 1.2),
          "ks_rho": ("< 0.05", lambda v: v < 0.05)},
     ),
     "C5": Check(
-        (_config(m.Regime("P2", rho=1.2), m.gaussian(1.0), 1.0, [60], 2000, 100_000, 11),),
+        (_config(m.Regime("P2", rho=1.2), _GAUSSIAN, 1.0, [60], 2000, 100_000, 11),),
         lambda reps: {"ks_rho": reps[0].per_n[0].ks_rho},
         {"ks_rho": ("< 0.06", lambda v: v < 0.06)},
     ),
     # ks_rho is the sampler route, a diagnostic beside the exact law.
     "C6": Check(
-        (_config(m.Regime("P6", c=1.0, alpha=0.5), m.gaussian(1.0), 2.0, [2000], 2000,
+        (_config(m.Regime("P6", c=1.0, alpha=0.5), _GAUSSIAN, 2.0, [2000], 2000,
                  100_000, 13),),
         lambda reps: {"ks_exact": _ks_vs_half_normal(reps[0].per_n[0]),
                       "ks_rho": reps[0].per_n[0].ks_rho},
         {"ks_exact": ("< 0.06", lambda v: v < 0.06)},
     ),
     "C7": Check(
-        (_config(m.Regime("P5", c=-1.0, alpha=0.25), m.gaussian(1.0), 1.0, [4000], 1000,
+        (_config(m.Regime("P5", c=-1.0, alpha=0.25), _GAUSSIAN, 1.0, [4000], 1000,
                  100_000, 17),),
         lambda reps: {"abs_corr": abs(reps[0].per_n[0].component_correlation)},
         {"abs_corr": ("> 0.95", lambda v: v > 0.95)},
     ),
     "C8": Check(
-        (_config(m.Regime("P1", rho=0.5), m.gaussian(1.0), 1.0, [500, 1000, 2000, 4000, 8000],
+        (_config(m.Regime("P1", rho=0.5), _GAUSSIAN, 1.0, [500, 1000, 2000, 4000, 8000],
                  2000, 1000, 31),
-         _config(m.Regime("P3"), m.gaussian(1.0), 1.0, [500, 1000, 2000, 4000, 8000],
+         _config(m.Regime("P3"), _GAUSSIAN, 1.0, [500, 1000, 2000, 4000, 8000],
                  2000, 1000, 37)),
         lambda reps: {"stationary_slope": reps[0].rate_fit["rho"]["slope"],
                       "unit_root_slope": reps[1].rate_fit["rho"]["slope"]},

@@ -67,11 +67,11 @@ def replication_reference(config, n: int, r: int) -> tuple[float, float, float, 
     is singular; the errors are the Delta ratios Delta1/Delta3 and
     Delta2/Delta3.  This is the per-replication pipeline the Monte Carlo
     engine runs in blocks of rows: innovations from the stream
-    (master_seed, 1, n, r), the closed-form explosive path, lfilter at
+    (seed, 1, n, r), the closed-form explosive path, lfilter at
     rho = 1 (a running sum) or the blocked closed form of ``disc_path``,
     then centered least squares on 1-D sums.
     """
-    e = sample_innovations(config.model, n, derive_seed(config.master_seed, 1, n, r))
+    e = sample_innovations(config.model, n, derive_seed(config.seed, 1, n, r))
     rho = resolve_rho(config.regime, n)
     mu, y0 = config.mu, config.y0
     if abs(rho) > 1:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ar1mc.cli import main
 from ar1mc.estimator import ls_estimate
-from ar1mc.innovations import gaussian
+from ar1mc.innovations import InnovationModel
 from ar1mc.process import Regime, simulate_path
 from ar1mc.rng import DEFAULT_SEED
 
@@ -96,7 +96,8 @@ class TestEstimateRoundTrip:
         code, out, _ = run(["estimate", "--in", str(csv), "--json", str(out_json)], capsys)
         assert code == 0
         # independent in-memory reference
-        path = simulate_path(Regime("P1", rho=0.5), 1.0, 0.25, gaussian(1.0), 200, 21)
+        path = simulate_path(Regime("P1", rho=0.5), 1.0, 0.25, InnovationModel("gaussian", 1.0),
+                             200, 21)
         est = ls_estimate(path)
         payload = json.loads(out_json.read_text())
         assert payload["mu_hat"] == est.mu_hat    # bit-identical round trip
@@ -331,14 +332,15 @@ class TestMc:
             outs.append(report.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_seed_override_changes_report(self, tmp_path, capsys):
+    def test_seed_flag_is_refused(self, tmp_path, capsys):
+        # the report is a function of the config alone; its seed is the config's
         cfg = write_config(tmp_path / "exp.json")
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["mc", "--config", str(cfg), "--out", str(a)]) == 0
-        assert main(["mc", "--config", str(cfg), "--seed", "123", "--out", str(b)]) == 0
-        capsys.readouterr()
-        assert a.read_bytes() != b.read_bytes()
-        assert json.loads(b.read_text())["config"]["seed"] == 123
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--config", str(cfg), "--seed", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--seed" in err
 
 
 class TestOutOfMemory:

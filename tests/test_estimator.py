@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ar1mc.estimator import SingularDesignError, ls_estimate
-from ar1mc.innovations import compute_bn, gaussian, pareto_tail2, rademacher, uniform_sym
+from ar1mc.innovations import InnovationModel, compute_bn
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
 from ar1mc.process import Ar1Path, Regime, simulate_path
@@ -43,7 +43,7 @@ def random_fixture(rng, i):
         n = int(rng.integers(50, 800))
         c = min(1.5, 5.0 / n ** (1.0 - alpha)) * float(rng.uniform(0.3, 1.0))
         reg = Regime("P6", c=c, alpha=alpha)
-    model = [gaussian(1.0), uniform_sym(1.0), rademacher(), pareto_tail2()][i % 4]
+    model = InnovationModel(("gaussian", "uniform", "rademacher", "pareto2")[i % 4])
     return simulate_path(reg, mu, y0, model, n, int(rng.integers(2 ** 32)))
 
 
@@ -126,7 +126,8 @@ class TestEquivariance:
         seed=st.integers(0, 2 ** 31),
     )
     def test_shift(self, shift, rho, seed):
-        path = simulate_path(Regime("P1", rho=rho), 1.0, 0.0, gaussian(1.0), 100, seed)
+        path = simulate_path(Regime("P1", rho=rho), 1.0, 0.0, InnovationModel("gaussian", 1.0), 100,
+                             seed)
         base = ls_estimate(path)
         shifted = Ar1Path(
             mu=path.mu + shift * (1.0 - path.rho), rho=path.rho,
@@ -142,7 +143,8 @@ class TestEquivariance:
         seed=st.integers(0, 2 ** 31),
     )
     def test_scale(self, scale, rho, seed):
-        path = simulate_path(Regime("P1", rho=rho), 1.0, 0.5, gaussian(1.0), 100, seed)
+        path = simulate_path(Regime("P1", rho=rho), 1.0, 0.5, InnovationModel("gaussian", 1.0), 100,
+                             seed)
         base = ls_estimate(path)
         scaled = Ar1Path(
             mu=path.mu * scale, rho=path.rho,
@@ -156,36 +158,38 @@ class TestEquivariance:
 class TestRates:
     def test_stationary_rates_with_unit_truncated_variance(self):
         # rademacher has l(b_100) = 1 exactly, so both rates are sqrt(100)
-        rates = error_rates(Regime("P1", rho=0.5), rademacher(), 100)
+        rates = error_rates(Regime("P1", rho=0.5), InnovationModel("rademacher"), 100)
         assert rates == (10.0, 10.0)
 
     def test_explosive_rate(self):
-        mu_rate, rho_rate = error_rates(Regime("P2", rho=1.2), rademacher(), 60)
+        mu_rate, rho_rate = error_rates(Regime("P2", rho=1.2), InnovationModel("rademacher"), 60)
         assert mu_rate == pytest.approx(math.sqrt(60.0))
         assert rho_rate == pytest.approx(1.2 ** 60)
 
     def test_unit_root_rate(self):
-        mu_rate, rho_rate = error_rates(Regime("P3"), rademacher(), 400)
+        mu_rate, rho_rate = error_rates(Regime("P3"), InnovationModel("rademacher"), 400)
         assert mu_rate == pytest.approx(20.0)
         assert rho_rate == pytest.approx(8000.0)
 
     def test_moderately_explosive_rate(self):
-        mu_rate, rho_rate = error_rates(Regime("P6", c=1.0, alpha=0.5), rademacher(), 400)
+        mu_rate, rho_rate = error_rates(Regime("P6", c=1.0, alpha=0.5),
+                                        InnovationModel("rademacher"), 400)
         assert mu_rate == pytest.approx(20.0)
         assert rho_rate == pytest.approx(math.sqrt(400.0 ** 1.5) * 1.05 ** 400, rel=1e-12)
 
     def test_moderately_stationary_finite_variance(self):
         # finite-variance factor n^(max(alpha,1/2) - alpha/2)
         n = 4096
-        mu_rate, rho_rate = error_rates(Regime("P5", c=-1.0, alpha=0.25), rademacher(), n)
+        mu_rate, rho_rate = error_rates(Regime("P5", c=-1.0, alpha=0.25),
+                                        InnovationModel("rademacher"), n)
         assert mu_rate == pytest.approx(n ** 0.375, rel=1e-12)
         assert rho_rate == pytest.approx(n ** 0.625, rel=1e-12)
-        mu_rate, _ = error_rates(Regime("P5", c=-1.0, alpha=0.75), rademacher(), n)
+        mu_rate, _ = error_rates(Regime("P5", c=-1.0, alpha=0.75), InnovationModel("rademacher"), n)
         assert mu_rate == pytest.approx(n ** 0.375, rel=1e-12)
 
     def test_moderately_stationary_infinite_variance(self):
         n = 10_000
-        model = pareto_tail2()
+        model = InnovationModel("pareto2")
         ell = 2.0 * math.log(compute_bn(model, n))
         mu_rate, rho_rate = error_rates(Regime("P5", c=-1.0, alpha=0.75), model, n)
         assert mu_rate == pytest.approx(math.sqrt(n ** 0.75 / ell), rel=1e-9)
@@ -196,15 +200,16 @@ class TestRates:
     def test_moderately_stationary_infinite_variance_at_half(self):
         # alpha = 1/2 takes the branch without l(b_n): a_n = n^(1/4), the
         # rate the variance-only factor of the limit law is scaled for
-        mu_rate, rho_rate = error_rates(Regime("P5", c=-1.0, alpha=0.5), pareto_tail2(), 10_000)
+        mu_rate, rho_rate = error_rates(Regime("P5", c=-1.0, alpha=0.5), InnovationModel("pareto2"),
+                                        10_000)
         assert mu_rate == pytest.approx(10.0, rel=1e-12)
         assert rho_rate == pytest.approx(1000.0, rel=1e-12)
 
     def test_scale_error_matches_subtraction_when_well_conditioned(self):
         reg = Regime("P1", rho=0.5)
-        cfg = ExperimentConfig(regime=reg, model=gaussian(1.0), mu=1.0,
+        cfg = ExperimentConfig(regime=reg, model=InnovationModel("gaussian", 1.0), mu=1.0,
                                n_list=(500,), replications=100, limit_draws=1000,
-                               master_seed=21)
+                               seed=21)
         block = run_experiment(cfg).per_n[0]
         assert block.singular == 0
         assert np.allclose(block.scaled_mu, block.mu_rate * (block.mu_hat - 1.0),
@@ -216,9 +221,9 @@ class TestRates:
         # moderately explosive: the error is ~1e-22 while ulp(rho_hat) ~ 2e-16;
         # the decomposition must still produce O(1) scaled errors
         reg = Regime("P6", c=1.0, alpha=0.5)
-        cfg = ExperimentConfig(regime=reg, model=gaussian(1.0), mu=2.0,
+        cfg = ExperimentConfig(regime=reg, model=InnovationModel("gaussian", 1.0), mu=2.0,
                                n_list=(2000,), replications=100, limit_draws=1000,
-                               master_seed=77)
+                               seed=77)
         block = run_experiment(cfg).per_n[0]
         err = np.abs(block.scaled_rho / block.rho_rate)
         assert np.all(err < 1e-3 * np.spacing(block.rho_hat))

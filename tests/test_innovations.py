@@ -13,14 +13,12 @@ from ar1mc.innovations import (
     compute_bn,
     ell_at_bn,
     eval_l,
-    gaussian,
-    pareto_tail2,
-    rademacher,
     sample_innovations,
-    uniform_sym,
 )
 
-ALL_MODELS = [gaussian(1.0), gaussian(0.5), uniform_sym(1.0), rademacher(), pareto_tail2()]
+ALL_MODELS = [InnovationModel("gaussian", 1.0), InnovationModel("gaussian", 0.5),
+              InnovationModel("uniform", 1.0), InnovationModel("rademacher"),
+              InnovationModel("pareto2")]
 
 
 def law_model(monkeypatch, name, finite_variance, ell):
@@ -50,24 +48,24 @@ def bisect_bn(ell, j, lo=2.0):
 
 class TestEvalL:
     def test_rademacher_mass_boundary(self):
-        model = rademacher()
+        model = InnovationModel("rademacher")
         assert eval_l(model, 0.5) == 0.0
         assert eval_l(model, 1.0) == 1.0
         assert eval_l(model, 37.0) == 1.0
 
     def test_pareto_log_form(self):
-        model = pareto_tail2()
+        model = InnovationModel("pareto2")
         for x in (1.0, 1.5, 10.0, 400.0):
             assert eval_l(model, x) == pytest.approx(2.0 * math.log(x), rel=1e-14)
         assert eval_l(model, 0.999) == 0.0
 
     def test_pareto_exact_at_exponentials(self):
-        model = pareto_tail2()
+        model = InnovationModel("pareto2")
         for k in range(0, 31):
             assert eval_l(model, math.exp(k)) == pytest.approx(2.0 * k, abs=1e-9)
 
     def test_gaussian_saturates_to_variance(self):
-        assert eval_l(gaussian(1.0), 8.0) == pytest.approx(1.0, abs=1e-6)
+        assert eval_l(InnovationModel("gaussian", 1.0), 8.0) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 6.0])
@@ -75,7 +73,8 @@ class TestEvalL:
         # independent oracle: numeric integral of t^2 * normal density
         dens = lambda t: t * t * math.exp(-0.5 * (t / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
         expect, _ = quad(dens, -x, x)
-        assert eval_l(gaussian(sigma), x) == pytest.approx(expect, rel=1e-10, abs=1e-12)
+        model = InnovationModel("gaussian", sigma)
+        assert eval_l(model, x) == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("x", [0.2, 1.0, 5.0])
@@ -83,11 +82,11 @@ class TestEvalL:
         a = sigma * math.sqrt(3.0)
         u = min(x, a)
         expect, _ = quad(lambda t: t * t / (2 * a), -u, u)
-        assert eval_l(uniform_sym(sigma), x) == pytest.approx(expect, rel=1e-12)
+        assert eval_l(InnovationModel("uniform", sigma), x) == pytest.approx(expect, rel=1e-12)
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
-            eval_l(gaussian(1.0), -0.1)
+            eval_l(InnovationModel("gaussian", 1.0), -0.1)
 
     @given(st.floats(0.0, 50.0), st.floats(0.0, 50.0))
     def test_nondecreasing_in_x(self, x1, x2):
@@ -105,18 +104,20 @@ class TestEvalL:
 
 class TestSampling:
     def test_rademacher_support(self):
-        e = sample_innovations(rademacher(), 4, 7)
+        e = sample_innovations(InnovationModel("rademacher"), 4, 7)
         assert set(np.unique(e)) <= {-1.0, 1.0}
 
     def test_pareto_support(self):
-        e = sample_innovations(pareto_tail2(), 100_000, 11)
+        e = sample_innovations(InnovationModel("pareto2"), 100_000, 11)
         assert np.all(np.abs(e) >= 1.0)
 
     def test_gaussian_sample_variance(self):
-        e = sample_innovations(gaussian(1.0), 1_000_000, 3)
+        e = sample_innovations(InnovationModel("gaussian", 1.0), 1_000_000, 3)
         assert 0.99 <= e.var() <= 1.01
 
-    @pytest.mark.parametrize("model", [gaussian(1.0), uniform_sym(2.0), rademacher()])
+    @pytest.mark.parametrize("model", [InnovationModel("gaussian", 1.0),
+                                       InnovationModel("uniform", 2.0),
+                                       InnovationModel("rademacher")])
     def test_mean_zero_within_five_se(self, model):
         n = 1_000_000
         e = sample_innovations(model, n, 13)
@@ -124,27 +125,27 @@ class TestSampling:
         assert abs(e.mean()) <= 5 * se
 
     def test_seed_determinism(self):
-        a = sample_innovations(pareto_tail2(), 1000, 5)
-        b = sample_innovations(pareto_tail2(), 1000, 5)
-        c = sample_innovations(pareto_tail2(), 1000, 6)
+        a = sample_innovations(InnovationModel("pareto2"), 1000, 5)
+        b = sample_innovations(InnovationModel("pareto2"), 1000, 5)
+        c = sample_innovations(InnovationModel("pareto2"), 1000, 6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rejects_empty_draw(self):
         with pytest.raises(ValueError):
-            sample_innovations(gaussian(1.0), 0, 1)
+            sample_innovations(InnovationModel("gaussian", 1.0), 0, 1)
 
 
 class TestBn:
     def test_rademacher_examples(self):
-        model = rademacher()
+        model = InnovationModel("rademacher")
         assert compute_bn(model, 1) == 2.0
         assert compute_bn(model, 100) == 10.0  # exactly
         assert compute_bn(model, 4) == 2.0     # floor still binding
         assert compute_bn(model, 0) == 1.0
 
     def test_pareto_matches_bisection_oracle(self):
-        model = pareto_tail2()
+        model = InnovationModel("pareto2")
         expect = bisect_bn(lambda s: 2.0 * math.log(s), 100)
         assert compute_bn(model, 100) == pytest.approx(expect, abs=1e-6)
 
@@ -180,7 +181,7 @@ class TestBn:
             assert not holds(math.nextafter(bn, 0.0), n), (n, bn)
 
     def test_gaussian_bn_grows_like_sqrt_n(self):
-        model = gaussian(1.0)
+        model = InnovationModel("gaussian", 1.0)
         for n in (100, 10_000):
             assert compute_bn(model, n) == pytest.approx(math.sqrt(n), rel=1e-3)
 
@@ -206,7 +207,7 @@ class TestBn:
         assert compute_bn(tri, 100) == pytest.approx(30.0, rel=1e-9)
 
     def test_ell_at_bn_consistency(self):
-        model = pareto_tail2()
+        model = InnovationModel("pareto2")
         assert ell_at_bn(model, 100) == eval_l(model, compute_bn(model, 100))
 
 
@@ -285,15 +286,15 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             InnovationModel.from_config({"id": "rademacher", "sigma": 2.0})
 
-    @pytest.mark.parametrize("factory", [gaussian, uniform_sym])
+    @pytest.mark.parametrize("model_id", ["gaussian", "uniform"])
     @pytest.mark.parametrize("sigma", [1e-320, 1e200, -1.0, math.nan])
-    def test_scale_needs_positive_finite_variance(self, factory, sigma):
+    def test_scale_needs_positive_finite_variance(self, model_id, sigma):
         with pytest.raises(ValueError):
-            factory(sigma)
+            InnovationModel(model_id, sigma)
 
     def test_variance_classes(self):
-        assert gaussian(2.0).variance == 4.0
-        assert pareto_tail2().variance is None
+        assert InnovationModel("gaussian", 2.0).variance == 4.0
+        assert InnovationModel("pareto2").variance is None
 
     @pytest.mark.parametrize("cfg, echo", [
         ({"id": "gaussian"}, {"id": "gaussian", "sigma": 1.0}),
@@ -316,12 +317,16 @@ class TestModelValue:
     """A model is a value: equal ids and scales give equal, hashable,
     picklable models, and equal models share one b_0 cache entry."""
 
-    MODELS = [gaussian(1.0), gaussian(0.5), uniform_sym(2.0), rademacher(), pareto_tail2()]
+    MODELS = [InnovationModel("gaussian", 1.0), InnovationModel("gaussian", 0.5),
+              InnovationModel("uniform", 2.0), InnovationModel("rademacher"),
+              InnovationModel("pareto2")]
 
     def test_equal_models_are_equal(self):
-        assert gaussian(1.0) == gaussian(1.0) == gaussian(1) == InnovationModel("gaussian")
-        assert hash(gaussian(1.0)) == hash(gaussian(1))
-        assert gaussian(1.0) != gaussian(2.0) != uniform_sym(2.0)
+        assert (InnovationModel("gaussian", 1.0) == InnovationModel("gaussian", 1.0)
+                == InnovationModel("gaussian", 1) == InnovationModel("gaussian"))
+        assert hash(InnovationModel("gaussian", 1.0)) == hash(InnovationModel("gaussian", 1))
+        assert (InnovationModel("gaussian", 1.0) != InnovationModel("gaussian", 2.0)
+                != InnovationModel("uniform", 2.0))
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_pickle_round_trip(self, model):
@@ -331,8 +336,8 @@ class TestModelValue:
 
     def test_equal_model_hits_bn_cache(self):
         innovations._positivity_edge.cache_clear()
-        compute_bn(gaussian(1.5), 100)
-        compute_bn(gaussian(1.5), 200)
+        compute_bn(InnovationModel("gaussian", 1.5), 100)
+        compute_bn(InnovationModel("gaussian", 1.5), 200)
         info = innovations._positivity_edge.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from ar1mc import limits
-from ar1mc.innovations import _CHUNK_ELEMENTS, gaussian, pareto_tail2, rademacher
+from ar1mc.innovations import _CHUNK_ELEMENTS, InnovationModel
 from ar1mc.limits import (
     _normal_factor,
     default_truncation,
@@ -162,25 +162,25 @@ class TestGrowthFunctionals:
 class TestStationaryLimit:
     def test_finite_branch_covariance_at_zero_rho(self):
         # mu=1, sigma=1, rho=0: covariance [[2, -1], [-1, 1]]
-        d = sample_limit(Regime("P1", rho=0.0), 1.0, gaussian(1.0), 200_000, 13)
+        d = sample_limit(Regime("P1", rho=0.0), 1.0, InnovationModel("gaussian", 1.0), 200_000, 13)
         cov = np.cov(d.T)
         assert cov[0, 0] == pytest.approx(2.0, rel=0.03)
         assert cov[0, 1] == pytest.approx(-1.0, rel=0.05)
         assert cov[1, 1] == pytest.approx(1.0, rel=0.03)
 
     def test_finite_branch_diagonal_when_mu_zero(self):
-        d = sample_limit(Regime("P1", rho=0.6), 0.0, gaussian(1.0), 100_000, 17)
+        d = sample_limit(Regime("P1", rho=0.6), 0.0, InnovationModel("gaussian", 1.0), 100_000, 17)
         assert abs(np.corrcoef(d.T)[0, 1]) < 0.01
         assert d[:, 1].var(ddof=1) == pytest.approx(1.0 - 0.36, rel=0.03)
 
     def test_infinite_branch_independent_components(self):
-        d = sample_limit(Regime("P1", rho=0.5), 1.0, pareto_tail2(), 100_000, 19)
+        d = sample_limit(Regime("P1", rho=0.5), 1.0, InnovationModel("pareto2"), 100_000, 19)
         assert abs(np.corrcoef(d.T)[0, 1]) < 0.01
         assert kstest(d[:, 0], "norm").statistic < 0.01
 
     def test_rho_variance_same_in_both_branches(self):
-        fin = sample_limit(Regime("P1", rho=0.5), 1.0, gaussian(1.0), 100_000, 23)
-        inf = sample_limit(Regime("P1", rho=0.5), 1.0, pareto_tail2(), 100_000, 23)
+        fin = sample_limit(Regime("P1", rho=0.5), 1.0, InnovationModel("gaussian", 1.0), 100_000, 23)
+        inf = sample_limit(Regime("P1", rho=0.5), 1.0, InnovationModel("pareto2"), 100_000, 23)
         assert fin[:, 1].var(ddof=1) == pytest.approx(0.75, rel=0.03)
         assert np.array_equal(fin[:, 1], inf[:, 1])
 
@@ -188,23 +188,23 @@ class TestStationaryLimit:
 class TestExplosiveLimit:
     def test_cauchy_case(self):
         # mu=0, y0=0, rho=2, gaussian: ratio of independent N(0, 4/3), scale 3
-        d = sample_limit(Regime("P2", rho=2.0), 0.0, gaussian(1.0), 100_000, 61)
+        d = sample_limit(Regime("P2", rho=2.0), 0.0, InnovationModel("gaussian", 1.0), 100_000, 61)
         q25, q50, q75 = np.quantile(d[:, 1], [0.25, 0.5, 0.75])
         assert abs(q50) < 0.05
         assert q75 - q25 == pytest.approx(6.0, rel=0.05)
 
     def test_first_component_standard_normal(self):
-        d = sample_limit(Regime("P2", rho=1.2), 1.0, gaussian(1.0), 100_000, 67)
+        d = sample_limit(Regime("P2", rho=1.2), 1.0, InnovationModel("gaussian", 1.0), 100_000, 67)
         assert kstest(d[:, 0], "norm").statistic < 0.01
 
     def test_large_intercept_dominates_denominator(self):
-        d = sample_limit(Regime("P2", rho=2.0), 1e12, gaussian(1.0), 1000, 71)
+        d = sample_limit(Regime("P2", rho=2.0), 1e12, InnovationModel("gaussian", 1.0), 1000, 71)
         assert np.max(np.abs(d[:, 1])) < 1e-9
 
     def test_chunks_draw_from_keyed_streams(self):
         # chunk c holds 2^16 // (2M-1) draws from stream (seed, c): its W1
         # normals, then 2M-1 innovations per draw, U1 from the first M
-        rho, y0, seed, model = 1.2, 0.5, 9, pareto_tail2()
+        rho, y0, seed, model = 1.2, 0.5, 9, InnovationModel("pareto2")
         m = default_truncation(rho)
         step = (1 << 16) // (2 * m - 1)
         draws = 2 * step + 3
@@ -224,10 +224,10 @@ class TestExplosiveLimit:
         # a tighter series tolerance lengthens the series (M 41 -> 51 at
         # rho = 2) without changing the law
         regime = Regime("P2", rho=2.0)
-        a = sample_limit(regime, 0.0, gaussian(1.0), 20_000, 73)
+        a = sample_limit(regime, 0.0, InnovationModel("gaussian", 1.0), 20_000, 73)
         monkeypatch.setattr(limits, "_SERIES_TOL", 1e-15)
         assert default_truncation(2.0) == 51
-        b = sample_limit(regime, 0.0, gaussian(1.0), 20_000, 74)
+        b = sample_limit(regime, 0.0, InnovationModel("gaussian", 1.0), 20_000, 74)
         assert ks_two_sample(a[:, 1], b[:, 1]) < 0.02
 
     def test_default_truncation_threshold(self):
@@ -240,14 +240,14 @@ class TestExplosiveLimit:
         # no invariance principle: two-point innovations give a visibly
         # different ratio law than gaussian ones (ks noise here is ~0.01)
         regime = Regime("P2", rho=2.0)
-        a = sample_limit(regime, 1.0, gaussian(1.0), 40_000, 75)
-        b = sample_limit(regime, 1.0, rademacher(), 40_000, 75)
+        a = sample_limit(regime, 1.0, InnovationModel("gaussian", 1.0), 40_000, 75)
+        b = sample_limit(regime, 1.0, InnovationModel("rademacher"), 40_000, 75)
         assert ks_two_sample(a[:, 1], b[:, 1]) > 0.03
 
     def test_y0_shifts_denominator(self):
         regime = Regime("P2", rho=2.0)
-        a = sample_limit(regime, 1.0, gaussian(1.0), 30_000, 77, y0=0.0)
-        b = sample_limit(regime, 1.0, gaussian(1.0), 30_000, 77, y0=5.0)
+        a = sample_limit(regime, 1.0, InnovationModel("gaussian", 1.0), 30_000, 77, y0=0.0)
+        b = sample_limit(regime, 1.0, InnovationModel("gaussian", 1.0), 30_000, 77, y0=5.0)
         assert ks_two_sample(a[:, 1], b[:, 1]) > 0.05
 
 
@@ -258,21 +258,21 @@ class TestUnitRootLimit:
         # at c=0, mu=1 it is [[4, -6], [-6, 12]]
         mu = 1.0
         g, g2, d = growth_mean(c), growth_mean_sq(c), growth_dispersion(c)
-        cov = np.cov(sample_limit(unit_root(c), mu, gaussian(1.0), 100_000, 97).T)
+        cov = np.cov(sample_limit(unit_root(c), mu, InnovationModel("gaussian", 1.0), 100_000, 97).T)
         assert cov[0, 0] == pytest.approx(g2 / d, rel=0.03)
         assert cov[0, 1] == pytest.approx(-g / (mu * d), rel=0.03)
         assert cov[1, 1] == pytest.approx(1.0 / (mu * mu * d), rel=0.03)
 
     def test_inverse_mu_scaling_drawwise(self):
-        a = sample_limit(Regime("P3"), 1.0, gaussian(1.0), 500, 99)
-        b = sample_limit(Regime("P3"), 2.0, gaussian(1.0), 500, 99)
+        a = sample_limit(Regime("P3"), 1.0, InnovationModel("gaussian", 1.0), 500, 99)
+        b = sample_limit(Regime("P3"), 2.0, InnovationModel("gaussian", 1.0), 500, 99)
         assert np.allclose(a[:, 1], 2.0 * b[:, 1], rtol=1e-12)
         assert np.allclose(a[:, 0], b[:, 0], rtol=1e-12)
 
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
     def test_grid_refinement_consistency(self, c):
         # the Brownian-grid construction converges to the exact normal law
-        exact = sample_limit(unit_root(c), 1.0, gaussian(1.0), 100_000, 303)
+        exact = sample_limit(unit_root(c), 1.0, InnovationModel("gaussian", 1.0), 100_000, 303)
         for grid_m, seed in ((1000, 101), (2000, 202)):
             grid = grid_unit_root_limit(c, 1.0, grid_m, 10_000, seed)
             assert ks_two_sample(grid[:, 0], exact[:, 0]) < 0.02
@@ -280,17 +280,17 @@ class TestUnitRootLimit:
 
     def test_mu_zero_rejected(self):
         with pytest.raises(ValueError):
-            sample_limit(Regime("P3"), 0.0, gaussian(1.0), 10, 1)
+            sample_limit(Regime("P3"), 0.0, InnovationModel("gaussian", 1.0), 10, 1)
 
 
 class TestModerateLimit:
     def test_p5_infinite_branch_large_alpha(self):
         # c=-1, mu=1, alpha>1/2: first component is 2*V12 ~ N(0, 2)
-        d = sample_limit(Regime("P5", c=-1.0, alpha=0.75), 1.0, pareto_tail2(), 100_000, 93)
+        d = sample_limit(Regime("P5", c=-1.0, alpha=0.75), 1.0, InnovationModel("pareto2"), 100_000, 93)
         assert d[:, 0].var(ddof=1) == pytest.approx(2.0, rel=0.03)
 
     def test_p5_rank_one_pair(self):
-        for model in (gaussian(1.0), pareto_tail2()):
+        for model in (InnovationModel("gaussian", 1.0), InnovationModel("pareto2")):
             for alpha in (0.25, 0.75):
                 d = sample_limit(Regime("P5", c=-1.0, alpha=alpha), 1.0, model, 5000, 95)
                 # comp1 = (mu/c) * comp2 exactly
@@ -300,29 +300,31 @@ class TestModerateLimit:
 
     def test_p5_finite_branch_small_alpha_variance(self):
         # alpha<1/2, sigma=1: scaled rho error is -2c*V14 ~ N(0, -2c)
-        d = sample_limit(Regime("P5", c=-2.0, alpha=0.25), 1.0, gaussian(1.0), 100_000, 97)
+        d = sample_limit(Regime("P5", c=-2.0, alpha=0.25), 1.0, InnovationModel("gaussian", 1.0),
+                         100_000, 97)
         assert d[:, 1].var(ddof=1) == pytest.approx(4.0, rel=0.03)
 
     def test_p5_boundary_alpha_activates_both_terms_in_finite_branch(self):
         # at alpha = 1/2 the finite branch sums both indicator terms:
         # Z = -V12 + V14 with d = 1, so Var(comp2) = 1 at c=-1, mu=sigma=1
         regime = Regime("P5", c=-1.0, alpha=0.5)
-        d = sample_limit(regime, 1.0, gaussian(1.0), 100_000, 95)
+        d = sample_limit(regime, 1.0, InnovationModel("gaussian", 1.0), 100_000, 95)
         assert d[:, 1].var(ddof=1) == pytest.approx(1.0, rel=0.03)
         # the infinite branch takes only the alpha <= 1/2 term: Var = -2c = 2
-        d = sample_limit(regime, 1.0, pareto_tail2(), 100_000, 96)
+        d = sample_limit(regime, 1.0, InnovationModel("pareto2"), 100_000, 96)
         assert d[:, 1].var(ddof=1) == pytest.approx(2.0, rel=0.03)
 
     def test_p6_component_laws(self):
         # c=1, mu=2: comp2 ~ N(0, (2c^2/mu)^2 / (2c)) = N(0, 1/2)
-        d = sample_limit(Regime("P6", c=1.0, alpha=0.5), 2.0, gaussian(1.0), 100_000, 99)
+        d = sample_limit(Regime("P6", c=1.0, alpha=0.5), 2.0, InnovationModel("gaussian", 1.0),
+                         100_000, 99)
         assert kstest(d[:, 0], "norm").statistic < 0.01
         assert d[:, 1].var(ddof=1) == pytest.approx(0.5, rel=0.03)
         assert abs(np.corrcoef(d.T)[0, 1]) < 0.01
 
     def test_p6_mu_zero_rejected(self):
         with pytest.raises(ValueError):
-            sample_limit(Regime("P6", c=1.0, alpha=0.5), 0.0, gaussian(1.0), 100, 1)
+            sample_limit(Regime("P6", c=1.0, alpha=0.5), 0.0, InnovationModel("gaussian", 1.0), 100, 1)
 
 
 def p5_covariance(c, alpha, mu, variance):
@@ -397,7 +399,7 @@ class TestTimeChangedFunctionals:
 
 class TestDispatch:
     def test_all_regimes_dispatch(self):
-        model = gaussian(1.0)
+        model = InnovationModel("gaussian", 1.0)
         for regime in (Regime("P1", rho=0.5), Regime("P2", rho=1.3), Regime("P3"),
                        Regime("P4", c=-1.0), Regime("P5", c=-1.0, alpha=0.4),
                        Regime("P6", c=1.0, alpha=0.5)):
@@ -407,8 +409,8 @@ class TestDispatch:
 
     def test_branch_follows_model_variance_class(self):
         reg = Regime("P1", rho=0.5)
-        fin = sample_limit(reg, 1.0, gaussian(1.0), 50_000, 11)
-        inf = sample_limit(reg, 1.0, pareto_tail2(), 50_000, 11)
+        fin = sample_limit(reg, 1.0, InnovationModel("gaussian", 1.0), 50_000, 11)
+        inf = sample_limit(reg, 1.0, InnovationModel("pareto2"), 50_000, 11)
         # finite branch couples the components, infinite branch does not
         assert abs(np.corrcoef(fin.T)[0, 1]) > 0.5
         assert abs(np.corrcoef(inf.T)[0, 1]) < 0.02
@@ -423,7 +425,7 @@ class TestNormalLawInPlace:
     @pytest.mark.parametrize("regime", REGIMES, ids=lambda r: r.tag)
     def test_each_draw_is_the_factor_times_the_two_normal_draws(self, regime):
         draws = 2 * _CHUNK_ELEMENTS + 7  # three chunks, the last one short
-        got = sample_limit(regime, MU, gaussian(2.0), draws, 13)
+        got = sample_limit(regime, MU, InnovationModel("gaussian", 2.0), draws, 13)
         (a11, a12), (a21, a22) = _normal_factor(regime, MU, 4.0)
         rng = generator(13)
         z1 = rng.standard_normal(draws)
@@ -435,10 +437,11 @@ class TestNormalLawInPlace:
         # The scratch is two chunks of 2^16 values, whatever the draw count;
         # whole copies of z1 and z2 would add about twice the output.
         regime = Regime("P5", c=-1.5, alpha=0.5)
-        sample_limit(regime, MU, gaussian(1.0), 10, 3)  # imports what a first draw needs
+        # imports what a first draw needs
+        sample_limit(regime, MU, InnovationModel("gaussian", 1.0), 10, 3)
         tracemalloc.start()
         try:
-            out = sample_limit(regime, MU, gaussian(1.0), 400_000, 3)
+            out = sample_limit(regime, MU, InnovationModel("gaussian", 1.0), 400_000, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -40,8 +40,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ar1mc.estimator import ls_rows
-from ar1mc.innovations import (InnovationModel, gaussian, pareto_tail2, rademacher,
-                               sample_innovation_rows, uniform_sym)
+from ar1mc.innovations import InnovationModel, sample_innovation_rows
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
 from ar1mc.process import Regime, path_root, recurse_rows
 from ar1mc.rng import philox_keys
@@ -71,13 +70,15 @@ RANDOM_REGIMES = st.one_of(
     st.tuples(st.floats(0.25, 3.0), st.floats(0.05, 0.95)).map(
         lambda p: Regime("P6", c=p[0], alpha=p[1])),
 )
-BLOCK_MODELS = [gaussian(1.0), uniform_sym(1.0), rademacher(), pareto_tail2(), gaussian(1e-100)]
+BLOCK_MODELS = [InnovationModel("gaussian", 1.0), InnovationModel("uniform", 1.0),
+                InnovationModel("rademacher"), InnovationModel("pareto2"),
+                InnovationModel("gaussian", 1e-100)]
 
 
 def _run(regime, model, mu, y0):
     return run_experiment(ExperimentConfig(
         regime=regime, model=model, mu=mu, y0=y0, n_list=(50, 80, 120),
-        replications=100, limit_draws=1000, master_seed=3))
+        replications=100, limit_draws=1000, seed=3))
 
 
 def _scaled(summary, factor):
@@ -89,7 +90,8 @@ def _fields(summary):
     return summary.mean, summary.variance, summary.quantiles
 
 
-@pytest.mark.parametrize("model", [gaussian(0.75), uniform_sym(0.75)], ids=lambda m: m.name)
+@pytest.mark.parametrize("model", [InnovationModel("gaussian", 0.75), InnovationModel("uniform", 0.75)],
+                         ids=lambda m: m.name)
 @pytest.mark.parametrize("regime", REGIMES,
                          ids=lambda r: r.tag + (f"@{r.alpha}" if r.tag == "P5" else ""))
 def test_doubling_scale_moves_reports_by_the_rates(regime, model):

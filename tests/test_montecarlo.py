@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ar1mc.innovations import gaussian, pareto_tail2, rademacher, uniform_sym
+from ar1mc.innovations import InnovationModel
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import (
     ConfigError,
@@ -31,12 +31,12 @@ from paper_lemmas import (
 def small_config(**overrides):
     base = dict(
         regime=Regime("P1", rho=0.5),
-        model=gaussian(1.0),
+        model=InnovationModel("gaussian", 1.0),
         mu=1.0,
         n_list=(100,),
         replications=120,
         limit_draws=2000,
-        master_seed=5,
+        seed=5,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -69,6 +69,7 @@ VALID_FIELDS = {
     "replications": st.integers(100, 10**6),
     "limit_draws": st.integers(1000, 10**7),
 }
+FIELDS = [field.name for field in dataclasses.fields(ExperimentConfig)]
 VALID_JSON = st.fixed_dictionaries(
     {**VALID_FIELDS, "seed": st.integers(0, 2**70)},
     optional={"y0": VALID_FIELDS["mu"], "grid_m": JSON_VALUES},
@@ -213,9 +214,8 @@ class TestConfig:
         assert cfg.to_dict() == raw
         # the retired grid_m key still loads, and is ignored
         assert ExperimentConfig.from_dict({**raw, "grid_m": 2000}) == cfg
-        # every field has exactly one JSON key
-        assert (sorted(ExperimentConfig._KEYS.values())
-                == sorted(f.name for f in dataclasses.fields(ExperimentConfig)))
+        # the field names are the JSON keys
+        assert sorted(raw) == sorted(FIELDS)
 
     def test_unknown_key_rejected(self):
         raw = {"regime": {"tag": "P3"}, "model": {"id": "gaussian"}, "mu": 1.0,
@@ -234,12 +234,12 @@ class TestConfig:
         dict(n_list=(49,)),
         dict(n_list=()),
         dict(n_list=(100, 100)),
-        dict(master_seed=-1),
+        dict(seed=-1),
         dict(y0=math.nan),
         dict(mu=math.inf),
         dict(n_list=(100.7,)),
         dict(replications=100.5),
-        dict(master_seed=True),
+        dict(seed=True),
         dict(model={"id": "bogus"}),
         dict(model={"id": "gaussian", "sigma": 1.0}),  # a record, not a model
         dict(regime={"tag": "P1", "rho": 0.5}),
@@ -258,7 +258,7 @@ class TestConfig:
             cfg.model.sigma = -3.0
 
     @settings(max_examples=200)
-    @given(raw=fuzzed(VALID_JSON, sorted([*ExperimentConfig._KEYS, "grid_m"]) + ["workers", "truncation_M"]))
+    @given(raw=fuzzed(VALID_JSON, sorted([*FIELDS, "grid_m"]) + ["workers", "truncation_M"]))
     def test_fuzzed_json_config_loads_or_is_refused(self, raw):
         try:
             cfg = ExperimentConfig.from_dict(raw)
@@ -271,11 +271,11 @@ class TestConfig:
         st.fixed_dictionaries({
             **VALID_FIELDS,
             "regime": st.sampled_from([Regime("P1", rho=0.5), Regime("P6", c=1.0, alpha=0.5)]),
-            "model": st.sampled_from([gaussian(1.0), uniform_sym(2.0), pareto_tail2()]),
-            "master_seed": st.integers(0, 2**70),
+            "model": st.sampled_from([InnovationModel("gaussian", 1.0),
+                                      InnovationModel("uniform", 2.0), InnovationModel("pareto2")]),
+            "seed": st.integers(0, 2**70),
         }),
-        ["regime", "model", "mu", "y0", "n_list", "replications", "limit_draws",
-         "master_seed"],
+        FIELDS,
     ))
     def test_fuzzed_fields_raise_only_config_error(self, fields):
         try:
@@ -307,8 +307,8 @@ class TestRunExperiment:
         assert np.array_equal(a.per_n[0].rho_hat, b.per_n[0].rho_hat)
 
     def test_seed_changes_results(self):
-        a = run_experiment(small_config(master_seed=1))
-        b = run_experiment(small_config(master_seed=2))
+        a = run_experiment(small_config(seed=1))
+        b = run_experiment(small_config(seed=2))
         assert not np.array_equal(a.per_n[0].mu_hat, b.per_n[0].mu_hat)
 
     def test_json_structure(self):
@@ -322,7 +322,8 @@ class TestRunExperiment:
         assert doc["rate_fit"] is None  # single n: no slope fit
         assert doc["limit"]["comp2"]["count"] == 2000
 
-    @pytest.mark.parametrize("model, valid_sizes", [(gaussian(1.0), 2), (gaussian(1e-100), 0)],
+    @pytest.mark.parametrize("model, valid_sizes", [(InnovationModel("gaussian", 1.0), 2),
+                                                    (InnovationModel("gaussian", 1e-100), 0)],
                              ids=["valid", "all-singular"])
     def test_ks_runs_through_its_module_name(self, monkeypatch, model, valid_sizes):
         # a wrapper on the module attribute (as the benchmark's tracer sets
@@ -343,7 +344,7 @@ class TestRunExperiment:
     def test_degenerate_model_records_all_singular(self):
         # innovations of scale 1e-100 vanish against the fixed point
         # y0 = mu/(1-rho) = 2, so every lagged series is constant
-        cfg = small_config(model=gaussian(1e-100), mu=1.0, y0=2.0,
+        cfg = small_config(model=InnovationModel("gaussian", 1e-100), mu=1.0, y0=2.0,
                            regime=Regime("P1", rho=0.5))
         docs = []
         for workers in (1, 2):
@@ -363,8 +364,8 @@ class TestRunExperiment:
         corrs = {}
         for n in (250, 4000):
             cfg = small_config(regime=Regime("P5", c=-1.0, alpha=0.25),
-                               model=pareto_tail2(), n_list=(n,),
-                               replications=400, limit_draws=2000, master_seed=3)
+                               model=InnovationModel("pareto2"), n_list=(n,),
+                               replications=400, limit_draws=2000, seed=3)
             corrs[n] = run_experiment(cfg).per_n[0].component_correlation
         assert abs(corrs[4000]) > 0.6
         assert abs(corrs[4000]) > abs(corrs[250])
@@ -373,9 +374,9 @@ class TestRunExperiment:
         # the P2 rate rho^n has no l(b_n) in it, so the limit's innovation
         # series must stay raw against the mu*rho/(rho-1) shift; dividing
         # them by sqrt(l(b_M)) puts KS(rho) near 0.21 here
-        cfg = small_config(regime=Regime("P2", rho=1.2), model=pareto_tail2(),
+        cfg = small_config(regime=Regime("P2", rho=1.2), model=InnovationModel("pareto2"),
                            n_list=(120,), replications=2000, limit_draws=100_000,
-                           master_seed=11)
+                           seed=11)
         assert run_experiment(cfg).per_n[0].ks_rho < 0.08
 
     def test_replication_rows_shape(self):
@@ -398,7 +399,7 @@ class TestRunExperiment:
 
     def test_ks_decreases_with_n(self):
         cfg = small_config(n_list=(200, 400, 800, 1600), replications=1500,
-                           limit_draws=30_000, master_seed=41)
+                           limit_draws=30_000, seed=41)
         rep = run_experiment(cfg)
         ks = [b.ks_rho for b in rep.per_n]
         assert all(later <= earlier + 0.01 for earlier, later in zip(ks, ks[1:]))
@@ -415,7 +416,7 @@ _STREAM_REGIMES = {
     "P6": (Regime("P6", c=1.0, alpha=0.5), (100, 1500)),
 }
 _STREAM_CASES = [
-    (tag, model) for tag in _STREAM_REGIMES for model in (gaussian(), pareto_tail2())
+    (tag, InnovationModel(model_id)) for tag in _STREAM_REGIMES for model_id in ("gaussian", "pareto2")
 ]
 
 
@@ -446,7 +447,7 @@ def test_pool_never_exceeds_task_count(monkeypatch):
 
 
 class TestStreamMap:
-    """Replication (n, r) draws from stream (master_seed, 1, n, r), and the
+    """Replication (n, r) draws from stream (seed, 1, n, r), and the
     block engine gives exactly what that path gives on its own."""
 
     def check(self, cfg):
@@ -467,14 +468,14 @@ class TestStreamMap:
     def test_engine_matches_path_by_path_reference(self, tag, model):
         regime, n_list = _STREAM_REGIMES[tag]
         self.check(small_config(regime=regime, model=model, n_list=n_list,
-                                replications=130, limit_draws=1000, master_seed=2**40 + 3))
+                                replications=130, limit_draws=1000, seed=2**40 + 3))
 
     def test_rademacher_explosive(self):
-        self.check(small_config(regime=Regime("P2", rho=-1.3), model=rademacher(),
+        self.check(small_config(regime=Regime("P2", rho=-1.3), model=InnovationModel("rademacher"),
                                 n_list=(60, 90), replications=300, y0=0.5))
 
     def test_all_singular(self):
-        report = self.check(small_config(model=gaussian(1e-100), mu=1.0,
+        report = self.check(small_config(model=InnovationModel("gaussian", 1e-100), mu=1.0,
                                          y0=2.0, n_list=(100, 1500), replications=130))
         assert all(block.singular == 130 for block in report.per_n)
         for doc in json.loads(report.to_json())["per_n"]:
@@ -483,7 +484,7 @@ class TestStreamMap:
 
 class TestNormalizedSums:
     def test_stationary_sums_converge(self):
-        g = gaussian(1.0)
+        g = InnovationModel("gaussian", 1.0)
         reg = Regime("P1", rho=0.5)
         stats_ = [normalized_stationary_sums(simulate_path(reg, 1.0, 0.0, g, 2000, 5000 + i), g)
                   for i in range(600)]
@@ -498,7 +499,7 @@ class TestNormalizedSums:
         assert mean_sq == pytest.approx(1.0 / 0.75 + 4.0, rel=0.05)
 
     def test_tilde_sums_match_functional_limits(self):
-        g = gaussian(1.0)
+        g = InnovationModel("gaussian", 1.0)
         reg = Regime("P3")
         stats_ = [normalized_tilde_sums(simulate_path(reg, 1.0, 0.0, g, 2000, 1000 + i), g)
                   for i in range(600)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
-from ar1mc.innovations import gaussian, pareto_tail2, sample_innovations
+from ar1mc.innovations import InnovationModel, sample_innovations
 from ar1mc.process import Ar1Path, Regime, recurse_rows, resolve_rho, simulate_path
 from paper_lemmas import companion_series, disc_path, lagged, refit_residual
 
@@ -93,7 +93,8 @@ class TestSimulate:
         Regime("P2", rho=-1.3), Regime("P3"), Regime("P4", c=-2.0),
         Regime("P5", c=-1.0, alpha=0.25), Regime("P6", c=1.0, alpha=0.5),
     ], ids=lambda r: f"{r.tag}-{r.rho}" if r.rho is not None else r.tag)
-    @pytest.mark.parametrize("model", [gaussian(1.0), pareto_tail2()], ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", [InnovationModel("gaussian", 1.0), InnovationModel("pareto2")],
+                             ids=lambda m: m.name)
     def test_refit_identity(self, regime, model):
         path = simulate_path(regime, 1.0, 0.5, model, 500, 42)
         tol = 1e-10 * (1.0 + np.max(np.abs(path.y)))
@@ -101,24 +102,24 @@ class TestSimulate:
 
     def test_same_seed_same_innovations_both_routes(self):
         # |rho| > 1 uses the closed-form construction; innovations must agree
-        a = simulate_path(Regime("P2", rho=1.2), 1.0, 0.0, gaussian(1.0), 60, 9)
-        b = simulate_path(Regime("P1", rho=0.5), 1.0, 0.0, gaussian(1.0), 60, 9)
+        a = simulate_path(Regime("P2", rho=1.2), 1.0, 0.0, InnovationModel("gaussian", 1.0), 60, 9)
+        b = simulate_path(Regime("P1", rho=0.5), 1.0, 0.0, InnovationModel("gaussian", 1.0), 60, 9)
         assert np.array_equal(a.e, b.e)
 
     def test_overflow_cap(self):
         with pytest.raises(OverflowError):
-            simulate_path(Regime("P2", rho=2.0), 1.0, 0.0, gaussian(1.0), 2000, 1)
+            simulate_path(Regime("P2", rho=2.0), 1.0, 0.0, InnovationModel("gaussian", 1.0), 2000, 1)
 
     def test_nonfinite_inputs_rejected(self):
         with pytest.raises(ValueError):
-            simulate_path(Regime("P3"), math.inf, 0.0, gaussian(1.0), 10, 1)
+            simulate_path(Regime("P3"), math.inf, 0.0, InnovationModel("gaussian", 1.0), 10, 1)
         with pytest.raises(ValueError):
-            simulate_path(Regime("P3"), 0.0, math.nan, gaussian(1.0), 10, 1)
+            simulate_path(Regime("P3"), 0.0, math.nan, InnovationModel("gaussian", 1.0), 10, 1)
         with pytest.raises(ValueError):
-            simulate_path(Regime("P3"), 0.0, 0.0, gaussian(1.0), 1, 1)
+            simulate_path(Regime("P3"), 0.0, 0.0, InnovationModel("gaussian", 1.0), 1, 1)
 
     def test_lagged_alignment(self):
-        path = simulate_path(Regime("P3"), 1.0, 4.0, gaussian(1.0), 10, 2)
+        path = simulate_path(Regime("P3"), 1.0, 4.0, InnovationModel("gaussian", 1.0), 10, 2)
         lag = lagged(path)
         assert lag[0] == 4.0
         assert np.array_equal(lag[1:], path.y[:-1])
@@ -129,8 +130,8 @@ class TestSimulate:
         reg = Regime("P2", rho=rho)
 
         def spread(n, base):
-            vals = [simulate_path(reg, mu, 0.0, gaussian(1.0), n, base + i).y[-1] * rho ** -n
-                    for i in range(400)]
+            vals = [simulate_path(reg, mu, 0.0, InnovationModel("gaussian", 1.0), n, base + i).y[-1]
+                    * rho ** -n for i in range(400)]
             return np.var(vals, ddof=1)
 
         v25, v50 = spread(25, 10_000), spread(50, 20_000)
@@ -190,13 +191,15 @@ class TestUnitRootRecursion:
     lfilter, against an exact oracle."""
 
     @pytest.mark.parametrize("mu, y0", MU_Y0)
-    @pytest.mark.parametrize("model", [gaussian(1.0), pareto_tail2()], ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", [InnovationModel("gaussian", 1.0), InnovationModel("pareto2")],
+                             ids=lambda m: m.name)
     def test_running_sum_equals_lfilter(self, mu, y0, model):
         assert_recursion_equals_lfilter(1.0, mu, y0, model)
 
     @pytest.mark.parametrize("rho", [0.5, -0.5, 0.2, 0.0, 1e-300, -1e-300, 0.999, 1 - 3 / 50, -1.0])
     @pytest.mark.parametrize("mu, y0", MU_Y0)
-    @pytest.mark.parametrize("model", [gaussian(1.0), pareto_tail2()], ids=lambda m: m.name)
+    @pytest.mark.parametrize("model", [InnovationModel("gaussian", 1.0), InnovationModel("pareto2")],
+                             ids=lambda m: m.name)
     def test_closed_form_as_accurate_as_lfilter(self, rho, mu, y0, model):
         # Errors in units of eps*s_t, s_t = |rho|^t |y0| + sum_i |rho|^(t-i) (|mu| + |e_i|),
         # the scale that bounds lfilter's own rounding; an ulp of y_t would
@@ -220,7 +223,7 @@ class TestUnitRootRecursion:
     @pytest.mark.parametrize("mu, y0", [(-0.3, -2.5), (0.0, 1e308)])
     def test_rows_equal_one_path_reference(self, rho, mu, y0):
         # blocks, padding, carries and signed powers as a 1-D path has them
-        e = innovation_rows(pareto_tail2())
+        e = innovation_rows(InnovationModel("pareto2"))
         ours = recurse_rows(mu, rho, y0, e)
         for row, e_row in zip(ours, e):
             assert np.array_equal(row, disc_path(mu + e_row, rho, y0))
@@ -229,7 +232,7 @@ class TestUnitRootRecursion:
     @pytest.mark.parametrize("mu", [1e98, 1e200, -1e200])
     def test_large_mean_inside_double_range(self, rho, mu):
         # mu + e reaches the block weights, which stay within 2^+-350
-        e = innovation_rows(gaussian(1.0))
+        e = innovation_rows(InnovationModel("gaussian", 1.0))
         ours = recurse_rows(mu, rho, 0.0, e)
         kernel = lfilter([1.0], [1.0, -rho], mu + e, axis=1)
         assert np.all(np.abs(ours - kernel) <= 4 * EPS * abs(mu) / (1 - abs(rho)))
@@ -237,16 +240,16 @@ class TestUnitRootRecursion:
 
 class TestCompanions:
     def test_centered_equals_y_when_mu_zero(self):
-        path = simulate_path(Regime("P1", rho=0.5), 0.0, 1.0, gaussian(1.0), 50, 3)
+        path = simulate_path(Regime("P1", rho=0.5), 0.0, 1.0, InnovationModel("gaussian", 1.0), 50, 3)
         assert np.array_equal(companion_series(path, "centered"), path.y)
 
     def test_centered_elementwise_oracle(self):
-        path = simulate_path(Regime("P1", rho=0.4), 2.0, 0.0, gaussian(1.0), 200, 5)
+        path = simulate_path(Regime("P1", rho=0.4), 2.0, 0.0, InnovationModel("gaussian", 1.0), 200, 5)
         expect = path.y - 2.0 / (1.0 - 0.4)
         assert np.allclose(companion_series(path, "centered"), expect, rtol=0, atol=1e-12)
 
     def test_centered_rejected_at_unit_root(self):
-        path = simulate_path(Regime("P3"), 1.0, 0.0, gaussian(1.0), 50, 3)
+        path = simulate_path(Regime("P3"), 1.0, 0.0, InnovationModel("gaussian", 1.0), 50, 3)
         with pytest.raises(ValueError):
             companion_series(path, "centered")
 
@@ -257,7 +260,7 @@ class TestCompanions:
 
     def test_tilde_recursions(self):
         for reg in (Regime("P1", rho=0.6), Regime("P2", rho=1.3), Regime("P4", c=1.0)):
-            path = simulate_path(reg, 1.0, 0.7, gaussian(1.0), 40, 11)
+            path = simulate_path(reg, 1.0, 0.7, InnovationModel("gaussian", 1.0), 40, 11)
             scale = 1.0 + np.max(np.abs(path.y))
             for kind, init in (("tilde_explosive", path.y0), ("tilde_unit", 0.0)):
                 series = companion_series(path, kind)
@@ -267,14 +270,14 @@ class TestCompanions:
     def test_path_decomposes_into_drift_plus_tilde(self):
         # y_t = mu * sum_{j<t} rho^j + tilde_explosive_t
         for reg in (Regime("P2", rho=1.5), Regime("P4", c=2.0)):
-            path = simulate_path(reg, 3.0, 0.6, gaussian(1.0), 30, 13)
+            path = simulate_path(reg, 3.0, 0.6, InnovationModel("gaussian", 1.0), 30, 13)
             t = np.arange(1, 31)
             growth = (path.rho ** t - 1.0) / (path.rho - 1.0)
             rebuilt = 3.0 * growth + companion_series(path, "tilde_explosive")
             assert np.allclose(rebuilt, path.y, rtol=1e-10)
 
     def test_unknown_kind_rejected(self):
-        path = simulate_path(Regime("P3"), 1.0, 0.0, gaussian(1.0), 10, 1)
+        path = simulate_path(Regime("P3"), 1.0, 0.0, InnovationModel("gaussian", 1.0), 10, 1)
         with pytest.raises(ValueError):
             companion_series(path, "detrended")
 
@@ -288,7 +291,7 @@ class TestCompanions:
 def test_centered_satisfies_own_recursion(rho, mu, y0, seed):
     if abs(1.0 - rho) < 1e-6:
         return
-    path = simulate_path(Regime("P1", rho=rho), mu, y0, gaussian(1.0), 64, seed)
+    path = simulate_path(Regime("P1", rho=rho), mu, y0, InnovationModel("gaussian", 1.0), 64, seed)
     centered = companion_series(path, "centered")
     prev = np.concatenate(([y0 - mu / (1.0 - rho)], centered[:-1]))
     resid = np.max(np.abs(centered - rho * prev - path.e))

@@ -30,8 +30,8 @@ from ar1mc.montecarlo import ExperimentConfig
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
-    "ExperimentConfig", "Regime", "gaussian", "ls_estimate", "pareto_tail2",
-    "rademacher", "run_experiment", "simulate_path", "uniform_sym",
+    "ExperimentConfig", "InnovationModel", "Regime", "ls_estimate", "run_experiment",
+    "simulate_path",
 }
 
 
