@@ -89,6 +89,10 @@ MUTANTS = [
     # (4e-13 at c = -1000).  Only the exact-decimal oracle sees either.
     ("_GROWTH_SERIES = 0.5", "_GROWTH_SERIES = 1e-3"),
     ("if c < -30.0:", "if c < -math.inf:"),
+    # An undefined correlation written as NaN, which is not JSON: only the
+    # strict parse of a P5 report with a point-mass limit sees it.
+    ("        return None\n    return sums[2] / denom",
+     '        return float("nan")\n    return sums[2] / denom'),
 ]
 # Not listed, because it is equivalent: swapping the arguments of a KS call
 # (``ks_two_sample(limit[:, 0], s_mu)``).  ks_two_sample evaluates the gaps

@@ -142,11 +142,12 @@ def _print_report_table(report) -> None:
           f"{'var_mu':>10} {'var_rho':>10} {'corr':>8}")
     for block in report.per_n:
         if block.valid:
+            corr = block.component_correlation
             print(f"{block.n:>8} {block.valid:>6} {block.singular:>5} "
                   f"{block.ks_mu:>8.4f} {block.ks_rho:>8.4f} "
-                  f"{block.scaled_mu_summary.variance:>10.4f} "
-                  f"{block.scaled_rho_summary.variance:>10.4f} "
-                  f"{block.component_correlation:>8.4f}")
+                  f"{block.scaled_mu_summary['variance']:>10.4f} "
+                  f"{block.scaled_rho_summary['variance']:>10.4f} "
+                  f"{'-' if corr is None else format(corr, '.4f'):>8}")
         else:
             print(f"{block.n:>8} {block.valid:>6} {block.singular:>5} "
                   f"{'-':>8} {'-':>8} {'-':>10} {'-':>10} {'-':>8}")

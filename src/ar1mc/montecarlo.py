@@ -31,7 +31,7 @@ from .process import Regime, path_root, recurse_rows
 from .process import simulate_path  # noqa: F401
 from .rng import derive_seed, philox_keys
 
-__all__ = ["ConfigError", "ExperimentConfig", "Summary", "PerSizeReport", "McReport",
+__all__ = ["ConfigError", "ExperimentConfig", "PerSizeReport", "McReport",
            "run_experiment", "ks_two_sample", "summarize"]
 
 # Stream ids under the master seed.
@@ -41,7 +41,7 @@ _LIMIT_STREAM = 2
 # Replications dispatched per worker task.
 _BLOCK = 256
 
-_QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
+_QUANTILES = {"q05": 0.05, "q25": 0.25, "q50": 0.50, "q75": 0.75, "q95": 0.95}
 
 
 class ConfigError(ValueError):
@@ -130,19 +130,6 @@ class ExperimentConfig:
         return out
 
 
-@dataclass(frozen=True)
-class Summary:
-    mean: float
-    variance: float
-    quantiles: dict
-    count: int
-
-    def to_dict(self) -> dict:
-        out = {"mean": self.mean, "variance": self.variance, "count": self.count}
-        out.update({f"q{int(100 * q):02d}": v for q, v in self.quantiles.items()})
-        return out
-
-
 @dataclass
 class PerSizeReport:
     n: int
@@ -152,14 +139,14 @@ class PerSizeReport:
     scaled_mu: np.ndarray = field(repr=False)
     scaled_rho: np.ndarray = field(repr=False)
     singular_mask: np.ndarray = field(repr=False)
-    # None when every replication at this size is singular
+    # None if every replication here is singular; the correlation also if undefined
     mu_rate: float | None = None
     rho_rate: float | None = None
     ks_mu: float | None = None
     ks_rho: float | None = None
     component_correlation: float | None = None
-    scaled_mu_summary: Summary | None = None
-    scaled_rho_summary: Summary | None = None
+    scaled_mu_summary: dict | None = None
+    scaled_rho_summary: dict | None = None
 
     @property
     def singular(self) -> int:
@@ -180,10 +167,8 @@ class PerSizeReport:
             "ks_mu": self.ks_mu,
             "ks_rho": self.ks_rho,
             "component_correlation": self.component_correlation,
-            "scaled_mu": None if self.scaled_mu_summary is None
-            else self.scaled_mu_summary.to_dict(),
-            "scaled_rho": None if self.scaled_rho_summary is None
-            else self.scaled_rho_summary.to_dict(),
+            "scaled_mu": self.scaled_mu_summary,
+            "scaled_rho": self.scaled_rho_summary,
         }
 
 
@@ -191,20 +176,15 @@ class PerSizeReport:
 class McReport:
     config: ExperimentConfig
     per_n: list
-    limit_comp1_summary: Summary
-    limit_comp2_summary: Summary
-    limit_correlation: float
+    # {"comp1": summary, "comp2": summary, "component_correlation": ...}
+    limit: dict
     rate_fit: dict | None
 
     def to_json(self) -> str:
         return json.dumps({
             "config": self.config.to_dict(),
             "per_n": [block.to_dict() for block in self.per_n],
-            "limit": {
-                "comp1": self.limit_comp1_summary.to_dict(),
-                "comp2": self.limit_comp2_summary.to_dict(),
-                "component_correlation": self.limit_correlation,
-            },
+            "limit": self.limit,
             "rate_fit": self.rate_fit,
         }, indent=2, sort_keys=True) + "\n"
 
@@ -261,21 +241,22 @@ def rate_slope(n_list, rmse_list) -> tuple[float, float]:
     return slope, stderr
 
 
-def summarize(sample) -> Summary:
-    """Mean, unbiased variance and interpolated quantiles of a sample."""
+def summarize(sample) -> dict:
+    """Mean, unbiased variance, count and interpolated quantiles of a
+    sample, keyed as the report writes them."""
     arr = np.asarray(sample, dtype=float)
     if arr.size == 0:
         raise ValueError("summarize requires a nonempty sample")
-    qs = np.quantile(arr, _QUANTILES)  # linear interpolation of order stats
-    return Summary(
-        mean=float(np.mean(arr)),
-        variance=float(np.var(arr, ddof=1)) if arr.size > 1 else 0.0,
-        quantiles={q: float(v) for q, v in zip(_QUANTILES, qs)},
-        count=int(arr.size),
-    )
+    qs = np.quantile(arr, list(_QUANTILES.values()))  # linear interpolation of order stats
+    return {"mean": float(np.mean(arr)),
+            "variance": float(np.var(arr, ddof=1)) if arr.size > 1 else 0.0,
+            "count": int(arr.size),
+            **{key: float(v) for key, v in zip(_QUANTILES, qs)}}
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+def _pearson(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Sample correlation of ``a`` and ``b``; None where it is undefined, as
+    for one point or a sample with no spread (a centred sum of squares of 0)."""
     # np.sum-based on purpose: pairwise summation is deterministic across BLAS
     # thread counts, which the report's bytes rely on.  Each centred product
     # fills one buffer 4096 values at a time and is then summed whole.
@@ -286,7 +267,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
         sums.append(float(np.sum(work)))
     denom = math.sqrt(sums[0] * sums[1])
     if denom == 0.0:
-        return float("nan")
+        return None
     return sums[2] / denom
 
 
@@ -386,7 +367,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
                 mu_rate=mu_rate, rho_rate=rho_rate,
                 ks_mu=ks_two_sample(s_mu, limit[:, 0]),
                 ks_rho=ks_two_sample(s_rho, limit[:, 1]),
-                component_correlation=_pearson(s_mu, s_rho) if s_mu.size > 1 else None,
+                component_correlation=_pearson(s_mu, s_rho),
                 scaled_mu_summary=summarize(s_mu), scaled_rho_summary=summarize(s_rho),
             )
             rmse_mu.append(_rmse(err_mu[valid], trimmed))
@@ -411,9 +392,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     return McReport(
         config=config,
         per_n=per_n,
-        limit_comp1_summary=summarize(limit[:, 0]),
-        limit_comp2_summary=summarize(limit[:, 1]),
-        limit_correlation=_pearson(limit[:, 0], limit[:, 1]),
+        limit={"comp1": summarize(limit[:, 0]), "comp2": summarize(limit[:, 1]),
+               "component_correlation": _pearson(limit[:, 0], limit[:, 1])},
         rate_fit=rate_fit,
     )
 

@@ -31,7 +31,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
     (master_seed, path) pair always gives the same value.
     """
     if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
+        raise ValueError("seed must be a nonnegative integer")
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, dtype=_U64)[0])
 
@@ -128,7 +128,7 @@ def philox_keys(master_seed: int, prefix: tuple[int, ...], r: np.ndarray) -> np.
     r[i]))``; every ``r[i]`` must lie in [0, 2**32).
     """
     if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
+        raise ValueError("seed must be a nonnegative integer")
     r = np.asarray(r)
     if r.ndim != 1 or r.dtype.kind not in "iu":
         raise ValueError("r must be a 1-D integer array")

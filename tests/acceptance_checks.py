@@ -64,7 +64,7 @@ CHECKS = {
     "C2": Check(
         (_config(m.Regime("P1", rho=0.5), _GAUSSIAN, 1.0, [5000], 2000, 100_000, 777),),
         lambda reps: {"ks_rho": reps[0].per_n[0].ks_rho,
-                      "var": reps[0].per_n[0].scaled_rho_summary.variance,
+                      "var": reps[0].per_n[0].scaled_rho_summary["variance"],
                       "corr": reps[0].per_n[0].component_correlation},
         {"ks_rho": ("< 0.05", lambda v: v < 0.05),
          "var": ("in [0.70, 0.80]", lambda v: 0.70 <= v <= 0.80),
@@ -81,7 +81,7 @@ CHECKS = {
     ),
     "C4": Check(
         (_config(m.Regime("P3"), _GAUSSIAN, 1.0, [5000], 2000, 100_000, 7),),
-        lambda reps: {"var": reps[0].per_n[0].scaled_rho_summary.variance,
+        lambda reps: {"var": reps[0].per_n[0].scaled_rho_summary["variance"],
                       "ks_rho": reps[0].per_n[0].ks_rho},
         {"var": ("within 10% of 12", lambda v: abs(v - 12.0) <= 1.2),
          "ks_rho": ("< 0.05", lambda v: v < 0.05)},

@@ -6,13 +6,16 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ar1mc.cli import main
+from ar1mc.cli import _print_report_table, main
 from ar1mc.estimator import ls_estimate
 from ar1mc.innovations import InnovationModel
+from ar1mc.montecarlo import PerSizeReport
 from ar1mc.process import Regime, simulate_path
 from ar1mc.rng import DEFAULT_SEED
 
@@ -84,6 +87,18 @@ class TestSimulate:
                             "--n", "5000", "--mu", "1"], capsys)
         assert code == 1
         assert "rho^n" in err
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
+    def test_disc_overflow_refused_once_a_block_fills(self, capsys):
+        # at rho = 0.5 a block holds 700 terms (see README)
+        argv = ["simulate", "--regime", "P1", "--rho", "0.5", "--mu", "1e250"]
+        code, out, _ = run(argv + ["--n", "100"], capsys)
+        assert code == 0
+        assert float(out.splitlines()[-1].split(",")[1]) == pytest.approx(2e250, rel=1e-13)
+        code, out, err = run(argv + ["--n", "2000"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: simulated path overflowed double precision\n"
 
 
 class TestEstimateRoundTrip:
@@ -228,6 +243,15 @@ class TestLimitSample:
             peaks.append(int(done.stdout) / 1024)
         assert max(peaks) - min(peaks) < 15.0, peaks
 
+    @pytest.mark.parametrize("argv", [["--regime", "P2", "--rho", "1.5"],
+                                      ["--regime", "P1", "--rho", "0.5"]],
+                             ids=["P2-keyed-chunks", "normal-law"])
+    def test_negative_seed_exits_2(self, capsys, argv):
+        code, out, err = run(["limit-sample", *argv, "--mu", "1", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a nonnegative integer\n"
+
     def test_default_seed_documented_constant(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -314,6 +338,41 @@ class TestMc:
         code, _, err = run(["mc", "--config", str(cfg), "--workers", "0"], capsys)
         assert code == 2
         assert "workers" in err
+
+    @pytest.mark.parametrize("text", ["[]", "null", '"x"', "3"])
+    def test_config_not_a_mapping_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(text)
+        code, out, err = run(["mc", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: experiment config must be a mapping\n"
+
+    def test_point_mass_limit_writes_null_correlation(self, tmp_path, capsys):
+        # Under P5 with mu = 0 and alpha <= 1/2 the intercept's limit is 0, so
+        # the limit's correlation is undefined: null, never NaN (not JSON).
+        cfg = write_config(tmp_path / "exp.json", regime={"tag": "P5", "c": -1.0, "alpha": 0.25},
+                           mu=0.0, n_list=[200, 400, 800], replications=200, seed=3)
+        report = tmp_path / "report.json"
+        code, _, _ = run(["mc", "--config", str(cfg), "--out", str(report)], capsys)
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        limit = json.loads(report.read_text(), parse_constant=refuse)["limit"]
+        assert limit["comp1"]["variance"] == 0.0
+        assert limit["component_correlation"] is None
+
+    def test_table_prints_a_dash_for_an_undefined_correlation(self, capsys):
+        values = np.zeros(1)
+        block = PerSizeReport(n=100, mu_hat=values, rho_hat=values, scaled_mu=values,
+                              scaled_rho=values, singular_mask=np.zeros(1, dtype=bool),
+                              ks_mu=0.5, ks_rho=0.25, scaled_mu_summary={"variance": 0.0},
+                              scaled_rho_summary={"variance": 0.0})
+        _print_report_table(SimpleNamespace(per_n=[block], rate_fit=None))
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.split() == ["100", "1", "0", "0.5000", "0.2500", "0.0000", "0.0000", "-"]
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -81,13 +81,16 @@ def _run(regime, model, mu, y0):
         replications=100, limit_draws=1000, seed=3))
 
 
+_QUANTILE_KEYS = ("q05", "q25", "q50", "q75", "q95")
+
+
 def _scaled(summary, factor):
-    return (factor * summary.mean, factor * factor * summary.variance,
-            {q: factor * v for q, v in summary.quantiles.items()})
+    return (factor * summary["mean"], factor * factor * summary["variance"],
+            {key: factor * summary[key] for key in _QUANTILE_KEYS})
 
 
 def _fields(summary):
-    return summary.mean, summary.variance, summary.quantiles
+    return summary["mean"], summary["variance"], {key: summary[key] for key in _QUANTILE_KEYS}
 
 
 @pytest.mark.parametrize("model", [InnovationModel("gaussian", 0.75), InnovationModel("uniform", 0.75)],
@@ -120,9 +123,9 @@ def _assert_scaled(base, scaled, tag, j):
         assert np.array_equal(b.scaled_mu, f1 * a.scaled_mu, equal_nan=True)
         assert np.array_equal(b.scaled_rho, f2 * a.scaled_rho, equal_nan=True)
         assert np.array_equal(b.singular_mask, a.singular_mask)
-    assert _fields(scaled.limit_comp1_summary) == _scaled(base.limit_comp1_summary, f1)
-    assert _fields(scaled.limit_comp2_summary) == _scaled(base.limit_comp2_summary, f2)
-    assert scaled.limit_correlation == base.limit_correlation
+    assert _fields(scaled.limit["comp1"]) == _scaled(base.limit["comp1"], f1)
+    assert _fields(scaled.limit["comp2"]) == _scaled(base.limit["comp2"], f2)
+    assert scaled.limit["component_correlation"] == base.limit["component_correlation"]
 
     # The RMSEs are of the raw errors, so they move by (2^j, 1) in every
     # regime.  The mu slope is a fit to log(2^j rmse) = log(rmse) + j log 2,

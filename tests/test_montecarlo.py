@@ -163,19 +163,19 @@ class TestRateSlope:
 class TestSummarize:
     def test_degenerate(self):
         s = summarize([1.0, 1.0, 1.0])
-        assert s.mean == 1.0
-        assert s.variance == 0.0
-        assert s.count == 3
+        assert s["mean"] == 1.0
+        assert s["variance"] == 0.0
+        assert s["count"] == 3
 
     def test_interpolated_median(self):
-        assert summarize([1.0, 2.0, 3.0, 4.0]).quantiles[0.5] == pytest.approx(2.5)
+        assert summarize([1.0, 2.0, 3.0, 4.0])["q50"] == pytest.approx(2.5)
 
     def test_normal_upper_quantile(self):
         draws = np.random.default_rng(11).standard_normal(1_000_000)
-        assert summarize(draws).quantiles[0.95] == pytest.approx(1.6449, abs=0.01)
+        assert summarize(draws)["q95"] == pytest.approx(1.6449, abs=0.01)
 
     def test_variance_is_unbiased(self):
-        assert summarize([1.0, 2.0, 4.0]).variance == pytest.approx(7.0 / 3.0, rel=1e-15)
+        assert summarize([1.0, 2.0, 4.0])["variance"] == pytest.approx(7.0 / 3.0, rel=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -184,9 +184,9 @@ class TestSummarize:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
     def test_quantiles_monotone(self, xs):
         s = summarize(xs)
-        qs = [s.quantiles[q] for q in (0.05, 0.25, 0.5, 0.75, 0.95)]
+        qs = [s[key] for key in ("q05", "q25", "q50", "q75", "q95")]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
-        assert s.count == len(xs)
+        assert s["count"] == len(xs)
 
 
 class TestRmse:

@@ -88,6 +88,15 @@ class TestSimulate:
         y = recurse_rows(1.0, 2.0, 0.0, np.zeros((1, 3)))[0]
         assert np.allclose(y, [1.0, 3.0, 7.0], rtol=1e-15)
 
+    def test_disc_overflow_refusal_needs_a_full_block(self):
+        # At rho = 0.5 a block holds L = 700 terms and weights mu + e by up to
+        # 2^350, which overflows at |mu| = 1e250; a path of 100 terms is one
+        # block weighted by at most 2^50, so the same mu gives its exact path.
+        y = recurse_rows(1e250, 0.5, 0.0, np.zeros((1, 100)))[0]
+        assert y[-1] == pytest.approx(2e250 * (1.0 - 0.5 ** 100), rel=1e-13)
+        with pytest.raises(OverflowError):
+            recurse_rows(1e250, 0.5, 0.0, np.zeros((1, 2000)))
+
     @pytest.mark.parametrize("regime", [
         Regime("P1", rho=0.5), Regime("P1", rho=-0.8), Regime("P2", rho=1.2),
         Regime("P2", rho=-1.3), Regime("P3"), Regime("P4", c=-2.0),

@@ -46,6 +46,15 @@ class TestPhiloxKeys:
             philox_keys(master, prefix, r)
 
 
+@pytest.mark.parametrize("make", [lambda: derive_seed(-1, 2), lambda: generator(-1),
+                                  lambda: philox_keys(-1, (), np.arange(3))],
+                         ids=["derive_seed", "generator", "philox_keys"])
+def test_negative_seed_is_named_seed(make):
+    # the config key and the CLI flag are both "seed"
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+        make()
+
+
 class TestKeyedGenerators:
     @pytest.mark.parametrize("model_id", ["gaussian", "uniform", "rademacher", "pareto2"])
     def test_rows_equal_fresh_generators(self, model_id):
