@@ -63,10 +63,13 @@ MUTANTS = [
     ("math.exp(-0.5 * a * a)", "math.exp(-a * a)"),
     ("0.0 < sigma * sigma < math.inf", "0.0 <= sigma * sigma < math.inf"),
     ("standard_normal(out=out), sigma, out=out)", "standard_normal(out=out), sigma * sigma, out=out)"),
-    # The two refusals that every caller now shares: least squares on a
-    # path whose estimates overflow, and a JSON null in a config mapping.
+    # The refusals that every caller now shares: least squares on a path
+    # whose estimates overflow, and the config reader's three rules (a JSON
+    # null, a required key left out, an unknown key).
     ("if not np.all(np.isfinite(fields)):", "if False:"),
     ("if value is None:", "if False:"),
+    ("if missing:", "if False:"),
+    ("if unknown:", "if False:"),
     # The order of the in-place steps: the normal limit law reads z1 after
     # overwriting it, and least squares takes the raw sum of squares of the
     # lagged series after centring it.

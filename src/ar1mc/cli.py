@@ -137,20 +137,22 @@ def _load_config(filename: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _cell(value: float | None) -> str:
+    """A table cell: None (a statistic left undefined) as a dash."""
+    return "-" if value is None else format(value, ".4f")
+
+
 def _print_report_table(report) -> None:
     print(f"{'n':>8} {'valid':>6} {'sing':>5} {'ks_mu':>8} {'ks_rho':>8} "
           f"{'var_mu':>10} {'var_rho':>10} {'corr':>8}")
     for block in report.per_n:
-        if block.valid:
-            corr = block.component_correlation
-            print(f"{block.n:>8} {block.valid:>6} {block.singular:>5} "
-                  f"{block.ks_mu:>8.4f} {block.ks_rho:>8.4f} "
-                  f"{block.scaled_mu_summary['variance']:>10.4f} "
-                  f"{block.scaled_rho_summary['variance']:>10.4f} "
-                  f"{'-' if corr is None else format(corr, '.4f'):>8}")
-        else:
-            print(f"{block.n:>8} {block.valid:>6} {block.singular:>5} "
-                  f"{'-':>8} {'-':>8} {'-':>10} {'-':>10} {'-':>8}")
+        mu_summary = block.scaled_mu_summary or {}
+        rho_summary = block.scaled_rho_summary or {}
+        print(f"{block.n:>8} {block.valid:>6} {block.singular:>5} "
+              f"{_cell(block.ks_mu):>8} {_cell(block.ks_rho):>8} "
+              f"{_cell(mu_summary.get('variance')):>10} "
+              f"{_cell(rho_summary.get('variance')):>10} "
+              f"{_cell(block.component_correlation):>8}")
     if report.rate_fit is not None:
         mu_fit = report.rate_fit["mu"]
         rho_fit = report.rate_fit["rho"]

@@ -14,13 +14,16 @@ at or above ``b_0 + 1`` that satisfies both float forms of that bound,
 and ``b_0`` as the smallest float with ``l(b_0) > 0``.  In the
 finite-variance case ``b_n`` behaves like ``sigma * sqrt(n)`` and
 ``l(b_n)`` replaces ``sigma^2`` in every scaling rate.
+
+The module also holds the one config rule, ``ConfigValue``, and its error,
+``ConfigError``, which the model, the regime and the experiment share.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -31,7 +34,11 @@ from .rng import generator, keyed_generators
 _ROOT2 = math.sqrt(2.0)
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
-__all__ = ["InnovationModel", "sample_innovations", "compute_bn", "MODEL_IDS"]
+__all__ = ["ConfigError", "InnovationModel", "sample_innovations", "compute_bn", "MODEL_IDS"]
+
+
+class ConfigError(ValueError):
+    """An invalid config value, naming the JSON key at fault."""
 
 
 def _finite_real(value, what: str) -> float:
@@ -42,22 +49,46 @@ def _finite_real(value, what: str) -> float:
                 return float(value)
         except OverflowError:  # an int beyond the float range
             pass
-    raise ValueError(f"{what} must be a finite number, got {value!r}")
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
-def _config_values(cfg, what: str, keys: tuple[str, ...]) -> list:
-    """The values of ``keys`` in the ``what`` config mapping ``cfg``, None
-    where a key is absent.  ``keys[0]`` is required, and an unknown key or
-    a JSON null (a value, not an absent key) is refused."""
-    if not isinstance(cfg, dict) or keys[0] not in cfg:
-        raise ValueError(f"{what} config must be a mapping with the key {keys[0]!r}")
-    extra = set(cfg) - set(keys)
-    if extra:
-        raise ValueError(f"unknown {what} config keys: {sorted(extra)}")
-    for key, value in cfg.items():
-        if value is None:
-            raise ValueError(f"{what} config key {key!r} must not be null")
-    return [cfg.get(key) for key in keys]
+class ConfigValue:
+    """A frozen dataclass read from and written as the JSON mapping of its
+    fields, each named by its key; ``_WHAT`` names the mapping in errors."""
+
+    @classmethod
+    def from_dict(cls, raw, **nested):
+        """The value of the mapping ``raw``, reading the mapping at each key
+        of ``nested`` as that ConfigValue class.  A field with no default is
+        a required key; an unknown key and a JSON null (a value, not an
+        absent key) are refused."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{cls._WHAT} config must be a mapping")
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls._WHAT} config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ConfigError(f"missing {cls._WHAT} config keys: {missing}")
+        for key, value in raw.items():
+            if value is None:
+                raise ConfigError(f"{cls._WHAT} config key {key!r} must not be null")
+        return cls(**{key: nested[key].from_dict(value) if key in nested else value
+                      for key, value in raw.items()})
+
+    def to_dict(self) -> dict:
+        """The JSON mapping of this value: None fields are left out, a nested
+        value is written as its own mapping and a tuple as a list."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, ConfigValue):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            if value is not None:
+                out[f.name] = value
+        return out
 
 
 # --- the built-in laws -----------------------------------------------------
@@ -114,8 +145,8 @@ MODEL_IDS = tuple(_LAWS)
 
 
 @dataclass(frozen=True)
-class InnovationModel:
-    """A built-in mean-zero error law: its id and, for the laws that take
+class InnovationModel(ConfigValue):
+    """A built-in mean-zero error law: its ``id`` and, for the laws that take
     one, its scale ``sigma`` (1.0 when left out; None for the others).
 
     A hashable, picklable value that checks itself; its l(x), sampler and
@@ -127,46 +158,40 @@ class InnovationModel:
     evaluations of ``l``.
     """
 
-    name: str
+    _WHAT = "model"
+
+    id: str
     sigma: float | None = None
 
     def __post_init__(self):
-        law = _LAWS.get(self.name) if isinstance(self.name, str) else None
+        law = _LAWS.get(self.id) if isinstance(self.id, str) else None
         if law is None:
-            raise ValueError(f"unknown model id {self.name!r}; expected one of {MODEL_IDS}")
+            raise ConfigError(f"unknown model id {self.id!r}; expected one of {MODEL_IDS}")
         if not law.takes_sigma:
             if self.sigma is not None:
-                raise ValueError(f"model '{self.name}' takes no sigma parameter")
+                raise ConfigError(f"model '{self.id}' takes no sigma parameter")
             return
         sigma = _finite_real(1.0 if self.sigma is None else self.sigma, "model sigma")
         if not (sigma > 0 and 0.0 < sigma * sigma < math.inf):
-            raise ValueError(f"sigma must be positive with 0 < sigma^2 < inf, got {sigma!r}")
+            raise ConfigError(f"sigma must be positive with 0 < sigma^2 < inf, got {sigma!r}")
         object.__setattr__(self, "sigma", sigma)
 
     @property
     def variance(self) -> float | None:
-        if not _LAWS[self.name].finite_variance:
+        if not _LAWS[self.id].finite_variance:
             return None
         return 1.0 if self.sigma is None else self.sigma * self.sigma
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` iid draws from ``rng``."""
-        return _LAWS[self.name].fill(rng, np.empty(n), self.sigma)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "InnovationModel":
-        """The model of ``{"id": ..., "sigma": ...}``."""
-        return cls(*_config_values(cfg, "model", ("id", "sigma")))
-
-    def to_config(self) -> dict:
-        return {"id": self.name, **({} if self.sigma is None else {"sigma": self.sigma})}
+        return _LAWS[self.id].fill(rng, np.empty(n), self.sigma)
 
 
 def eval_l(model: InnovationModel, x: float) -> float:
     """Truncated second moment ``l(x) = E[e^2 1{|e| <= x}]`` at ``x >= 0``."""
     if x < 0:
         raise ValueError("l(x) is defined for x >= 0")
-    return float(_LAWS[model.name].ell(float(x), model.sigma))
+    return float(_LAWS[model.id].ell(float(x), model.sigma))
 
 
 def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
@@ -191,7 +216,7 @@ def sample_innovation_rows(model: InnovationModel, keys: np.ndarray, n: int) -> 
         raise ValueError("n must be >= 1")
     out = np.empty((len(keys), int(n)))
     for row, rng in zip(out, keyed_generators(keys)):
-        _LAWS[model.name].fill(rng, row, model.sigma)
+        _LAWS[model.id].fill(rng, row, model.sigma)
     return out
 
 
@@ -230,7 +255,7 @@ def _positivity_edge(model: InnovationModel) -> float:
     """``b_0``: the smallest float ``x >= 1`` with ``l(x) > 0``."""
     return _first_true(
         lambda x: eval_l(model, x) > 0.0, 1.0,
-        f"l(x) of model {model.name!r} never becomes positive below {_S_MAX:g}",
+        f"l(x) of model {model.id!r} never becomes positive below {_S_MAX:g}",
     )
 
 
@@ -258,7 +283,7 @@ def compute_bn(model: InnovationModel, n: int) -> float:
     return _first_true(
         settled, b0 + 1.0,
         f"no s <= {_S_MAX:g} with l(s)/s^2 <= 1/{n} for model "
-        f"{model.name!r}; its l is inconsistent with slow variation",
+        f"{model.id!r}; its l is inconsistent with slow variation",
     )
 
 

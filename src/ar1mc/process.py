@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .innovations import InnovationModel, _config_values, _finite_real, sample_innovations
+from .innovations import (ConfigError, ConfigValue, InnovationModel, _finite_real,
+                          sample_innovations)
 
 __all__ = ["Regime", "Ar1Path", "simulate_path"]
 
@@ -41,7 +42,9 @@ _OVERFLOW_LIMIT = 1e300
 
 
 @dataclass(frozen=True)
-class Regime:
+class Regime(ConfigValue):
+    _WHAT = "regime"
+
     tag: str
     rho: float | None = None
     c: float | None = None
@@ -50,13 +53,13 @@ class Regime:
     def __post_init__(self):
         tag = self.tag
         if tag not in _TAGS:
-            raise ValueError(f"unknown regime tag {tag!r}; expected one of {_TAGS}")
+            raise ConfigError(f"unknown regime tag {tag!r}; expected one of {_TAGS}")
         for name in _NAMES:
             value, wanted = getattr(self, name), name in _PARAMS[tag]
             if wanted and value is None:
-                raise ValueError(f"regime {tag} requires parameter {name!r}")
+                raise ConfigError(f"regime {tag} requires parameter {name!r}")
             if value is not None and not wanted:
-                raise ValueError(f"regime {tag} does not take parameter {name!r}")
+                raise ConfigError(f"regime {tag} does not take parameter {name!r}")
             if value is not None:
                 object.__setattr__(self, name, _finite_real(value, f"regime parameter {name!r}"))
         rho, c, alpha = self.rho, self.c, self.alpha
@@ -69,14 +72,7 @@ class Regime:
             (tag in ("P5", "P6") and not 0 < alpha < 1, "alpha in (0, 1)"),
         ):
             if broken:
-                raise ValueError(f"{tag} requires {rule}")
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Regime":
-        return cls(*_config_values(cfg, "regime", ("tag", *_NAMES)))
-
-    def to_config(self) -> dict:
-        return {"tag": self.tag, **{k: getattr(self, k) for k in _PARAMS[self.tag]}}
+                raise ConfigError(f"{tag} requires {rule}")
 
 
 def resolve_rho(regime: Regime, n: int) -> float:

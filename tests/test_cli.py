@@ -350,29 +350,38 @@ class TestMc:
 
     def test_point_mass_limit_writes_null_correlation(self, tmp_path, capsys):
         # Under P5 with mu = 0 and alpha <= 1/2 the intercept's limit is 0, so
-        # the limit's correlation is undefined: null, never NaN (not JSON).
+        # the limit's correlation is undefined: null, never NaN (not JSON).  A
+        # KS distance to that point mass measures nothing, so ks_mu is null too.
         cfg = write_config(tmp_path / "exp.json", regime={"tag": "P5", "c": -1.0, "alpha": 0.25},
                            mu=0.0, n_list=[200, 400, 800], replications=200, seed=3)
         report = tmp_path / "report.json"
-        code, _, _ = run(["mc", "--config", str(cfg), "--out", str(report)], capsys)
+        code, out, _ = run(["mc", "--config", str(cfg), "--out", str(report)], capsys)
         assert code == 0
 
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        limit = json.loads(report.read_text(), parse_constant=refuse)["limit"]
+        written = json.loads(report.read_text(), parse_constant=refuse)
+        limit = written["limit"]
         assert limit["comp1"]["variance"] == 0.0
         assert limit["component_correlation"] is None
+        assert [block["ks_mu"] for block in written["per_n"]] == [None, None, None]
+        assert all(0.0 < block["ks_rho"] < 1.0 for block in written["per_n"])
+        assert [row.split()[3] for row in out.splitlines()[1:4]] == ["-", "-", "-"]
 
     def test_table_prints_a_dash_for_an_undefined_correlation(self, capsys):
         values = np.zeros(1)
         block = PerSizeReport(n=100, mu_hat=values, rho_hat=values, scaled_mu=values,
                               scaled_rho=values, singular_mask=np.zeros(1, dtype=bool),
-                              ks_mu=0.5, ks_rho=0.25, scaled_mu_summary={"variance": 0.0},
+                              ks_mu=None, ks_rho=0.25, scaled_mu_summary={"variance": 0.0},
                               scaled_rho_summary={"variance": 0.0})
-        _print_report_table(SimpleNamespace(per_n=[block], rate_fit=None))
-        row = capsys.readouterr().out.splitlines()[1]
-        assert row.split() == ["100", "1", "0", "0.5000", "0.2500", "0.0000", "0.0000", "-"]
+        # every replication singular: no statistic at all
+        empty = PerSizeReport(n=200, mu_hat=values, rho_hat=values, scaled_mu=values,
+                              scaled_rho=values, singular_mask=np.ones(1, dtype=bool))
+        _print_report_table(SimpleNamespace(per_n=[block, empty], rate_fit=None))
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].split() == ["100", "1", "0", "-", "0.2500", "0.0000", "0.0000", "-"]
+        assert rows[1] == f"{200:>8} {0:>6} {1:>5} {'-':>8} {'-':>8} {'-':>10} {'-':>10} {'-':>8}"
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -94,7 +94,7 @@ def _fields(summary):
 
 
 @pytest.mark.parametrize("model", [InnovationModel("gaussian", 0.75), InnovationModel("uniform", 0.75)],
-                         ids=lambda m: m.name)
+                         ids=lambda m: m.id)
 @pytest.mark.parametrize("regime", REGIMES,
                          ids=lambda r: r.tag + (f"@{r.alpha}" if r.tag == "P5" else ""))
 def test_doubling_scale_moves_reports_by_the_rates(regime, model):

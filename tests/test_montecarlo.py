@@ -217,16 +217,45 @@ class TestConfig:
         # the field names are the JSON keys
         assert sorted(raw) == sorted(FIELDS)
 
-    def test_unknown_key_rejected(self):
-        raw = {"regime": {"tag": "P3"}, "model": {"id": "gaussian"}, "mu": 1.0,
-               "n_list": [100], "replications": 100, "limit_draws": 1000,
-               "seed": 1, "workersss": 4}
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(raw)
+    # The three config values are read by one rule, and each refusal is a
+    # ConfigError that names the key at fault (the mapping, for a non-mapping).
+    VALUES = [
+        (ExperimentConfig, "experiment",
+         {"regime": {"tag": "P3"}, "model": {"id": "pareto2"}, "mu": 1.0, "n_list": [100],
+          "replications": 100, "limit_draws": 1000, "seed": 1, "y0": 0.0}),
+        (Regime, "regime", {"tag": "P5", "c": -1.0, "alpha": 0.5}),
+        (InnovationModel, "model", {"id": "uniform", "sigma": 2.0}),
+    ]
 
-    def test_missing_key_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"regime": {"tag": "P3"}})
+    EACH_VALUE = pytest.mark.parametrize("kind, what, raw", VALUES,
+                                         ids=[what for _, what, _ in VALUES])
+
+    @EACH_VALUE
+    def test_unknown_key_rejected(self, kind, what, raw):
+        assert kind.from_dict(raw).to_dict() == raw
+        with pytest.raises(ConfigError, match=f"unknown {what} config keys: \\['workersss'\\]"):
+            kind.from_dict({**raw, "workersss": 4})
+
+    @EACH_VALUE
+    def test_missing_key_rejected(self, kind, what, raw):
+        required = [f.name for f in dataclasses.fields(kind) if f.default is dataclasses.MISSING]
+        assert required and set(required) <= set(raw)
+        for key in required:
+            with pytest.raises(ConfigError, match=f"missing {what} config keys: \\['{key}'\\]"):
+                kind.from_dict({k: v for k, v in raw.items() if k != key})
+
+    @EACH_VALUE
+    def test_null_rejected(self, kind, what, raw):
+        # a JSON null is a value, not a missing key, even where a field defaults to None
+        for key in raw:
+            with pytest.raises(ConfigError, match=f"{what} config key '{key}' must not be null"):
+                kind.from_dict({**raw, key: None})
+
+    @EACH_VALUE
+    def test_non_mapping_rejected(self, kind, what, raw):
+        for bad in ([], None, "x", 3, list(raw.items())):
+            with pytest.raises(ConfigError, match=f"^{what} config must be a mapping$"):
+                kind.from_dict(bad)
 
     @pytest.mark.parametrize("bad", [
         dict(replications=99),
@@ -464,7 +493,7 @@ class TestStreamMap:
         return report
 
     @pytest.mark.parametrize("tag, model", _STREAM_CASES,
-                             ids=[f"{t}-{m.name}" for t, m in _STREAM_CASES])
+                             ids=[f"{t}-{m.id}" for t, m in _STREAM_CASES])
     def test_engine_matches_path_by_path_reference(self, tag, model):
         regime, n_list = _STREAM_REGIMES[tag]
         self.check(small_config(regime=regime, model=model, n_list=n_list,
