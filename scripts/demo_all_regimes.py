@@ -37,8 +37,8 @@ def main():
         )
         t0 = time.time()
         block = run_experiment(cfg, workers=args.workers).per_n[0]
-        print(f"{name:<28} {regime.tag:<4} {n:>6} {block.ks_mu:>8.4f} "
-              f"{block.ks_rho:>8.4f} {block.component_correlation:>8.4f} "
+        print(f"{name:<28} {regime.tag:<4} {n:>6} {block['ks_mu']:>8.4f} "
+              f"{block['ks_rho']:>8.4f} {block['component_correlation']:>8.4f} "
               f"{time.time() - t0:>6.1f}")
 
 

@@ -41,9 +41,9 @@ MUTANTS = [
     ("math.sqrt(n / ell), math.sqrt(n)", "math.sqrt(n / ell), math.sqrt(n - 1)"),
     ("delta2 = n * sxe", "delta2 = (n - 1) * sxe"),
     ("x[:, 0] += y0", "x[:, 0] += 0.0"),
-    ('"replications": len(self.singular_mask)', '"replications": self.valid'),
-    ("return len(self.singular_mask) - self.singular", "return len(self.singular_mask)"),
-    ("np.count_nonzero(self.singular_mask)", "np.count_nonzero(~self.singular_mask)"),
+    ('"replications": R,', '"replications": count,'),
+    ('"valid": count,', '"valid": R,'),
+    ("np.count_nonzero(valid)", "np.count_nonzero(~valid)"),
     ("np.concatenate(results)", "np.concatenate(results[::-1])"),
     ("alpha >= 0.5 if variance", "alpha > 0.5 if variance"),
     ("(alpha if first else 0.5)", "(0.5 if first else alpha)"),
@@ -92,6 +92,9 @@ MUTANTS = [
     # (4e-13 at c = -1000).  Only the exact-decimal oracle sees either.
     ("_GROWTH_SERIES = 0.5", "_GROWTH_SERIES = 1e-3"),
     ("if c < -30.0:", "if c < -math.inf:"),
+    # The P3/P4 factor above c = 30, formed from g and d times powers of c
+    # and e^-c: only c >= 355, where g and d overflow, fails the plain form.
+    ("if c > 30.0:", "if c > math.inf:"),
     # An undefined correlation written as NaN, which is not JSON: only the
     # strict parse of a P5 report with a point-mass limit sees it.
     ("        return None\n    return sums[2] / denom",

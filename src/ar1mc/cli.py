@@ -146,13 +146,13 @@ def _print_report_table(report) -> None:
     print(f"{'n':>8} {'valid':>6} {'sing':>5} {'ks_mu':>8} {'ks_rho':>8} "
           f"{'var_mu':>10} {'var_rho':>10} {'corr':>8}")
     for block in report.per_n:
-        mu_summary = block.scaled_mu_summary or {}
-        rho_summary = block.scaled_rho_summary or {}
-        print(f"{block.n:>8} {block.valid:>6} {block.singular:>5} "
-              f"{_cell(block.ks_mu):>8} {_cell(block.ks_rho):>8} "
+        mu_summary = block["scaled_mu"] or {}
+        rho_summary = block["scaled_rho"] or {}
+        print(f"{block['n']:>8} {block['valid']:>6} {block['singular']:>5} "
+              f"{_cell(block['ks_mu']):>8} {_cell(block['ks_rho']):>8} "
               f"{_cell(mu_summary.get('variance')):>10} "
               f"{_cell(rho_summary.get('variance')):>10} "
-              f"{_cell(block.component_correlation):>8}")
+              f"{_cell(block['component_correlation']):>8}")
     if report.rate_fit is not None:
         mu_fit = report.rate_fit["mu"]
         rho_fit = report.rate_fit["rho"]

@@ -210,8 +210,14 @@ def _normal_factor(regime: Regime, mu: float, variance: float | None):
         return (1.0, 0.0), (0.0, 2.0 * c * c / mu * math.sqrt(1.0 / (2.0 * c)))
     # P3 (c = 0) and P4: with g = int G_c and I = g W(1) + sqrt(d) Z the
     # Wiener integral int G_c dW, the pair (Y1/d, Y2/(mu*d)) is
-    # (W(1) - (g/sqrt(d)) Z, Z/(mu sqrt(d))).
+    # (W(1) - (g/sqrt(d)) Z, Z/(mu sqrt(d))).  g and d overflow from c = 355 on,
+    # so above c = 30 the factor is formed from them times powers of c and w = e^-c.
     c = 0.0 if tag == "P3" else regime.c
+    if c > 30.0:
+        w = math.exp(-c)
+        u = 1.0 - w * (1.0 + c)  # c^2 w g
+        e = c * ((1.0 - w * w) / 2.0 - 2.0 * w * (1.0 - w) + c * w * w) - u * u  # c^4 w^2 d
+        return (1.0, -u / math.sqrt(e)), (0.0, c * (c * w) / (mu * math.sqrt(e)))
     root_d = math.sqrt(growth_dispersion(c))
     return (1.0, -growth_mean(c) / root_d), (0.0, 1.0 / (mu * root_d))
 

@@ -8,9 +8,11 @@ n draws its innovations from a stream keyed by (seed, n, r), so
     or how many workers run them, and
   * adding sample sizes or replications never perturbs existing draws.
 
-Scaled-error samples are compared against draws from the regime's limit
-law with the exact two-sample Kolmogorov-Smirnov distance, and RMSE decay
-across sample sizes is summarized by a log-log slope fit.
+The report holds what ``mc --out`` writes: per sample size the counts, the
+rates, the exact two-sample KS distances of the scaled errors to the limit
+law, their correlation and summaries; the limit law's summaries; and a
+log-log fit of RMSE decay.  Its ``rows`` array, (sizes, replications, 5),
+holds the ``mc --csv`` columns after n and r, NaN where singular.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .process import Regime, path_root, recurse_rows
 from .process import simulate_path  # noqa: F401
 from .rng import derive_seed, philox_keys
 
-__all__ = ["ConfigError", "ExperimentConfig", "PerSizeReport", "McReport",
-           "run_experiment", "ks_two_sample", "summarize"]
+__all__ = ["ConfigError", "ExperimentConfig", "McReport", "run_experiment", "ks_two_sample",
+           "summarize"]
 
 # Stream ids under the master seed.
 _PATH_STREAM = 1
@@ -103,70 +105,28 @@ class ExperimentConfig(ConfigValue):
 
 
 @dataclass
-class PerSizeReport:
-    n: int
-    # raw per-replication values (nan where singular); not serialized to JSON
-    mu_hat: np.ndarray = field(repr=False)
-    rho_hat: np.ndarray = field(repr=False)
-    scaled_mu: np.ndarray = field(repr=False)
-    scaled_rho: np.ndarray = field(repr=False)
-    singular_mask: np.ndarray = field(repr=False)
-    # None if every replication here is singular; the KS and correlation fields also if undefined
-    mu_rate: float | None = None
-    rho_rate: float | None = None
-    ks_mu: float | None = None
-    ks_rho: float | None = None
-    component_correlation: float | None = None
-    scaled_mu_summary: dict | None = None
-    scaled_rho_summary: dict | None = None
-
-    @property
-    def singular(self) -> int:
-        return int(np.count_nonzero(self.singular_mask))
-
-    @property
-    def valid(self) -> int:
-        return len(self.singular_mask) - self.singular
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "replications": len(self.singular_mask),
-            "valid": self.valid,
-            "singular": self.singular,
-            "mu_rate": self.mu_rate,
-            "rho_rate": self.rho_rate,
-            "ks_mu": self.ks_mu,
-            "ks_rho": self.ks_rho,
-            "component_correlation": self.component_correlation,
-            "scaled_mu": self.scaled_mu_summary,
-            "scaled_rho": self.scaled_rho_summary,
-        }
-
-
-@dataclass
 class McReport:
     config: ExperimentConfig
     per_n: list
     # {"comp1": summary, "comp2": summary, "component_correlation": ...}
     limit: dict
     rate_fit: dict | None
+    # The replication_rows columns after n and r; not written to the JSON.
+    rows: np.ndarray = field(repr=False)
 
     def to_json(self) -> str:
         return json.dumps({
             "config": self.config.to_dict(),
-            "per_n": [block.to_dict() for block in self.per_n],
+            "per_n": self.per_n,
             "limit": self.limit,
             "rate_fit": self.rate_fit,
         }, indent=2, sort_keys=True) + "\n"
 
     def replication_rows(self):
         """Rows (n, r, mu_hat, rho_hat, scaled_mu, scaled_rho, singular)."""
-        for block in self.per_n:
-            columns = zip(block.mu_hat, block.rho_hat, block.scaled_mu, block.scaled_rho,
-                          block.singular_mask)
-            for r, (mu_h, rho_h, s_mu, s_rho, sing) in enumerate(columns):
-                yield block.n, r, mu_h, rho_h, s_mu, s_rho, int(sing)
+        for n, block in zip(self.config.n_list, self.rows):
+            for r, (mu_h, rho_h, s_mu, s_rho, sing) in enumerate(block):
+                yield n, r, mu_h, rho_h, s_mu, s_rho, int(sing)
 
 
 # --- elementary diagnostics -------------------------------------------------
@@ -327,29 +287,29 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
     rmse_mu, rmse_rho, fit_ns = [], [], []
     trimmed = regime.tag in ("P2", "P6")
     for n, rows in zip(config.n_list, rows_by_n):
-        mu_hat, rho_hat, err_mu, err_rho, flag = rows.T
-        singular = flag != 0.0
-        valid = ~singular
-        scaled_mu = np.full(R, np.nan)
-        scaled_rho = np.full(R, np.nan)
-        stats = {}
-        if valid.any():
+        valid = rows[:, 4] == 0.0
+        count = int(np.count_nonzero(valid))
+        # None if every replication here is singular; the KS and correlation also if undefined
+        block = {"n": n, "replications": R, "valid": count, "singular": R - count,
+                 "mu_rate": None, "rho_rate": None, "ks_mu": None, "ks_rho": None,
+                 "component_correlation": None, "scaled_mu": None, "scaled_rho": None}
+        if count:
+            rmse_mu.append(_rmse(rows[valid, 2], trimmed))
+            rmse_rho.append(_rmse(rows[valid, 3], trimmed))
+            fit_ns.append(n)
+            # The errors are scaled in place; a singular row's NaN stays NaN.
             mu_rate, rho_rate = error_rates(regime, model, n)
-            scaled_mu[valid] = mu_rate * err_mu[valid]
-            scaled_rho[valid] = rho_rate * err_rho[valid]
-            s_mu, s_rho = scaled_mu[valid], scaled_rho[valid]
-            stats = dict(
+            rows[:, 2] *= mu_rate
+            rows[:, 3] *= rho_rate
+            s_mu, s_rho = rows[valid, 2], rows[valid, 3]
+            block.update(
                 mu_rate=mu_rate, rho_rate=rho_rate,
                 ks_mu=ks_two_sample(s_mu, limit[:, 0]) if limit_spread[0] else None,
                 ks_rho=ks_two_sample(s_rho, limit[:, 1]) if limit_spread[1] else None,
                 component_correlation=_pearson(s_mu, s_rho),
-                scaled_mu_summary=summarize(s_mu), scaled_rho_summary=summarize(s_rho),
+                scaled_mu=summarize(s_mu), scaled_rho=summarize(s_rho),
             )
-            rmse_mu.append(_rmse(err_mu[valid], trimmed))
-            rmse_rho.append(_rmse(err_rho[valid], trimmed))
-            fit_ns.append(n)
-        per_n.append(PerSizeReport(n=n, mu_hat=mu_hat, rho_hat=rho_hat, scaled_mu=scaled_mu,
-                                   scaled_rho=scaled_rho, singular_mask=singular, **stats))
+        per_n.append(block)
 
     rate_fit = None
     if len(fit_ns) >= 3:
@@ -370,6 +330,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
         limit={"comp1": summarize(limit[:, 0]), "comp2": summarize(limit[:, 1]),
                "component_correlation": _pearson(limit[:, 0], limit[:, 1])},
         rate_fit=rate_fit,
+        rows=rows_by_n,
     )
 
 

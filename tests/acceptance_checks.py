@@ -54,18 +54,18 @@ def _config(regime, model, mu, n_list, reps, draws, seed, y0=0.0) -> m.Experimen
                               replications=reps, limit_draws=draws, seed=seed)
 
 
-def _ks_vs_half_normal(block) -> float:
+def _ks_vs_half_normal(rows) -> float:
     """KS distance of the valid scaled rho-errors from their exact law N(0, 1/2)."""
-    scaled = block.scaled_rho[~block.singular_mask]
+    scaled = rows[rows[:, 4] == 0.0, 3]
     return float(sps.kstest(scaled, "norm", args=(0.0, math.sqrt(0.5))).statistic)
 
 
 CHECKS = {
     "C2": Check(
         (_config(m.Regime("P1", rho=0.5), _GAUSSIAN, 1.0, [5000], 2000, 100_000, 777),),
-        lambda reps: {"ks_rho": reps[0].per_n[0].ks_rho,
-                      "var": reps[0].per_n[0].scaled_rho_summary["variance"],
-                      "corr": reps[0].per_n[0].component_correlation},
+        lambda reps: {"ks_rho": reps[0].per_n[0]["ks_rho"],
+                      "var": reps[0].per_n[0]["scaled_rho"]["variance"],
+                      "corr": reps[0].per_n[0]["component_correlation"]},
         {"ks_rho": ("< 0.05", lambda v: v < 0.05),
          "var": ("in [0.70, 0.80]", lambda v: 0.70 <= v <= 0.80),
          "corr": (f"within 0.1 of {C2_IMPLIED_CORR:.4f}",
@@ -75,34 +75,34 @@ CHECKS = {
     "C3": Check(
         (_config(m.Regime("P1", rho=0.5), m.InnovationModel("pareto2"), 1.0, [10_000], 2000,
                  100_000, 29),),
-        lambda reps: {"ks_mu": reps[0].per_n[0].ks_mu,
-                      "abs_corr": abs(reps[0].per_n[0].component_correlation)},
+        lambda reps: {"ks_mu": reps[0].per_n[0]["ks_mu"],
+                      "abs_corr": abs(reps[0].per_n[0]["component_correlation"])},
         {"ks_mu": ("< 0.06", lambda v: v < 0.06)},
     ),
     "C4": Check(
         (_config(m.Regime("P3"), _GAUSSIAN, 1.0, [5000], 2000, 100_000, 7),),
-        lambda reps: {"var": reps[0].per_n[0].scaled_rho_summary["variance"],
-                      "ks_rho": reps[0].per_n[0].ks_rho},
+        lambda reps: {"var": reps[0].per_n[0]["scaled_rho"]["variance"],
+                      "ks_rho": reps[0].per_n[0]["ks_rho"]},
         {"var": ("within 10% of 12", lambda v: abs(v - 12.0) <= 1.2),
          "ks_rho": ("< 0.05", lambda v: v < 0.05)},
     ),
     "C5": Check(
         (_config(m.Regime("P2", rho=1.2), _GAUSSIAN, 1.0, [60], 2000, 100_000, 11),),
-        lambda reps: {"ks_rho": reps[0].per_n[0].ks_rho},
+        lambda reps: {"ks_rho": reps[0].per_n[0]["ks_rho"]},
         {"ks_rho": ("< 0.06", lambda v: v < 0.06)},
     ),
     # ks_rho is the sampler route, a diagnostic beside the exact law.
     "C6": Check(
         (_config(m.Regime("P6", c=1.0, alpha=0.5), _GAUSSIAN, 2.0, [2000], 2000,
                  100_000, 13),),
-        lambda reps: {"ks_exact": _ks_vs_half_normal(reps[0].per_n[0]),
-                      "ks_rho": reps[0].per_n[0].ks_rho},
+        lambda reps: {"ks_exact": _ks_vs_half_normal(reps[0].rows[0]),
+                      "ks_rho": reps[0].per_n[0]["ks_rho"]},
         {"ks_exact": ("< 0.06", lambda v: v < 0.06)},
     ),
     "C7": Check(
         (_config(m.Regime("P5", c=-1.0, alpha=0.25), _GAUSSIAN, 1.0, [4000], 1000,
                  100_000, 17),),
-        lambda reps: {"abs_corr": abs(reps[0].per_n[0].component_correlation)},
+        lambda reps: {"abs_corr": abs(reps[0].per_n[0]["component_correlation"])},
         {"abs_corr": ("> 0.95", lambda v: v > 0.95)},
     ),
     "C8": Check(

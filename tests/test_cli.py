@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,14 +9,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ar1mc.cli import _print_report_table, main
 from ar1mc.estimator import ls_estimate
 from ar1mc.innovations import InnovationModel
-from ar1mc.montecarlo import PerSizeReport
 from ar1mc.process import Regime, simulate_path
 from ar1mc.rng import DEFAULT_SEED
 
@@ -369,15 +368,27 @@ class TestMc:
         assert all(0.0 < block["ks_rho"] < 1.0 for block in written["per_n"])
         assert [row.split()[3] for row in out.splitlines()[1:4]] == ["-", "-", "-"]
 
+    def test_near_unit_root_far_on_the_explosive_side_runs(self, tmp_path, capsys):
+        # c = 400: int G_c^2 overflows, but the limit law's factor does not
+        cfg = write_config(tmp_path / "exp.json", regime={"tag": "P4", "c": 400.0},
+                           model={"id": "gaussian"}, n_list=[200, 500, 1000],
+                           replications=200, seed=3)
+        code, _, err = run(["mc", "--config", str(cfg)], capsys)
+        assert (code, err) == (0, "")
+        lim = tmp_path / "lim.csv"
+        code, _, err = run(["limit-sample", "--regime", "P4", "--c", "400", "--mu", "1",
+                            "--out", str(lim)], capsys)
+        assert (code, err) == (0, "")
+        draws = [float(v) for line in lim.read_text().splitlines()[1:] for v in line.split(",")]
+        assert all(math.isfinite(v) for v in draws)
+
     def test_table_prints_a_dash_for_an_undefined_correlation(self, capsys):
-        values = np.zeros(1)
-        block = PerSizeReport(n=100, mu_hat=values, rho_hat=values, scaled_mu=values,
-                              scaled_rho=values, singular_mask=np.zeros(1, dtype=bool),
-                              ks_mu=None, ks_rho=0.25, scaled_mu_summary={"variance": 0.0},
-                              scaled_rho_summary={"variance": 0.0})
+        block = {"n": 100, "valid": 1, "singular": 0, "ks_mu": None, "ks_rho": 0.25,
+                 "component_correlation": None, "scaled_mu": {"variance": 0.0},
+                 "scaled_rho": {"variance": 0.0}}
         # every replication singular: no statistic at all
-        empty = PerSizeReport(n=200, mu_hat=values, rho_hat=values, scaled_mu=values,
-                              scaled_rho=values, singular_mask=np.ones(1, dtype=bool))
+        empty = {"n": 200, "valid": 0, "singular": 1, "ks_mu": None, "ks_rho": None,
+                 "component_correlation": None, "scaled_mu": None, "scaled_rho": None}
         _print_report_table(SimpleNamespace(per_n=[block, empty], rate_fit=None))
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows[0].split() == ["100", "1", "0", "-", "0.2500", "0.0000", "0.0000", "-"]

@@ -210,11 +210,12 @@ class TestRates:
         cfg = ExperimentConfig(regime=reg, model=InnovationModel("gaussian", 1.0), mu=1.0,
                                n_list=(500,), replications=100, limit_draws=1000,
                                seed=21)
-        block = run_experiment(cfg).per_n[0]
-        assert block.singular == 0
-        assert np.allclose(block.scaled_mu, block.mu_rate * (block.mu_hat - 1.0),
+        report = run_experiment(cfg)
+        block, rows = report.per_n[0], report.rows[0]
+        assert block["singular"] == 0
+        assert np.allclose(rows[:, 2], block["mu_rate"] * (rows[:, 0] - 1.0),
                            rtol=1e-9, atol=0)
-        assert np.allclose(block.scaled_rho, block.rho_rate * (block.rho_hat - 0.5),
+        assert np.allclose(rows[:, 3], block["rho_rate"] * (rows[:, 1] - 0.5),
                            rtol=1e-9, atol=0)
 
     def test_scale_error_resolves_below_ulp(self):
@@ -224,8 +225,9 @@ class TestRates:
         cfg = ExperimentConfig(regime=reg, model=InnovationModel("gaussian", 1.0), mu=2.0,
                                n_list=(2000,), replications=100, limit_draws=1000,
                                seed=77)
-        block = run_experiment(cfg).per_n[0]
-        err = np.abs(block.scaled_rho / block.rho_rate)
-        assert np.all(err < 1e-3 * np.spacing(block.rho_hat))
-        assert np.all(np.abs(block.scaled_rho) < 50.0)
-        assert np.all(np.abs(block.scaled_rho) > 1e-6)
+        report = run_experiment(cfg)
+        rho_hat, scaled_rho = report.rows[0, :, 1], report.rows[0, :, 3]
+        err = np.abs(scaled_rho / report.per_n[0]["rho_rate"])
+        assert np.all(err < 1e-3 * np.spacing(rho_hat))
+        assert np.all(np.abs(scaled_rho) < 50.0)
+        assert np.all(np.abs(scaled_rho) > 1e-6)

@@ -75,7 +75,7 @@ def test_stationary_run_imports_no_scipy_module(tmp_path, workers):
         "from ar1mc.cli import _load_config\n"
         "from ar1mc.montecarlo import run_experiment\n"
         "report = run_experiment(_load_config(sys.argv[1]), workers=int(sys.argv[2]))\n"
-        "assert report.per_n[1].valid == 100\n"
+        "assert report.per_n[1]['valid'] == 100\n"
         "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not scipy, scipy\n"
     )

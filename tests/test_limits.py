@@ -373,6 +373,23 @@ class TestNormalFactor:
         a = np.array(_normal_factor(regime, MU, variance))
         np.testing.assert_allclose(a @ a.T, cov, rtol=1e-12, atol=0)
 
+    # Above c = 30 the P4 factor is formed from g and d times powers of c and
+    # e^-c; from c = 355 on g and d themselves overflow, and a22^2 underflows
+    # near c = 370, so the entries are compared, not the covariance.
+    @pytest.mark.parametrize("c", [31.0, 354.0, 355.0, 400.0, 700.0])
+    def test_far_explosive_unit_root_factor_against_exact_decimal(self, c):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(c)
+            e = x.exp()
+            mean = (e - 1 - x) / (x * x)
+            mean_sq = ((e * e - 1) / (2 * x) - 2 * (e - 1) / x + 1) / (x * x)
+            root_d = (mean_sq - mean * mean).sqrt()
+            exact = (-mean / root_d, 1 / (Decimal(MU) * root_d))
+        (_, a12), (_, a22) = _normal_factor(Regime("P4", c=c), MU, 1.0)
+        for value, want in zip((a12, a22), exact):
+            assert abs(Decimal(value) - want) <= Decimal(8 * np.finfo(float).eps) * abs(want)
+
 
 class TestTimeChangedFunctionals:
     def test_zero_c_reduces_to_plain_brownian_functionals(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from ar1mc.cli import main
 from ar1mc.innovations import InnovationModel
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import (
@@ -332,24 +333,36 @@ class TestRunExperiment:
     def test_adding_sample_sizes_preserves_replications(self):
         a = run_experiment(small_config(n_list=(100,)))
         b = run_experiment(small_config(n_list=(100, 200)))
-        assert np.array_equal(a.per_n[0].mu_hat, b.per_n[0].mu_hat)
-        assert np.array_equal(a.per_n[0].rho_hat, b.per_n[0].rho_hat)
+        assert np.array_equal(a.rows[0, :, 0], b.rows[0, :, 0])
+        assert np.array_equal(a.rows[0, :, 1], b.rows[0, :, 1])
 
     def test_seed_changes_results(self):
         a = run_experiment(small_config(seed=1))
         b = run_experiment(small_config(seed=2))
-        assert not np.array_equal(a.per_n[0].mu_hat, b.per_n[0].mu_hat)
+        assert not np.array_equal(a.rows[0, :, 0], b.rows[0, :, 0])
 
-    def test_json_structure(self):
-        rep = run_experiment(small_config())
+    def test_json_structure(self, tmp_path, capsys):
+        cfg = small_config(n_list=(100, 150))
+        rep = run_experiment(cfg)
         doc = json.loads(rep.to_json())
         assert set(doc) == {"config", "per_n", "limit", "rate_fit"}
+        assert rep.per_n == doc["per_n"]  # each block is the mapping written
         block = doc["per_n"][0]
         assert block["n"] == 100
         assert block["valid"] + block["singular"] == 120
         assert 0.0 <= block["ks_rho"] <= 1.0
-        assert doc["rate_fit"] is None  # single n: no slope fit
+        assert doc["rate_fit"] is None  # two sizes: no slope fit
         assert doc["limit"]["comp2"]["count"] == 2000
+        assert rep.rows.shape == (2, 120, 5)
+        # replication_rows are the rows of the mc --csv file, as floats
+        config, csv = tmp_path / "exp.json", tmp_path / "reps.csv"
+        config.write_text(json.dumps(cfg.to_dict()))
+        assert main(["mc", "--config", str(config), "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        header, *lines = csv.read_text().splitlines()
+        assert header == "n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular"
+        assert [tuple(map(float, line.split(","))) for line in lines] == [
+            tuple(map(float, row)) for row in rep.replication_rows()]
 
     @pytest.mark.parametrize("model, valid_sizes", [(InnovationModel("gaussian", 1.0), 2),
                                                     (InnovationModel("gaussian", 1e-100), 0)],
@@ -379,8 +392,8 @@ class TestRunExperiment:
         for workers in (1, 2):
             rep = run_experiment(cfg, workers=workers)
             block = rep.per_n[0]
-            assert block.singular == 120 and block.valid == 0
-            assert block.ks_rho is None and block.mu_rate is None
+            assert block["singular"] == 120 and block["valid"] == 0
+            assert block["ks_rho"] is None and block["mu_rate"] is None
             docs.append(rep.to_json())
         assert json.loads(docs[0])["per_n"][0]["scaled_rho"] is None
         assert docs[0] == docs[1]
@@ -395,7 +408,7 @@ class TestRunExperiment:
             cfg = small_config(regime=Regime("P5", c=-1.0, alpha=0.25),
                                model=InnovationModel("pareto2"), n_list=(n,),
                                replications=400, limit_draws=2000, seed=3)
-            corrs[n] = run_experiment(cfg).per_n[0].component_correlation
+            corrs[n] = run_experiment(cfg).per_n[0]["component_correlation"]
         assert abs(corrs[4000]) > 0.6
         assert abs(corrs[4000]) > abs(corrs[250])
 
@@ -406,7 +419,7 @@ class TestRunExperiment:
         cfg = small_config(regime=Regime("P2", rho=1.2), model=InnovationModel("pareto2"),
                            n_list=(120,), replications=2000, limit_draws=100_000,
                            seed=11)
-        assert run_experiment(cfg).per_n[0].ks_rho < 0.08
+        assert run_experiment(cfg).per_n[0]["ks_rho"] < 0.08
 
     def test_replication_rows_shape(self):
         rep = run_experiment(small_config())
@@ -430,7 +443,7 @@ class TestRunExperiment:
         cfg = small_config(n_list=(200, 400, 800, 1600), replications=1500,
                            limit_draws=30_000, seed=41)
         rep = run_experiment(cfg)
-        ks = [b.ks_rho for b in rep.per_n]
+        ks = [b["ks_rho"] for b in rep.per_n]
         assert all(later <= earlier + 0.01 for earlier, later in zip(ks, ks[1:]))
 
 
@@ -481,15 +494,15 @@ class TestStreamMap:
 
     def check(self, cfg):
         report = run_experiment(cfg)
-        for block in report.per_n:
-            ref = np.array([replication_reference(cfg, block.n, r)
+        for n, rows in zip(cfg.n_list, report.rows):
+            ref = np.array([replication_reference(cfg, n, r)
                             for r in range(cfg.replications)])
-            mu_rate, rho_rate = error_rates(cfg.regime, cfg.model, block.n)
-            assert np.array_equal(block.mu_hat, ref[:, 0], equal_nan=True)
-            assert np.array_equal(block.rho_hat, ref[:, 1], equal_nan=True)
-            assert np.array_equal(block.scaled_mu, mu_rate * ref[:, 2], equal_nan=True)
-            assert np.array_equal(block.scaled_rho, rho_rate * ref[:, 3], equal_nan=True)
-            assert np.array_equal(block.singular_mask, np.isnan(ref[:, 0]))
+            mu_rate, rho_rate = error_rates(cfg.regime, cfg.model, n)
+            assert np.array_equal(rows[:, 0], ref[:, 0], equal_nan=True)
+            assert np.array_equal(rows[:, 1], ref[:, 1], equal_nan=True)
+            assert np.array_equal(rows[:, 2], mu_rate * ref[:, 2], equal_nan=True)
+            assert np.array_equal(rows[:, 3], rho_rate * ref[:, 3], equal_nan=True)
+            assert np.array_equal(rows[:, 4], np.isnan(ref[:, 0]))
         return report
 
     @pytest.mark.parametrize("tag, model", _STREAM_CASES,
@@ -506,7 +519,7 @@ class TestStreamMap:
     def test_all_singular(self):
         report = self.check(small_config(model=InnovationModel("gaussian", 1e-100), mu=1.0,
                                          y0=2.0, n_list=(100, 1500), replications=130))
-        assert all(block.singular == 130 for block in report.per_n)
+        assert all(block["singular"] == 130 for block in report.per_n)
         for doc in json.loads(report.to_json())["per_n"]:
             assert (doc["replications"], doc["valid"], doc["singular"]) == (130, 0, 130)
 
