@@ -87,19 +87,32 @@ MUTANTS = [
     ("        carry[:, 1:] *= lead\n", ""),
     ("for sweep in range(blocks - 1):", "for sweep in range(min(1, blocks - 1)):"),
     ("max(1, min(n, int(_SPAN / halvings)))", "max(2, min(n, int(_SPAN / halvings)))"),
-    # The growth integrals: the series switch back at |c| = 1e-3, where the
-    # closed forms lose up to 2e-9, and d as a plain difference at every c
-    # (4e-13 at c = -1000).  Only the exact-decimal oracle sees either.
+    # The P3/P4 factor.  The series switch back at |c| = 1e-3: the closed form
+    # is then off by about 300 eps at c = 0.1, which only the exact-decimal
+    # factor test sees.  The sign of a12, which the P4 covariance cases see.
+    # s = 1/(e^c - 1) taken as such for every c: below c = 709.78 it agrees
+    # with the e^-c form to within ulps, and only the factor test past that
+    # point (c = 720 and 1e300), where e^c overflows, fails it.
     ("_GROWTH_SERIES = 0.5", "_GROWTH_SERIES = 1e-3"),
-    ("if c < -30.0:", "if c < -math.inf:"),
-    # The P3/P4 factor above c = 30, formed from g and d times powers of c
-    # and e^-c: only c >= 355, where g and d overflow, fails the plain form.
-    ("if c > 30.0:", "if c > math.inf:"),
+    ("-math.copysign(1.0, c)", "math.copysign(1.0, c)"),
+    ("if c > 0 else 1.0 / math.expm1(c)", "if c > math.inf else 1.0 / math.expm1(c)"),
+    # The P1 factor's 1 - rho^2 unfactored, which loses about 2e5 eps at
+    # rho = 0.999999 but nothing at the registry's rho = 0.5: only the
+    # exact-decimal factor test sees it.
+    ("math.sqrt((1.0 - rho) * (1.0 + rho))", "math.sqrt(1.0 - rho * rho)"),
     # An undefined correlation written as NaN, which is not JSON: only the
     # strict parse of a P5 report with a point-mass limit sees it.
     ("        return None\n    return sums[2] / denom",
      '        return float("nan")\n    return sums[2] / denom'),
 ]
+# The other exact-arithmetic oracles (the P5 and P6 factor entries,
+# ``error_rates`` and ``ls_rows``) have no mutant that they alone kill: the
+# golden registry holds each of those values for its regimes byte for byte,
+# in the report's rates and limit fields and the replication CSV, so every
+# edit that moves them by more than the oracles' few eps moves a pinned byte
+# too.  What the oracles add is that the values are right, not only
+# unchanged.
+#
 # Not listed, because it is equivalent: swapping the arguments of a KS call
 # (``ks_two_sample(limit[:, 0], s_mu)``).  ks_two_sample evaluates the gaps
 # at the points of the smaller sample whichever argument holds it, and

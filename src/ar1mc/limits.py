@@ -37,8 +37,8 @@ _SERIES_TOL = 1e-12
 
 # --- integrals of the growth curve G_c(s) = int_0^s exp(c*u) du ------------
 
-# Below this |c| the closed forms cancel by about 1/c^2, so the integrals
-# are summed as power series instead.
+# Below this |c| the closed form of the P3/P4 factor cancels by about 1/c^2,
+# so the integrals are summed as power series instead.
 _GROWTH_SERIES = 0.5
 
 
@@ -53,30 +53,6 @@ def _growth_series(c: float) -> tuple[float, float]:
         mean_sq += (2.0 ** (k + 2) - 2.0) * term / (k + 3)
         term *= c / (k + 3)
     return mean, mean_sq
-
-
-def growth_mean(c: float) -> float:
-    """int_0^1 G_c(s) ds = (exp(c) - 1 - c)/c^2, = 1/2 at c = 0."""
-    if abs(c) < _GROWTH_SERIES:
-        return _growth_series(c)[0]
-    return (math.expm1(c) - c) / (c * c)
-
-
-def growth_mean_sq(c: float) -> float:
-    """int_0^1 G_c(s)^2 ds, = 1/3 at c = 0."""
-    if abs(c) < _GROWTH_SERIES:
-        return _growth_series(c)[1]
-    return (math.expm1(2.0 * c) / (2.0 * c) - 2.0 * math.expm1(c) / c + 1.0) / (c * c)
-
-
-def growth_dispersion(c: float) -> float:
-    """d = int G_c^2 - (int G_c)^2 > 0; the shared denominator at P3/P4.
-    Below c = -30 that difference cancels by about |c|/2, so d is taken
-    from its factored form h (c (h + 2) - 2h)/(2 c^4), h = exp(c) - 1."""
-    if c < -30.0:
-        h = math.expm1(c)
-        return h / (c * c) * ((c * (h + 2.0) - 2.0 * h) / (2.0 * c * c))
-    return growth_mean_sq(c) - growth_mean(c) ** 2
 
 
 # --- the rates -------------------------------------------------------------
@@ -182,9 +158,10 @@ def _normal_factor(regime: Regime, mu: float, variance: float | None):
     tag = regime.tag
     if tag == "P1":
         # (W1 - mu(1+rho)/sigma W2, (1-rho^2) W2) with W2 ~ N(0, 1/(1-rho^2));
-        # the coupling term drops when the variance diverges.
+        # the coupling term drops when the variance diverges.  Factored, 1 - rho^2
+        # keeps full precision as |rho| nears 1.
         rho = regime.rho
-        root = math.sqrt(1.0 - rho * rho)
+        root = math.sqrt((1.0 - rho) * (1.0 + rho))
         coupling = 0.0 if variance is None else -(mu * (1.0 + rho) / math.sqrt(variance)) / root
         return (1.0, coupling), (0.0, root)
     if tag == "P5":
@@ -208,18 +185,19 @@ def _normal_factor(regime: Regime, mu: float, variance: float | None):
         # (V21, (2c^2/mu) V23) with V23 ~ N(0, 1/(2c))
         c = regime.c
         return (1.0, 0.0), (0.0, 2.0 * c * c / mu * math.sqrt(1.0 / (2.0 * c)))
-    # P3 (c = 0) and P4: with g = int G_c and I = g W(1) + sqrt(d) Z the
-    # Wiener integral int G_c dW, the pair (Y1/d, Y2/(mu*d)) is
-    # (W(1) - (g/sqrt(d)) Z, Z/(mu sqrt(d))).  g and d overflow from c = 355 on,
-    # so above c = 30 the factor is formed from them times powers of c and w = e^-c.
+    # P3 (c = 0) and P4: with g = int G_c, d = int G_c^2 - g^2 and I = g W(1) +
+    # sqrt(d) Z the Wiener integral int G_c dW, the pair (Y1/d, Y2/(mu*d)) is
+    # (W(1) - (g/sqrt(d)) Z, Z/(mu sqrt(d))).  Beyond the series g = (1/s - c)/c^2
+    # and d = (c - 2 + 2cs)/(2 c^4 s^2) with s = 1/(e^c - 1), taken from e^-c for
+    # c > 0: the factor needs s alone, which neither overflows nor cancels.
     c = 0.0 if tag == "P3" else regime.c
-    if c > 30.0:
-        w = math.exp(-c)
-        u = 1.0 - w * (1.0 + c)  # c^2 w g
-        e = c * ((1.0 - w * w) / 2.0 - 2.0 * w * (1.0 - w) + c * w * w) - u * u  # c^4 w^2 d
-        return (1.0, -u / math.sqrt(e)), (0.0, c * (c * w) / (mu * math.sqrt(e)))
-    root_d = math.sqrt(growth_dispersion(c))
-    return (1.0, -growth_mean(c) / root_d), (0.0, 1.0 / (mu * root_d))
+    if abs(c) < _GROWTH_SERIES:
+        g, g2 = _growth_series(c)
+        root_d = math.sqrt(g2 - g * g)
+        return (1.0, -g / root_d), (0.0, 1.0 / (mu * root_d))
+    s = math.exp(-c) / -math.expm1(-c) if c > 0 else 1.0 / math.expm1(c)
+    r = math.sqrt((c - 2.0 + 2.0 * c * s) / 2.0)
+    return (1.0, -math.copysign(1.0, c) * (1.0 - c * s) / r), (0.0, c * (c * abs(s)) / (mu * r))
 
 
 def sample_limit(

@@ -10,13 +10,14 @@ never shares private code with what it checks.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.signal import lfilter
 
 from ar1mc.estimator import SingularDesignError
 from ar1mc.innovations import ell_at_bn, sample_innovations
-from ar1mc.limits import growth_dispersion, growth_mean, growth_mean_sq
 from ar1mc.process import resolve_rho
 from ar1mc.rng import derive_seed, generator
 
@@ -58,6 +59,27 @@ def normal_equations_oracle(path) -> tuple[float, float]:
     rhs = np.array([float(np.sum(z)), float(np.sum(xc * z))])
     a, b = np.linalg.solve(design, rhs)
     return float(a - b * xbar), float(b)
+
+
+def exact_delta_ratios(path) -> tuple[Fraction, Fraction]:
+    """(Delta1/Delta3, Delta2/Delta3) of a path in exact rational arithmetic.
+
+    The float y0, y and e are taken as the exact binary numbers they are and
+    scaled to integers over one power of two, so the raw sums
+    Delta1 = S_xx S_e - S_x S_xe, Delta2 = n S_xe - S_x S_e and
+    Delta3 = n S_xx - S_x^2 are formed without rounding.
+    """
+    ratios = [float(v).as_integer_ratio() for v in np.concatenate([lagged(path), path.e])]
+    scale = max(q for _, q in ratios)  # every q is a power of two
+    ints = [p * (scale // q) for p, q in ratios]
+    xs, es = ints[:path.n], ints[path.n:]
+    sx, se = sum(xs), sum(es)
+    sxx = sum(v * v for v in xs)
+    sxe = sum(a * b for a, b in zip(xs, es))
+    n = path.n
+    delta3 = n * sxx - sx * sx
+    # Delta1 carries one power of the scale more than Delta2 and Delta3
+    return Fraction(sxx * se - sx * sxe, delta3 * scale), Fraction(n * sxe - sx * se, delta3)
 
 
 def replication_reference(config, n: int, r: int) -> tuple[float, float, float, float]:
@@ -200,12 +222,31 @@ def cumulative_growth(c: float, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
+def exact_growth_integrals(c: float) -> tuple[Decimal, Decimal, Decimal]:
+    """(int G_c, int G_c^2, d = int G_c^2 - (int G_c)^2) over [0, 1], to 60 digits.
+
+    The closed forms (e^c - 1 - c)/c^2 and ((e^2c - 1)/(2c) - 2(e^c - 1)/c + 1)/c^2
+    cancel by about 1/c^2, so the working precision grows by twice the
+    decimal exponent of a small |c|; the float c is exact in Decimal.
+    """
+    with localcontext() as ctx:
+        x = Decimal(c)
+        ctx.prec = 60 + 2 * max(0, -x.adjusted())
+        if c == 0.0:
+            mean, mean_sq = Decimal(1) / 2, Decimal(1) / 3
+        else:
+            e = x.exp()
+            mean = (e - 1 - x) / (x * x)
+            mean_sq = ((e * e - 1) / (2 * x) - 2 * (e - 1) / x + 1) / (x * x)
+        return mean, mean_sq, mean_sq - mean * mean
+
+
 def sample_growth_functionals(c: float, grid_m: int, draws: int, seed: int):
     """Joint draws of W(1) and the Ito integral int_0^1 G_c(s) dW(s).
 
     Returns (w1, ito, int_g, int_g2): two (draws,) arrays from a common
     Brownian path discretized on grid_m steps, plus the two deterministic
-    integrals (closed form).  The Ito sum uses left endpoints k/m.
+    integrals (exact, rounded to float).  The Ito sum uses left endpoints k/m.
     """
     if grid_m < 100:
         raise ValueError("grid_m must be >= 100")
@@ -222,7 +263,8 @@ def sample_growth_functionals(c: float, grid_m: int, draws: int, seed: int):
         dw = rng.standard_normal((hi - lo, grid_m)) * scale
         w1[lo:hi] = np.sum(dw, axis=1)
         ito[lo:hi] = np.sum(dw * weights, axis=1)
-    return w1, ito, growth_mean(c), growth_mean_sq(c)
+    int_g, int_g2, _ = exact_growth_integrals(c)
+    return w1, ito, float(int_g), float(int_g2)
 
 
 def grid_unit_root_limit(c: float, mu: float, grid_m: int, draws: int, seed: int) -> np.ndarray:
@@ -234,7 +276,7 @@ def grid_unit_root_limit(c: float, mu: float, grid_m: int, draws: int, seed: int
     an independent route to the exact normal law the pipeline samples.
     """
     w1, ito, int_g, int_g2 = sample_growth_functionals(c, grid_m, draws, seed)
-    d = growth_dispersion(c)
+    d = float(exact_growth_integrals(c)[2])
     y1 = w1 * int_g2 - int_g * ito
     y2 = ito - w1 * int_g
     return np.column_stack([y1 / d, y2 / (mu * d)])

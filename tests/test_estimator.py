@@ -1,15 +1,16 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ar1mc.estimator import SingularDesignError, ls_estimate
-from ar1mc.innovations import InnovationModel, compute_bn
+from ar1mc.estimator import SingularDesignError, ls_estimate, ls_rows
+from ar1mc.innovations import InnovationModel, compute_bn, ell_at_bn
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
-from ar1mc.process import Ar1Path, Regime, simulate_path
-from paper_lemmas import normal_equations_oracle
+from ar1mc.process import Ar1Path, Regime, resolve_rho, simulate_path
+from paper_lemmas import exact_delta_ratios, normal_equations_oracle
 
 
 def path_from_y(y_full, mu, rho):
@@ -119,6 +120,33 @@ class TestClosedForm:
             assert est.delta2 / est.delta3 == pytest.approx(rho_err, rel=1e-10, abs=1e-10 * max(1.0, abs(rho_err)))
 
 
+    # P1-P6 under both models, and large intercepts, where the raw sums would
+    # cancel by about (mean/spread)^2 and only the centring keeps precision.
+    @pytest.mark.parametrize("regime, mu, n", [
+        (Regime("P1", rho=0.5), 1.0, 2000), (Regime("P2", rho=1.05), 1.0, 60),
+        (Regime("P3"), 1.0, 1000), (Regime("P4", c=-2.0), 1.0, 1000),
+        (Regime("P5", c=-1.0, alpha=0.5), 1.0, 1000), (Regime("P6", c=1.0, alpha=0.5), 1.0, 400),
+        (Regime("P1", rho=0.9), 1e8, 2000), (Regime("P3"), 1e8, 500),
+    ], ids=["P1", "P2", "P3", "P4", "P5", "P6", "P1-mu1e8", "P3-mu1e8"])
+    @pytest.mark.parametrize("model", ["gaussian", "pareto2"])
+    def test_delta_ratios_against_exact_rationals(self, regime, mu, n, model):
+        path = simulate_path(regime, mu, 0.5, InnovationModel(model), n, 7)
+        est, singular = ls_rows(path.y0, path.y[np.newaxis], path.e[np.newaxis])
+        assert not singular[0]
+        # numpy's pairwise sums err by up to about log2(n) eps times the sum
+        # of |terms|, and the centred cross sum here cancels by up to about
+        # 40, so the worst case is near 500 eps; rounding errors mostly
+        # cancel, and these paths measure at most 13 eps.  The large
+        # intercepts start far from the path's mean, so its spread stays
+        # comparable to it.  The bound does not hold for a path whose mean
+        # is many spreads away: the ratios' own condition number grows with
+        # mean/spread, and a P1 path started at mean = 2e4 spreads measured 229 eps.
+        bound = 256 * np.finfo(float).eps
+        got = (est.delta1[0] / est.delta3[0], est.delta2[0] / est.delta3[0])
+        for value, want in zip(got, exact_delta_ratios(path)):
+            assert abs(value - want) <= bound * abs(want), (value, float(want))
+
+
 class TestEquivariance:
     @given(
         shift=st.floats(-50.0, 50.0),
@@ -204,6 +232,44 @@ class TestRates:
                                         10_000)
         assert mu_rate == pytest.approx(10.0, rel=1e-12)
         assert rho_rate == pytest.approx(1000.0, rel=1e-12)
+
+    @pytest.mark.parametrize("regime", [
+        Regime("P5", c=-1.0, alpha=alpha) for alpha in (0.25, 0.4999, 0.5, 0.5001, 0.75)
+    ] + [Regime("P1", rho=0.5), Regime("P2", rho=1.2), Regime("P3"), Regime("P6", c=1.0, alpha=0.5)],
+        ids=lambda r: "-".join(str(v) for v in r.to_dict().values()))
+    @pytest.mark.parametrize("model", [InnovationModel("gaussian", 2.0), InnovationModel("pareto2")],
+                             ids=["finite", "infinite"])
+    def test_rates_against_exact_decimal(self, regime, model):
+        n = 3000
+        # l(b_n) and P6's root rho_n are inputs of the rates, exact in Decimal
+        ell, rho = ell_at_bn(model, n), resolve_rho(regime, n)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            n_, ell_ = Decimal(n), Decimal(ell)
+            mu_rate = (n_ / ell_).sqrt()
+            if regime.tag == "P1":
+                rho_rate = n_.sqrt()
+            elif regime.tag == "P2":
+                rho_rate = Decimal(rho) ** n
+            elif regime.tag == "P3":
+                rho_rate = (n_ ** 3 / ell_).sqrt()
+            elif regime.tag == "P6":
+                rho_rate = (n_ ** (3 * Decimal(regime.alpha)) / ell_).sqrt() * Decimal(rho) ** n
+            else:
+                alpha = Decimal(regime.alpha)
+                if model.variance is not None:  # n^(max(alpha, 1/2) - alpha/2)
+                    mu_rate = n_ ** (max(alpha, Decimal("0.5")) - alpha / 2)
+                elif alpha > Decimal("0.5"):
+                    mu_rate = (n_ ** alpha / ell_).sqrt()
+                else:
+                    mu_rate = (n_ ** (1 - alpha)).sqrt()
+                rho_rate = mu_rate * n_ ** alpha
+        # One pow (within 1 ulp), a square root and at most three products or
+        # quotients, plus the rounding of an exponent such as 0.5 - alpha/2,
+        # which ln(n) = 8 turns into at most 2 eps.
+        bound = Decimal(8 * np.finfo(float).eps)
+        for value, want in zip(error_rates(regime, model, n), (mu_rate, rho_rate)):
+            assert abs(Decimal(value) - want) <= bound * want, (value, want)
 
     def test_scale_error_matches_subtraction_when_well_conditioned(self):
         reg = Regime("P1", rho=0.5)

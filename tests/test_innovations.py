@@ -187,6 +187,15 @@ class TestBn:
         for n in (100, 10_000):
             assert compute_bn(model, n) == pytest.approx(math.sqrt(n), rel=1e-3)
 
+    def test_floor_binds_for_a_large_scale(self):
+        # b_n = b_0 + 1 = 2 while n l(2) <= 4: for gaussian sigma = 100 up to
+        # n = 188, where l(b_n) = l(2) is 2.1e-6 sigma^2, not sigma^2.  Pinned,
+        # not endorsed: README states the condition.
+        model = InnovationModel("gaussian", 100.0)
+        assert compute_bn(model, 100) == 2.0
+        assert ell_at_bn(model, 100) == pytest.approx(2.1e-6 * 100.0 ** 2, rel=0.02)
+        assert compute_bn(model, 400) == 2000.0
+
     def test_zero_truncated_moment_rejected(self, monkeypatch):
         dead = law_model(monkeypatch, "dead", True,
                          lambda x, sigma: np.zeros_like(np.asarray(x, dtype=float)))

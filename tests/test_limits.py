@@ -13,9 +13,6 @@ from ar1mc.innovations import _CHUNK_ELEMENTS, InnovationModel
 from ar1mc.limits import (
     _normal_factor,
     default_truncation,
-    growth_dispersion,
-    growth_mean,
-    growth_mean_sq,
     sample_limit,
 )
 from ar1mc.montecarlo import ks_two_sample
@@ -24,6 +21,7 @@ from ar1mc.rng import derive_seed, generator
 from paper_lemmas import (
     brownian_time_change,
     cumulative_growth,
+    exact_growth_integrals,
     grid_unit_root_limit,
     sample_growth_functionals,
     sample_time_changed_functionals,
@@ -83,51 +81,15 @@ class TestTimeChange:
 
 
 class TestGrowthIntegrals:
-    def test_at_zero(self):
-        assert growth_mean(0.0) == pytest.approx(0.5, rel=1e-15)
-        assert growth_mean_sq(0.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert growth_dispersion(0.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
-
     @pytest.mark.parametrize("c", C_VALUES)
     def test_against_quadrature(self, c):
-        mean, _ = quad(lambda s: cumulative_growth(c, s), 0.0, 1.0)
-        mean_sq, _ = quad(lambda s: cumulative_growth(c, s) ** 2, 0.0, 1.0)
-        assert growth_mean(c) == pytest.approx(mean, rel=1e-10)
-        assert growth_mean_sq(c) == pytest.approx(mean_sq, rel=1e-10)
-        assert growth_dispersion(c) > 0
-
-    def test_series_cutover_is_seamless(self):
-        for f in (growth_mean, growth_mean_sq):
-            for c in (limits._GROWTH_SERIES, -limits._GROWTH_SERIES):
-                assert f(c * (1 - 1e-9)) == pytest.approx(f(c * (1 + 1e-9)), rel=1e-9)
-
-    # c on both sides of 1e-3 (where the closed forms lose up to 2e-9), of
-    # the series switch at 1/2 and of the factored dispersion below c = -30,
-    # and far out.
-    @pytest.mark.parametrize("c", [
-        0.000999, 0.00100001, 0.0011, -0.0011, 0.002, 0.01, -0.01, 0.1, 0.2, -0.2,
-        0.25, -0.25, 0.4999, 0.5, 0.5001, -0.4999, -0.5, -0.5001, 1.0, -1.0, 2.0, -2.0,
-        -24.0, 30.0, -29.999, -30.0, -30.001, -1000.0, -1e5, 300.0,
-    ])
-    def test_against_exact_decimal(self, c):
-        # The float c is exact in Decimal, and 60 digits leave more than 40
-        # after the closed forms' worst cancellation here (c^2 at c = 1e-3).
-        with localcontext() as ctx:
-            ctx.prec = 60
-            x = Decimal(c)
-            e = x.exp()
-            mean = (e - 1 - x) / (x * x)
-            mean_sq = ((e * e - 1) / (2 * x) - 2 * (e - 1) / x + 1) / (x * x)
-            exact = (mean, mean_sq, mean_sq - mean * mean)
-        eps = np.finfo(float).eps
-        # Beyond the series the closed forms cancel, int G by up to about 8
-        # and int G^2 by up to about 55, both near |c| = 1/2; d adds the
-        # cancellation of int G^2 - (int G)^2, up to about |c|/2 = 15 above
-        # c = -30.  All three bounds are below 1e-13 relative.
-        bounds = (16 * eps, 64 * eps, 256 * eps)
-        got = (growth_mean(c), growth_mean_sq(c), growth_dispersion(c))
-        for value, want, bound in zip(got, exact, bounds):
-            assert abs(Decimal(value) - want) <= Decimal(bound) * abs(want), (c, value)
+        # the exact reference that the P3/P4 factor is checked against
+        mean, mean_sq, d = exact_growth_integrals(c)
+        assert float(mean) == pytest.approx(quad(lambda s: cumulative_growth(c, s), 0.0, 1.0)[0],
+                                            rel=1e-10)
+        assert float(mean_sq) == pytest.approx(
+            quad(lambda s: cumulative_growth(c, s) ** 2, 0.0, 1.0)[0], rel=1e-10)
+        assert d > 0
 
 
 class TestGrowthFunctionals:
@@ -257,7 +219,7 @@ class TestUnitRootLimit:
         # exact covariance [[int G^2/d, -int G/(mu d)], [., 1/(mu^2 d)]];
         # at c=0, mu=1 it is [[4, -6], [-6, 12]]
         mu = 1.0
-        g, g2, d = growth_mean(c), growth_mean_sq(c), growth_dispersion(c)
+        g, g2, d = map(float, exact_growth_integrals(c))
         cov = np.cov(sample_limit(unit_root(c), mu, InnovationModel("gaussian", 1.0), 100_000, 97).T)
         assert cov[0, 0] == pytest.approx(g2 / d, rel=0.03)
         assert cov[0, 1] == pytest.approx(-g / (mu * d), rel=0.03)
@@ -342,8 +304,30 @@ def p5_covariance(c, alpha, mu, variance):
 
 
 def unit_root_covariance(c, mu):
-    g, g2, d = growth_mean(c), growth_mean_sq(c), growth_dispersion(c)
+    g, g2, d = map(float, exact_growth_integrals(c))
     return np.array([[g2 / d, -g / (mu * d)], [-g / (mu * d), 1.0 / (mu * mu * d)]])
+
+
+def exact_factor(regime, mu, variance):
+    """``_normal_factor`` under P1, P5 and P6 from each law's definition, in
+    60-digit decimal (the float inputs are exact in Decimal)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        mu, s2 = Decimal(mu), Decimal(1.0 if variance is None else variance)
+        if regime.tag == "P1":
+            rho = Decimal(regime.rho)
+            root = (1 - rho * rho).sqrt()
+            return (1, 0 if variance is None else -mu * (1 + rho) / (s2.sqrt() * root)), (0, root)
+        c = Decimal(regime.c)
+        if regime.tag == "P6":  # (V21, (2c^2/mu) V23), V23 ~ N(0, 1/(2c))
+            return (1, 0), (0, (2 * c ** 3).sqrt() / mu)
+        # P5: (mu/c, 1) Z/d with Z = k1 V12 + k2 V14 and V12, V14 ~ N(0, -1/(2c))
+        first = regime.alpha > 0.5 or (regime.alpha == 0.5 and variance is not None)
+        second = regime.alpha <= 0.5
+        k = (mu * s2.sqrt() / c if first else 0, s2 if second else 0)
+        d = (mu * mu / (-2 * c ** 3) if first else 0) + (s2 / (-2 * c) if second else 0)
+        row = [ki * (-1 / (2 * c)).sqrt() / d for ki in k]
+        return tuple(mu / c * r for r in row), tuple(row)
 
 
 MU = 1.5
@@ -373,22 +357,69 @@ class TestNormalFactor:
         a = np.array(_normal_factor(regime, MU, variance))
         np.testing.assert_allclose(a @ a.T, cov, rtol=1e-12, atol=0)
 
-    # Above c = 30 the P4 factor is formed from g and d times powers of c and
-    # e^-c; from c = 355 on g and d themselves overflow, and a22^2 underflows
-    # near c = 370, so the entries are compared, not the covariance.
-    @pytest.mark.parametrize("c", [31.0, 354.0, 355.0, 400.0, 700.0])
-    def test_far_explosive_unit_root_factor_against_exact_decimal(self, c):
+    # rho near +-1, where 1 - rho*rho unfactored loses about 2e5 eps; P5 at
+    # both indicator terms' edges; P6 far in and out.
+    @pytest.mark.parametrize("regime", [
+        Regime("P1", rho=rho) for rho in (0.6, -0.6, 0.0, 0.999999, -0.999999)
+    ] + [
+        Regime("P5", c=c, alpha=alpha) for c in (-1.5, -1e-3, -1e3) for alpha in (0.25, 0.5, 0.75)
+    ] + [Regime("P6", c=c, alpha=0.5) for c in (1.5, 1e-3, 1e3)],
+        ids=lambda r: "-".join(str(v) for v in r.to_dict().values()))
+    @pytest.mark.parametrize("variance", [4.0, None], ids=["finite", "infinite"])
+    def test_factor_against_exact_decimal(self, regime, variance):
+        # Each entry is a chain of at most 16 correctly rounded products,
+        # quotients and square roots and one sum of two positive terms (P5's
+        # d), so nothing cancels and each step adds at most 1/2 eps.
+        bound = Decimal(8 * np.finfo(float).eps)
+        got = _normal_factor(regime, MU, variance)
+        for row, exact_row in zip(got, exact_factor(regime, MU, variance)):
+            for value, want in zip(row, exact_row):
+                assert abs(Decimal(value) - want) <= bound * abs(want), (value, want)
+
+    # c on both sides of the series switch at |c| = 1/2 and of 1e-3, near
+    # where the old closed forms of int G and int G^2 cancelled, and far out
+    # on both sides, where e^c overflows (c = 355 and up for int G_c^2) or
+    # e^-c underflows; a22^2 underflows near c = 370, so the entries are
+    # compared, not the covariance.
+    @pytest.mark.parametrize("c", [
+        0.000999, 0.00100001, 0.0011, -0.0011, 0.002, 0.01, -0.01, 0.1, 0.2, -0.2,
+        0.25, -0.25, 0.4999, 0.5, 0.5001, -0.4999, -0.5, -0.5001, 1.0, -1.0, 2.0, -2.0,
+        -24.0, 30.0, -29.999, -30.0, -30.001, -1000.0, -1e5, 300.0,
+        31.0, 354.0, 355.0, 400.0, 700.0,
+    ])
+    def test_unit_root_factor_against_exact_decimal(self, c):
+        g, _, d = exact_growth_integrals(c)
         with localcontext() as ctx:
             ctx.prec = 60
-            x = Decimal(c)
-            e = x.exp()
-            mean = (e - 1 - x) / (x * x)
-            mean_sq = ((e * e - 1) / (2 * x) - 2 * (e - 1) / x + 1) / (x * x)
-            root_d = (mean_sq - mean * mean).sqrt()
-            exact = (-mean / root_d, 1 / (Decimal(MU) * root_d))
+            root_d = d.sqrt()
+            exact = (-g / root_d, 1 / (Decimal(MU) * root_d))
+        # From c = 31 on, 2cs < 1e-11 and q = c - 2 + 2cs does not cancel, so
+        # each entry carries a few roundings.  Below, q cancels by up to about
+        # 120 at c = -1/2 (q ~ c^2/6 there), which makes an ulp of cs up to
+        # about 60 eps of q and 30 of r = sqrt(q/2); 20 000 random c in
+        # -[0.5, 0.55] gave at worst 41 eps.  The series side loses a factor
+        # 4 in d = g2 - g^2.
+        bound = (8 if c >= 31 else 64) * np.finfo(float).eps
         (_, a12), (_, a22) = _normal_factor(Regime("P4", c=c), MU, 1.0)
         for value, want in zip((a12, a22), exact):
-            assert abs(Decimal(value) - want) <= Decimal(8 * np.finfo(float).eps) * abs(want)
+            assert abs(Decimal(value) - want) <= Decimal(bound) * abs(want), (c, value)
+
+    @pytest.mark.parametrize("c", [0.5, -0.5])
+    def test_series_cutover_is_seamless(self, c):
+        # the series just inside |c| = 1/2 meets the closed form just outside
+        (_, lo12), (_, lo22) = _normal_factor(Regime("P4", c=c * (1 - 1e-9)), MU, 1.0)
+        (_, hi12), (_, hi22) = _normal_factor(Regime("P4", c=c * (1 + 1e-9)), MU, 1.0)
+        assert lo12 == pytest.approx(hi12, rel=1e-9)
+        assert lo22 == pytest.approx(hi22, rel=1e-9)
+
+    # Past c = 709.78 e^c overflows, so s is taken from e^-c above c = 0; there
+    # c s < 1e-300, so the factor's float form is exactly (-1/sqrt((c - 2)/2))
+    # up to the rounding of c - 2, and a22 = c^2 s/(mu r) is subnormal or 0.
+    @pytest.mark.parametrize("c", [720.0, 1e300])
+    def test_unit_root_factor_past_exp_overflow(self, c):
+        (_, a12), (_, a22) = _normal_factor(Regime("P4", c=c), MU, 1.0)
+        assert a12 == -1.0 / math.sqrt((c - 2.0) / 2.0)
+        assert 0.0 <= a22 < 1e-300
 
 
 class TestTimeChangedFunctionals:
