@@ -39,6 +39,12 @@ MUTANTS = [
     ("math.log(abs(rho)))) + 1", "math.log(abs(rho)))) + 0"),
     ("2.0 * c * c / mu", "2.0 * c / mu"),
     ("math.sqrt(n / ell), math.sqrt(n)", "math.sqrt(n / ell), math.sqrt(n - 1)"),
+    # A finite variance read as l(b_n): off b_n's floor b_0 + 1 that is close
+    # to sigma^2 (1 - 6e-13 for gaussian sigma = 1 at n = 60, which the P2
+    # registry entry sees), on it far below, which the large-sigma rate and
+    # scale cases see.
+    ("ell = model.variance if model.variance is not None else ell_at_bn(model, n)",
+     "ell = ell_at_bn(model, n)"),
     ("delta2 = n * sxe", "delta2 = (n - 1) * sxe"),
     ("x[:, 0] += y0", "x[:, 0] += 0.0"),
     ('"replications": R,', '"replications": count,'),

@@ -4,7 +4,7 @@ Subcommands:
     simulate      simulate one path, write CSV (t,y,e)
     estimate      least-squares fit of a path CSV
     limit-sample  draw from a regime's limit law, write CSV (draw,comp1,comp2)
-    mc            run a replicated experiment from a JSON config
+    mc            run a replicated experiment from a JSON config, write its JSON report
 
 Exit codes: 0 success, 1 runtime, I/O or out-of-memory error, 2 usage or
 config error.
@@ -137,38 +137,13 @@ def _load_config(filename: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _cell(value: float | None) -> str:
-    """A table cell: None (a statistic left undefined) as a dash."""
-    return "-" if value is None else format(value, ".4f")
-
-
-def _print_report_table(report) -> None:
-    print(f"{'n':>8} {'valid':>6} {'sing':>5} {'ks_mu':>8} {'ks_rho':>8} "
-          f"{'var_mu':>10} {'var_rho':>10} {'corr':>8}")
-    for block in report.per_n:
-        mu_summary = block["scaled_mu"] or {}
-        rho_summary = block["scaled_rho"] or {}
-        print(f"{block['n']:>8} {block['valid']:>6} {block['singular']:>5} "
-              f"{_cell(block['ks_mu']):>8} {_cell(block['ks_rho']):>8} "
-              f"{_cell(mu_summary.get('variance')):>10} "
-              f"{_cell(rho_summary.get('variance')):>10} "
-              f"{_cell(block['component_correlation']):>8}")
-    if report.rate_fit is not None:
-        mu_fit = report.rate_fit["mu"]
-        rho_fit = report.rate_fit["rho"]
-        print(f"rate slope mu  = {mu_fit['slope']:.4f} (se {mu_fit['stderr']:.4f})")
-        print(f"rate slope rho = {rho_fit['slope']:.4f} (se {rho_fit['stderr']:.4f})")
-
-
 def _cmd_mc(args) -> int:
     config = _load_config(args.config)
     report = run_experiment(config, workers=args.workers)
-    if args.out:
-        _write_lines(args.out, [report.to_json()])
+    _write_lines(args.out, [report.to_json()])
     if args.csv:
         _write_csv(args.csv, "n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular",
                    report.replication_rows())
-    _print_report_table(report)
     return 0
 
 
@@ -229,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="run a replicated experiment")
     p.add_argument("--config", required=True, help="experiment JSON")
-    p.add_argument("--out", help="report JSON path")
+    p.add_argument("--out", help="report JSON (default: stdout)")
     p.add_argument("--csv", help="per-replication CSV path")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_mc)

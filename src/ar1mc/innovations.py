@@ -12,8 +12,10 @@ sequence ``b_n`` is defined by
 so ``n * l(b_n) <= b_n**2``.  ``compute_bn`` returns the smallest float
 at or above ``b_0 + 1`` that satisfies both float forms of that bound,
 and ``b_0`` as the smallest float with ``l(b_0) > 0``.  In the
-finite-variance case ``b_n`` behaves like ``sigma * sqrt(n)`` and
-``l(b_n)`` replaces ``sigma^2`` in every scaling rate.
+finite-variance case ``b_n`` behaves like ``sigma * sqrt(n)``, but no
+rate reads ``l(b_n)``: the rates use ``sigma^2``, since at a large sigma
+``b_n`` sits on its floor ``b_0 + 1`` for small n, where ``l(b_n)`` is far
+below ``sigma^2``.  Under infinite variance ``l(b_n)`` scales every rate.
 
 The module also holds the one config rule, ``ConfigValue``, and its error,
 ``ConfigError``, which the model, the regime and the experiment share.
@@ -288,5 +290,5 @@ def compute_bn(model: InnovationModel, n: int) -> float:
 
 
 def ell_at_bn(model: InnovationModel, n: int) -> float:
-    """Convenience: ``l(b_n)``, the variance proxy entering every rate."""
+    """``l(b_n)``, the variance proxy in every rate under infinite variance."""
     return float(eval_l(model, compute_bn(model, n)))

@@ -69,7 +69,7 @@ def _p5_terms(alpha: float, variance: float | None) -> tuple[bool, bool]:
 def error_rates(regime: Regime, model: InnovationModel, n: int) -> tuple[float, float]:
     """Divergence rates (mu_rate, rho_rate) that stabilize the errors.
 
-    With ell = l(b_n):
+    With ell = sigma^2 when the model's variance is finite, else l(b_n):
 
         P1     sqrt(n/ell),        sqrt(n)
         P2     sqrt(n/ell),        rho^n
@@ -83,7 +83,7 @@ def error_rates(regime: Regime, model: InnovationModel, n: int) -> tuple[float, 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ell = ell_at_bn(model, n)
+    ell = model.variance if model.variance is not None else ell_at_bn(model, n)
     tag = regime.tag
     if tag == "P1":
         return math.sqrt(n / ell), math.sqrt(n)

@@ -154,8 +154,8 @@ def ks_two_sample(a, b) -> float:
     return float(max(np.max(np.abs(gap_right)), np.max(np.abs(gap_left))))
 
 
-def rate_slope(n_list, rmse_list) -> tuple[float, float]:
-    """OLS slope (and its standard error) of log(rmse) on log(n)."""
+def rate_slope(n_list, rmse_list) -> dict:
+    """OLS slope (and its standard error) of log(rmse) on log(n), as the report writes it."""
     n_arr = np.asarray(n_list, dtype=float)
     r_arr = np.asarray(rmse_list, dtype=float)
     if n_arr.size != r_arr.size or n_arr.size < 3:
@@ -170,7 +170,7 @@ def rate_slope(n_list, rmse_list) -> tuple[float, float]:
     resid = y - (y.mean() + slope * xc)
     rss = max(float(np.sum(resid * resid)), 0.0)
     stderr = math.sqrt(rss / (x.size - 2) / sxx)
-    return slope, stderr
+    return {"slope": slope, "stderr": stderr}
 
 
 def summarize(sample) -> dict:
@@ -313,14 +313,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:
 
     rate_fit = None
     if len(fit_ns) >= 3:
-        slope_mu, se_mu = rate_slope(fit_ns, rmse_mu)
-        slope_rho, se_rho = rate_slope(fit_ns, rmse_rho)
         rate_fit = {
             "n_list": list(fit_ns),
             "rmse_mu": rmse_mu,
             "rmse_rho": rmse_rho,
-            "mu": {"slope": slope_mu, "stderr": se_mu},
-            "rho": {"slope": slope_rho, "stderr": se_rho},
+            "mu": rate_slope(fit_ns, rmse_mu),
+            "rho": rate_slope(fit_ns, rmse_rho),
             "trimmed": trimmed,
         }
 

@@ -7,12 +7,11 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ar1mc.cli import _print_report_table, main
+from ar1mc.cli import main
 from ar1mc.estimator import ls_estimate
 from ar1mc.innovations import InnovationModel
 from ar1mc.process import Regime, simulate_path
@@ -274,7 +273,16 @@ class TestMc:
         lines = csv.read_text().strip().split("\n")
         assert lines[0] == "n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular"
         assert len(lines) == 121
-        assert "ks_rho" in out or "ks" in out  # summary table printed
+        assert out == ""  # the report went to --out
+
+    def test_report_goes_to_stdout_without_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.json", n_list=[100, 200, 400])
+        report = tmp_path / "report.json"
+        code, out, _ = run(["mc", "--config", str(cfg), "--out", str(report)], capsys)
+        assert (code, out) == (0, "")
+        code, out, err = run(["mc", "--config", str(cfg)], capsys)
+        assert (code, err) == (0, "")
+        assert out == report.read_text()
 
     def test_missing_config_exits_2_with_filename(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -354,7 +362,7 @@ class TestMc:
         cfg = write_config(tmp_path / "exp.json", regime={"tag": "P5", "c": -1.0, "alpha": 0.25},
                            mu=0.0, n_list=[200, 400, 800], replications=200, seed=3)
         report = tmp_path / "report.json"
-        code, out, _ = run(["mc", "--config", str(cfg), "--out", str(report)], capsys)
+        code, _, _ = run(["mc", "--config", str(cfg), "--out", str(report)], capsys)
         assert code == 0
 
         def refuse(constant):
@@ -366,7 +374,6 @@ class TestMc:
         assert limit["component_correlation"] is None
         assert [block["ks_mu"] for block in written["per_n"]] == [None, None, None]
         assert all(0.0 < block["ks_rho"] < 1.0 for block in written["per_n"])
-        assert [row.split()[3] for row in out.splitlines()[1:4]] == ["-", "-", "-"]
 
     def test_near_unit_root_far_on_the_explosive_side_runs(self, tmp_path, capsys):
         # c = 400: int G_c^2 overflows, but the limit law's factor does not
@@ -381,18 +388,6 @@ class TestMc:
         assert (code, err) == (0, "")
         draws = [float(v) for line in lim.read_text().splitlines()[1:] for v in line.split(",")]
         assert all(math.isfinite(v) for v in draws)
-
-    def test_table_prints_a_dash_for_an_undefined_correlation(self, capsys):
-        block = {"n": 100, "valid": 1, "singular": 0, "ks_mu": None, "ks_rho": 0.25,
-                 "component_correlation": None, "scaled_mu": {"variance": 0.0},
-                 "scaled_rho": {"variance": 0.0}}
-        # every replication singular: no statistic at all
-        empty = {"n": 200, "valid": 0, "singular": 1, "ks_mu": None, "ks_rho": None,
-                 "component_correlation": None, "scaled_mu": None, "scaled_rho": None}
-        _print_report_table(SimpleNamespace(per_n=[block, empty], rate_fit=None))
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert rows[0].split() == ["100", "1", "0", "-", "0.2500", "0.0000", "0.0000", "-"]
-        assert rows[1] == f"{200:>8} {0:>6} {1:>5} {'-':>8} {'-':>8} {'-':>10} {'-':>10} {'-':>8}"
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -472,13 +467,18 @@ class TestStreamedCsv:
         assert proc.wait(timeout=120) == 1
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
 
-    def test_closed_stdout_pipe_exits_1_when_buffered(self):
-        # With stdout block-buffered, 10 rows stay in the buffer until main
-        # flushes it; the closed pipe must fail there, not at interpreter exit.
+    @pytest.mark.parametrize("argv", [
+        ["limit-sample", "--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws", "10"],
+        ["mc", "--config", "CONFIG"],
+    ], ids=["limit-sample", "mc"])
+    def test_closed_stdout_pipe_exits_1_when_buffered(self, tmp_path, argv):
+        # With stdout block-buffered, 10 rows (or a one-size report) stay in
+        # the buffer until main flushes it; the closed pipe must fail there,
+        # not at interpreter exit.
+        cfg = write_config(tmp_path / "exp.json")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ar1mc.cli", "limit-sample", "--regime", "P1", "--rho", "0.5",
-             "--mu", "1", "--draws", "10"],
+            [sys.executable, "-m", "ar1mc.cli", *(str(cfg) if a == "CONFIG" else a for a in argv)],
             env=dict(env, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         proc.stdout.close()

@@ -189,6 +189,12 @@ class TestRates:
         rates = error_rates(Regime("P1", rho=0.5), InnovationModel("rademacher"), 100)
         assert rates == (10.0, 10.0)
 
+    def test_finite_variance_reads_sigma_squared(self):
+        # b_100 sits on its floor 2 for gaussian sigma = 100, where l(b_100)
+        # is about 2.1e-6 sigma^2; the rate reads sigma^2 itself.
+        rates = error_rates(Regime("P1", rho=0.5), InnovationModel("gaussian", 100.0), 100)
+        assert rates == (0.1, 10.0)
+
     def test_explosive_rate(self):
         mu_rate, rho_rate = error_rates(Regime("P2", rho=1.2), InnovationModel("rademacher"), 60)
         assert mu_rate == pytest.approx(math.sqrt(60.0))

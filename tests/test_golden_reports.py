@@ -23,10 +23,8 @@ that moves them on purpose prints the new table with
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import importlib.util
-import io
 import json
 import sys
 import tempfile
@@ -78,9 +76,8 @@ def run_entry(name: str, workers: int, workdir: Path) -> tuple[bytes, bytes]:
     """The report JSON and replication CSV bytes of ``ar1mc mc`` on ``name``."""
     cfg, out, csv = workdir / f"{name}.json", workdir / "report.json", workdir / "reps.csv"
     cfg.write_text(json.dumps(_config(name)))
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["mc", "--config", str(cfg), "--out", str(out), "--csv", str(csv),
-                     "--workers", str(workers)])
+    code = main(["mc", "--config", str(cfg), "--out", str(out), "--csv", str(csv),
+                 "--workers", str(workers)])
     assert code == 0
     return out.read_bytes(), csv.read_bytes()
 

@@ -7,8 +7,8 @@ checked bit for bit:
 * **Scale.**  Doubling (sigma, mu, y0) doubles every innovation and every
   path value exactly, since a power-of-two scale commutes with rounding.
   The mu-error Delta1/Delta3 then doubles, the rho-error Delta2/Delta3
-  does not move, and under a finite variance b_n doubles, so l(b_n)
-  becomes 4 l(b_n).  Each scaled error moves by its error's factor over
+  does not move, and under a finite variance the rates' sigma^2 becomes
+  4 sigma^2.  Each scaled error moves by its error's factor over
   its rate's factor (the rates of ``limits.error_rates``, which are the
   paper's):
 
@@ -27,10 +27,9 @@ checked bit for bit:
 Both hold at any power of two 2^j, and the block relation at -2^j too:
 the fixed cases below check j = 1 and k = -1, and Hypothesis checks
 j in {-3..3}, random signs of (mu, y0) and of the block scale, and random
-regime parameters.  The report relation needs b_n above b_0 + 1 = 2 in
-both runs, where ``compute_bn`` starts its search; below that b_n stays at
-2 whatever sigma is.  So the smaller sigma of each pair is 0.75, where b_n
-is about 0.75 sqrt(n) >= 5.3 at n >= 50.
+regime parameters.  The rates read sigma^2, not l(b_n), so the relation
+holds also at a large sigma, where b_n sits on its floor b_0 + 1 = 2 at
+every n <= 120.
 """
 
 import dataclasses
@@ -93,8 +92,9 @@ def _fields(summary):
     return summary["mean"], summary["variance"], {key: summary[key] for key in _QUANTILE_KEYS}
 
 
-@pytest.mark.parametrize("model", [InnovationModel("gaussian", 0.75), InnovationModel("uniform", 0.75)],
-                         ids=lambda m: m.id)
+@pytest.mark.parametrize("model", [InnovationModel(name, sigma) for sigma in (0.75, 64.0)
+                                   for name in ("gaussian", "uniform")],
+                         ids=lambda m: m.id if m.sigma < 1 else f"{m.id}@{m.sigma:g}")
 @pytest.mark.parametrize("regime", REGIMES,
                          ids=lambda r: r.tag + (f"@{r.alpha}" if r.tag == "P5" else ""))
 def test_doubling_scale_moves_reports_by_the_rates(regime, model):

@@ -130,20 +130,20 @@ class TestKs:
 class TestRateSlope:
     def test_exact_half_power(self):
         ns = [100, 200, 400, 800]
-        slope, se = rate_slope(ns, [n ** -0.5 for n in ns])
-        assert slope == pytest.approx(-0.5, abs=1e-12)
-        assert se == pytest.approx(0.0, abs=1e-10)
+        fit = rate_slope(ns, [n ** -0.5 for n in ns])
+        assert fit["slope"] == pytest.approx(-0.5, abs=1e-12)
+        assert fit["stderr"] == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_absorbed(self):
         ns = [100, 300, 900]
-        slope, _ = rate_slope(ns, [7.3 * n ** -1.5 for n in ns])
+        slope = rate_slope(ns, [7.3 * n ** -1.5 for n in ns])["slope"]
         assert slope == pytest.approx(-1.5, abs=1e-12)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(3)
         ns = np.array([50, 100, 200, 400, 800, 1600])
         rmse = np.exp(rng.normal(0, 0.3, ns.size)) * ns ** -0.7
-        slope, se = rate_slope(ns, rmse)
+        fit = rate_slope(ns, rmse)
         # independent oracle: solve the 2x2 normal equations directly
         x = np.log(ns)
         y = np.log(rmse)
@@ -151,8 +151,8 @@ class TestRateSlope:
         coef = np.linalg.solve(design, np.array([y.sum(), (x * y).sum()]))
         resid = y - coef[0] - coef[1] * x
         se_ref = math.sqrt(resid @ resid / (len(x) - 2) / ((x - x.mean()) @ (x - x.mean())))
-        assert slope == pytest.approx(coef[1], rel=1e-12)
-        assert se == pytest.approx(se_ref, rel=1e-10)
+        assert fit == {"slope": pytest.approx(coef[1], rel=1e-12),
+                       "stderr": pytest.approx(se_ref, rel=1e-10)}
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
