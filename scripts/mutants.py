@@ -11,9 +11,13 @@ unedited copy runs first, since a suite that fails without any edit would
 kill every mutant.  The checkout itself is never edited.
 
 Prints one line per mutant and exits 1 if any mutant survived, 2 if the
-unedited suite fails.  Stdlib only.
+unedited suite fails or no mutant is selected.  Stdlib only.
 
-Usage: python scripts/mutants.py
+Usage: python scripts/mutants.py [SUBSTRING ...]
+
+With substrings, only the mutants whose old or new string holds one of them
+run (``python scripts/mutants.py np.invert`` runs the two sign mutants);
+with none, all of them run.
 """
 
 import os
@@ -68,7 +72,16 @@ MUTANTS = [
     ("2.0 * math.log(x)", "math.log(x)"),
     ("math.exp(-0.5 * a * a)", "math.exp(-a * a)"),
     ("0.0 < sigma * sigma < math.inf", "0.0 <= sigma * sigma < math.inf"),
-    ("standard_normal(out=out), sigma, out=out)", "standard_normal(out=out), sigma * sigma, out=out)"),
+    ('"standard_normal"), sigma, out=out)', '"standard_normal"), sigma * sigma, out=out)'),
+    # The pareto2 and rademacher signs: numpy's integers(0, 2) is the top bit
+    # of each 32-bit half of a Philox word, low half first, and a set bit is
+    # +1.  Reading the high half first, or a set bit as -1, moves every sign
+    # byte; the chunk-fill oracle of tests/test_innovations.py and the golden
+    # registry see both.  Drawing more words than ceil(n/2) is not listed: the
+    # extra words follow the row's last draw, so no value moves.
+    ("np.invert(words, out=words).view(np.int32)",
+     "np.invert(words << 32 | words >> 32, out=words).view(np.int32)"),
+    ("np.invert(words, out=words).view(np.int32)", "words.view(np.int32)"),
     # The refusals that every caller now shares: least squares on a path
     # whose estimates overflow, and the config reader's three rules (a JSON
     # null, a required key left out, an unknown key).
@@ -178,15 +191,26 @@ def run(mutant) -> tuple[bool, float]:
         return passed, time.perf_counter() - start
 
 
-def main() -> int:
-    names = [source_file(ROOT, old).name for old, _ in MUTANTS]
+def selected(substrings) -> list:
+    """The mutants whose old or new string holds one of ``substrings``; all
+    of them when none is given."""
+    return [(old, new) for old, new in MUTANTS
+            if not substrings or any(s in old or s in new for s in substrings)]
+
+
+def main(substrings) -> int:
+    mutants = selected(substrings)
+    if not mutants:
+        print(f"error: no mutant holds any of {substrings}", file=sys.stderr)
+        return 2
+    names = [source_file(ROOT, old).name for old, _ in mutants]
     passed, seconds = run(None)
     if not passed:
         print(f"error: Tier-1 fails without any mutant ({seconds:.0f} s)", file=sys.stderr)
         return 2
     print(f"baseline  passed    {seconds:5.0f} s", flush=True)
     survivors = 0
-    for i, ((old, new), name) in enumerate(zip(MUTANTS, names), 1):
+    for i, ((old, new), name) in enumerate(zip(mutants, names), 1):
         passed, seconds = run((old, new))
         survivors += passed
         verdict = "survived" if passed else "killed"
@@ -195,4 +219,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -9,13 +9,8 @@ sequence ``b_n`` is defined by
     b_0 = inf{x >= 1 : l(x) > 0},
     b_n = inf{s >= b_0 + 1 : l(s)/s^2 <= 1/n},
 
-so ``n * l(b_n) <= b_n**2``.  ``compute_bn`` returns the smallest float
-at or above ``b_0 + 1`` that satisfies both float forms of that bound,
-and ``b_0`` as the smallest float with ``l(b_0) > 0``.  In the
-finite-variance case ``b_n`` behaves like ``sigma * sqrt(n)``, but no
-rate reads ``l(b_n)``: the rates use ``sigma^2``, since at a large sigma
-``b_n`` sits on its floor ``b_0 + 1`` for small n, where ``l(b_n)`` is far
-below ``sigma^2``.  Under infinite variance ``l(b_n)`` scales every rate.
+so ``n * l(b_n) <= b_n**2``.  Only under an infinite variance does
+``l(b_n)`` scale the rates (``limits.error_rates`` says why).
 
 The module also holds the one config rule, ``ConfigValue``, and its error,
 ``ConfigError``, which the model, the regime and the experiment share.
@@ -112,33 +107,48 @@ def _uniform_ell(x, sigma):
     return min(x, a) ** 3 / (3.0 * a)
 
 
-def _uniform_fill(rng, out, sigma):
+def _draw_rows(rngs, out, draw, signed=False):
+    """Per row of ``out``, with its generator from ``rngs``: ``rng.<draw>(out=row)``,
+    then if ``signed`` ceil(n/2) raw Philox words, before ``rngs`` advances.
+    Returns ``out``, or if ``signed`` the words' 32-bit halves, low first, as
+    inverted (rows, n) int32: negative where ``integers(0, 2)`` draws 0 (Lemire's
+    method takes a half word's top bit).  ``random_raw`` skips a cached half word,
+    so that holds only with none cached, as for every caller (64-bit draws only)."""
+    words = np.empty((len(out), (out.shape[1] + 1) // 2 * signed), np.uint64)
+    for row, word, rng in zip(out, words, rngs):
+        if draw:
+            getattr(rng, draw)(out=row)
+        if signed:
+            word[:] = rng.bit_generator.random_raw(word.size)
+    return np.invert(words, out=words).view(np.int32)[:, :out.shape[1]] if signed else out
+
+
+def _uniform_fill(rngs, out, sigma):
     """-a + 2a*U for U = ``random()``: the floats of ``uniform(-a, a)``."""
     a = _half_width(sigma)
-    return np.subtract(np.multiply(rng.random(out=out), 2.0 * a, out=out), a, out=out)
+    return np.subtract(np.multiply(_draw_rows(rngs, out, "random"), 2.0 * a, out=out), a, out=out)
 
 
-def _pareto_fill(rng, out, sigma):
+def _pareto_fill(rngs, out, sigma):
     """P(|e| > t) = t^-2 for t >= 1, so |e| = 1/sqrt(U) samples the magnitude
     exactly; an independent sign flip makes the law symmetric."""
-    np.divide(1.0, np.sqrt(np.subtract(1.0, rng.random(out=out), out=out), out=out), out=out)
-    sign = rng.integers(0, 2, out.size)
-    out *= np.subtract(np.multiply(sign, 2, out=sign), 1, out=sign)
-    return out
+    signs = _draw_rows(rngs, out, "random", signed=True)
+    np.divide(1.0, np.sqrt(np.subtract(1.0, out, out=out), out=out), out=out)
+    return np.copysign(out, signs, out=out)
 
 
 # model id -> its law: whether it takes sigma, its variance class, l(x, sigma)
-# and fill(rng, out, sigma), which fills and returns the float array out (sigma
-# is None for the laws that take none).  The one place a model is declared.
+# and fill(rngs, out, sigma), which fills and returns the (rows, n) array out, row
+# i from generator i of rngs, the arithmetic once per chunk (sigma None if unused).
 _Law = namedtuple("_Law", "takes_sigma finite_variance ell fill")
 _LAWS = {
-    "gaussian": _Law(True, True, _gaussian_ell, lambda rng, out, sigma: np.multiply(
-        rng.standard_normal(out=out), sigma, out=out)),
+    "gaussian": _Law(True, True, _gaussian_ell, lambda rngs, out, sigma: np.multiply(
+        _draw_rows(rngs, out, "standard_normal"), sigma, out=out)),
     "uniform": _Law(True, True, _uniform_ell, _uniform_fill),
     # symmetric +/-1: l(x) = 1{x >= 1}
     "rademacher": _Law(False, True, lambda x, sigma: 1.0 if x >= 1.0 else 0.0,
-                       lambda rng, out, sigma: np.subtract(np.multiply(
-                           rng.integers(0, 2, out.size), 2.0, out=out), 1.0, out=out)),
+                       lambda rngs, out, sigma: np.copysign(
+                           1.0, _draw_rows(rngs, out, None, signed=True), out=out)),
     # symmetric density |x|^-3 on |x| >= 1: infinite variance, l(x) = 2*log(x)
     "pareto2": _Law(False, False, lambda x, sigma: 2.0 * math.log(x) if x >= 1.0 else 0.0,
                     _pareto_fill),
@@ -185,8 +195,8 @@ class InnovationModel(ConfigValue):
         return 1.0 if self.sigma is None else self.sigma * self.sigma
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` iid draws from ``rng``."""
-        return _LAWS[self.id].fill(rng, np.empty(n), self.sigma)
+        """``n`` iid draws from ``rng``: one row of ``sample_innovation_rows``."""
+        return _LAWS[self.id].fill((rng,), np.empty((1, n)), self.sigma)[0]
 
 
 def eval_l(model: InnovationModel, x: float) -> float:
@@ -216,10 +226,7 @@ def sample_innovation_rows(model: InnovationModel, keys: np.ndarray, n: int) -> 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = np.empty((len(keys), int(n)))
-    for row, rng in zip(out, keyed_generators(keys)):
-        _LAWS[model.id].fill(rng, row, model.sigma)
-    return out
+    return _LAWS[model.id].fill(keyed_generators(keys), np.empty((len(keys), int(n))), model.sigma)
 
 
 # --- the b_n sequence ------------------------------------------------------

@@ -135,15 +135,14 @@ def _explosive_law(rho, mu, y0, model, draws, seed) -> np.ndarray:
     width = 2 * m - 1
     step = max(1, _CHUNK_ELEMENTS // width)
     out = np.empty((draws, 2))  # (W1, U1) until U1 becomes the ratio
-    u2 = np.empty(draws)
+    denom = np.empty(draws)  # U2 + mu*rho/(rho-1)
     keys = philox_keys(seed, (), np.arange(-(-draws // step)))
     for lo, rng in zip(range(0, draws, step), keyed_generators(keys)):
         rows = min(step, draws - lo)
         out[lo:lo + rows, 0] = rng.standard_normal(rows)
         eps = model.sample(rng, rows * width).reshape(rows, width)
         out[lo:lo + rows, 1] = np.sum(eps[:, :m] * weights, axis=1)
-        u2[lo:lo + rows] = rho * y0 + np.sum(eps[:, m:] * weights[:-1], axis=1)
-    denom = u2 + shift
+        denom[lo:lo + rows] = rho * y0 + np.sum(eps[:, m:] * weights[:-1], axis=1) + shift
     if np.any(np.abs(denom) < 1e-300):
         raise FloatingPointError("explosive limit denominator vanished")
     out[:, 1] = (rho * rho - 1.0) * out[:, 1] / denom

@@ -146,20 +146,13 @@ def philox_keys(master_seed: int, prefix: tuple[int, ...], r: np.ndarray) -> np.
 
 
 def keyed_generators(keys: np.ndarray):
-    """Yield one Generator per row of ``keys``.
-
-    The same Generator object is re-keyed before each yield, so each one
-    draws exactly what a fresh ``Generator(Philox(key=keys[i]))`` would;
-    use it before advancing the iterator.
-    """
-    keys = np.asarray(keys, dtype=_U64)
-    if not len(keys):
-        return
-    bit_gen = np.random.Philox(key=keys[0])
-    rng = np.random.Generator(bit_gen)
-    fresh = bit_gen.state
-    for key in keys:
+    """Yield one Generator per row of ``keys``: one object, re-keyed before
+    each yield to draw exactly what a fresh ``Generator(Philox(key=keys[i]))``
+    would, so each row's draws must finish before the iterator advances."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    fresh = rng.bit_generator.state
+    for key in np.asarray(keys, dtype=_U64):
         # counter 0, an empty buffer and no cached half word: a fresh Philox
         fresh["state"]["key"] = key
-        bit_gen.state = fresh
+        rng.bit_generator.state = fresh
         yield rng

@@ -15,8 +15,12 @@ from ar1mc.innovations import (
     compute_bn,
     ell_at_bn,
     eval_l,
+    sample_innovation_rows,
     sample_innovations,
 )
+from ar1mc.limits import default_truncation, sample_limit
+from ar1mc.process import Regime
+from ar1mc.rng import derive_seed, generator, philox_keys
 
 ALL_MODELS = [InnovationModel("gaussian", 1.0), InnovationModel("gaussian", 0.5),
               InnovationModel("uniform", 1.0), InnovationModel("rademacher"),
@@ -136,6 +140,75 @@ class TestSampling:
     def test_rejects_empty_draw(self):
         with pytest.raises(ValueError):
             sample_innovations(InnovationModel("gaussian", 1.0), 0, 1)
+
+
+def per_row_formula(model, rng, n):
+    """``n`` draws of ``model`` from ``rng`` by the per-row formula, written with
+    numpy's own samplers: the reference for the laws' chunk fills."""
+    if model.id == "gaussian":
+        return rng.standard_normal(n) * model.sigma
+    if model.id == "uniform":
+        a = model.sigma * math.sqrt(3.0)
+        return rng.random(n) * (2.0 * a) - a
+    if model.id == "rademacher":
+        return rng.integers(0, 2, n) * 2.0 - 1.0
+    magnitude = 1.0 / np.sqrt(1.0 - rng.random(n))
+    return magnitude * (2 * rng.integers(0, 2, n) - 1)
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+CHUNK_MODELS = ALL_MODELS + [InnovationModel("uniform", 3.0)]
+CHUNK_IDS = ["gaussian", "gaussian@0.5", "uniform", "rademacher", "pareto2", "uniform@3"]
+
+
+class TestChunkFill:
+    """Each law fills a (rows, n) chunk at once, taking its signs from raw
+    Philox words; every value must keep the bits of the per-row formula.
+    Odd n leaves a half word that ``integers(0, 2)`` would cache."""
+
+    NS = (1, 2, 51, 77, 2000, 2001)
+
+    @pytest.mark.parametrize("model", CHUNK_MODELS, ids=CHUNK_IDS)
+    def test_rows_keep_the_per_row_bits(self, model):
+        for n in self.NS:
+            for rows in (1, 3, 33):
+                keys = philox_keys(5, (n,), np.arange(rows))
+                fresh = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+                expected = np.array([per_row_formula(model, rng, n) for rng in fresh])
+                assert_same_bits(sample_innovation_rows(model, keys, n), expected)
+
+    @pytest.mark.parametrize("model", CHUNK_MODELS, ids=CHUNK_IDS)
+    def test_sample_keeps_the_per_row_bits(self, model):
+        for n in self.NS:
+            assert_same_bits(model.sample(generator(n), n), per_row_formula(model, generator(n), n))
+            assert_same_bits(sample_innovations(model, n, 8), per_row_formula(model, generator(8), n))
+            # the P2 series chunks draw their W1 normals first
+            for normals in (1, 3, 33):
+                rng, ref = generator(n), generator(n)
+                rng.standard_normal(normals)
+                ref.standard_normal(normals)
+                assert_same_bits(model.sample(rng, n), per_row_formula(model, ref, n))
+
+    @pytest.mark.parametrize("model", CHUNK_MODELS, ids=CHUNK_IDS)
+    def test_explosive_chunks_keep_the_per_row_bits(self, model):
+        # two chunks of the P2 series, the second of 3 rows of 2M - 1 values
+        rho, mu, y0, seed = -1.5, 0.5, 0.25, 4
+        m = default_truncation(rho)
+        step = (1 << 16) // (2 * m - 1)
+        got = sample_limit(Regime("P2", rho=rho), mu, model, step + 3, seed, y0=y0)
+        weights = rho ** -np.arange(m, dtype=float)
+        for c, (lo, rows) in enumerate(((0, step), (step, 3))):
+            rng = generator(derive_seed(seed, c))
+            w1 = rng.standard_normal(rows)
+            eps = per_row_formula(model, rng, rows * (2 * m - 1)).reshape(rows, 2 * m - 1)
+            u1 = np.sum(eps[:, :m] * weights, axis=1)
+            denom = rho * y0 + np.sum(eps[:, m:] * weights[:-1], axis=1) + mu * rho / (rho - 1.0)
+            assert_same_bits(got[lo:lo + rows, 0], w1)
+            assert_same_bits(got[lo:lo + rows, 1], (rho * rho - 1.0) * u1 / denom)
 
 
 class TestBn:

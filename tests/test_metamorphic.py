@@ -26,10 +26,10 @@ checked bit for bit:
 
 Both hold at any power of two 2^j, and the block relation at -2^j too:
 the fixed cases below check j = 1 and k = -1, and Hypothesis checks
-j in {-3..3}, random signs of (mu, y0) and of the block scale, and random
-regime parameters.  The rates read sigma^2, not l(b_n), so the relation
-holds also at a large sigma, where b_n sits on its floor b_0 + 1 = 2 at
-every n <= 120.
+j in {-3..3} from sigma = 0.75 * 2^i for i in {-3..6}, random signs of
+(mu, y0) and of the block scale, and random regime parameters.  The
+rates read sigma^2, not l(b_n), so the relation holds also at a large
+sigma, where b_n sits on its floor b_0 + 1 = 2 at every n <= 120.
 """
 
 import dataclasses
@@ -105,10 +105,10 @@ def test_doubling_scale_moves_reports_by_the_rates(regime, model):
 
 @settings(max_examples=25)
 @given(regime=RANDOM_REGIMES, name=st.sampled_from(["gaussian", "uniform"]),
-       j=st.integers(-3, 3), mu=NONZERO, y0=st.floats(-4.0, 4.0))
-def test_power_of_two_scale_moves_reports_by_the_rates(regime, name, j, mu, y0):
+       i=st.integers(-3, 6), j=st.integers(-3, 3), mu=NONZERO, y0=st.floats(-4.0, 4.0))
+def test_power_of_two_scale_moves_reports_by_the_rates(regime, name, i, j, mu, y0):
     k = 2.0 ** j
-    sigma = 0.75 / min(k, 1.0)  # the smaller of sigma and k sigma is 0.75
+    sigma = 0.75 * 2.0 ** i
     base = _run(regime, InnovationModel(name, sigma), mu, y0)
     scaled = _run(regime, InnovationModel(name, k * sigma), k * mu, k * y0)
     _assert_scaled(base, scaled, regime.tag, j)

@@ -21,3 +21,12 @@ def test_each_edit_matches_one_place():
     for old, new in mutants.MUTANTS:
         assert old != new
         mutants.source_file(mutants.ROOT, old)  # raises unless exactly one match
+
+
+def test_substrings_select_mutants():
+    mutants = _load()
+    assert mutants.selected([]) == mutants.MUTANTS
+    signs = mutants.selected(["np.invert"])
+    assert len(signs) == 2 and all("np.invert(words" in old for old, _ in signs)
+    assert mutants.selected(["np.invert", "ddof=1"]) == [("ddof=1", "ddof=0")] + signs
+    assert mutants.selected(["no such edit"]) == []
