@@ -2,10 +2,11 @@
 
 Subcommands:
     simulate      simulate one path, write CSV (t,y,e)
-    estimate      least-squares fit of a path CSV
+    estimate      least-squares fit of a path CSV, write its JSON
     limit-sample  draw from a regime's limit law, write CSV (draw,comp1,comp2)
     mc            run a replicated experiment from a JSON config, write its JSON report
 
+Each command writes its one output to --out, or the same bytes to stdout.
 Exit codes: 0 success, 1 runtime, I/O or out-of-memory error, 2 usage or
 config error.
 Numbers are written in shortest round-trip decimal form, so files parse
@@ -46,8 +47,9 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _regime_from_flags(args) -> Regime:
-    return Regime(args.regime, rho=args.rho, c=args.c, alpha=args.alpha)
+def _law_from_flags(args) -> tuple[Regime, InnovationModel]:
+    return (Regime(args.regime, rho=args.rho, c=args.c, alpha=args.alpha),
+            InnovationModel(args.model, args.sigma))
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -65,8 +67,7 @@ def _write_csv(path: str | None, header: str, rows) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    regime = _regime_from_flags(args)
-    model = InnovationModel(args.model, args.sigma)
+    regime, model = _law_from_flags(args)
     path = simulate_path(regime, args.mu, args.y0, model, args.n, args.seed)
     rows = zip(range(1, path.n + 1), path.y, path.e)
     _write_csv(args.out, "t,y,e", itertools.chain([(0, path.y0, None)], rows))
@@ -108,16 +109,12 @@ def _read_path_csv(filename: str) -> Ar1Path:
 def _cmd_estimate(args) -> int:
     path = _read_path_csv(args.infile)
     payload = {**asdict(ls_estimate(path)), "n": path.n}
-    if args.json:
-        _write_lines(args.json, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
-    print(f"mu_hat  = {_fmt(payload['mu_hat'])}")
-    print(f"rho_hat = {_fmt(payload['rho_hat'])}")
+    _write_lines(args.out, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
 def _cmd_limit_sample(args) -> int:
-    regime = _regime_from_flags(args)
-    model = InnovationModel(args.model, args.sigma)
+    regime, model = _law_from_flags(args)
     if args.y0 is not None and regime.tag != "P2":
         raise ConfigError(f"--y0 enters only the P2 limit law, not the {regime.tag} law")
     draws = sample_limit(regime, args.mu, model, draws=args.draws, seed=args.seed,
@@ -150,16 +147,17 @@ def _cmd_mc(args) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
-def _add_regime_flags(p: argparse.ArgumentParser):
+def _add_law_flags(p: argparse.ArgumentParser):
+    """The flags ``simulate`` and ``limit-sample`` share: the law, mu, seed and output."""
     p.add_argument("--regime", required=True, choices=list(_TAGS))
     p.add_argument("--rho", type=float, help="autoregressive root (P1/P2)")
     p.add_argument("--c", type=float, help="local-to-unity constant (P4/P5/P6)")
     p.add_argument("--alpha", type=float, help="moderate-deviation exponent (P5/P6)")
-
-
-def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--model", default="gaussian", choices=list(MODEL_IDS))
     p.add_argument("--sigma", type=float, help="scale for gaussian/uniform models")
+    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--out", help="output CSV (default: stdout)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,28 +176,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate one path to CSV")
-    _add_regime_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--mu", type=float, required=True)
+    _add_law_flags(p)
     p.add_argument("--y0", type=float, default=0.0)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="least-squares fit of a path CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--json", help="also write the estimate as JSON")
+    p.add_argument("--out", help="estimate JSON (default: stdout)")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("limit-sample", help="draw from a regime's limit law")
-    _add_regime_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--mu", type=float, required=True)
+    _add_law_flags(p)
     p.add_argument("--y0", type=float, help="initial value (P2 only)")
     p.add_argument("--draws", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_limit_sample)
 
     p = sub.add_parser("mc", help="run a replicated experiment")

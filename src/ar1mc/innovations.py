@@ -269,7 +269,7 @@ def _positivity_edge(model: InnovationModel) -> float:
 
 
 def compute_bn(model: InnovationModel, n: int) -> float:
-    """The n-th normalizer ``b_n``; ``n = 0`` returns ``b_0``.
+    """The n-th normalizer ``b_n``, for ``n >= 1``.
 
     ``b_n`` is the smallest float ``s >= b_0 + 1`` at which both float
     forms of the definition hold, ``n*l(s) <= s*s`` and
@@ -278,11 +278,9 @@ def compute_bn(model: InnovationModel, n: int) -> float:
     crossing ``1/n`` once above ``b_0 + 1``, as it does for every model
     satisfying the slow-variation condition.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     b0 = _positivity_edge(model)
-    if n == 0:
-        return b0
     target = 1.0 / n
 
     def settled(s):

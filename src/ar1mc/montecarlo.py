@@ -47,11 +47,11 @@ _BLOCK = 256
 _QUANTILES = {"q05": 0.05, "q25": 0.25, "q50": 0.50, "q75": 0.75, "q95": 0.95}
 
 
-def _check_int(key: str, value, low: int | None = None) -> None:
+def _check_int(key: str, value, low: int) -> None:
     """Refuse anything but an int (not a bool) that is >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")
-    if low is not None and value < low:
+    if value < low:
         raise ConfigError(f"config key {key!r}: must be >= {low}, got {value}")
 
 

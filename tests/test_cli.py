@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -106,17 +107,31 @@ class TestEstimateRoundTrip:
                           "--mu", "1", "--y0", "0.25", "--seed", "21", "--out", str(csv)], capsys)
         assert code == 0
         out_json = tmp_path / "est.json"
-        code, out, _ = run(["estimate", "--in", str(csv), "--json", str(out_json)], capsys)
+        code, out, _ = run(["estimate", "--in", str(csv), "--out", str(out_json)], capsys)
         assert code == 0
+        assert out == ""
         # independent in-memory reference
         path = simulate_path(Regime("P1", rho=0.5), 1.0, 0.25, InnovationModel("gaussian", 1.0),
                              200, 21)
         est = ls_estimate(path)
         payload = json.loads(out_json.read_text())
-        assert payload["mu_hat"] == est.mu_hat    # bit-identical round trip
-        assert payload["rho_hat"] == est.rho_hat
-        assert payload["delta3"] == est.delta3
-        assert f"mu_hat  = {est.mu_hat!r}" in out
+        assert payload == {**dataclasses.asdict(est), "n": 200}
+        for key, value in dataclasses.asdict(est).items():  # bit-identical round trip
+            assert payload[key].hex() == value.hex(), key
+        # with no --out, the same bytes go to stdout
+        code, out, err = run(["estimate", "--in", str(csv)], capsys)
+        assert (code, err) == (0, "")
+        assert out.encode() == out_json.read_bytes()
+
+    def test_json_flag_is_a_usage_error(self, tmp_path, capsys):
+        # estimate writes its one output to --out or stdout
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--in", "p.csv", "--json", str(tmp_path / "est.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "unrecognized arguments" in err and "--json" in err
+        assert not (tmp_path / "est.json").exists()
 
     def test_constant_series_is_runtime_error(self, tmp_path, capsys):
         csv = tmp_path / "flat.csv"
@@ -470,15 +485,18 @@ class TestStreamedCsv:
     @pytest.mark.parametrize("argv", [
         ["limit-sample", "--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws", "10"],
         ["mc", "--config", "CONFIG"],
-    ], ids=["limit-sample", "mc"])
+        ["estimate", "--in", "PATH"],
+    ], ids=["limit-sample", "mc", "estimate"])
     def test_closed_stdout_pipe_exits_1_when_buffered(self, tmp_path, argv):
-        # With stdout block-buffered, 10 rows (or a one-size report) stay in
-        # the buffer until main flushes it; the closed pipe must fail there,
-        # not at interpreter exit.
-        cfg = write_config(tmp_path / "exp.json")
+        # With stdout block-buffered, 10 rows (or a one-size report, or an
+        # estimate) stay in the buffer until main flushes it; the closed pipe
+        # must fail there, not at interpreter exit.
+        files = {"CONFIG": write_config(tmp_path / "exp.json"), "PATH": tmp_path / "path.csv"}
+        assert main(["simulate", "--regime", "P3", "--n", "60", "--mu", "1",
+                     "--out", str(files["PATH"])]) == 0
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ar1mc.cli", *(str(cfg) if a == "CONFIG" else a for a in argv)],
+            [sys.executable, "-m", "ar1mc.cli", *(str(files.get(a, a)) for a in argv)],
             env=dict(env, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         proc.stdout.close()
@@ -531,6 +549,7 @@ _FLAG_VALUES = {
 }
 _SIZE_FLAGS = ("--n", "--draws", "--truncation", "--workers", "--seed")
 _REAL_FLAGS = ("--rho", "--c", "--alpha", "--sigma", "--mu", "--y0")
+# --truncation and --json are removed flags, kept as probes
 _FILE_FLAGS = ("--out", "--in", "--json", "--config", "--csv")
 # Each subcommand with the flags it requires (most examples carry them, so
 # that most runs get past argument parsing) and whether it takes a regime.

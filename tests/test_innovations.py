@@ -217,7 +217,9 @@ class TestBn:
         assert compute_bn(model, 1) == 2.0
         assert compute_bn(model, 100) == 10.0  # exactly
         assert compute_bn(model, 4) == 2.0     # floor still binding
-        assert compute_bn(model, 0) == 1.0
+        assert innovations._positivity_edge(model) == 1.0
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            compute_bn(model, 0)
 
     def test_pareto_matches_bisection_oracle(self):
         model = InnovationModel("pareto2")
@@ -226,7 +228,7 @@ class TestBn:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.id)
     def test_defining_inequalities(self, model):
-        b0 = compute_bn(model, 0)
+        b0 = innovations._positivity_edge(model)
         prev = 0.0
         for n in (1, 2, 3, 7, 10, 50, 100, 1000, 10_000):
             bn = compute_bn(model, n)
@@ -240,7 +242,7 @@ class TestBn:
     def test_smallest_float_satisfying_definition(self, model):
         # Squares are taken as b * b, the correctly rounded product; b ** 2
         # goes through the C library's pow, which may be one ulp off.
-        b0 = compute_bn(model, 0)
+        b0 = innovations._positivity_edge(model)
         assert eval_l(model, b0) > 0.0
         if b0 != 1.0:
             assert eval_l(model, math.nextafter(b0, 0.0)) == 0.0
@@ -285,7 +287,7 @@ class TestBn:
         # all mass at +/-3: l jumps from 0 to 9 at x = 3
         tri = law_model(monkeypatch, "pm3", True,
                         lambda x, sigma: np.where(np.asarray(x, dtype=float) >= 3.0, 9.0, 0.0))
-        assert compute_bn(tri, 0) == pytest.approx(3.0, rel=1e-12)
+        assert innovations._positivity_edge(tri) == pytest.approx(3.0, rel=1e-12)
         # floor b0 + 1 = 4 binds until 1/j < 9/16
         assert compute_bn(tri, 1) == pytest.approx(4.0, rel=1e-12)
         assert compute_bn(tri, 100) == pytest.approx(30.0, rel=1e-9)
@@ -303,7 +305,7 @@ class TestBrentPort:
         ns = np.unique(np.round(np.logspace(0, 7, 120)).astype(int))
         compared = 0
         for model in ALL_MODELS:
-            lo = compute_bn(model, 0) + 1.0
+            lo = innovations._positivity_edge(model) + 1.0
             for n in ns:
                 n = int(n)
                 bn = compute_bn(model, n)
