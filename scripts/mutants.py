@@ -39,6 +39,11 @@ MUTANTS = [
     ("_SINGULAR_EPS = 1e-12", "_SINGULAR_EPS = 1e-9"),
     ("ddof=1", "ddof=0"),
     ("_PATH_STREAM = 1", "_PATH_STREAM = 3"),
+    # The stream id in counter word 0, which counts the stream's blocks:
+    # stream r + 1 then starts one block into stream r.  The fresh-counter
+    # references of tests/test_rng.py, the chunk and stream-map tests (their
+    # streams are built from explicit counters) and the registry see it.
+    ("counter[1:len(prefix) + 2] = (*prefix, i)", "counter[:len(prefix) + 1] = (i, *prefix)"),
     ("_SERIES_TOL = 1e-12", "_SERIES_TOL = 1e-9"),
     ("math.log(abs(rho)))) + 1", "math.log(abs(rho)))) + 0"),
     ("2.0 * c * c / mu", "2.0 * c / mu"),

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import generator, keyed_generators
+from .rng import generator
 
 _ROOT2 = math.sqrt(2.0)
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
@@ -218,15 +218,17 @@ def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def sample_innovation_rows(model: InnovationModel, keys: np.ndarray, n: int) -> np.ndarray:
-    """One row of ``n`` innovations per Philox key (see ``rng.philox_keys``).
+def sample_innovation_rows(model: InnovationModel, rngs, rows: int, n: int) -> np.ndarray:
+    """``rows`` rows of ``n`` innovations, row i from the i-th generator that
+    the iterator ``rngs`` yields (see ``rng.substreams``).
 
-    Row i is the draw of a fresh ``Generator(Philox(key=keys[i]))``, so it
-    equals ``sample_innovations`` for the seed that key was derived from.
+    Exactly ``rows`` generators are taken, so the next call on ``rngs``
+    starts at the next stream; row i equals ``model.sample`` on its
+    generator alone.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _LAWS[model.id].fill(keyed_generators(keys), np.empty((len(keys), int(n))), model.sigma)
+    return _LAWS[model.id].fill(rngs, np.empty((int(rows), int(n))), model.sigma)
 
 
 # --- the b_n sequence ------------------------------------------------------

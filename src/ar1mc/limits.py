@@ -27,7 +27,7 @@ import numpy as np
 
 from .innovations import _CHUNK_ELEMENTS, InnovationModel, ell_at_bn
 from .process import Regime, resolve_rho
-from .rng import generator, keyed_generators, philox_keys
+from .rng import generator, substreams
 
 __all__ = ["error_rates", "sample_limit"]
 
@@ -126,8 +126,9 @@ def _explosive_law(rho, mu, y0, model, draws, seed) -> np.ndarray:
     innovation scale must meet the shift mu*rho/(rho-1) and y0 unchanged.
 
     Chunk c holds k = max(1, _CHUNK_ELEMENTS // (2M-1)) draws, from stream
-    (seed, c): its k W1 normals, then one row of 2M-1 innovations per draw,
-    whose first M columns give U1 and last M-1 give U2.
+    (c,) under seed (``rng.substreams``): its k W1 normals, then one row of
+    2M-1 innovations per draw, whose first M columns give U1 and last M-1
+    give U2.
     """
     m = default_truncation(rho)
     shift = mu * rho / (rho - 1.0)
@@ -136,8 +137,8 @@ def _explosive_law(rho, mu, y0, model, draws, seed) -> np.ndarray:
     step = max(1, _CHUNK_ELEMENTS // width)
     out = np.empty((draws, 2))  # (W1, U1) until U1 becomes the ratio
     denom = np.empty(draws)  # U2 + mu*rho/(rho-1)
-    keys = philox_keys(seed, (), np.arange(-(-draws // step)))
-    for lo, rng in zip(range(0, draws, step), keyed_generators(keys)):
+    chunks = substreams(seed, (), range(-(-draws // step)))
+    for lo, rng in zip(range(0, draws, step), chunks):
         rows = min(step, draws - lo)
         out[lo:lo + rows, 0] = rng.standard_normal(rows)
         eps = model.sample(rng, rows * width).reshape(rows, width)

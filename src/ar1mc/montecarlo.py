@@ -32,7 +32,7 @@ from .innovations import (_CHUNK_ELEMENTS, ConfigError, ConfigValue, InnovationM
 from .limits import error_rates, sample_limit
 from .process import Regime, path_root, recurse_rows
 from .process import simulate_path  # noqa: F401
-from .rng import derive_seed, philox_keys
+from .rng import derive_seed, substreams
 
 __all__ = ["ConfigError", "ExperimentConfig", "McReport", "run_experiment", "ks_two_sample",
            "summarize"]
@@ -219,16 +219,16 @@ def _replicate_block(payload):
     exceed 1/ulp.
 
     Replications run in chunks of rows: one innovation row per stream
-    (seed, n, r), then one recursion and one least-squares pass per
-    chunk.  Every row equals the single path simulate_path and
-    ls_estimate would give for that stream.
+    (1, n, r) under seed, then one recursion and one least-squares pass
+    per chunk.  Every row equals the single path and ls_estimate of that
+    stream's innovations.
     """
     rho, mu, y0, model, n, seed, r_lo, r_hi = payload
-    keys = philox_keys(seed, (_PATH_STREAM, n), np.arange(r_lo, r_hi))
+    rngs = substreams(seed, (_PATH_STREAM, n), range(r_lo, r_hi))
     out = np.empty((r_hi - r_lo, 5))
     step = max(1, _CHUNK_ELEMENTS // n)
     for lo in range(0, r_hi - r_lo, step):
-        e = sample_innovation_rows(model, keys[lo:lo + step], n)
+        e = sample_innovation_rows(model, rngs, min(step, r_hi - r_lo - lo), n)
         est, singular = ls_rows(y0, recurse_rows(mu, rho, y0, e), e)
         delta3 = np.where(singular, 1.0, est.delta3)
         out[lo:lo + len(e)] = np.column_stack(

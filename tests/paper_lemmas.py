@@ -17,9 +17,9 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ar1mc.estimator import SingularDesignError
-from ar1mc.innovations import ell_at_bn, sample_innovations
+from ar1mc.innovations import ell_at_bn
 from ar1mc.process import resolve_rho
-from ar1mc.rng import derive_seed, generator
+from ar1mc.rng import generator
 
 # Standard normals (rows x grid steps) per chunk in the grid samplers;
 # bounds memory without affecting results, since the rows are drawn in
@@ -82,18 +82,27 @@ def exact_delta_ratios(path) -> tuple[Fraction, Fraction]:
     return Fraction(sxx * se - sx * sxe, delta3 * scale), Fraction(n * sxe - sx * se, delta3)
 
 
+def fresh_stream(seed: int, *path: int) -> np.random.Generator:
+    """Stream ``path`` under ``seed``, built on its own: a fresh Philox with
+    ``generator(seed)``'s key and ``[0, *path]`` as its counter, padded with
+    zero words (word 0 counts the stream's blocks of four 64-bit values)."""
+    key = generator(seed).bit_generator.state["state"]["key"]
+    counter = np.array([0, *path, 0, 0, 0][:4], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
 def replication_reference(config, n: int, r: int) -> tuple[float, float, float, float]:
     """Replication r at size n of an experiment, one path on its own.
 
     Returns (mu_hat, rho_hat, mu error, rho error), all NaN when the design
     is singular; the errors are the Delta ratios Delta1/Delta3 and
     Delta2/Delta3.  This is the per-replication pipeline the Monte Carlo
-    engine runs in blocks of rows: innovations from the stream
-    (seed, 1, n, r), the closed-form explosive path, lfilter at
+    engine runs in blocks of rows: innovations from stream (1, n, r) under
+    the seed, the closed-form explosive path, lfilter at
     rho = 1 (a running sum) or the blocked closed form of ``disc_path``,
     then centered least squares on 1-D sums.
     """
-    e = sample_innovations(config.model, n, derive_seed(config.seed, 1, n, r))
+    e = config.model.sample(fresh_stream(config.seed, 1, n, r), n)
     rho = resolve_rho(config.regime, n)
     mu, y0 = config.mu, config.y0
     if abs(rho) > 1:

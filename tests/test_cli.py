@@ -450,6 +450,24 @@ class TestOutOfMemory:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    # A size past numpy's own limit on a dimension (2^63 - 1 elements) is a
+    # ValueError in numpy, hence a usage error.  Under mc it also guards the
+    # stream counter, whose words hold sizes below 2^64 only: the allocation
+    # must refuse the size before any counter is set, which would raise an
+    # OverflowError (exit 1).
+    @pytest.mark.parametrize("argv", [
+        ["limit-sample", "--regime", "P1", "--rho", "0.5", "--mu", "1", "--draws", str(2 ** 63)],
+        ["simulate", "--regime", "P3", "--mu", "1", "--n", str(2 ** 64)],
+        ["mc", "--config", "CONFIG"],
+    ], ids=["limit-sample-draws", "simulate-n", "mc-n_list"])
+    def test_size_past_numpy_limit_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path / "exp.json", n_list=[2 ** 64])
+        code, out, err = run([str(cfg) if a == "CONFIG" else a for a in argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestStreamedCsv:
     # The CSV writer formats and writes one row at a time, so the peak grows

@@ -126,8 +126,8 @@ CLI_PINS = {
     "simulate-P3-pareto2": "c8416a2c6db2b7b6861e5cc2622e8980bd24da4a30da7992904cf53329845b89",
     "limit-sample-P1-gaussian": "ea3a2d992302e8a3324f5ab3243f8c747c5a13dd65caec62c833d33cac0eef9c",
     "limit-sample-P1-pareto2": "d3321e3ef59ec983c65866ee2908bb47b9bc52663da58bcb14ca9e7d25a45657",
-    "limit-sample-P2-gaussian": "8289a42a45bf4f3c6b93e273c315a5b380d9a7992eda2c849beb4fbeade8d9e9",
-    "limit-sample-P2-pareto2": "43308d0455518794c24097d86cc3b258a7beec16db45678c93fc5d90a2a4714d",
+    "limit-sample-P2-gaussian": "807a76eb400c299c4c051b3f0141c52b223e496dfa974ee6ce7faa56fd720bc3",
+    "limit-sample-P2-pareto2": "a8af637c593c38d6729f75cc835450f90acc9212638676245bbb1988352c1657",
     "limit-sample-P5@0.5-gaussian": "6551ff1f7bd1bdc1b4a6872b16ae2b83ab34d7703a95def2c28e97a2ec988b3b",
     "limit-sample-P5@0.5-pareto2": "0a886e10fad19e3fc112a2060a59cac01d938aa51f89d92acd0f3bc5c51512f3",
     "limit-sample-P3-gaussian": "9d46cbdbaaf780759bf3588696eb54269d056b58489a72ac20d79668f7f830dd",

@@ -20,7 +20,8 @@ from ar1mc.innovations import (
 )
 from ar1mc.limits import default_truncation, sample_limit
 from ar1mc.process import Regime
-from ar1mc.rng import derive_seed, generator, philox_keys
+from ar1mc.rng import generator, substreams
+from paper_lemmas import fresh_stream
 
 ALL_MODELS = [InnovationModel("gaussian", 1.0), InnovationModel("gaussian", 0.5),
               InnovationModel("uniform", 1.0), InnovationModel("rademacher"),
@@ -176,10 +177,10 @@ class TestChunkFill:
     def test_rows_keep_the_per_row_bits(self, model):
         for n in self.NS:
             for rows in (1, 3, 33):
-                keys = philox_keys(5, (n,), np.arange(rows))
-                fresh = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
-                expected = np.array([per_row_formula(model, rng, n) for rng in fresh])
-                assert_same_bits(sample_innovation_rows(model, keys, n), expected)
+                expected = np.array([per_row_formula(model, fresh_stream(5, n, r), n)
+                                     for r in range(rows)])
+                got = sample_innovation_rows(model, substreams(5, (n,), range(rows)), rows, n)
+                assert_same_bits(got, expected)
 
     @pytest.mark.parametrize("model", CHUNK_MODELS, ids=CHUNK_IDS)
     def test_sample_keeps_the_per_row_bits(self, model):
@@ -202,7 +203,7 @@ class TestChunkFill:
         got = sample_limit(Regime("P2", rho=rho), mu, model, step + 3, seed, y0=y0)
         weights = rho ** -np.arange(m, dtype=float)
         for c, (lo, rows) in enumerate(((0, step), (step, 3))):
-            rng = generator(derive_seed(seed, c))
+            rng = fresh_stream(seed, c)
             w1 = rng.standard_normal(rows)
             eps = per_row_formula(model, rng, rows * (2 * m - 1)).reshape(rows, 2 * m - 1)
             u1 = np.sum(eps[:, :m] * weights, axis=1)

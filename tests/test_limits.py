@@ -17,11 +17,12 @@ from ar1mc.limits import (
 )
 from ar1mc.montecarlo import ks_two_sample
 from ar1mc.process import Regime
-from ar1mc.rng import derive_seed, generator
+from ar1mc.rng import generator
 from paper_lemmas import (
     brownian_time_change,
     cumulative_growth,
     exact_growth_integrals,
+    fresh_stream,
     grid_unit_root_limit,
     sample_growth_functionals,
     sample_time_changed_functionals,
@@ -164,7 +165,7 @@ class TestExplosiveLimit:
         assert np.max(np.abs(d[:, 1])) < 1e-9
 
     def test_chunks_draw_from_keyed_streams(self):
-        # chunk c holds 2^16 // (2M-1) draws from stream (seed, c): its W1
+        # chunk c holds 2^16 // (2M-1) draws from stream (c,) under seed: its W1
         # normals, then 2M-1 innovations per draw, U1 from the first M
         rho, y0, seed, model = 1.2, 0.5, 9, InnovationModel("pareto2")
         m = default_truncation(rho)
@@ -173,7 +174,7 @@ class TestExplosiveLimit:
         got = sample_limit(Regime("P2", rho=rho), 1.0, model, draws, seed, y0=y0)
         for c, lo in enumerate(range(0, draws, step)):
             rows = min(step, draws - lo)
-            rng = generator(derive_seed(seed, c))
+            rng = fresh_stream(seed, c)
             w1 = rng.standard_normal(rows)
             eps = model.sample(rng, rows * (2 * m - 1)).reshape(rows, 2 * m - 1)
             u1 = eps[:, :m] @ rho ** -np.arange(0.0, m)

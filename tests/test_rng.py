@@ -1,70 +1,73 @@
 import numpy as np
 import pytest
 
-from ar1mc.innovations import InnovationModel, sample_innovation_rows, sample_innovations
-from ar1mc.rng import _generator_keys, derive_seed, generator, keyed_generators, philox_keys
+from ar1mc.innovations import InnovationModel, sample_innovation_rows
+from ar1mc.rng import derive_seed, generator, substreams
+from paper_lemmas import fresh_stream
 
 MASTERS = [0, 1, 7, 20177, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**130 + 17]
-SIZES = [50, 5000, 16000, 2**31]
+# the replication paths (1, n) and the P2 limit chunks' empty path
+PREFIXES = [(1, 50), (1, 5000), (1, 2**31), (1, 2**64 - 1), ()]
 
 
-def generator_key(seed):
-    return generator(seed).bit_generator.state["state"]["key"]
+def draws(rng):
+    """Floats, then raw words across three Philox blocks of four."""
+    return np.concatenate([rng.random(3).view(np.uint64), rng.bit_generator.random_raw(9)])
 
 
-class TestPhiloxKeys:
+class TestSubstreams:
     @pytest.mark.parametrize("master", MASTERS)
-    def test_block_keys_equal_seed_sequence(self, master):
-        r = np.arange(300)
-        for n in SIZES:
-            expected = [generator_key(derive_seed(master, 1, n, int(i))) for i in r]
-            assert np.array_equal(philox_keys(master, (1, n), r), np.array(expected))
+    def test_streams_equal_fresh_counters(self, master):
+        ids = [0, 1, 2, 255, 2**32, 2**64 - 1]
+        for prefix in PREFIXES:
+            got = [draws(rng) for rng in substreams(master, prefix, ids)]
+            assert np.array_equal(got, [draws(fresh_stream(master, *prefix, i)) for i in ids])
 
-    def test_one_word_seeds(self):
-        # seeds below 2**32 are one entropy word, not two
-        seeds = np.arange(1000)
-        expected = [np.random.SeedSequence(int(s)).generate_state(2, dtype=np.uint64)
-                    for s in seeds]
-        assert np.array_equal(_generator_keys(seeds), np.array(expected))
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_zero_path_is_generator(self, master):
+        # the normal limit laws draw from generator(seed) itself
+        (rng,) = substreams(master, (), [0])
+        assert np.array_equal(draws(rng), draws(generator(master)))
 
-    def test_any_ids_in_any_order(self):
-        r = np.array([5, 2**32 - 1, 0, 5])
-        keys = philox_keys(9, (1, 100), r)
-        assert np.array_equal(keys, np.array([generator_key(derive_seed(9, 1, 100, int(i)))
-                                              for i in r]))
-        assert philox_keys(9, (1, 100), np.arange(0)).shape == (0, 2)
+    def test_no_ids_yield_nothing(self):
+        assert list(substreams(3, (1, 50), [])) == []
 
-    @pytest.mark.parametrize("master, prefix, r", [
-        (-1, (1, 100), np.arange(3)),
-        (1, (-1, 100), np.arange(3)),
-        (1, (1, 100), np.array([2**32])),
-        (1, (1, 100), np.array([-1])),
-        (1, (1, 100), np.array([0.5])),
-    ], ids=["negative-master", "negative-prefix", "wide-id", "negative-id", "float-id"])
-    def test_invalid_ids_rejected(self, master, prefix, r):
-        with pytest.raises(ValueError):
-            philox_keys(master, prefix, r)
+    @pytest.mark.parametrize("prefix, ids", [
+        ((1, 50), [-1]),
+        ((1, 50), [2**64]),
+        ((1, -50), [0]),
+        ((1, 50, 2), [0]),
+    ], ids=["negative-id", "wide-id", "negative-prefix", "long-path"])
+    def test_invalid_paths_rejected(self, prefix, ids):
+        with pytest.raises((ValueError, OverflowError)):
+            next(substreams(3, prefix, ids))
 
 
 @pytest.mark.parametrize("make", [lambda: derive_seed(-1, 2), lambda: generator(-1),
-                                  lambda: philox_keys(-1, (), np.arange(3))],
-                         ids=["derive_seed", "generator", "philox_keys"])
+                                  lambda: next(substreams(-1, (), [0]))],
+                         ids=["derive_seed", "generator", "substreams"])
 def test_negative_seed_is_named_seed(make):
     # the config key and the CLI flag are both "seed"
     with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
         make()
 
 
-class TestKeyedGenerators:
+class TestSubstreamRows:
     @pytest.mark.parametrize("model_id", ["gaussian", "uniform", "rademacher", "pareto2"])
     def test_rows_equal_fresh_generators(self, model_id):
         # odd lengths leave a cached half word in the bit generator (pareto2
-        # and rademacher draw 32-bit integers), which re-keying must clear
+        # and rademacher draw 32-bit integers), which re-counting must clear
         model = InnovationModel(model_id)
-        keys = philox_keys(3, (1, 77), np.arange(6))
-        rows = sample_innovation_rows(model, keys, 77)
-        expected = [sample_innovations(model, 77, derive_seed(3, 1, 77, r)) for r in range(6)]
+        rows = sample_innovation_rows(model, substreams(3, (1, 77), range(6)), 6, 77)
+        expected = [model.sample(fresh_stream(3, 1, 77, r), 77) for r in range(6)]
         assert np.array_equal(rows, np.array(expected))
 
-    def test_no_keys_yield_nothing(self):
-        assert list(keyed_generators(np.empty((0, 2), dtype=np.uint64))) == []
+    @pytest.mark.parametrize("model_id", ["gaussian", "pareto2"])
+    def test_chunks_take_their_own_streams(self, model_id):
+        # a block's chunks share one iterator: each takes exactly its rows
+        model = InnovationModel(model_id)
+        rngs = substreams(3, (1, 77), range(7))
+        chunks = [sample_innovation_rows(model, rngs, rows, 77) for rows in (4, 1, 2)]
+        assert next(rngs, None) is None
+        whole = sample_innovation_rows(model, substreams(3, (1, 77), range(7)), 7, 77)
+        assert np.array_equal(np.concatenate(chunks), whole)
