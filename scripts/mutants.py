@@ -77,7 +77,10 @@ MUTANTS = [
     ("2.0 * math.log(x)", "math.log(x)"),
     ("math.exp(-0.5 * a * a)", "math.exp(-a * a)"),
     ("0.0 < sigma * sigma < math.inf", "0.0 <= sigma * sigma < math.inf"),
-    ('"standard_normal"), sigma, out=out)', '"standard_normal"), sigma * sigma, out=out)'),
+    ('"standard_normal")\n    return out if sigma == 1.0 else np.multiply(out, sigma, out=out)',
+     '"standard_normal")\n    return out if sigma == 1.0 else np.multiply(out, sigma * sigma, out=out)'),
+    # The pass skipped at every sigma, not only at 1 (where x * 1.0 is x).
+    ("return out if sigma == 1.0 else", "return out if sigma > 0.0 else"),
     # The pareto2 and rademacher signs: numpy's integers(0, 2) is the top bit
     # of each 32-bit half of a Philox word, low half first, and a set bit is
     # +1.  Reading the high half first, or a set bit as -1, moves every sign
@@ -95,14 +98,19 @@ MUTANTS = [
     ("if missing:", "if False:"),
     ("if unknown:", "if False:"),
     # The order of the in-place steps: the normal limit law reads z1 after
-    # overwriting it, and least squares takes the raw sum of squares of the
-    # lagged series after centring it.
+    # overwriting it.
     ("                u = a21 * z1\n                z1 *= a11\n",
      "                z1 *= a11\n                u = a21 * z1\n"),
-    ("        sum_sq = np.sum(np.multiply(x, x, out=work), axis=1)\n"
-     "        x -= xbar[:, np.newaxis]\n",
-     "        x -= xbar[:, np.newaxis]\n"
-     "        sum_sq = np.sum(np.multiply(x, x, out=work), axis=1)\n"),
+    # The singular-design guard's raw sum of squares without its n*xbar^2
+    # term, which is the centred sum itself: the guard then holds only where
+    # that sum is 0, and a raw sum that overflows is not refused.  The guard
+    # tests of tests/test_estimator.py see both (exactly constant rows, as in
+    # the all-singular report, stay singular).
+    ("sum_sq = sxx + n * xbar**2", "sum_sq = sxx"),
+    # The closed form's cached block plan keyed by the root alone: a second
+    # length at the same root takes the first one's weights, which the
+    # cold-call test of tests/test_process.py sees.
+    ("key = (rho, n)", "key = rho"),
     # The blocked closed form of the recursion: the factor rho^s on each
     # carry, a single sweep of the carries (right only while no carry
     # reaches past the next block), and the floor of one term per block that

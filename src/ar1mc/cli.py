@@ -139,8 +139,12 @@ def _cmd_mc(args) -> int:
     report = run_experiment(config, workers=args.workers)
     _write_lines(args.out, [report.to_json()])
     if args.csv:
-        _write_csv(args.csv, "n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular",
-                   report.replication_rows())
+        # Each row as Python floats, whose %r is repr(float); a list of a whole
+        # size would keep about 0.5 MB more in the heap and in each forked worker.
+        _write_lines(args.csv, itertools.chain(
+            ["n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular\n"],
+            ("%d,%d,%r,%r,%r,%r,%d\n" % (n, r, *row.tolist())
+             for n, block in zip(config.n_list, report.rows) for r, row in enumerate(block))))
     return 0
 
 

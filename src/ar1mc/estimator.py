@@ -46,29 +46,29 @@ class LsEstimate:
     delta3: float
 
 
-def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.ndarray]:
+def ls_rows(y0: float, y: np.ndarray, e: np.ndarray, scratch=None) -> tuple[LsEstimate, np.ndarray]:
     """Least squares for each row of paths ``y`` (shape (rows, n)), all from y0.
 
     Returns an LsEstimate whose fields are arrays with one entry per row,
     and the mask of rows whose design is singular; there the estimates and
     Delta1/Delta2 are NaN and Delta3 keeps its value.  Every sum runs along
     a C-contiguous row, so each row gets the same pairwise sums, and hence
-    the same floats, as it would on its own.
+    the same floats, as it would on its own.  A C-contiguous ``scratch`` of
+    shape (2, rows, n), if given, takes the lagged series and the products.
     """
     rows, n = y.shape
     if n < 2:
         raise ValueError("need n >= 2 observations")
-    x = np.empty_like(y)
+    x, work = np.empty((2, rows, n)) if scratch is None else scratch  # x is centred in place
     x[:, 0] = y0
     x[:, 1:] = y[:, :-1]
-    work = np.empty_like(y)  # each product before its sum; x is centred in place
     # Overflow is refused below and singular rows are masked before any
     # division, so no warning is left for numpy to raise.
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = np.mean(x, axis=1)
-        sum_sq = np.sum(np.multiply(x, x, out=work), axis=1)
         x -= xbar[:, np.newaxis]
         sxx = np.sum(np.multiply(x, x, out=work), axis=1)
+        sum_sq = sxx + n * xbar**2  # sum(x^2), no cancellation (Chan, Golub & LeVeque 1983)
         delta3 = n * sxx
         if not (np.all(np.isfinite(delta3)) and np.all(np.isfinite(sum_sq))):
             raise OverflowError(

@@ -123,6 +123,12 @@ def _draw_rows(rngs, out, draw, signed=False):
     return np.invert(words, out=words).view(np.int32)[:, :out.shape[1]] if signed else out
 
 
+def _gaussian_fill(rngs, out, sigma):
+    """sigma * ``standard_normal()``, with no pass at sigma = 1 (x * 1.0 is x bit for bit)."""
+    _draw_rows(rngs, out, "standard_normal")
+    return out if sigma == 1.0 else np.multiply(out, sigma, out=out)
+
+
 def _uniform_fill(rngs, out, sigma):
     """-a + 2a*U for U = ``random()``: the floats of ``uniform(-a, a)``."""
     a = _half_width(sigma)
@@ -142,8 +148,7 @@ def _pareto_fill(rngs, out, sigma):
 # i from generator i of rngs, the arithmetic once per chunk (sigma None if unused).
 _Law = namedtuple("_Law", "takes_sigma finite_variance ell fill")
 _LAWS = {
-    "gaussian": _Law(True, True, _gaussian_ell, lambda rngs, out, sigma: np.multiply(
-        _draw_rows(rngs, out, "standard_normal"), sigma, out=out)),
+    "gaussian": _Law(True, True, _gaussian_ell, _gaussian_fill),
     "uniform": _Law(True, True, _uniform_ell, _uniform_fill),
     # symmetric +/-1: l(x) = 1{x >= 1}
     "rademacher": _Law(False, True, lambda x, sigma: 1.0 if x >= 1.0 else 0.0,
@@ -218,17 +223,11 @@ def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def sample_innovation_rows(model: InnovationModel, rngs, rows: int, n: int) -> np.ndarray:
-    """``rows`` rows of ``n`` innovations, row i from the i-th generator that
-    the iterator ``rngs`` yields (see ``rng.substreams``).
-
-    Exactly ``rows`` generators are taken, so the next call on ``rngs``
-    starts at the next stream; row i equals ``model.sample`` on its
-    generator alone.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _LAWS[model.id].fill(rngs, np.empty((int(rows), int(n))), model.sigma)
+def sample_innovation_rows(model: InnovationModel, rngs, out: np.ndarray) -> np.ndarray:
+    """Fills and returns ``out`` (rows, n), row i from the i-th generator that
+    the iterator ``rngs`` yields (see ``rng.substreams``), and takes no more:
+    the next call starts at the next stream.  Row i equals ``model.sample``."""
+    return _LAWS[model.id].fill(rngs, out, model.sigma)
 
 
 # --- the b_n sequence ------------------------------------------------------

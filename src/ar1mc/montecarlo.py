@@ -30,8 +30,7 @@ from .estimator import ls_estimate, ls_rows  # noqa: F401
 from .innovations import (_CHUNK_ELEMENTS, ConfigError, ConfigValue, InnovationModel, _finite_real,
                           sample_innovation_rows)
 from .limits import error_rates, sample_limit
-from .process import Regime, path_root, recurse_rows
-from .process import simulate_path  # noqa: F401
+from .process import Regime, path_root, recurse_rows, simulate_path  # noqa: F401
 from .rng import derive_seed, substreams
 
 __all__ = ["ConfigError", "ExperimentConfig", "McReport", "run_experiment", "ks_two_sample",
@@ -111,7 +110,7 @@ class McReport:
     # {"comp1": summary, "comp2": summary, "component_correlation": ...}
     limit: dict
     rate_fit: dict | None
-    # The replication_rows columns after n and r; not written to the JSON.
+    # The mc --csv columns after n and r; not written to the JSON.
     rows: np.ndarray = field(repr=False)
 
     def to_json(self) -> str:
@@ -121,12 +120,6 @@ class McReport:
             "limit": self.limit,
             "rate_fit": self.rate_fit,
         }, indent=2, sort_keys=True) + "\n"
-
-    def replication_rows(self):
-        """Rows (n, r, mu_hat, rho_hat, scaled_mu, scaled_rho, singular)."""
-        for n, block in zip(self.config.n_list, self.rows):
-            for r, (mu_h, rho_h, s_mu, s_rho, sing) in enumerate(block):
-                yield n, r, mu_h, rho_h, s_mu, s_rho, int(sing)
 
 
 # --- elementary diagnostics -------------------------------------------------
@@ -211,7 +204,7 @@ def _replicate_block(payload):
 
     ``rho`` is the root ``path_root`` accepted for size n.  Returns one
     row (mu_hat, rho_hat, mu error, rho error, singular) per replication,
-    with NaN estimates where the design is singular.  The errors are the
+    NaN but for the flag where the design is singular.  The errors are the
     Delta ratios, which equal (mu_hat - mu, rho_hat - rho_n) exactly for
     the generating truth but keep their own relative precision below
     ulp(rho_hat), where literal subtraction of the rounded estimates
@@ -226,13 +219,13 @@ def _replicate_block(payload):
     rho, mu, y0, model, n, seed, r_lo, r_hi = payload
     rngs = substreams(seed, (_PATH_STREAM, n), range(r_lo, r_hi))
     out = np.empty((r_hi - r_lo, 5))
-    step = max(1, _CHUNK_ELEMENTS // n)
+    step = min(r_hi - r_lo, max(1, _CHUNK_ELEMENTS // n))
+    buffers = np.empty((3, step, n))  # each chunk's innovations, lagged series and products
     for lo in range(0, r_hi - r_lo, step):
-        e = sample_innovation_rows(model, rngs, min(step, r_hi - r_lo - lo), n)
-        est, singular = ls_rows(y0, recurse_rows(mu, rho, y0, e), e)
-        delta3 = np.where(singular, 1.0, est.delta3)
+        e = sample_innovation_rows(model, rngs, buffers[0, :r_hi - r_lo - lo])
+        est, singular = ls_rows(y0, recurse_rows(mu, rho, y0, e), e, buffers[1:, :len(e)])
         out[lo:lo + len(e)] = np.column_stack(
-            [est.mu_hat, est.rho_hat, est.delta1 / delta3, est.delta2 / delta3, singular])
+            [est.mu_hat, est.rho_hat, est.delta1 / est.delta3, est.delta2 / est.delta3, singular])
     return out
 
 

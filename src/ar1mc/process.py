@@ -126,6 +126,7 @@ def path_root(regime: Regime, mu: float, y0: float, n: int) -> float:
 # so |mu + e| from about 2^-672 to 2^674 (1e-202 to 1e202) is weighted
 # inside the normal double range.
 _SPAN = 700
+_PLAN = [None, None]  # _closed_form's last (rho, n) and (size, blocks, s, p, w), p, w read-only
 
 
 def _powers(rho: float, k: np.ndarray) -> np.ndarray:
@@ -158,12 +159,17 @@ def _closed_form(e: np.ndarray, rho: float, start: float, mu: float) -> np.ndarr
     """
     rows, n = e.shape
     explosive = abs(rho) > 1
-    halvings = -math.log2(abs(rho)) if rho else math.inf  # log2(1/|rho|)
-    size = n if halvings <= 0 else max(1, min(n, int(_SPAN / halvings)))
-    blocks = -(-n // size)
-    s = 0 if explosive else (size + 1) // 2
-    k = np.arange(1 - s, size + 1 - s)
-    p, w = _powers(rho, k), np.tile(_powers(rho, -k), blocks)[:n]
+    key = (rho, n)
+    if _PLAN[0] != key:  # the chunks of a replication block share one plan
+        halvings = -math.log2(abs(rho)) if rho else math.inf  # log2(1/|rho|)
+        size = n if halvings <= 0 else max(1, min(n, int(_SPAN / halvings)))
+        blocks = -(-n // size)
+        s = 0 if explosive else (size + 1) // 2
+        k = np.arange(1 - s, size + 1 - s)
+        p, w = _powers(rho, k), np.tile(_powers(rho, -k), blocks)[:n]
+        p.flags.writeable = w.flags.writeable = False
+        _PLAN[:] = key, (size, blocks, s, p, w)
+    size, blocks, s, p, w = _PLAN[1]
     y = np.empty((rows, blocks, size))
     flat = y.reshape(rows, blocks * size)
     x = e if explosive else np.add(e, mu, out=flat[:, :n])
@@ -215,14 +221,8 @@ def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
     return y
 
 
-def simulate_path(
-    regime: Regime,
-    mu: float,
-    y0: float,
-    model: InnovationModel,
-    n: int,
-    seed: int,
-) -> Ar1Path:
+def simulate_path(regime: Regime, mu: float, y0: float, model: InnovationModel, n: int,
+                  seed: int) -> Ar1Path:
     """Simulate y_1..y_n under ``regime`` with innovations from ``model``."""
     rho = path_root(regime, mu, y0, n)
     e = sample_innovations(model, n, seed)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ar1mc.estimator import SingularDesignError, ls_estimate, ls_rows
+from ar1mc.estimator import _SINGULAR_EPS, SingularDesignError, ls_estimate, ls_rows
 from ar1mc.innovations import InnovationModel, compute_bn, ell_at_bn
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
@@ -145,6 +145,61 @@ class TestClosedForm:
         got = (est.delta1[0] / est.delta3[0], est.delta2[0] / est.delta3[0])
         for value, want in zip(got, exact_delta_ratios(path)):
             assert abs(value - want) <= bound * abs(want), (value, float(want))
+
+
+def guard_decisions(x):
+    """ls_rows' (overflow, singular) on the lagged series ``x`` of one path."""
+    y = np.append(x[1:], 0.0)[np.newaxis]  # y_n is not a regressor
+    try:
+        return False, bool(ls_rows(float(x[0]), y, np.zeros_like(y))[1][0])
+    except OverflowError:
+        return True, None
+
+
+def raw_guard_decisions(x):
+    """The same decisions from the raw sum of squares of ``x``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_sq = np.sum(x * x)
+        delta3 = x.size * np.sum((x - np.mean(x)) ** 2)
+    if not (np.isfinite(delta3) and np.isfinite(sum_sq)):
+        return True, None
+    return False, bool(delta3 <= _SINGULAR_EPS * x.size * sum_sq)
+
+
+class TestSingularGuard:
+    """ls_rows derives the guard's sum(x^2) as sum((x - xbar)^2) + n*xbar^2;
+    each path's singular and overflow decisions are those of the raw sum."""
+
+    @staticmethod
+    def decisions(rows):
+        got = [guard_decisions(x) for x in rows]
+        assert got == [raw_guard_decisions(x) for x in rows]
+        return got
+
+    def test_random_rows_across_the_threshold(self):
+        # spread/mean from 1e-8 to 1e-4: singular below about 1e-6
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 50, 777):
+            mean = rng.normal(0.0, 10.0, (400, 1))
+            spread = np.abs(mean) * 10.0 ** rng.uniform(-8.0, -4.0, (400, 1))
+            singular = [s for _, s in self.decisions(mean + spread * rng.standard_normal((400, n)))]
+            assert 0 < sum(singular) < len(singular)  # both sides are reached
+
+    def test_near_constant_rows(self):
+        # sigma = 1e-100 vanishes next to 2 but not next to 1e-93, where the
+        # rows are singular with a nonzero centred sum; around 0 they are not
+        rng = np.random.default_rng(6)
+        for mean in (2.0, 1e-93, -3e-94, 0.0):
+            got = self.decisions(mean + 1e-100 * rng.standard_normal((50, 200)))
+            assert got == [(False, mean != 0.0)] * 50
+
+    def test_rows_near_the_overflow_edge(self):
+        # x^2 near 1e308: the sums overflow for some rows and not for others
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 10):
+            x = 1e154 * rng.uniform(0.05, 1.5, (300, 1)) * rng.uniform(-1.0, 1.0, (300, n))
+            overflows = [o for o, _ in self.decisions(x)]
+            assert 0 < sum(overflows) < len(overflows)
 
 
 class TestEquivariance:

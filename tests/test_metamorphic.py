@@ -147,7 +147,7 @@ def test_negation_negates_the_mu_error_only(model, n):
     # sum at 1 and the explosive closed form.  The tiny-sigma model keeps
     # the path at the fixed point y0 = mu/(1 - rho) = 2, so its rows are
     # singular where rho is 0.5.
-    e = sample_innovation_rows(model, substreams(11, (n,), range(6)), 6, n)
+    e = sample_innovation_rows(model, substreams(11, (n,), range(6)), np.empty((6, n)))
     for rho in (0.5, -0.9, 1.0 - 2.0 / n, 1.0, 1.0 + n ** -0.5, 1.2 ** (60 / n), -1.3 ** (60 / n)):
         for mu, y0 in ((1.0, 2.0), (-0.3, 5.0), (0.0, -1.0)):
             est, singular = ls_rows(y0, recurse_rows(mu, rho, y0, e), e)
@@ -165,7 +165,7 @@ def test_negation_negates_the_mu_error_only(model, n):
 def test_signed_power_of_two_scales_the_mu_error_only(model, regime, n, j, sign, mu, y0):
     k = sign * 2.0 ** j
     rho = path_root(regime, mu, y0, n)
-    e = sample_innovation_rows(model, substreams(11, (n,), range(6)), 6, n)
+    e = sample_innovation_rows(model, substreams(11, (n,), range(6)), np.empty((6, n)))
     est, singular = ls_rows(y0, recurse_rows(mu, rho, y0, e), e)
     out, out_singular = ls_rows(k * y0, recurse_rows(k * mu, rho, k * y0, k * e), k * e)
     assert np.array_equal(out_singular, singular)

@@ -354,7 +354,7 @@ class TestRunExperiment:
         assert doc["rate_fit"] is None  # two sizes: no slope fit
         assert doc["limit"]["comp2"]["count"] == 2000
         assert rep.rows.shape == (2, 120, 5)
-        # replication_rows are the rows of the mc --csv file, as floats
+        # the rows array holds the mc --csv columns after n and r, as floats
         config, csv = tmp_path / "exp.json", tmp_path / "reps.csv"
         config.write_text(json.dumps(cfg.to_dict()))
         assert main(["mc", "--config", str(config), "--csv", str(csv)]) == 0
@@ -362,7 +362,8 @@ class TestRunExperiment:
         header, *lines = csv.read_text().splitlines()
         assert header == "n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular"
         assert [tuple(map(float, line.split(","))) for line in lines] == [
-            tuple(map(float, row)) for row in rep.replication_rows()]
+            (n, r, *row) for n, block in zip(cfg.n_list, rep.rows.tolist())
+            for r, row in enumerate(block)]
 
     @pytest.mark.parametrize("model, valid_sizes", [(InnovationModel("gaussian", 1.0), 2),
                                                     (InnovationModel("gaussian", 1e-100), 0)],
@@ -423,10 +424,9 @@ class TestRunExperiment:
 
     def test_replication_rows_shape(self):
         rep = run_experiment(small_config())
-        rows = list(rep.replication_rows())
-        assert len(rows) == 120
-        n, r, mu_h, rho_h, s_mu, s_rho, sing = rows[0]
-        assert (n, r, sing) == (100, 0, 0)
+        assert rep.rows.shape == (1, 120, 5)
+        mu_h, rho_h, s_mu, s_rho, sing = rep.rows[0, 0]
+        assert sing == 0.0
         assert math.isfinite(mu_h) and math.isfinite(s_rho)
 
     def test_rate_fit_present_with_three_sizes(self):

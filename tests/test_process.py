@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
 from ar1mc.innovations import ConfigError, InnovationModel, sample_innovations
-from ar1mc.process import Ar1Path, Regime, recurse_rows, resolve_rho, simulate_path
+from ar1mc.process import _PLAN, Ar1Path, Regime, recurse_rows, resolve_rho, simulate_path
 from paper_lemmas import companion_series, disc_path, lagged, refit_residual
 
 
@@ -241,6 +241,28 @@ class TestUnitRootRecursion:
         ours = recurse_rows(mu, rho, 0.0, e)
         kernel = lfilter([1.0], [1.0, -rho], mu + e, axis=1)
         assert np.all(np.abs(ours - kernel) <= 4 * EPS * abs(mu) / (1 - abs(rho)))
+
+
+class TestBlockPlans:
+    """_closed_form keeps the block plan of the last (rho, n) it met."""
+
+    def test_cached_plan_is_read_only(self):
+        recurse_rows(0.0, 0.5, 0.0, np.zeros((1, 2000)))
+        assert _PLAN[0] == (0.5, 2000)
+        *_, p, w = _PLAN[1]
+        for values in (p, w):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    @pytest.mark.parametrize("rho", [0.5, -0.9, 1.2])
+    def test_warm_calls_equal_cold_calls(self, rho):
+        e = innovation_rows(InnovationModel("pareto2"))
+        cold = []
+        for n in (777, 500):
+            _PLAN[:] = None, None
+            cold.append(recurse_rows(1.0, rho, 0.5, e[:, :n]))
+        for n, want in zip((777, 500), cold):
+            assert np.array_equal(recurse_rows(1.0, rho, 0.5, e[:, :n]), want)
 
 
 class TestCompanions:

@@ -58,7 +58,7 @@ class TestSubstreamRows:
         # odd lengths leave a cached half word in the bit generator (pareto2
         # and rademacher draw 32-bit integers), which re-counting must clear
         model = InnovationModel(model_id)
-        rows = sample_innovation_rows(model, substreams(3, (1, 77), range(6)), 6, 77)
+        rows = sample_innovation_rows(model, substreams(3, (1, 77), range(6)), np.empty((6, 77)))
         expected = [model.sample(fresh_stream(3, 1, 77, r), 77) for r in range(6)]
         assert np.array_equal(rows, np.array(expected))
 
@@ -67,7 +67,7 @@ class TestSubstreamRows:
         # a block's chunks share one iterator: each takes exactly its rows
         model = InnovationModel(model_id)
         rngs = substreams(3, (1, 77), range(7))
-        chunks = [sample_innovation_rows(model, rngs, rows, 77) for rows in (4, 1, 2)]
+        chunks = [sample_innovation_rows(model, rngs, np.empty((rows, 77))) for rows in (4, 1, 2)]
         assert next(rngs, None) is None
-        whole = sample_innovation_rows(model, substreams(3, (1, 77), range(7)), 7, 77)
+        whole = sample_innovation_rows(model, substreams(3, (1, 77), range(7)), np.empty((7, 77)))
         assert np.array_equal(np.concatenate(chunks), whole)
