@@ -136,6 +136,10 @@ MUTANTS = [
     # strict parse of a P5 report with a point-mass limit sees it.
     ("        return None\n    return sums[2] / denom",
      '        return float("nan")\n    return sums[2] / denom'),
+    # A CSV row format with 16 significant digits in place of repr, which
+    # does not round-trip every float: the limit-sample pins of
+    # tests/test_cli.py and its bit-for-bit parse of the law see it.
+    ('"draw,comp1,comp2", "%d,%r,%r\\n"', '"draw,comp1,comp2", "%d,%.16g,%.16g\\n"'),
 ]
 # The other exact-arithmetic oracles (the P5 and P6 factor entries,
 # ``error_rates`` and ``ls_rows``) have no mutant that they alone kill: the

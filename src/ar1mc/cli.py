@@ -9,8 +9,9 @@ Subcommands:
 Each command writes its one output to --out, or the same bytes to stdout.
 Exit codes: 0 success, 1 runtime, I/O or out-of-memory error, 2 usage or
 config error.
-Numbers are written in shortest round-trip decimal form, so files parse
-back to bit-identical floats.
+Each CSV row is one %-format of Python ints and floats, and floats are
+written with repr: shortest round-trip decimal form, so files parse back
+to bit-identical floats.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ _USAGE_EXIT = 2
 _RUNTIME_EXIT = 1
 
 
-def _fmt(v) -> str:
-    """One CSV field: None as empty, ints as they are, floats in shortest
-    round-trip form."""
-    if v is None:
-        return ""
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
-
-
 def _law_from_flags(args) -> tuple[Regime, InnovationModel]:
     return (Regime(args.regime, rho=args.rho, c=args.c, alpha=args.alpha),
             InnovationModel(args.model, args.sigma))
@@ -58,9 +49,11 @@ def _write_lines(path: str | None, lines) -> None:
         fh.writelines(lines)
 
 
-def _write_csv(path: str | None, header: str, rows) -> None:
-    _write_lines(path, itertools.chain([header + "\n"],
-                                       (",".join(map(_fmt, row)) + "\n" for row in rows)))
+def _write_csv(path: str | None, header: str, fmt: str, rows) -> None:
+    """Writes ``header`` and then ``fmt % row`` for each row of Python ints and
+    floats, whose %r is repr(float).  Rows are made one at a time: a list of a
+    whole column would hold 32 bytes per number (130 MB for 2e6 rows of two)."""
+    _write_lines(path, itertools.chain([header + "\n"], (fmt % row for row in rows)))
 
 
 # --- subcommand implementations ---------------------------------------------
@@ -69,8 +62,9 @@ def _write_csv(path: str | None, header: str, rows) -> None:
 def _cmd_simulate(args) -> int:
     regime, model = _law_from_flags(args)
     path = simulate_path(regime, args.mu, args.y0, model, args.n, args.seed)
-    rows = zip(range(1, path.n + 1), path.y, path.e)
-    _write_csv(args.out, "t,y,e", itertools.chain([(0, path.y0, None)], rows))
+    # t = 0 has no innovation, so its row is written as part of the header
+    _write_csv(args.out, "t,y,e\n0,%r," % path.y0, "%d,%r,%r\n",
+               ((t, float(y), float(e)) for t, y, e in zip(itertools.count(1), path.y, path.e)))
     return 0
 
 
@@ -119,7 +113,8 @@ def _cmd_limit_sample(args) -> int:
         raise ConfigError(f"--y0 enters only the P2 limit law, not the {regime.tag} law")
     draws = sample_limit(regime, args.mu, model, draws=args.draws, seed=args.seed,
                          y0=0.0 if args.y0 is None else args.y0)
-    _write_csv(args.out, "draw,comp1,comp2", zip(range(len(draws)), draws[:, 0], draws[:, 1]))
+    _write_csv(args.out, "draw,comp1,comp2", "%d,%r,%r\n",
+               ((i, *row.tolist()) for i, row in enumerate(draws)))
     return 0
 
 
@@ -139,12 +134,10 @@ def _cmd_mc(args) -> int:
     report = run_experiment(config, workers=args.workers)
     _write_lines(args.out, [report.to_json()])
     if args.csv:
-        # Each row as Python floats, whose %r is repr(float); a list of a whole
-        # size would keep about 0.5 MB more in the heap and in each forked worker.
-        _write_lines(args.csv, itertools.chain(
-            ["n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular\n"],
-            ("%d,%d,%r,%r,%r,%r,%d\n" % (n, r, *row.tolist())
-             for n, block in zip(config.n_list, report.rows) for r, row in enumerate(block))))
+        _write_csv(args.csv, "n,r,mu_hat,rho_hat,scaled_mu,scaled_rho,singular",
+                   "%d,%d,%r,%r,%r,%r,%d\n",
+                   ((n, r, *row.tolist())
+                    for n, block in zip(config.n_list, report.rows) for r, row in enumerate(block)))
     return 0
 
 

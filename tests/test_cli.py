@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from ar1mc.cli import main
 from ar1mc.estimator import ls_estimate
-from ar1mc.innovations import InnovationModel
+from ar1mc.innovations import _CHUNK_ELEMENTS, InnovationModel
+from ar1mc.limits import sample_limit
 from ar1mc.process import Regime, simulate_path
 from ar1mc.rng import DEFAULT_SEED
 
@@ -184,6 +185,24 @@ class TestLimitSample:
         first = lines[1].split(",")
         assert first[0] == "0"
         float(first[1]); float(first[2])
+
+    @pytest.mark.parametrize("argv, regime, model, draws, y0", [
+        (["--regime", "P6", "--c", "1", "--alpha", "0.5"], Regime("P6", c=1.0, alpha=0.5),
+         InnovationModel("gaussian"), _CHUNK_ELEMENTS + 3, 0.0),
+        # 471 draws to a chunk at rho = 1.5
+        (["--regime", "P2", "--rho", "1.5", "--model", "pareto2", "--y0", "-2.5"],
+         Regime("P2", rho=1.5), InnovationModel("pareto2"), 1000, -2.5),
+    ], ids=["P6", "P2-pareto2-y0"])
+    def test_csv_is_the_law_bit_for_bit(self, tmp_path, capsys, argv, regime, model, draws, y0):
+        out = tmp_path / "lim.csv"
+        code, _, _ = run(["limit-sample", *argv, "--mu", "2", "--draws", str(draws), "--seed", "3",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        law = sample_limit(regime, 2.0, model, draws=draws, seed=3, y0=y0)
+        assert [int(row[0]) for row in rows] == list(range(draws))
+        for j in (0, 1):
+            assert [float(row[j + 1]).hex() for row in rows] == [x.hex() for x in law[:, j].tolist()]
 
     def test_truncation_flag_is_a_usage_error(self, capsys):
         # the P2 series cutoff is derived from rho, never set
