@@ -52,14 +52,16 @@ def ls_rows(y0: float, y: np.ndarray, e: np.ndarray, scratch=None) -> tuple[LsEs
     Returns an LsEstimate whose fields are arrays with one entry per row,
     and the mask of rows whose design is singular; there the estimates and
     Delta1/Delta2 are NaN and Delta3 keeps its value.  Every sum runs along
-    a C-contiguous row, so each row gets the same pairwise sums, and hence
-    the same floats, as it would on its own.  A C-contiguous ``scratch`` of
-    shape (2, rows, n), if given, takes the lagged series and the products.
+    a row, so each row gets the same pairwise sums, and hence the same
+    floats, as it would on its own.  A C-contiguous (rows, n) ``scratch``
+    takes the lagged series, and ``y`` and ``e`` are consumed as the work
+    space of their own products; without it the caller keeps them.
     """
     rows, n = y.shape
     if n < 2:
         raise ValueError("need n >= 2 observations")
-    x, work = np.empty((2, rows, n)) if scratch is None else scratch  # x is centred in place
+    x, y_work = np.empty((2, rows, n)) if scratch is None else (scratch, y)
+    e_work = e if y_work is y else y_work  # without scratch, one array takes both products
     x[:, 0] = y0
     x[:, 1:] = y[:, :-1]
     # Overflow is refused below and singular rows are masked before any
@@ -67,7 +69,10 @@ def ls_rows(y0: float, y: np.ndarray, e: np.ndarray, scratch=None) -> tuple[LsEs
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = np.mean(x, axis=1)
         x -= xbar[:, np.newaxis]
-        sxx = np.sum(np.multiply(x, x, out=work), axis=1)
+        zbar = np.mean(y, axis=1)
+        np.subtract(y, zbar[:, np.newaxis], out=y_work)
+        sxy = np.sum(np.multiply(x, y_work, out=y_work), axis=1)
+        sxx = np.sum(np.multiply(x, x, out=y_work), axis=1)
         sum_sq = sxx + n * xbar**2  # sum(x^2), no cancellation (Chan, Golub & LeVeque 1983)
         delta3 = n * sxx
         if not (np.all(np.isfinite(delta3)) and np.all(np.isfinite(sum_sq))):
@@ -76,13 +81,11 @@ def ls_rows(y0: float, y: np.ndarray, e: np.ndarray, scratch=None) -> tuple[LsEs
             )
         singular = delta3 <= _SINGULAR_EPS * n * sum_sq
         sxx = np.where(singular, 1.0, sxx)
-        zbar = np.mean(y, axis=1)
-        np.subtract(y, zbar[:, np.newaxis], out=work)
-        rho_hat = np.sum(np.multiply(x, work, out=work), axis=1) / sxx
+        rho_hat = sxy / sxx
         mu_hat = zbar - rho_hat * xbar
         ebar = np.mean(e, axis=1)
-        np.subtract(e, ebar[:, np.newaxis], out=work)
-        sxe = np.sum(np.multiply(x, work, out=work), axis=1)
+        np.subtract(e, ebar[:, np.newaxis], out=e_work)
+        sxe = np.sum(np.multiply(x, e_work, out=e_work), axis=1)
         delta1 = n * (ebar * sxx - xbar * sxe)
         delta2 = n * sxe
     for values in (mu_hat, rho_hat, delta1, delta2):

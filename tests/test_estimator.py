@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ar1mc.estimator import _SINGULAR_EPS, SingularDesignError, ls_estimate, ls_rows
-from ar1mc.innovations import InnovationModel, compute_bn, ell_at_bn
+from ar1mc.innovations import (_CHUNK_ELEMENTS, InnovationModel, compute_bn, ell_at_bn,
+                               sample_innovation_rows)
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
-from ar1mc.process import Ar1Path, Regime, resolve_rho, simulate_path
+from ar1mc.process import Ar1Path, Regime, path_root, recurse_rows, resolve_rho, simulate_path
+from ar1mc.rng import substreams
 from paper_lemmas import exact_delta_ratios, normal_equations_oracle
 
 
@@ -145,6 +148,40 @@ class TestClosedForm:
         got = (est.delta1[0] / est.delta3[0], est.delta2[0] / est.delta3[0])
         for value, want in zip(got, exact_delta_ratios(path)):
             assert abs(value - want) <= bound * abs(want), (value, float(want))
+
+
+# Chunks as the block engine makes them.  The closed form pads its rows to
+# whole blocks (of 700 terms at rho = 0.5 from n = 2001, of 4605 at -0.9 at
+# n = 5000), so y reaches ls_rows as a strided view there; P2 and P3 rows
+# are whole.
+@pytest.mark.parametrize("n", [600, 2001, 4096, 5000])
+@pytest.mark.parametrize("regime", [Regime("P1", rho=0.5), Regime("P1", rho=-0.9),
+                                    Regime("P2", rho=1.05), Regime("P3")],
+                         ids=["P1-0.5", "P1--0.9", "P2", "P3"])
+@pytest.mark.parametrize("bufsize", [8192, 1024])
+def test_scratch_consumes_y_and_e_for_the_same_bits(regime, n, bufsize):
+    # Without scratch the caller's y and e come back unchanged; with it they
+    # are handed over, and every field keeps its bits, under the default
+    # ufunc buffer and the block engine's.
+    mu, y0 = 1.0, 0.5
+    rows = _CHUNK_ELEMENTS // n
+    e = sample_innovation_rows(InnovationModel("pareto2"), substreams(7, (1, n), range(rows)),
+                               np.empty((rows, n)))
+    y = recurse_rows(mu, path_root(regime, mu, y0, n), y0, e)
+    y[-1] = y0  # a constant lagged series: a singular row
+    kept = y.copy(), e.copy()
+    plain, plain_singular = ls_rows(y0, y, e)
+    for arr, copy in zip((y, e), kept):
+        assert np.array_equal(arr.view(np.int64), copy.view(np.int64))
+    outer = np.setbufsize(bufsize)
+    try:
+        est, singular = ls_rows(y0, y, e, np.empty((rows, n)))
+    finally:
+        np.setbufsize(outer)
+    assert plain_singular.tolist() == singular.tolist() == [False] * (rows - 1) + [True]
+    for field in dataclasses.fields(est):
+        got, want = getattr(est, field.name), getattr(plain, field.name)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), field.name
 
 
 def guard_decisions(x):

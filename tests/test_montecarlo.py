@@ -426,6 +426,20 @@ class TestRunExperiment:
                            seed=11)
         assert run_experiment(cfg).per_n[0]["ks_rho"] < 0.08
 
+    def test_block_engine_restores_the_buffer_size(self):
+        # The blocks run under a ufunc buffer of their own; the caller's comes
+        # back after a run and after a block that raises (mu = 1e200 makes
+        # the lagged series' sums of squares overflow).
+        outer = np.setbufsize(4096)
+        try:
+            run_experiment(small_config(n_list=(600,)), workers=1)
+            assert np.getbufsize() == 4096
+            with pytest.raises(OverflowError, match="sums of squares"):
+                run_experiment(small_config(mu=1e200), workers=1)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(outer)
+
     def test_replication_rows_shape(self):
         rep = run_experiment(small_config())
         assert rep.rows.shape == (1, 120, 5)
