@@ -144,6 +144,12 @@ MUTANTS = [
     # the caller's numpy state does, which only the restore test of
     # tests/test_montecarlo.py sees (after a run and after a raising block).
     ("np.setbufsize(bufsize)", "bufsize"),
+    # Every chunk's centred sums written to the block's first slice: later
+    # chunks overwrite the first one's rows and the block's other rows keep
+    # whatever np.empty held, which the stream-map tests of
+    # tests/test_montecarlo.py (blocks of several chunks) and the golden
+    # registry see.
+    ("sums[:, lo:lo + len(e)]", "sums[:, :len(e)]"),
 ]
 # The other exact-arithmetic oracles (the P5 and P6 factor entries,
 # ``error_rates`` and ``ls_rows``) have no mutant that they alone kill: the

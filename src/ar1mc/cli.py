@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -70,12 +71,12 @@ def _cmd_simulate(args) -> int:
 
 def _read_path_csv(filename: str) -> Ar1Path:
     """The path in a CSV as ``simulate`` writes it.  A file holds no
-    generating truth, so its ``mu`` and ``rho`` are NaN."""
+    generating truth, so its ``mu`` and ``rho`` are NaN, as is a missing e."""
     with open(filename) as fh:
         header = fh.readline().strip()
         if header != "t,y,e":
             raise ConfigError(f"{filename}: expected header 't,y,e', got {header!r}")
-        ts, ys, es = [], [], []
+        ys, es, in_order = array("d"), array("d"), True
         for line in fh:
             line = line.strip()
             if not line:
@@ -83,21 +84,21 @@ def _read_path_csv(filename: str) -> Ar1Path:
             try:
                 t_str, y_str, e_str = line.split(",")
                 t, y = int(t_str), float(y_str)
-                e = float(e_str) if e_str else None
+                e = float(e_str) if e_str else math.nan
             except ValueError:
                 raise ConfigError(f"{filename}: malformed row {line!r}") from None
-            if not math.isfinite(y) or (e is not None and not math.isfinite(e)):
+            if not math.isfinite(y) or (e_str and not math.isfinite(e)):
                 raise ConfigError(f"{filename}: non-finite value in row {line!r}")
-            ts.append(t)
+            in_order = in_order and t == len(ys)
             ys.append(y)
             es.append(e)
-    if not ts or ts != list(range(len(ts))):
+    if not ys or not in_order:
         raise ConfigError(f"{filename}: rows must cover t = 0..n in order")
-    if len(ts) < 3:
+    if len(ys) < 3:
         raise ConfigError(f"{filename}: need at least t = 0, 1, 2")
-    if any(e is None for e in es[1:]):
+    if np.isnan(np.frombuffer(es)[1:]).any():
         raise ConfigError(f"{filename}: innovation column is required for t >= 1")
-    return Ar1Path(mu=math.nan, rho=math.nan, y0=ys[0], y=np.array(ys[1:]), e=np.array(es[1:]))
+    return Ar1Path(mu=math.nan, rho=math.nan, y0=ys[0], y=np.frombuffer(ys)[1:], e=np.frombuffer(es)[1:])
 
 
 def _cmd_estimate(args) -> int:

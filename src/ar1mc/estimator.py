@@ -46,51 +46,57 @@ class LsEstimate:
     delta3: float
 
 
-def ls_rows(y0: float, y: np.ndarray, e: np.ndarray, scratch=None) -> tuple[LsEstimate, np.ndarray]:
-    """Least squares for each row of paths ``y`` (shape (rows, n)), all from y0.
-
-    Returns an LsEstimate whose fields are arrays with one entry per row,
-    and the mask of rows whose design is singular; there the estimates and
-    Delta1/Delta2 are NaN and Delta3 keeps its value.  Every sum runs along
-    a row, so each row gets the same pairwise sums, and hence the same
-    floats, as it would on its own.  A C-contiguous (rows, n) ``scratch``
-    takes the lagged series, and ``y`` and ``e`` are consumed as the work
-    space of their own products; without it the caller keeps them.
-    """
-    rows, n = y.shape
-    if n < 2:
-        raise ValueError("need n >= 2 observations")
-    x, y_work = np.empty((2, rows, n)) if scratch is None else (scratch, y)
-    e_work = e if y_work is y else y_work  # without scratch, one array takes both products
+def ls_sums(y0: float, y: np.ndarray, e: np.ndarray, x: np.ndarray, sums: np.ndarray) -> None:
+    """Stage 1: writes xbar, zbar, S_xx, S_xy, ebar and S_xe (the centred sums)
+    of each row of the paths ``y`` (rows, n) from y0 into the rows of ``sums``
+    (6, rows).  ``x`` takes the lagged series; ``y`` and ``e`` are consumed as
+    the work space of their own products.  Every sum runs along a row, so a
+    row gets the floats it would get on its own, in whichever chunk it is."""
+    n = y.shape[1]
+    xbar, zbar, sxx, sxy, ebar, sxe = sums
     x[:, 0] = y0
     x[:, 1:] = y[:, :-1]
-    # Overflow is refused below and singular rows are masked before any
-    # division, so no warning is left for numpy to raise.
+    # Overflow is refused by ls_from_sums, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        xbar = np.mean(x, axis=1)
-        x -= xbar[:, np.newaxis]
-        zbar = np.mean(y, axis=1)
-        np.subtract(y, zbar[:, np.newaxis], out=y_work)
-        sxy = np.sum(np.multiply(x, y_work, out=y_work), axis=1)
-        sxx = np.sum(np.multiply(x, x, out=y_work), axis=1)
+        x -= np.divide(np.add.reduce(x, axis=1, out=xbar), n, out=xbar)[:, np.newaxis]
+        y -= np.divide(np.add.reduce(y, axis=1, out=zbar), n, out=zbar)[:, np.newaxis]
+        np.add.reduce(np.multiply(x, y, out=y), axis=1, out=sxy)
+        np.add.reduce(np.multiply(x, x, out=y), axis=1, out=sxx)
+        e -= np.divide(np.add.reduce(e, axis=1, out=ebar), n, out=ebar)[:, np.newaxis]
+        np.add.reduce(np.multiply(x, e, out=e), axis=1, out=sxe)
+
+
+def ls_from_sums(sums: np.ndarray, n: int) -> tuple[LsEstimate, np.ndarray]:
+    """Stage 2: the LsEstimate (one entry per row) and the singular-design mask
+    of the rows whose ``ls_sums`` are ``sums``.  A singular row's estimates and
+    Delta1/Delta2 are NaN; its Delta3 stays.  Refuses the whole block if any
+    row's sums of squares of the lagged series overflow."""
+    xbar, zbar, sxx, sxy, ebar, sxe = sums
+    # Overflow is refused below and singular rows are masked before any division.
+    with np.errstate(over="ignore", invalid="ignore"):
         sum_sq = sxx + n * xbar**2  # sum(x^2), no cancellation (Chan, Golub & LeVeque 1983)
         delta3 = n * sxx
         if not (np.all(np.isfinite(delta3)) and np.all(np.isfinite(sum_sq))):
-            raise OverflowError(
-                "sums of squares of the lagged series overflow double precision"
-            )
+            raise OverflowError("sums of squares of the lagged series overflow double precision")
         singular = delta3 <= _SINGULAR_EPS * n * sum_sq
         sxx = np.where(singular, 1.0, sxx)
         rho_hat = sxy / sxx
         mu_hat = zbar - rho_hat * xbar
-        ebar = np.mean(e, axis=1)
-        np.subtract(e, ebar[:, np.newaxis], out=e_work)
-        sxe = np.sum(np.multiply(x, e_work, out=e_work), axis=1)
         delta1 = n * (ebar * sxx - xbar * sxe)
         delta2 = n * sxe
     for values in (mu_hat, rho_hat, delta1, delta2):
         values[singular] = np.nan
     return LsEstimate(mu_hat, rho_hat, delta1, delta2, delta3), singular
+
+
+def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.ndarray]:
+    """Both stages on the paths ``y`` (rows, n) from y0, which the caller keeps."""
+    rows, n = y.shape
+    if n < 2:
+        raise ValueError("need n >= 2 observations")
+    sums = np.empty((6, rows))
+    ls_sums(y0, y.copy(), e.copy(), np.empty((rows, n)), sums)
+    return ls_from_sums(sums, n)
 
 
 def ls_estimate(path: Ar1Path) -> LsEstimate:
@@ -102,8 +108,7 @@ def ls_estimate(path: Ar1Path) -> LsEstimate:
     est, singular = ls_rows(path.y0, path.y[np.newaxis], path.e[np.newaxis])
     if singular[0]:
         raise SingularDesignError(
-            f"lagged regressor is numerically constant (Delta3={est.delta3[0]:.3e})"
-        )
+            f"lagged regressor is numerically constant (Delta3={est.delta3[0]:.3e})")
     fields = [float(v[0]) for v in (est.mu_hat, est.rho_hat, est.delta1, est.delta2, est.delta3)]
     if not np.all(np.isfinite(fields)):
         raise OverflowError("least-squares estimates overflow double precision")

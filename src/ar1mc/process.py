@@ -116,9 +116,7 @@ def path_root(regime: Regime, mu: float, y0: float, n: int) -> float:
         raise ValueError("mu and y0 must be finite")
     rho = resolve_rho(regime, n)
     if abs(rho) > 1 and n * math.log(abs(rho)) > math.log(_OVERFLOW_LIMIT):
-        raise OverflowError(
-            f"rho^n exceeds {_OVERFLOW_LIMIT:g} at rho={rho}, n={n}; shorten the path"
-        )
+        raise OverflowError(f"rho^n exceeds {_OVERFLOW_LIMIT:g} at rho={rho}, n={n}; shorten the path")
     return rho
 
 

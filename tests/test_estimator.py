@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ar1mc.estimator import _SINGULAR_EPS, SingularDesignError, ls_estimate, ls_rows
+from ar1mc.estimator import (_SINGULAR_EPS, SingularDesignError, ls_estimate, ls_from_sums, ls_rows,
+                             ls_sums)
 from ar1mc.innovations import (_CHUNK_ELEMENTS, InnovationModel, compute_bn, ell_at_bn,
                                sample_innovation_rows)
 from ar1mc.limits import error_rates
@@ -152,17 +153,17 @@ class TestClosedForm:
 
 # Chunks as the block engine makes them.  The closed form pads its rows to
 # whole blocks (of 700 terms at rho = 0.5 from n = 2001, of 4605 at -0.9 at
-# n = 5000), so y reaches ls_rows as a strided view there; P2 and P3 rows
+# n = 5000), so y reaches ls_sums as a strided view there; P2 and P3 rows
 # are whole.
 @pytest.mark.parametrize("n", [600, 2001, 4096, 5000])
 @pytest.mark.parametrize("regime", [Regime("P1", rho=0.5), Regime("P1", rho=-0.9),
                                     Regime("P2", rho=1.05), Regime("P3")],
                          ids=["P1-0.5", "P1--0.9", "P2", "P3"])
 @pytest.mark.parametrize("bufsize", [8192, 1024])
-def test_scratch_consumes_y_and_e_for_the_same_bits(regime, n, bufsize):
-    # Without scratch the caller's y and e come back unchanged; with it they
-    # are handed over, and every field keeps its bits, under the default
-    # ufunc buffer and the block engine's.
+def test_chunk_stage_consumes_y_and_e_for_the_same_bits(regime, n, bufsize):
+    # ls_rows leaves the caller's y and e as they were; ls_sums consumes
+    # them, and every field keeps its bits, under the default ufunc buffer
+    # and the block engine's.
     mu, y0 = 1.0, 0.5
     rows = _CHUNK_ELEMENTS // n
     e = sample_innovation_rows(InnovationModel("pareto2"), substreams(7, (1, n), range(rows)),
@@ -173,15 +174,71 @@ def test_scratch_consumes_y_and_e_for_the_same_bits(regime, n, bufsize):
     plain, plain_singular = ls_rows(y0, y, e)
     for arr, copy in zip((y, e), kept):
         assert np.array_equal(arr.view(np.int64), copy.view(np.int64))
+    sums = np.empty((6, rows))
     outer = np.setbufsize(bufsize)
     try:
-        est, singular = ls_rows(y0, y, e, np.empty((rows, n)))
+        ls_sums(y0, y, e, np.empty((rows, n)), sums)
     finally:
         np.setbufsize(outer)
+    est, singular = ls_from_sums(sums, n)
     assert plain_singular.tolist() == singular.tolist() == [False] * (rows - 1) + [True]
+    assert_same_bits(est, plain)
+
+
+def assert_same_bits(est, want, rows=slice(None)):
     for field in dataclasses.fields(est):
-        got, want = getattr(est, field.name), getattr(plain, field.name)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), field.name
+        got, expected = getattr(est, field.name)[rows], getattr(want, field.name)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), field.name
+
+
+def block_chunks(n, rows, y0=0.5):
+    """(y, e, chunk slices) of a replication block of ``rows`` P1 pareto2
+    paths, cut into chunks as the block engine cuts it (the last one short)."""
+    e = sample_innovation_rows(InnovationModel("pareto2"), substreams(7, (1, n), range(rows)),
+                               np.empty((rows, n)))
+    y = recurse_rows(1.0, 0.5, y0, e).copy()
+    step = _CHUNK_ELEMENTS // n
+    return y, e, [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def block_sums(y0, y, e, chunks):
+    """ls_sums of each chunk of a block, into the block's one (6, rows) array."""
+    sums = np.empty((6, len(y)))
+    for chunk in chunks:
+        ls_sums(y0, y[chunk].copy(), e[chunk].copy(), np.empty(y[chunk].shape), sums[:, chunk])
+    return sums
+
+
+@pytest.mark.parametrize("n", [600, 5000])
+def test_block_stage_matches_each_row_alone(n):
+    # Every chunk mixes singular rows (a constant lagged series, and one
+    # whose spread is below the guard's floor) with ordinary ones; the
+    # block's estimates are those of each row on its own, bit for bit.
+    y0 = 0.5
+    y, e, chunks = block_chunks(n, 2 * (_CHUNK_ELEMENTS // n) + 3, y0)
+    for chunk in chunks:
+        y[chunk.start] = y0
+        y[chunk.stop - 1] = y0 + 1e-9 * e[chunk.stop - 1]
+    marked = {c.start for c in chunks} | {c.stop - 1 for c in chunks}
+    est, singular = ls_from_sums(block_sums(y0, y, e, chunks), n)
+    assert len(chunks) == 3 and np.flatnonzero(singular).tolist() == sorted(marked)
+    for i in range(len(y)):
+        alone, alone_singular = ls_rows(y0, y[i:i + 1], e[i:i + 1])
+        assert alone_singular[0] == singular[i]
+        assert_same_bits(est, alone, slice(i, i + 1))
+
+
+def test_block_refused_for_an_overflow_in_its_last_chunk():
+    # The refusal comes once per block, after every chunk: a block whose
+    # only overflowing row is the last row of its last chunk is refused.
+    n = 600
+    y, e, chunks = block_chunks(n, 2 * (_CHUNK_ELEMENTS // n) + 3)
+    y[-1] *= 1e155
+    sums = block_sums(0.5, y, e, chunks)
+    ls_from_sums(sums[:, :-1], n)  # the other rows alone are not refused
+    with pytest.raises(OverflowError,
+                       match="^sums of squares of the lagged series overflow double precision$"):
+        ls_from_sums(sums, n)
 
 
 def guard_decisions(x):

@@ -541,6 +541,14 @@ class TestStreamMap:
         for doc in json.loads(report.to_json())["per_n"]:
             assert (doc["replications"], doc["valid"], doc["singular"]) == (130, 0, 130)
 
+    def test_chunks_mixing_singular_and_ordinary_rows(self):
+        # innovations of scale 1.74e-6 about the fixed point 2 put the
+        # lagged series' spread near the guard's floor, so about half the
+        # rows of each chunk are singular
+        report = self.check(small_config(model=InnovationModel("gaussian", 1.74e-6), mu=1.0,
+                                         y0=2.0, n_list=(1000, 2000), replications=130))
+        assert all(30 < block["singular"] < 100 for block in report.per_n)
+
 
 class TestNormalizedSums:
     def test_stationary_sums_converge(self):
