@@ -16,8 +16,8 @@ unedited suite fails or no mutant is selected.  Stdlib only.
 Usage: python scripts/mutants.py [SUBSTRING ...]
 
 With substrings, only the mutants whose old or new string holds one of them
-run (``python scripts/mutants.py np.invert`` runs the two sign mutants);
-with none, all of them run.
+run (``python scripts/mutants.py bitorder "np.negative(bits"`` runs the two
+sign mutants); with none, all of them run.
 """
 
 import os
@@ -81,15 +81,15 @@ MUTANTS = [
      '"standard_normal")\n    return out if sigma == 1.0 else np.multiply(out, sigma * sigma, out=out)'),
     # The pass skipped at every sigma, not only at 1 (where x * 1.0 is x).
     ("return out if sigma == 1.0 else", "return out if sigma > 0.0 else"),
-    # The pareto2 and rademacher signs: numpy's integers(0, 2) is the top bit
-    # of each 32-bit half of a Philox word, low half first, and a set bit is
-    # +1.  Reading the high half first, or a set bit as -1, moves every sign
-    # byte; the chunk-fill oracle of tests/test_innovations.py and the golden
-    # registry see both.  Drawing more words than ceil(n/2) is not listed: the
-    # extra words follow the row's last draw, so no value moves.
-    ("np.invert(words, out=words).view(np.int32)",
-     "np.invert(words << 32 | words >> 32, out=words).view(np.int32)"),
-    ("np.invert(words, out=words).view(np.int32)", "words.view(np.int32)"),
+    # The pareto2 and rademacher signs: bit k of raw word j, counted from the
+    # least significant, signs value 64j + k, and a set bit is -1.  Reading
+    # each byte's bits most significant first moves signs but keeps them
+    # fair, which the chunk-fill oracle of tests/test_innovations.py and the
+    # golden registry see; dropping the negation makes every sign +, which
+    # the sign-law test sees too.  Drawing more words than ceil(n/64) is not
+    # listed: the extra words follow the row's last draw, so no value moves.
+    ('bitorder="little"', 'bitorder="big"'),
+    ("return np.negative(bits, out=bits)", "return bits"),
     # The refusals that every caller now shares: least squares on a path
     # whose estimates overflow, and the config reader's three rules (a JSON
     # null, a required key left out, an unknown key).

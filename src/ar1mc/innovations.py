@@ -109,18 +109,20 @@ def _uniform_ell(x, sigma):
 
 def _draw_rows(rngs, out, draw, signed=False):
     """Per row of ``out``, with its generator from ``rngs``: ``rng.<draw>(out=row)``,
-    then if ``signed`` ceil(n/2) raw Philox words, before ``rngs`` advances.
-    Returns ``out``, or if ``signed`` the words' 32-bit halves, low first, as
-    inverted (rows, n) int32: negative where ``integers(0, 2)`` draws 0 (Lemire's
-    method takes a half word's top bit).  ``random_raw`` skips a cached half word,
-    so that holds only with none cached, as for every caller (64-bit draws only)."""
-    words = np.empty((len(out), (out.shape[1] + 1) // 2 * signed), np.uint64)
+    then if ``signed`` ceil(n/64) raw Philox words, before ``rngs`` advances.
+    Returns ``out``, or if ``signed`` the (rows, n) int8 signs: value 64j + k is
+    -1 where bit k of word j, least significant first, is set, else 0 (+)."""
+    words = np.empty((len(out), -(-out.shape[1] // 64) * signed), np.uint64)
     for row, word, rng in zip(out, words, rngs):
         if draw:
             getattr(rng, draw)(out=row)
         if signed:
             word[:] = rng.bit_generator.random_raw(word.size)
-    return np.invert(words, out=words).view(np.int32)[:, :out.shape[1]] if signed else out
+    if not signed:
+        return out
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         count=out.shape[1], bitorder="little").view(np.int8)
+    return np.negative(bits, out=bits)
 
 
 def _gaussian_fill(rngs, out, sigma):
@@ -263,10 +265,8 @@ def _first_true(pred: Callable[[float], bool], lo: float, what: str) -> float:
 @lru_cache(maxsize=256)
 def _positivity_edge(model: InnovationModel) -> float:
     """``b_0``: the smallest float ``x >= 1`` with ``l(x) > 0``."""
-    return _first_true(
-        lambda x: eval_l(model, x) > 0.0, 1.0,
-        f"l(x) of model {model.id!r} never becomes positive below {_S_MAX:g}",
-    )
+    return _first_true(lambda x: eval_l(model, x) > 0.0, 1.0,
+                       f"l(x) of model {model.id!r} never becomes positive below {_S_MAX:g}")
 
 
 def compute_bn(model: InnovationModel, n: int) -> float:

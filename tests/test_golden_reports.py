@@ -119,15 +119,15 @@ CLI_NAMES = ([f"simulate-{label}-{model}" for label in ("P1", "P2", "P3") for mo
              + [f"limit-sample-{label}-gaussian" for label in ("P3", "P6")])
 CLI_PINS = {
     "simulate-P1-gaussian": "16cdc15ca66f3ff60e2722a9e2b6717cebc0a34a407f1c85aa1ca94b79cea80a",
-    "simulate-P1-pareto2": "6707d7d180d973e814cf731a79712961798b9d4aa3dbff80d3d4404f906363da",
+    "simulate-P1-pareto2": "170b07d5ed46ae8e0ae71a1135fd57634efa01862b60e4ce6ebf825ee6b21c09",
     "simulate-P2-gaussian": "b2ecc4360ce65f3c708e6f781951efe01b48c1620a3e1a778c0ba37c8a4dcf1d",
-    "simulate-P2-pareto2": "1b65065ab61578b618216b5fda958bc87914228433040dde3819d749bc733f7c",
+    "simulate-P2-pareto2": "74d9912b0148f3e64ea204a878032b156ea0a7e9bf5767d84849a4726c4a9455",
     "simulate-P3-gaussian": "037f49484063b59cc607f540c679fc192ac88cec05ae67a1c28086e00d772e48",
-    "simulate-P3-pareto2": "c8416a2c6db2b7b6861e5cc2622e8980bd24da4a30da7992904cf53329845b89",
+    "simulate-P3-pareto2": "0bcfbc4feacf41e2a70f5d54e516edde9b41b7b52a8692ffce93bbd71dc55a7a",
     "limit-sample-P1-gaussian": "ea3a2d992302e8a3324f5ab3243f8c747c5a13dd65caec62c833d33cac0eef9c",
     "limit-sample-P1-pareto2": "d3321e3ef59ec983c65866ee2908bb47b9bc52663da58bcb14ca9e7d25a45657",
     "limit-sample-P2-gaussian": "807a76eb400c299c4c051b3f0141c52b223e496dfa974ee6ce7faa56fd720bc3",
-    "limit-sample-P2-pareto2": "a8af637c593c38d6729f75cc835450f90acc9212638676245bbb1988352c1657",
+    "limit-sample-P2-pareto2": "7a3fa0853bf60ff6de292b4e368e3833903eefe5715d63fcbd89556821262986",
     "limit-sample-P5@0.5-gaussian": "6551ff1f7bd1bdc1b4a6872b16ae2b83ab34d7703a95def2c28e97a2ec988b3b",
     "limit-sample-P5@0.5-pareto2": "0a886e10fad19e3fc112a2060a59cac01d938aa51f89d92acd0f3bc5c51512f3",
     "limit-sample-P3-gaussian": "9d46cbdbaaf780759bf3588696eb54269d056b58489a72ac20d79668f7f830dd",

@@ -143,6 +143,15 @@ class TestSampling:
             sample_innovations(InnovationModel("gaussian", 1.0), 0, 1)
 
 
+def sign_bits(rng, n):
+    """``n`` signs read bit by bit from the next ceil(n/64) raw words of ``rng``:
+    value i takes bit i % 64, counted from the least significant, of word i // 64,
+    and a set bit means negative."""
+    words = rng.bit_generator.random_raw(-(-n // 64))
+    i = np.arange(n)
+    return ((words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)) == 1
+
+
 def per_row_formula(model, rng, n):
     """``n`` draws of ``model`` from ``rng`` by the per-row formula, written with
     numpy's own samplers: the reference for the laws' chunk fills."""
@@ -152,9 +161,9 @@ def per_row_formula(model, rng, n):
         a = model.sigma * math.sqrt(3.0)
         return rng.random(n) * (2.0 * a) - a
     if model.id == "rademacher":
-        return rng.integers(0, 2, n) * 2.0 - 1.0
+        return np.where(sign_bits(rng, n), -1.0, 1.0)
     magnitude = 1.0 / np.sqrt(1.0 - rng.random(n))
-    return magnitude * (2 * rng.integers(0, 2, n) - 1)
+    return np.where(sign_bits(rng, n), -magnitude, magnitude)
 
 
 def assert_same_bits(got, expected):
@@ -167,11 +176,12 @@ CHUNK_IDS = ["gaussian", "gaussian@0.5", "uniform", "rademacher", "pareto2", "un
 
 
 class TestChunkFill:
-    """Each law fills a (rows, n) chunk at once, taking its signs from raw
-    Philox words; every value must keep the bits of the per-row formula.
-    Odd n leaves a half word that ``integers(0, 2)`` would cache."""
+    """Each law fills a (rows, n) chunk at once, pareto2 and rademacher taking
+    one sign per bit of ceil(n/64) raw Philox words per row; every value must
+    keep the bits of the per-row formula.  n = 63, 64, 65 and 128 sit at the
+    edges of a word."""
 
-    NS = (1, 2, 51, 77, 2000, 2001)
+    NS = (1, 2, 51, 63, 64, 65, 77, 128, 2000, 2001)
 
     @pytest.mark.parametrize("model", CHUNK_MODELS, ids=CHUNK_IDS)
     def test_rows_keep_the_per_row_bits(self, model):
@@ -181,6 +191,29 @@ class TestChunkFill:
                                      for r in range(rows)])
                 got = sample_innovation_rows(model, substreams(5, (n,), range(rows)), np.empty((rows, n)))
                 assert_same_bits(got, expected)
+
+    def test_pareto_signs_are_fair_and_apart_from_the_magnitudes(self):
+        # 2000 rows of n = 640 (ten sign words each) at a fixed seed.  Each
+        # statistic below is a z-score, standard normal under fair signs
+        # independent of |e|, and is held to |z| <= 5: P(|Z| > 5) = 5.7e-7, so
+        # all 66 hold together with probability above 1 - 4e-5.
+        rows, n = 2000, 640
+        e = sample_innovation_rows(InnovationModel("pareto2"), substreams(9, (n,), range(rows)),
+                                   np.empty((rows, n)))
+        negative = e < 0
+        # each of the 64 bit positions: Binomial(rows * n / 64, 1/2), sd sqrt(count) / 2
+        count = rows * n // 64
+        per_bit = negative.reshape(rows, n // 64, 64).sum(axis=(0, 1))
+        assert np.max(np.abs(per_bit - count / 2)) <= 5 * math.sqrt(count) / 2
+        # all values: Binomial(rows * n, 1/2)
+        total = rows * n
+        assert abs(np.count_nonzero(negative) - total / 2) <= 5 * math.sqrt(total) / 2
+        # Spearman's correlation of the sign with |e| (the sign's ranks are
+        # affine in the sign): mean 0 and sd 1/sqrt(total - 1) under independence
+        ranks = np.empty(total)
+        ranks[np.argsort(np.abs(e).ravel())] = np.arange(total)
+        corr = np.corrcoef(negative.ravel(), ranks)[0, 1]
+        assert abs(corr) <= 5 / math.sqrt(total - 1)
 
     @pytest.mark.parametrize("model", CHUNK_MODELS, ids=CHUNK_IDS)
     def test_sample_keeps_the_per_row_bits(self, model):

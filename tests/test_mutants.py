@@ -26,7 +26,8 @@ def test_each_edit_matches_one_place():
 def test_substrings_select_mutants():
     mutants = _load()
     assert mutants.selected([]) == mutants.MUTANTS
-    signs = mutants.selected(["np.invert"])
-    assert len(signs) == 2 and all("np.invert(words" in old for old, _ in signs)
-    assert mutants.selected(["np.invert", "ddof=1"]) == [("ddof=1", "ddof=0")] + signs
+    signs = mutants.selected(["bitorder", "np.negative(bits"])
+    assert signs == [('bitorder="little"', 'bitorder="big"'),
+                     ("return np.negative(bits, out=bits)", "return bits")]
+    assert mutants.selected(["bitorder", "np.negative(bits", "ddof=1"]) == [("ddof=1", "ddof=0")] + signs
     assert mutants.selected(["no such edit"]) == []

@@ -55,8 +55,8 @@ def test_negative_seed_is_named_seed(make):
 class TestSubstreamRows:
     @pytest.mark.parametrize("model_id", ["gaussian", "uniform", "rademacher", "pareto2"])
     def test_rows_equal_fresh_generators(self, model_id):
-        # odd lengths leave a cached half word in the bit generator (pareto2
-        # and rademacher draw 32-bit integers), which re-counting must clear
+        # pareto2 and rademacher end each row of 77 values part way through
+        # its second sign word; the next row must still start its own stream
         model = InnovationModel(model_id)
         rows = sample_innovation_rows(model, substreams(3, (1, 77), range(6)), np.empty((6, 77)))
         expected = [model.sample(fresh_stream(3, 1, 77, r), 77) for r in range(6)]
