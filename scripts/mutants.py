@@ -55,7 +55,7 @@ MUTANTS = [
     ("ell = model.variance if model.variance is not None else ell_at_bn(model, n)",
      "ell = ell_at_bn(model, n)"),
     ("delta2 = n * sxe", "delta2 = (n - 1) * sxe"),
-    ("x[:, 0] += y0", "x[:, 0] += 0.0"),
+    ("lanes[:, 0, 0] += y0", "lanes[:, 0, 0] += 0.0"),
     ('"replications": R,', '"replications": count,'),
     ('"valid": count,', '"valid": R,'),
     ("np.count_nonzero(valid)", "np.count_nonzero(~valid)"),
@@ -116,7 +116,7 @@ MUTANTS = [
     # reaches past the next block), and the floor of one term per block that
     # keeps rho = 0 (and roots so small that 1/rho nears overflow) from the
     # weight 1/rho.
-    ("        carry[:, 1:] *= lead\n", ""),
+    ("                carry[:, 1:] *= lead\n", ""),
     ("for sweep in range(blocks - 1):", "for sweep in range(min(1, blocks - 1)):"),
     ("max(1, min(n, int(_SPAN / halvings)))", "max(2, min(n, int(_SPAN / halvings)))"),
     # The P3/P4 factor.  The series switch back at |c| = 1e-3: the closed form
@@ -140,9 +140,10 @@ MUTANTS = [
     # does not round-trip every float: the limit-sample pins of
     # tests/test_cli.py and its bit-for-bit parse of the law see it.
     ('"draw,comp1,comp2", "%d,%r,%r\\n"', '"draw,comp1,comp2", "%d,%.16g,%.16g\\n"'),
-    # The block engine's ufunc buffer left set on exit: no value moves, but
-    # the caller's numpy state does, which only the restore test of
-    # tests/test_montecarlo.py sees (after a run and after a raising block).
+    # The ufunc buffer of the block engine and the limit laws left set on
+    # exit: no value moves, but the caller's numpy state does, which only the
+    # restore tests of tests/test_montecarlo.py and tests/test_limits.py see
+    # (after a run or a draw, and after one that raises).
     ("np.setbufsize(bufsize)", "bufsize"),
     # Every chunk's centred sums written to the block's first slice: later
     # chunks overwrite the first one's rows and the block's other rows keep
@@ -150,6 +151,14 @@ MUTANTS = [
     # tests/test_montecarlo.py (blocks of several chunks) and the golden
     # registry see.
     ("sums[:, lo:lo + len(e)]", "sums[:, :len(e)]"),
+    # The recursion's row pairs: lane 1 - k read back into the rows of lane
+    # k (every row off, a one-row path too, which reads the spare lane), and
+    # an odd chunk's spare lane or the last block's pad left as the buffer
+    # held it.  No row reads either, so only the NaN-filled lane tests of
+    # tests/test_process.py see those two.
+    ("np.multiply(pairs[:len(y[k::2]), :n, k], p", "np.multiply(pairs[:len(y[k::2]), :n, 1 - k], p"),
+    ("pairs[rows // 2:, :, 1] = pairs[:, n:] = 0.0", "pairs[:, n:] = 0.0"),
+    ("pairs[rows // 2:, :, 1] = pairs[:, n:] = 0.0", "pairs[rows // 2:, :, 1] = 0.0"),
 ]
 # The other exact-arithmetic oracles (the P5 and P6 factor entries,
 # ``error_rates`` and ``ls_rows``) have no mutant that they alone kill: the

@@ -46,24 +46,23 @@ class LsEstimate:
     delta3: float
 
 
-def ls_sums(y0: float, y: np.ndarray, e: np.ndarray, x: np.ndarray, sums: np.ndarray) -> None:
-    """Stage 1: writes xbar, zbar, S_xx, S_xy, ebar and S_xe (the centred sums)
-    of each row of the paths ``y`` (rows, n) from y0 into the rows of ``sums``
-    (6, rows).  ``x`` takes the lagged series; ``y`` and ``e`` are consumed as
-    the work space of their own products.  Every sum runs along a row, so a
-    row gets the floats it would get on its own, in whichever chunk it is."""
-    n = y.shape[1]
+def ls_sums(path: np.ndarray, e: np.ndarray, work: np.ndarray, sums: np.ndarray) -> None:
+    """Stage 1: writes xbar, zbar, S_xx, S_xy, ebar and S_xe (the centred sums) of
+    each row of the paths ``path`` (rows, n + 1), y_0..y_n, into ``sums`` (6, rows).
+    The C-contiguous ``work`` (rows * n values or more) takes the centred lagged
+    series; y = path[:, 1:] and ``e`` are consumed as the work space of their own
+    products.  Every sum runs along a row, so a row gets its floats on its own."""
+    rows, n = e.shape
+    x, y, xc = path[:, :-1], path[:, 1:], work.reshape(-1)[:rows * n].reshape(rows, n)
     xbar, zbar, sxx, sxy, ebar, sxe = sums
-    x[:, 0] = y0
-    x[:, 1:] = y[:, :-1]
     # Overflow is refused by ls_from_sums, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        x -= np.divide(np.add.reduce(x, axis=1, out=xbar), n, out=xbar)[:, np.newaxis]
+        np.subtract(x, np.divide(np.add.reduce(x, axis=1, out=xbar), n, out=xbar)[:, np.newaxis], out=xc)
         y -= np.divide(np.add.reduce(y, axis=1, out=zbar), n, out=zbar)[:, np.newaxis]
-        np.add.reduce(np.multiply(x, y, out=y), axis=1, out=sxy)
-        np.add.reduce(np.multiply(x, x, out=y), axis=1, out=sxx)
+        np.add.reduce(np.multiply(xc, y, out=y), axis=1, out=sxy)
+        np.add.reduce(np.square(xc, out=y), axis=1, out=sxx)
         e -= np.divide(np.add.reduce(e, axis=1, out=ebar), n, out=ebar)[:, np.newaxis]
-        np.add.reduce(np.multiply(x, e, out=e), axis=1, out=sxe)
+        np.add.reduce(np.multiply(xc, e, out=e), axis=1, out=sxe)
 
 
 def ls_from_sums(sums: np.ndarray, n: int) -> tuple[LsEstimate, np.ndarray]:
@@ -94,8 +93,9 @@ def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.nda
     rows, n = y.shape
     if n < 2:
         raise ValueError("need n >= 2 observations")
-    sums = np.empty((6, rows))
-    ls_sums(y0, y.copy(), e.copy(), np.empty((rows, n)), sums)
+    path, sums = np.empty((rows, n + 1)), np.empty((6, rows))
+    path[:, 0], path[:, 1:] = y0, y
+    ls_sums(path, e.copy(), np.empty((rows, n)), sums)
     return ls_from_sums(sums, n)
 
 
@@ -107,8 +107,7 @@ def ls_estimate(path: Ar1Path) -> LsEstimate:
     """
     est, singular = ls_rows(path.y0, path.y[np.newaxis], path.e[np.newaxis])
     if singular[0]:
-        raise SingularDesignError(
-            f"lagged regressor is numerically constant (Delta3={est.delta3[0]:.3e})")
+        raise SingularDesignError(f"lagged regressor is numerically constant (Delta3={est.delta3[0]:.3e})")
     fields = [float(v[0]) for v in (est.mu_hat, est.rho_hat, est.delta1, est.delta2, est.delta3)]
     if not np.all(np.isfinite(fields)):
         raise OverflowError("least-squares estimates overflow double precision")

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .innovations import _CHUNK_ELEMENTS, InnovationModel, ell_at_bn
+from .innovations import _CHUNK_ELEMENTS, InnovationModel, _unbuffered, ell_at_bn
 from .process import Regime, resolve_rho
 from .rng import generator, substreams
 
@@ -200,14 +200,8 @@ def _normal_factor(regime: Regime, mu: float, variance: float | None):
     return (1.0, -math.copysign(1.0, c) * (1.0 - c * s) / r), (0.0, c * (c * abs(s)) / (mu * r))
 
 
-def sample_limit(
-    regime: Regime,
-    mu: float,
-    model: InnovationModel,
-    draws: int,
-    seed: int,
-    y0: float = 0.0,
-) -> np.ndarray:
+def sample_limit(regime: Regime, mu: float, model: InnovationModel, draws: int, seed: int,
+                 y0: float = 0.0) -> np.ndarray:
     """``draws`` pairs from the limit law of the scaled errors under ``regime``.
 
     ``model`` picks the variance branch (P1, P5) and supplies the series
@@ -218,7 +212,7 @@ def sample_limit(
     if not (math.isfinite(mu) and math.isfinite(y0)):
         raise ValueError("mu and y0 must be finite")
     # Draws that overflow are refused below, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _unbuffered():
         if regime.tag == "P2":
             out = _explosive_law(regime.rho, mu, y0, model, draws, seed)
         else:

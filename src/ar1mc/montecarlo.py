@@ -28,13 +28,12 @@ import numpy as np
 # the benchmark's tracer hooks them on it (a bypassed hook reports 0 calls).
 from .estimator import ls_estimate, ls_from_sums, ls_sums  # noqa: F401
 from .innovations import (_CHUNK_ELEMENTS, ConfigError, ConfigValue, InnovationModel, _finite_real,
-                          sample_innovation_rows)
+                          _unbuffered, sample_innovation_rows)
 from .limits import error_rates, sample_limit
-from .process import Regime, path_root, recurse_rows, simulate_path  # noqa: F401
+from .process import Regime, lane_buffer, path_root, recurse_rows, simulate_path  # noqa: F401
 from .rng import derive_seed, substreams
 
-__all__ = ["ConfigError", "ExperimentConfig", "McReport", "run_experiment", "ks_two_sample",
-           "summarize"]
+__all__ = ["ConfigError", "ExperimentConfig", "McReport", "run_experiment", "ks_two_sample", "summarize"]
 
 # Stream ids under the master seed.
 _PATH_STREAM = 1
@@ -83,8 +82,7 @@ class ExperimentConfig(ConfigValue):
         object.__setattr__(self, "mu", _finite_real(self.mu, "config key 'mu'"))
         object.__setattr__(self, "y0", _finite_real(self.y0, "config key 'y0'"))
         if not isinstance(self.n_list, (list, tuple)) or not self.n_list:
-            raise ConfigError(
-                f"config key 'n_list': expected a nonempty list, got {self.n_list!r}")
+            raise ConfigError(f"config key 'n_list': expected a nonempty list, got {self.n_list!r}")
         object.__setattr__(self, "n_list", tuple(self.n_list))
         for n in self.n_list:
             _check_int("n_list", n, 50)
@@ -114,12 +112,8 @@ class McReport:
     rows: np.ndarray = field(repr=False)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "config": self.config.to_dict(),
-            "per_n": self.per_n,
-            "limit": self.limit,
-            "rate_fit": self.rate_fit,
-        }, indent=2, sort_keys=True) + "\n"
+        return json.dumps({"config": self.config.to_dict(), "per_n": self.per_n, "limit": self.limit,
+                           "rate_fit": self.rate_fit}, indent=2, sort_keys=True) + "\n"
 
 
 # --- elementary diagnostics -------------------------------------------------
@@ -153,8 +147,7 @@ def rate_slope(n_list, rmse_list) -> dict:
         raise ValueError("rate_slope needs >= 3 (n, rmse) pairs")
     if np.any(r_arr <= 0) or np.any(n_arr <= 0):
         raise ValueError("rate_slope needs positive sizes and rmse values")
-    x = np.log(n_arr)
-    y = np.log(r_arr)
+    x, y = np.log(n_arr), np.log(r_arr)
     xc = x - x.mean()
     sxx = float(np.sum(xc * xc))
     slope = float(np.sum(xc * y) / sxx)
@@ -209,28 +202,23 @@ def _replicate_block(payload):
     resolves nothing; the explosive-side rates run_experiment applies
     exceed 1/ulp.
 
-    Replications run in chunks of rows on two (rows, n) buffers: one
-    innovation row e per stream (1, n, r) under seed, and the lagged series
-    that ls_sums forms as it consumes e and the recursion's fresh y into its
-    slice of the block's sums; ls_from_sums then solves the block at once.
-    Every row equals the single path and ls_estimate of that stream's
-    innovations.  numpy buffers a row-wise broadcast of at most bufsize/2
-    values, 2.5x slower at 513-4096 under the default 8192.  Under 1024
-    short rows stay buffered (faster at 50); smaller sizes gained nothing.
+    Replications run in chunks of rows on three buffers: the innovations, one
+    row per stream (1, n, r) under seed; the paths led by y0, which ls_sums
+    reads as the views x and y; and the recursion's lanes, where ls_sums then
+    centres x.  ls_from_sums solves the block's sums at once.  Every row
+    equals the single path and ls_estimate of that stream's innovations.
     """
     rho, mu, y0, model, n, seed, r_lo, r_hi = payload
     rngs = substreams(seed, (_PATH_STREAM, n), range(r_lo, r_hi))
     step = min(r_hi - r_lo, max(1, _CHUNK_ELEMENTS // n))
-    buffers = np.empty((2, step, n))  # each chunk's innovations and lagged series
+    e_rows, path, lanes = np.empty((step, n)), np.empty((step, n + 1)), lane_buffer(rho, n, step)
     sums = np.empty((6, r_hi - r_lo))
-    bufsize = np.setbufsize(1024)
-    try:
+    with _unbuffered():
         for lo in range(0, r_hi - r_lo, step):
-            e = sample_innovation_rows(model, rngs, buffers[0, :r_hi - r_lo - lo])
-            ls_sums(y0, recurse_rows(mu, rho, y0, e), e, buffers[1, :len(e)], sums[:, lo:lo + len(e)])
+            e = sample_innovation_rows(model, rngs, e_rows[:r_hi - r_lo - lo])
+            recurse_rows(mu, rho, y0, e, path, lanes)
+            ls_sums(path[:len(e)], e, lanes, sums[:, lo:lo + len(e)])
         est, singular = ls_from_sums(sums, n)
-    finally:
-        np.setbufsize(bufsize)
     return np.column_stack(
         [est.mu_hat, est.rho_hat, est.delta1 / est.delta3, est.delta2 / est.delta3, singular])
 

@@ -11,7 +11,7 @@ with a constant start y_0.  A regime fixes how rho_n depends on n:
     P5  rho = 1 + c/n^alpha, c < 0, alpha in (0,1)   (moderately stationary)
     P6  rho = 1 + c/n^alpha, c > 0, alpha in (0,1)   (moderately explosive)
 
-The recursion runs row-wise in numpy alone, in one of two forms: a running
+The recursion runs on row pairs in numpy alone, in one of two forms: a running
 sum at rho = 1, and for every other root the closed form
 y_t = rho^t * (y_0 + sum_i x_i rho^-i), on blocks short enough that no
 power of rho leaves the double range.
@@ -124,7 +124,7 @@ def path_root(regime: Regime, mu: float, y0: float, n: int) -> float:
 # so |mu + e| from about 2^-672 to 2^674 (1e-202 to 1e202) is weighted
 # inside the normal double range.
 _SPAN = 700
-_PLAN = [None, None]  # _closed_form's last (rho, n) and (size, blocks, s, p, w), p, w read-only
+_PLAN = [None, None]  # _plan's last (rho, n) and (size, blocks, lead, p, w), p, w read-only
 
 
 def _powers(rho: float, k: np.ndarray) -> np.ndarray:
@@ -139,81 +139,88 @@ def _powers(rho: float, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_form(e: np.ndarray, rho: float, start: float, mu: float) -> np.ndarray:
-    """y_1..y_n of y_t = mu + rho*y_{t-1} + e_t from y_0 = start for each
-    row of ``e`` (rows, n), which is unchanged, at any root but 1.
-
-    The rows run in blocks of the most terms L with |rho|^-L <= 2^_SPAN
-    (one block when |rho| >= 1), and block b holds, from the value c before it,
-
-        y_{bL+j} = rho^(j-s) * (rho^s * c + sum_{i<=j} x_{bL+i} rho^(s-i)),  j = 1..L.
-
-    Inside the unit disc x = mu + e, since mu's own closed form cancels as
-    rho nears 1, and s = ceil(L/2) keeps every power within 2^(+-_SPAN/2);
-    rho = 0 (L = s = 1) gives y = x.  For |rho| > 1, x = e, s = 0 and mu adds
-    its drift mu*(rho^t - 1)/(rho - 1): the exact solution rounds per term,
-    where each step of the recursion would round at eps*rho^t, a fake
-    innovation that the diverging rates amplify.
-    """
-    rows, n = e.shape
-    explosive = abs(rho) > 1
+def _plan(rho: float, n: int) -> tuple:
+    """recurse_rows' (L, blocks, rho^s, p, w) at (rho, n): p = rho^(j-s) and w = rho^(s-j)
+    at j = 1..L, tiled to n (empty at rho = 1, which uses neither); a block's chunks share it."""
     key = (rho, n)
-    if _PLAN[0] != key:  # the chunks of a replication block share one plan
+    if _PLAN[0] != key:
         halvings = -math.log2(abs(rho)) if rho else math.inf  # log2(1/|rho|)
         size = n if halvings <= 0 else max(1, min(n, int(_SPAN / halvings)))
         blocks = -(-n // size)
-        s = 0 if explosive else (size + 1) // 2
-        k = np.arange(1 - s, size + 1 - s)
-        p, w = _powers(rho, k), np.tile(_powers(rho, -k), blocks)[:n]
+        s = 0 if abs(rho) > 1 else (size + 1) // 2
+        k = np.arange(1 - s, size + 1 - s) if rho != 1.0 else np.arange(0)
+        p, w = (np.tile(_powers(rho, sign * k), blocks)[:n] for sign in (1, -1))
         p.flags.writeable = w.flags.writeable = False
-        _PLAN[:] = key, (size, blocks, s, p, w)
-    size, blocks, s, p, w = _PLAN[1]
-    y = np.empty((rows, blocks, size))
-    flat = y.reshape(rows, blocks * size)
-    x = e if explosive else np.add(e, mu, out=flat[:, :n])
-    np.multiply(x, w, out=flat[:, :n])
-    flat[:, n:] = 0.0
-    if size > 1:  # a block of one term is its own sum
-        np.cumsum(y, axis=2, out=y)
-    # carry_{b+1} = rho^s * p[-1] * (carry_b + y[:, b, -1]).  Each sweep forms
-    # every carry from the last sweep's, in the other buffer, so k sweeps
-    # make the first k + 1 exact, and one that moves no bit has met the
-    # recursion.  A carry reaches the next block scaled by |rho|^L <
-    # 2^-(_SPAN/2), so that takes a few sweeps, not one per block.
-    lead = rho ** s
-    both = np.zeros((2, rows, blocks))
-    both[:, :, 0] = lead * start
-    carry = both[0]
-    for sweep in range(blocks - 1):
-        old, carry = carry, both[1 - sweep % 2]
-        np.add(old[:, :-1], y[:, :-1, -1], out=carry[:, 1:])
-        carry[:, 1:] *= p[-1]
-        carry[:, 1:] *= lead
-        if np.array_equal(carry.view(np.int64), old.view(np.int64)):
-            break
-    y += carry[:, :, np.newaxis]
-    y *= p
-    y = flat[:, :n]
-    if explosive:
-        y += mu * (p - 1.0) / (rho - 1.0)
-    return y
+        _PLAN[:] = key, (size, blocks, rho ** s, p, w)
+    return _PLAN[1]
 
 
-def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray) -> np.ndarray:
-    """y_1..y_n for each row of innovations ``e`` (shape (rows, n)), all from y0.
+def lane_buffer(rho: float, n: int, rows: int) -> np.ndarray:
+    """recurse_rows' work space for up to ``rows`` paths: (ceil(rows/2), blocks, L, 2)."""
+    size, blocks = _plan(rho, n)[:2]
+    return np.empty((-(-rows // 2), blocks, size, 2))
 
-    Each row is computed exactly as a path on its own would be: the same
-    running sum or closed form, elementwise or along the row.
+
+def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray, path: np.ndarray | None = None,
+                 lanes: np.ndarray | None = None) -> np.ndarray:
+    """y_1..y_n for each row of innovations ``e`` (rows, n), all from y0, as the
+    view path[:, 1:] of ``path`` (rows, n + 1), whose column 0 takes y0; ``e`` is
+    unchanged.  ``path`` and the work space ``lanes`` are made when not given.
+
+    Row 2i + k runs in lane k of pair i, so the lanes' complex128 view adds two
+    rows' running sums at once, each with the floats of its own row.  At rho = 1
+    that is the running sum of x = mu + e from y0 + x_1.  Other roots take the
+    closed form in blocks of the most terms L with |rho|^-L <= 2^_SPAN (one
+    block when |rho| >= 1), block b holding, from the value c before it,
+
+        y_{bL+j} = rho^(j-s) * (rho^s * c + sum_{i<=j} x_{bL+i} rho^(s-i)),  j = 1..L.
+
+    Inside the unit disc x = mu + e, since mu's own closed form cancels as rho nears
+    1, and s = ceil(L/2) keeps every power within 2^(+-_SPAN/2); rho = 0 (L = s = 1)
+    gives y = x.  For |rho| > 1, x = e, s = 0 and mu adds its drift mu*(rho^t - 1)/
+    (rho - 1): the exact solution rounds per term, where each step of the recursion
+    would round at eps*rho^t, a fake innovation that the diverging rates amplify.
     """
+    rows, n = e.shape
+    size, blocks, lead, p, w = _plan(rho, n)
+    path = np.empty((rows, n + 1)) if path is None else path[:rows]
+    lanes = lane_buffer(rho, n, rows) if lanes is None else lanes[:-(-rows // 2)]
+    path[:, 0] = y0
+    y, pairs, z = path[:, 1:], lanes.reshape(len(lanes), -1, 2), lanes.view(np.complex128)[..., 0]
+    unit, explosive = rho == 1.0, abs(rho) > 1
+    pairs[rows // 2:, :, 1] = pairs[:, n:] = 0.0  # an odd chunk's spare lane, the last block's pad
     # An overflowing path is refused below, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        if rho == 1.0:
-            # y_t = x_t + y_{t-1} with x = mu + e, as a running sum.
-            x = mu + e
-            x[:, 0] += y0
-            y = np.cumsum(x, axis=1, out=x)
-        else:
-            y = _closed_form(e, rho, y0, mu)
+        x = e if unit or explosive else np.add(e, mu, out=y)
+        for k in (0, 1):
+            (np.add if unit else np.multiply)(x[k::2], mu if unit else w, out=pairs[:len(x[k::2]), :n, k])
+        if unit:
+            lanes[:, 0, 0] += y0
+        if size > 1:  # a block of one term is its own sum
+            np.cumsum(z, axis=2, out=z)
+        if not unit:
+            # carry_{b+1} = lead * p_L * (carry_b + z[:, b, -1]).  Each sweep forms every
+            # carry from the last sweep's, in the other buffer, so k sweeps make the first
+            # k + 1 exact, and one that moves no bit has met the recursion: a carry reaches
+            # the next block scaled by |rho|^L < 2^-(_SPAN/2), so that takes a few sweeps.
+            both = np.zeros((2, len(lanes), blocks, 2))
+            both[:, :, 0] = lead * y0
+            carry = both[0]
+            for sweep in range(blocks - 1):
+                old, carry = carry, both[1 - sweep % 2]
+                np.add(old[:, :-1], lanes[:, :-1, -1], out=carry[:, 1:])
+                carry[:, 1:] *= p[size - 1]
+                carry[:, 1:] *= lead
+                if np.array_equal(carry.view(np.int64), old.view(np.int64)):
+                    break
+            z += carry.view(np.complex128)
+        for k in (0, 1):
+            if unit:
+                y[k::2] = pairs[:len(y[k::2]), :n, k]
+            else:
+                np.multiply(pairs[:len(y[k::2]), :n, k], p, out=y[k::2])
+        if explosive:
+            y += mu * (p - 1.0) / (rho - 1.0)
     if not np.all(np.isfinite(y[:, -1])):
         raise OverflowError("simulated path overflowed double precision")
     return y

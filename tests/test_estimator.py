@@ -12,7 +12,8 @@ from ar1mc.innovations import (_CHUNK_ELEMENTS, InnovationModel, compute_bn, ell
                                sample_innovation_rows)
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
-from ar1mc.process import Ar1Path, Regime, path_root, recurse_rows, resolve_rho, simulate_path
+from ar1mc.process import (Ar1Path, Regime, lane_buffer, path_root, recurse_rows, resolve_rho,
+                           simulate_path)
 from ar1mc.rng import substreams
 from paper_lemmas import exact_delta_ratios, normal_equations_oracle
 
@@ -151,10 +152,10 @@ class TestClosedForm:
             assert abs(value - want) <= bound * abs(want), (value, float(want))
 
 
-# Chunks as the block engine makes them.  The closed form pads its rows to
-# whole blocks (of 700 terms at rho = 0.5 from n = 2001, of 4605 at -0.9 at
-# n = 5000), so y reaches ls_sums as a strided view there; P2 and P3 rows
-# are whole.
+# Chunks as the block engine makes them: y is the view path[:, 1:] of a
+# path buffer whose column 0 holds y0, and the lane buffer of the recursion
+# (padded to whole blocks of 700 terms at rho = 0.5 from n = 2001, of 4605
+# at -0.9 at n = 5000) takes the centred lagged series.
 @pytest.mark.parametrize("n", [600, 2001, 4096, 5000])
 @pytest.mark.parametrize("regime", [Regime("P1", rho=0.5), Regime("P1", rho=-0.9),
                                     Regime("P2", rho=1.05), Regime("P3")],
@@ -165,10 +166,11 @@ def test_chunk_stage_consumes_y_and_e_for_the_same_bits(regime, n, bufsize):
     # them, and every field keeps its bits, under the default ufunc buffer
     # and the block engine's.
     mu, y0 = 1.0, 0.5
-    rows = _CHUNK_ELEMENTS // n
+    rows, rho = _CHUNK_ELEMENTS // n, path_root(regime, mu, y0, n)
     e = sample_innovation_rows(InnovationModel("pareto2"), substreams(7, (1, n), range(rows)),
                                np.empty((rows, n)))
-    y = recurse_rows(mu, path_root(regime, mu, y0, n), y0, e)
+    path, lanes = np.empty((rows, n + 1)), lane_buffer(rho, n, rows)
+    y = recurse_rows(mu, rho, y0, e, path, lanes)
     y[-1] = y0  # a constant lagged series: a singular row
     kept = y.copy(), e.copy()
     plain, plain_singular = ls_rows(y0, y, e)
@@ -177,7 +179,7 @@ def test_chunk_stage_consumes_y_and_e_for_the_same_bits(regime, n, bufsize):
     sums = np.empty((6, rows))
     outer = np.setbufsize(bufsize)
     try:
-        ls_sums(y0, y, e, np.empty((rows, n)), sums)
+        ls_sums(path, e, lanes, sums)
     finally:
         np.setbufsize(outer)
     est, singular = ls_from_sums(sums, n)
@@ -203,9 +205,10 @@ def block_chunks(n, rows, y0=0.5):
 
 def block_sums(y0, y, e, chunks):
     """ls_sums of each chunk of a block, into the block's one (6, rows) array."""
-    sums = np.empty((6, len(y)))
+    sums, path = np.empty((6, len(y))), np.empty((len(y), y.shape[1] + 1))
+    path[:, 0], path[:, 1:] = y0, y
     for chunk in chunks:
-        ls_sums(y0, y[chunk].copy(), e[chunk].copy(), np.empty(y[chunk].shape), sums[:, chunk])
+        ls_sums(path[chunk], e[chunk].copy(), np.empty(y[chunk].shape), sums[:, chunk])
     return sums
 
 

@@ -207,6 +207,20 @@ class TestExplosiveLimit:
         b = sample_limit(regime, 1.0, InnovationModel("rademacher"), 40_000, 75)
         assert ks_two_sample(a[:, 1], b[:, 1]) > 0.03
 
+    def test_draws_restore_the_buffer_size(self):
+        # The series sums run under the block engine's ufunc buffer; the
+        # caller's comes back after a draw and after a law that raises inside
+        # sample_limit (a unit-root law at mu = 0).
+        outer = np.setbufsize(4096)
+        try:
+            sample_limit(Regime("P2", rho=1.2), 1.0, InnovationModel("pareto2"), 500, 5)
+            assert np.getbufsize() == 4096
+            with pytest.raises(ValueError, match="requires mu != 0"):
+                sample_limit(Regime("P3"), 0.0, InnovationModel("gaussian", 1.0), 500, 5)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(outer)
+
     def test_y0_shifts_denominator(self):
         regime = Regime("P2", rho=2.0)
         a = sample_limit(regime, 1.0, InnovationModel("gaussian", 1.0), 30_000, 77, y0=0.0)

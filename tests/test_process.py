@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, strategies as st
 from scipy.signal import lfilter
 
 from ar1mc.innovations import ConfigError, InnovationModel, sample_innovations
-from ar1mc.process import _PLAN, Ar1Path, Regime, recurse_rows, resolve_rho, simulate_path
-from paper_lemmas import companion_series, disc_path, lagged, refit_residual
+from ar1mc.montecarlo import _replicate_block
+from ar1mc.process import (_PLAN, Ar1Path, Regime, lane_buffer, recurse_rows, resolve_rho,
+                           simulate_path)
+from paper_lemmas import companion_series, disc_path, lagged, refit_residual, replication_reference
 
 
 class TestRegime:
@@ -263,6 +266,57 @@ class TestBlockPlans:
             cold.append(recurse_rows(1.0, rho, 0.5, e[:, :n]))
         for n, want in zip((777, 500), cold):
             assert np.array_equal(recurse_rows(1.0, rho, 0.5, e[:, :n]), want)
+
+
+class TestRowPairs:
+    """recurse_rows runs row 2i + k in lane k of pair i of a complex128 view;
+    each lane is its row alone, bit for bit, and the lanes it does not fill
+    from a row (an odd count's spare lane, the last block's pad) it clears."""
+
+    @staticmethod
+    def nan_lanes(rho, n, rows):
+        lanes = lane_buffer(rho, n, rows)
+        lanes.fill(np.nan)
+        return lanes
+
+    # rho = 0.5 runs three blocks of 700 terms at n = 2001, the last padded.
+    @pytest.mark.parametrize("rho", [1.0, 0.5, 0.0, -0.9, 0.999, 1.2, -1.5])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 33])
+    def test_each_row_equals_its_one_row_call(self, rho, rows):
+        n = 2001 if rho == 0.5 else 777
+        e = np.stack([sample_innovations(InnovationModel("pareto2"), n, seed) for seed in range(rows)])
+        alone = []
+        for row in e:
+            lanes = self.nan_lanes(rho, n, 1)
+            alone.append(recurse_rows(1.0, rho, 0.5, row[np.newaxis], lanes=lanes)[0].copy())
+            assert not np.isnan(lanes).any()
+        lanes, path = self.nan_lanes(rho, n, rows), np.full((rows, n + 1), np.nan)
+        y = recurse_rows(1.0, rho, 0.5, e, path, lanes)
+        assert not np.isnan(lanes).any()
+        assert np.shares_memory(y, path) and np.all(path[:, 0] == 0.5)
+        assert np.array_equal(y.view(np.int64), np.array(alone).view(np.int64))
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5, 1.2])
+    def test_short_chunk_in_a_larger_buffer(self, rho):
+        # a block's last chunk reuses the first one's buffers: 5 of 32 rows
+        n = 2000
+        e = np.stack([sample_innovations(InnovationModel("gaussian", 1.0), n, s) for s in range(5)])
+        want = recurse_rows(-0.3, rho, 2.5, e)
+        lanes, path = self.nan_lanes(rho, n, 32), np.full((32, n + 1), np.nan)
+        got = recurse_rows(-0.3, rho, 2.5, e, path, lanes)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert not np.isnan(lanes[:3]).any()
+
+    @pytest.mark.parametrize("regime", [Regime("P1", rho=0.5), Regime("P3"), Regime("P2", rho=-1.05)],
+                             ids=lambda r: r.tag)
+    def test_block_with_an_odd_last_chunk(self, regime):
+        # 37 replications at n = 2000: chunks of 32 and then 5 rows
+        config = SimpleNamespace(model=InnovationModel("pareto2"), seed=7, regime=regime, mu=1.0, y0=0.5)
+        rho = resolve_rho(regime, 2000)
+        got = _replicate_block((rho, 1.0, 0.5, config.model, 2000, 7, 0, 37))
+        want = np.array([replication_reference(config, 2000, r) for r in range(37)])
+        assert np.array_equal(got[:, :4], want, equal_nan=True)
+        assert not got[:, 4].any()
 
 
 class TestCompanions:
