@@ -55,6 +55,12 @@ MUTANTS = [
     ("ell = model.variance if model.variance is not None else ell_at_bn(model, n)",
      "ell = ell_at_bn(model, n)"),
     ("delta2 = n * sxe", "delta2 = (n - 1) * sxe"),
+    # Least squares centring e in place and multiplying there: every sum
+    # keeps its bits, so only the tests that hold ls_rows and ls_sums to
+    # leaving e as it was, and those that read a path's e again after
+    # ls_estimate, see it.
+    ("[:, np.newaxis], out=y)\n        np.add.reduce(np.multiply(xc, y, out=y), axis=1, out=sxe)",
+     "[:, np.newaxis], out=e)\n        np.add.reduce(np.multiply(xc, e, out=e), axis=1, out=sxe)"),
     ("lanes[:, 0, 0] += y0", "lanes[:, 0, 0] += 0.0"),
     ('"replications": R,', '"replications": count,'),
     ('"valid": count,', '"valid": R,'),
@@ -107,10 +113,6 @@ MUTANTS = [
     # tests of tests/test_estimator.py see both (exactly constant rows, as in
     # the all-singular report, stay singular).
     ("sum_sq = sxx + n * xbar**2", "sum_sq = sxx"),
-    # The closed form's cached block plan keyed by the root alone: a second
-    # length at the same root takes the first one's weights, which the
-    # cold-call test of tests/test_process.py sees.
-    ("key = (rho, n)", "key = rho"),
     # The blocked closed form of the recursion: the factor rho^s on each
     # carry, a single sweep of the carries (right only while no carry
     # reaches past the next block), and the floor of one term per block that

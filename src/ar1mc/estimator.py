@@ -50,8 +50,8 @@ def ls_sums(path: np.ndarray, e: np.ndarray, work: np.ndarray, sums: np.ndarray)
     """Stage 1: writes xbar, zbar, S_xx, S_xy, ebar and S_xe (the centred sums) of
     each row of the paths ``path`` (rows, n + 1), y_0..y_n, into ``sums`` (6, rows).
     The C-contiguous ``work`` (rows * n values or more) takes the centred lagged
-    series; y = path[:, 1:] and ``e`` are consumed as the work space of their own
-    products.  Every sum runs along a row, so a row gets its floats on its own."""
+    series; y = path[:, 1:] is consumed as the work space of the products and ``e``
+    is only read.  Every sum runs along a row, so a row gets its floats on its own."""
     rows, n = e.shape
     x, y, xc = path[:, :-1], path[:, 1:], work.reshape(-1)[:rows * n].reshape(rows, n)
     xbar, zbar, sxx, sxy, ebar, sxe = sums
@@ -61,8 +61,8 @@ def ls_sums(path: np.ndarray, e: np.ndarray, work: np.ndarray, sums: np.ndarray)
         y -= np.divide(np.add.reduce(y, axis=1, out=zbar), n, out=zbar)[:, np.newaxis]
         np.add.reduce(np.multiply(xc, y, out=y), axis=1, out=sxy)
         np.add.reduce(np.square(xc, out=y), axis=1, out=sxx)
-        e -= np.divide(np.add.reduce(e, axis=1, out=ebar), n, out=ebar)[:, np.newaxis]
-        np.add.reduce(np.multiply(xc, e, out=e), axis=1, out=sxe)
+        np.subtract(e, np.divide(np.add.reduce(e, axis=1, out=ebar), n, out=ebar)[:, np.newaxis], out=y)
+        np.add.reduce(np.multiply(xc, y, out=y), axis=1, out=sxe)
 
 
 def ls_from_sums(sums: np.ndarray, n: int) -> tuple[LsEstimate, np.ndarray]:
@@ -89,13 +89,13 @@ def ls_from_sums(sums: np.ndarray, n: int) -> tuple[LsEstimate, np.ndarray]:
 
 
 def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.ndarray]:
-    """Both stages on the paths ``y`` (rows, n) from y0, which the caller keeps."""
+    """Both stages on the paths ``y`` (rows, n) from y0 and innovations ``e``, both kept."""
     rows, n = y.shape
     if n < 2:
         raise ValueError("need n >= 2 observations")
     path, sums = np.empty((rows, n + 1)), np.empty((6, rows))
     path[:, 0], path[:, 1:] = y0, y
-    ls_sums(path, e.copy(), np.empty((rows, n)), sums)
+    ls_sums(path, e, np.empty((rows, n)), sums)
     return ls_from_sums(sums, n)
 
 

@@ -30,7 +30,7 @@ from .estimator import ls_estimate, ls_from_sums, ls_sums  # noqa: F401
 from .innovations import (_CHUNK_ELEMENTS, ConfigError, ConfigValue, InnovationModel, _finite_real,
                           _unbuffered, sample_innovation_rows)
 from .limits import error_rates, sample_limit
-from .process import Regime, lane_buffer, path_root, recurse_rows, simulate_path  # noqa: F401
+from .process import Regime, block_plan, path_root, recurse_rows, simulate_path  # noqa: F401
 from .rng import derive_seed, substreams
 
 __all__ = ["ConfigError", "ExperimentConfig", "McReport", "run_experiment", "ks_two_sample", "summarize"]
@@ -202,22 +202,22 @@ def _replicate_block(payload):
     resolves nothing; the explosive-side rates run_experiment applies
     exceed 1/ulp.
 
-    Replications run in chunks of rows on three buffers: the innovations, one
-    row per stream (1, n, r) under seed; the paths led by y0, which ls_sums
-    reads as the views x and y; and the recursion's lanes, where ls_sums then
-    centres x.  ls_from_sums solves the block's sums at once.  Every row
-    equals the single path and ls_estimate of that stream's innovations.
+    Replications run in chunks of rows on buffers made once per block: the
+    innovations, one row per stream (1, n, r) under seed; the paths led by y0,
+    which ls_sums reads as the views x and y; and the recursion's block_plan,
+    in whose lanes ls_sums then centres x.  ls_from_sums solves the block's
+    sums at once.  Each row equals the single path and ls_estimate of its stream.
     """
     rho, mu, y0, model, n, seed, r_lo, r_hi = payload
     rngs = substreams(seed, (_PATH_STREAM, n), range(r_lo, r_hi))
     step = min(r_hi - r_lo, max(1, _CHUNK_ELEMENTS // n))
-    e_rows, path, lanes = np.empty((step, n)), np.empty((step, n + 1)), lane_buffer(rho, n, step)
+    e_rows, path, plan = np.empty((step, n)), np.empty((step, n + 1)), block_plan(rho, n, step)
     sums = np.empty((6, r_hi - r_lo))
     with _unbuffered():
         for lo in range(0, r_hi - r_lo, step):
             e = sample_innovation_rows(model, rngs, e_rows[:r_hi - r_lo - lo])
-            recurse_rows(mu, rho, y0, e, path, lanes)
-            ls_sums(path[:len(e)], e, lanes, sums[:, lo:lo + len(e)])
+            recurse_rows(mu, rho, y0, e, path, plan)
+            ls_sums(path[:len(e)], e, plan[-1], sums[:, lo:lo + len(e)])
         est, singular = ls_from_sums(sums, n)
     return np.column_stack(
         [est.mu_hat, est.rho_hat, est.delta1 / est.delta3, est.delta2 / est.delta3, singular])

@@ -124,7 +124,6 @@ def path_root(regime: Regime, mu: float, y0: float, n: int) -> float:
 # so |mu + e| from about 2^-672 to 2^674 (1e-202 to 1e202) is weighted
 # inside the normal double range.
 _SPAN = 700
-_PLAN = [None, None]  # _plan's last (rho, n) and (size, blocks, lead, p, w), p, w read-only
 
 
 def _powers(rho: float, k: np.ndarray) -> np.ndarray:
@@ -139,33 +138,24 @@ def _powers(rho: float, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plan(rho: float, n: int) -> tuple:
-    """recurse_rows' (L, blocks, rho^s, p, w) at (rho, n): p = rho^(j-s) and w = rho^(s-j)
-    at j = 1..L, tiled to n (empty at rho = 1, which uses neither); a block's chunks share it."""
-    key = (rho, n)
-    if _PLAN[0] != key:
-        halvings = -math.log2(abs(rho)) if rho else math.inf  # log2(1/|rho|)
-        size = n if halvings <= 0 else max(1, min(n, int(_SPAN / halvings)))
-        blocks = -(-n // size)
-        s = 0 if abs(rho) > 1 else (size + 1) // 2
-        k = np.arange(1 - s, size + 1 - s) if rho != 1.0 else np.arange(0)
-        p, w = (np.tile(_powers(rho, sign * k), blocks)[:n] for sign in (1, -1))
-        p.flags.writeable = w.flags.writeable = False
-        _PLAN[:] = key, (size, blocks, rho ** s, p, w)
-    return _PLAN[1]
-
-
-def lane_buffer(rho: float, n: int, rows: int) -> np.ndarray:
-    """recurse_rows' work space for up to ``rows`` paths: (ceil(rows/2), blocks, L, 2)."""
-    size, blocks = _plan(rho, n)[:2]
-    return np.empty((-(-rows // 2), blocks, size, 2))
+def block_plan(rho: float, n: int, rows: int) -> tuple:
+    """recurse_rows' plan for up to ``rows`` paths of length n at rho: (L, blocks, rho^s,
+    p, w, lanes), p = rho^(j-s) and w = rho^(s-j) at j = 1..L tiled to n (empty at rho = 1,
+    which uses neither), and the work space lanes (ceil(rows/2), blocks, L, 2)."""
+    halvings = -math.log2(abs(rho)) if rho else math.inf  # log2(1/|rho|)
+    size = n if halvings <= 0 else max(1, min(n, int(_SPAN / halvings)))
+    blocks = -(-n // size)
+    s = 0 if abs(rho) > 1 else (size + 1) // 2
+    k = np.arange(1 - s, size + 1 - s) if rho != 1.0 else np.arange(0)
+    p, w = (np.tile(_powers(rho, sign * k), blocks)[:n] for sign in (1, -1))
+    return size, blocks, rho ** s, p, w, np.empty((-(-rows // 2), blocks, size, 2))
 
 
 def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray, path: np.ndarray | None = None,
-                 lanes: np.ndarray | None = None) -> np.ndarray:
+                 plan: tuple | None = None) -> np.ndarray:
     """y_1..y_n for each row of innovations ``e`` (rows, n), all from y0, as the
     view path[:, 1:] of ``path`` (rows, n + 1), whose column 0 takes y0; ``e`` is
-    unchanged.  ``path`` and the work space ``lanes`` are made when not given.
+    unchanged.  ``path`` and ``plan``, block_plan(rho, n, rows), are made when not given.
 
     Row 2i + k runs in lane k of pair i, so the lanes' complex128 view adds two
     rows' running sums at once, each with the floats of its own row.  At rho = 1
@@ -182,9 +172,9 @@ def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray, path: np.ndarr
     would round at eps*rho^t, a fake innovation that the diverging rates amplify.
     """
     rows, n = e.shape
-    size, blocks, lead, p, w = _plan(rho, n)
+    size, blocks, lead, p, w, lanes = block_plan(rho, n, rows) if plan is None else plan
     path = np.empty((rows, n + 1)) if path is None else path[:rows]
-    lanes = lane_buffer(rho, n, rows) if lanes is None else lanes[:-(-rows // 2)]
+    lanes = lanes[:-(-rows // 2)]
     path[:, 0] = y0
     y, pairs, z = path[:, 1:], lanes.reshape(len(lanes), -1, 2), lanes.view(np.complex128)[..., 0]
     unit, explosive = rho == 1.0, abs(rho) > 1

@@ -12,7 +12,7 @@ from ar1mc.innovations import (_CHUNK_ELEMENTS, InnovationModel, compute_bn, ell
                                sample_innovation_rows)
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
-from ar1mc.process import (Ar1Path, Regime, lane_buffer, path_root, recurse_rows, resolve_rho,
+from ar1mc.process import (Ar1Path, Regime, block_plan, path_root, recurse_rows, resolve_rho,
                            simulate_path)
 from ar1mc.rng import substreams
 from paper_lemmas import exact_delta_ratios, normal_equations_oracle
@@ -153,7 +153,7 @@ class TestClosedForm:
 
 
 # Chunks as the block engine makes them: y is the view path[:, 1:] of a
-# path buffer whose column 0 holds y0, and the lane buffer of the recursion
+# path buffer whose column 0 holds y0, and the lanes of the recursion's plan
 # (padded to whole blocks of 700 terms at rho = 0.5 from n = 2001, of 4605
 # at -0.9 at n = 5000) takes the centred lagged series.
 @pytest.mark.parametrize("n", [600, 2001, 4096, 5000])
@@ -161,16 +161,16 @@ class TestClosedForm:
                                     Regime("P2", rho=1.05), Regime("P3")],
                          ids=["P1-0.5", "P1--0.9", "P2", "P3"])
 @pytest.mark.parametrize("bufsize", [8192, 1024])
-def test_chunk_stage_consumes_y_and_e_for_the_same_bits(regime, n, bufsize):
-    # ls_rows leaves the caller's y and e as they were; ls_sums consumes
-    # them, and every field keeps its bits, under the default ufunc buffer
-    # and the block engine's.
+def test_chunk_stage_consumes_only_y_for_the_same_bits(regime, n, bufsize):
+    # ls_rows leaves the caller's y and e as they were; ls_sums consumes y
+    # and only reads e, and every field keeps its bits, under the default
+    # ufunc buffer and the block engine's.
     mu, y0 = 1.0, 0.5
     rows, rho = _CHUNK_ELEMENTS // n, path_root(regime, mu, y0, n)
     e = sample_innovation_rows(InnovationModel("pareto2"), substreams(7, (1, n), range(rows)),
                                np.empty((rows, n)))
-    path, lanes = np.empty((rows, n + 1)), lane_buffer(rho, n, rows)
-    y = recurse_rows(mu, rho, y0, e, path, lanes)
+    path, plan = np.empty((rows, n + 1)), block_plan(rho, n, rows)
+    y = recurse_rows(mu, rho, y0, e, path, plan)
     y[-1] = y0  # a constant lagged series: a singular row
     kept = y.copy(), e.copy()
     plain, plain_singular = ls_rows(y0, y, e)
@@ -179,9 +179,10 @@ def test_chunk_stage_consumes_y_and_e_for_the_same_bits(regime, n, bufsize):
     sums = np.empty((6, rows))
     outer = np.setbufsize(bufsize)
     try:
-        ls_sums(path, e, lanes, sums)
+        ls_sums(path, e, plan[-1], sums)
     finally:
         np.setbufsize(outer)
+    assert np.array_equal(e.view(np.int64), kept[1].view(np.int64))
     est, singular = ls_from_sums(sums, n)
     assert plain_singular.tolist() == singular.tolist() == [False] * (rows - 1) + [True]
     assert_same_bits(est, plain)
@@ -208,7 +209,7 @@ def block_sums(y0, y, e, chunks):
     sums, path = np.empty((6, len(y))), np.empty((len(y), y.shape[1] + 1))
     path[:, 0], path[:, 1:] = y0, y
     for chunk in chunks:
-        ls_sums(path[chunk], e[chunk].copy(), np.empty(y[chunk].shape), sums[:, chunk])
+        ls_sums(path[chunk], e[chunk], np.empty(y[chunk].shape), sums[:, chunk])
     return sums
 
 

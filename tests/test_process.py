@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +9,7 @@ from scipy.signal import lfilter
 
 from ar1mc.innovations import ConfigError, InnovationModel, sample_innovations
 from ar1mc.montecarlo import _replicate_block
-from ar1mc.process import (_PLAN, Ar1Path, Regime, lane_buffer, recurse_rows, resolve_rho,
-                           simulate_path)
+from ar1mc.process import Ar1Path, Regime, block_plan, recurse_rows, resolve_rho, simulate_path
 from paper_lemmas import companion_series, disc_path, lagged, refit_residual, replication_reference
 
 
@@ -247,25 +247,45 @@ class TestUnitRootRecursion:
 
 
 class TestBlockPlans:
-    """_closed_form keeps the block plan of the last (rho, n) it met."""
+    """block_plan makes a fresh plan per call; a replication block reuses one
+    across its chunks, so a warm plan holds the last chunk's lanes."""
 
-    def test_cached_plan_is_read_only(self):
-        recurse_rows(0.0, 0.5, 0.0, np.zeros((1, 2000)))
-        assert _PLAN[0] == (0.5, 2000)
-        *_, p, w = _PLAN[1]
-        for values in (p, w):
-            with pytest.raises(ValueError):
-                values[0] = 0.0
+    def test_plans_share_no_memory(self):
+        n, rows = 2000, 5
+        first, second = block_plan(0.5, n, rows), block_plan(0.5, n, rows)
+        size, blocks, lead, p, w, lanes = first
+        assert blocks == -(-n // size) and lead == 0.5 ** ((size + 1) // 2)
+        assert p.shape == w.shape == (n,) and lanes.shape == (3, blocks, size, 2)
+        for ours, theirs in zip(first[3:], second[3:]):
+            assert not np.shares_memory(ours, theirs)
+        assert np.array_equal(p, second[3]) and np.array_equal(w, second[4])
 
     @pytest.mark.parametrize("rho", [0.5, -0.9, 1.2])
     def test_warm_calls_equal_cold_calls(self, rho):
+        # a full chunk, then a shorter odd one, as a block's last chunk can be
         e = innovation_rows(InnovationModel("pareto2"))
-        cold = []
-        for n in (777, 500):
-            _PLAN[:] = None, None
-            cold.append(recurse_rows(1.0, rho, 0.5, e[:, :n]))
-        for n, want in zip((777, 500), cold):
-            assert np.array_equal(recurse_rows(1.0, rho, 0.5, e[:, :n]), want)
+        plan = block_plan(rho, e.shape[1], len(e))
+        for rows in (len(e), 5):
+            cold = recurse_rows(1.0, rho, 0.5, e[:rows])
+            warm = recurse_rows(1.0, rho, 0.5, e[:rows], plan=plan)
+            assert np.array_equal(warm.view(np.int64), cold.view(np.int64))
+
+
+def test_a_dropped_path_leaves_no_plan_behind():
+    # A path's block plan (p and w tiled to n, 16 bytes a step) lives only
+    # as long as the call that made it: once the path is dropped, the
+    # process keeps far less than one path's 8n bytes.
+    regime, model, n = Regime("P1", rho=0.5), InnovationModel("pareto2"), 10**6
+    simulate_path(regime, 1.0, 0.0, model, 1000, 1)  # imports what a first path needs
+    tracemalloc.start()
+    try:
+        path = simulate_path(regime, 1.0, 0.0, model, n, 1)
+        assert path.n == n
+        del path
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * n // 4, kept
 
 
 class TestRowPairs:
@@ -274,10 +294,10 @@ class TestRowPairs:
     from a row (an odd count's spare lane, the last block's pad) it clears."""
 
     @staticmethod
-    def nan_lanes(rho, n, rows):
-        lanes = lane_buffer(rho, n, rows)
-        lanes.fill(np.nan)
-        return lanes
+    def nan_plan(rho, n, rows):
+        plan = block_plan(rho, n, rows)
+        plan[-1].fill(np.nan)
+        return plan
 
     # rho = 0.5 runs three blocks of 700 terms at n = 2001, the last padded.
     @pytest.mark.parametrize("rho", [1.0, 0.5, 0.0, -0.9, 0.999, 1.2, -1.5])
@@ -287,12 +307,12 @@ class TestRowPairs:
         e = np.stack([sample_innovations(InnovationModel("pareto2"), n, seed) for seed in range(rows)])
         alone = []
         for row in e:
-            lanes = self.nan_lanes(rho, n, 1)
-            alone.append(recurse_rows(1.0, rho, 0.5, row[np.newaxis], lanes=lanes)[0].copy())
-            assert not np.isnan(lanes).any()
-        lanes, path = self.nan_lanes(rho, n, rows), np.full((rows, n + 1), np.nan)
-        y = recurse_rows(1.0, rho, 0.5, e, path, lanes)
-        assert not np.isnan(lanes).any()
+            plan = self.nan_plan(rho, n, 1)
+            alone.append(recurse_rows(1.0, rho, 0.5, row[np.newaxis], plan=plan)[0].copy())
+            assert not np.isnan(plan[-1]).any()
+        plan, path = self.nan_plan(rho, n, rows), np.full((rows, n + 1), np.nan)
+        y = recurse_rows(1.0, rho, 0.5, e, path, plan)
+        assert not np.isnan(plan[-1]).any()
         assert np.shares_memory(y, path) and np.all(path[:, 0] == 0.5)
         assert np.array_equal(y.view(np.int64), np.array(alone).view(np.int64))
 
@@ -302,10 +322,10 @@ class TestRowPairs:
         n = 2000
         e = np.stack([sample_innovations(InnovationModel("gaussian", 1.0), n, s) for s in range(5)])
         want = recurse_rows(-0.3, rho, 2.5, e)
-        lanes, path = self.nan_lanes(rho, n, 32), np.full((32, n + 1), np.nan)
-        got = recurse_rows(-0.3, rho, 2.5, e, path, lanes)
+        plan, path = self.nan_plan(rho, n, 32), np.full((32, n + 1), np.nan)
+        got = recurse_rows(-0.3, rho, 2.5, e, path, plan)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert not np.isnan(lanes[:3]).any()
+        assert not np.isnan(plan[-1][:3]).any()
 
     @pytest.mark.parametrize("regime", [Regime("P1", rho=0.5), Regime("P3"), Regime("P2", rho=-1.05)],
                              ids=lambda r: r.tag)
