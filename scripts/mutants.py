@@ -16,7 +16,7 @@ unedited suite fails or no mutant is selected.  Stdlib only.
 Usage: python scripts/mutants.py [SUBSTRING ...]
 
 With substrings, only the mutants whose old or new string holds one of them
-run (``python scripts/mutants.py bitorder "np.negative(bits"`` runs the two
+run (``python scripts/mutants.py bitorder "np.add(bits"`` runs the two
 sign mutants); with none, all of them run.
 """
 
@@ -91,11 +91,12 @@ MUTANTS = [
     # least significant, signs value 64j + k, and a set bit is -1.  Reading
     # each byte's bits most significant first moves signs but keeps them
     # fair, which the chunk-fill oracle of tests/test_innovations.py and the
-    # golden registry see; dropping the negation makes every sign +, which
-    # the sign-law test sees too.  Drawing more words than ceil(n/64) is not
-    # listed: the extra words follow the row's last draw, so no value moves.
+    # golden registry see; dropping the doubling makes the numerator 1 - bit,
+    # so every negative value becomes 0, which the sign-law and edge-value
+    # tests see too.  Drawing more words than ceil(n/64) is not listed: the
+    # extra words follow the row's last draw, so no value moves.
     ('bitorder="little"', 'bitorder="big"'),
-    ("return np.negative(bits, out=bits)", "return bits"),
+    ("np.add(bits, bits, out=bits)", "bits"),
     # The refusals that every caller now shares: least squares on a path
     # whose estimates overflow, and the config reader's three rules (a JSON
     # null, a required key left out, an unknown key).
@@ -175,7 +176,7 @@ MUTANTS = [
 # at the points of the smaller sample whichever argument holds it, and
 # |k/|a| - j/|b|| is the same float in either order, so every report byte
 # stays; TestKs checks both orders against the pooled formula.  Nor is
-# comparing the carry sweeps as floats rather than as bits
+# comparing the carry sweeps as floats rather than as bytes
 # (``np.array_equal(carry, old)``): the two differ only on NaN, where every
 # sweep runs and the path is refused, and on the sign of a zero carry, which
 # can move y only where the block sum it is added to is a zero of the other

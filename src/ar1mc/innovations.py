@@ -111,8 +111,8 @@ def _uniform_ell(x, sigma):
 def _draw_rows(rngs, out, draw, signed=False):
     """Per row of ``out``, with its generator from ``rngs``: ``rng.<draw>(out=row)``,
     then if ``signed`` ceil(n/64) raw Philox words, before ``rngs`` advances.
-    Returns ``out``, or if ``signed`` the (rows, n) int8 signs: value 64j + k is
-    -1 where bit k of word j, least significant first, is set, else 0 (+)."""
+    Returns ``out``, or if ``signed`` the (rows, n) int8 +-1 numerators: value
+    64j + k is 1 - 2*bit, -1 where bit k of word j, least significant first, is set."""
     words = np.empty((len(out), -(-out.shape[1] // 64) * signed), np.uint64)
     for row, word, rng in zip(out, words, rngs):
         if draw:
@@ -122,8 +122,8 @@ def _draw_rows(rngs, out, draw, signed=False):
     if not signed:
         return out
     bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
-                         count=out.shape[1], bitorder="little").view(np.int8)
-    return np.negative(bits, out=bits)
+                         count=out.shape[1], bitorder="little")
+    return np.subtract(1, np.add(bits, bits, out=bits), out=bits).view(np.int8)
 
 
 def _gaussian_fill(rngs, out, sigma):
@@ -140,10 +140,10 @@ def _uniform_fill(rngs, out, sigma):
 
 def _pareto_fill(rngs, out, sigma):
     """P(|e| > t) = t^-2 for t >= 1, so |e| = 1/sqrt(U) samples the magnitude
-    exactly; an independent sign flip makes the law symmetric."""
+    exactly; an independent sign, the divide's +-1 numerator, makes the law
+    symmetric ((-1)/s is -(1/s) bit for bit)."""
     signs = _draw_rows(rngs, out, "random", signed=True)
-    np.divide(1.0, np.sqrt(np.subtract(1.0, out, out=out), out=out), out=out)
-    return np.copysign(out, signs, out=out)
+    return np.divide(signs, np.sqrt(np.subtract(1.0, out, out=out), out=out), out=out)
 
 
 # model id -> its law: whether it takes sigma, its variance class, l(x, sigma)
@@ -155,8 +155,8 @@ _LAWS = {
     "uniform": _Law(True, True, _uniform_ell, _uniform_fill),
     # symmetric +/-1: l(x) = 1{x >= 1}
     "rademacher": _Law(False, True, lambda x, sigma: 1.0 if x >= 1.0 else 0.0,
-                       lambda rngs, out, sigma: np.copysign(
-                           1.0, _draw_rows(rngs, out, None, signed=True), out=out)),
+                       lambda rngs, out, sigma: np.positive(
+                           _draw_rows(rngs, out, None, signed=True), out=out)),
     # symmetric density |x|^-3 on |x| >= 1: infinite variance, l(x) = 2*log(x)
     "pareto2": _Law(False, False, lambda x, sigma: 2.0 * math.log(x) if x >= 1.0 else 0.0,
                     _pareto_fill),

@@ -191,8 +191,8 @@ def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray, path: np.ndarr
         if not unit:
             # carry_{b+1} = lead * p_L * (carry_b + z[:, b, -1]).  Each sweep forms every
             # carry from the last sweep's, in the other buffer, so k sweeps make the first
-            # k + 1 exact, and one that moves no bit has met the recursion: a carry reaches
-            # the next block scaled by |rho|^L < 2^-(_SPAN/2), so that takes a few sweeps.
+            # k + 1 exact.  The stop rule compares bytes: a sweep that moves none has met the
+            # recursion; a carry reaches the next block scaled by |rho|^L < 2^-(_SPAN/2), so a few do.
             both = np.zeros((2, len(lanes), blocks, 2))
             both[:, :, 0] = lead * y0
             carry = both[0]
@@ -201,7 +201,7 @@ def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray, path: np.ndarr
                 np.add(old[:, :-1], lanes[:, :-1, -1], out=carry[:, 1:])
                 carry[:, 1:] *= p[size - 1]
                 carry[:, 1:] *= lead
-                if np.array_equal(carry.view(np.int64), old.view(np.int64)):
+                if carry.tobytes() == old.tobytes():
                     break
             z += carry.view(np.complex128)
         for k in (0, 1):

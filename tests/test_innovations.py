@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -214,6 +215,42 @@ class TestChunkFill:
         ranks[np.argsort(np.abs(e).ravel())] = np.arange(total)
         corr = np.corrcoef(negative.ravel(), ranks)[0, 1]
         assert abs(corr) <= 5 / math.sqrt(total - 1)
+
+    # U at the edges of random()'s range [0, 1), each under both signs: bit i
+    # of a row's word signs value i, and the two rows flip each other's signs.
+    EDGE_U = np.array([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53] * 2)
+    EDGE_WORDS = (0xF0, 0x0F)
+
+    class StubGenerator:
+        """Writes ``u`` on ``random(out=row)``; its bit generator's
+        ``random_raw(size)`` returns ``word`` and then zeros."""
+
+        def __init__(self, u, word):
+            self.u = u
+            self.bit_generator = SimpleNamespace(
+                random_raw=lambda size: np.array([word] + [0] * (size - 1), np.uint64))
+
+        def random(self, out):
+            out[:] = self.u
+
+    def edge_fill(self, model_id):
+        rngs = iter([self.StubGenerator(self.EDGE_U, word) for word in self.EDGE_WORDS])
+        e = sample_innovation_rows(InnovationModel(model_id), rngs, np.empty((2, len(self.EDGE_U))))
+        negative = np.array([[(word >> i) & 1 for i in range(len(self.EDGE_U))]
+                             for word in self.EDGE_WORDS]) == 1
+        return e, negative
+
+    def test_pareto_edge_values_keep_their_bits(self):
+        e, negative = self.edge_fill("pareto2")
+        magnitude = 1.0 / np.sqrt(1.0 - self.EDGE_U)
+        assert_same_bits(e, np.where(negative, -magnitude, magnitude))
+        # never -0.0, 0 or NaN: every value is at least 1 in size, its sign the bit's
+        assert np.all(np.abs(e) >= 1.0) and np.all(np.isfinite(e))
+        assert np.array_equal(np.signbit(e), negative)
+
+    def test_rademacher_edge_values_are_exactly_one(self):
+        e, negative = self.edge_fill("rademacher")
+        assert_same_bits(e, np.where(negative, -1.0, 1.0))
 
     @pytest.mark.parametrize("model", CHUNK_MODELS, ids=CHUNK_IDS)
     def test_sample_keeps_the_per_row_bits(self, model):
