@@ -45,6 +45,13 @@ MUTANTS = [
     # streams are built from explicit counters) and the registry see it.
     ("counter[1:len(prefix) + 2] = (*prefix, i)", "counter[:len(prefix) + 1] = (i, *prefix)"),
     ("_SERIES_TOL = 1e-12", "_SERIES_TOL = 1e-9"),
+    # The P2 law's per-chunk refusal of a vanished denominator: the ratio is
+    # then infinite and sample_limit refuses it as an overflow, so only the
+    # refusal tests (the law's error type, the command's message) see it.
+    # U2's weights shifted by one term (rho^-1 ... in place of 1 ...), which
+    # the P2 chunk tests, the Cauchy-case quartiles and the golden registry see.
+    ("np.any(np.abs(denom) < 1e-300)", "False"),
+    ("np.arange(m - 1)", "np.arange(1, m)"),
     ("math.log(abs(rho)))) + 1", "math.log(abs(rho)))) + 0"),
     ("2.0 * c * c / mu", "2.0 * c / mu"),
     ("math.sqrt(n / ell), math.sqrt(n)", "math.sqrt(n / ell), math.sqrt(n - 1)"),

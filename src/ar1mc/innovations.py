@@ -202,10 +202,6 @@ class InnovationModel(ConfigValue):
             return None
         return 1.0 if self.sigma is None else self.sigma * self.sigma
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` iid draws from ``rng``: one row of ``sample_innovation_rows``."""
-        return _LAWS[self.id].fill((rng,), np.empty((1, n)), self.sigma)[0]
-
 
 def eval_l(model: InnovationModel, x: float) -> float:
     """Truncated second moment ``l(x) = E[e^2 1{|e| <= x}]`` at ``x >= 0``."""
@@ -218,7 +214,7 @@ def sample_innovations(model: InnovationModel, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` iid innovations; deterministic for a fixed seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return model.sample(generator(seed), int(n))
+    return sample_innovation_rows(model, (generator(seed),), np.empty((1, int(n))))[0]
 
 
 # Values per chunk (rows x columns) in the replication blocks, the P2 limit
@@ -240,7 +236,7 @@ def _unbuffered():
 def sample_innovation_rows(model: InnovationModel, rngs, out: np.ndarray) -> np.ndarray:
     """Fills and returns ``out`` (rows, n), row i from the i-th generator that
     the iterator ``rngs`` yields (see ``rng.substreams``), and takes no more:
-    the next call starts at the next stream.  Row i equals ``model.sample``."""
+    the next call starts at the next stream."""
     return _LAWS[model.id].fill(rngs, out, model.sigma)
 
 

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .innovations import _CHUNK_ELEMENTS, InnovationModel, _unbuffered, ell_at_bn
+from .innovations import _CHUNK_ELEMENTS, InnovationModel, _unbuffered, ell_at_bn, sample_innovation_rows
 from .process import Regime, resolve_rho
 from .rng import generator, substreams
 
@@ -116,8 +116,8 @@ def default_truncation(rho: float) -> int:
     return int(math.ceil(-math.log(_SERIES_TOL) / math.log(abs(rho)))) + 1
 
 
-def _explosive_law(rho, mu, y0, model, draws, seed) -> np.ndarray:
-    """P2: a standard normal and a ratio of two weighted innovation series.
+def _explosive_law(rho, mu, y0, model, seed, out) -> None:
+    """P2 into ``out`` (2, draws): a standard normal and a ratio of two weighted innovation series.
 
     U1 = sum_{s<M} rho^-s eps_s and U2 = rho*y0 + sum_{s<M-1} rho^-s eps'_s
     (that is, rho * sum_{1<=t<M} rho^-t eps'_t) use disjoint fresh draws
@@ -128,26 +128,26 @@ def _explosive_law(rho, mu, y0, model, draws, seed) -> np.ndarray:
     Chunk c holds k = max(1, _CHUNK_ELEMENTS // (2M-1)) draws, from stream
     (c,) under seed (``rng.substreams``): its k W1 normals, then one row of
     2M-1 innovations per draw, whose first M columns give U1 and last M-1
-    give U2.
+    give U2, weighted in place in one buffer of k rows.
     """
     m = default_truncation(rho)
-    shift = mu * rho / (rho - 1.0)
-    weights = rho ** -np.arange(m, dtype=float)
-    width = 2 * m - 1
-    step = max(1, _CHUNK_ELEMENTS // width)
-    out = np.empty((draws, 2))  # (W1, U1) until U1 becomes the ratio
-    denom = np.empty(draws)  # U2 + mu*rho/(rho-1)
-    chunks = substreams(seed, (), range(-(-draws // step)))
-    for lo, rng in zip(range(0, draws, step), chunks):
-        rows = min(step, draws - lo)
-        out[lo:lo + rows, 0] = rng.standard_normal(rows)
-        eps = model.sample(rng, rows * width).reshape(rows, width)
-        out[lo:lo + rows, 1] = np.sum(eps[:, :m] * weights, axis=1)
-        denom[lo:lo + rows] = rho * y0 + np.sum(eps[:, m:] * weights[:-1], axis=1) + shift
-    if np.any(np.abs(denom) < 1e-300):
-        raise FloatingPointError("explosive limit denominator vanished")
-    out[:, 1] = (rho * rho - 1.0) * out[:, 1] / denom
-    return out
+    weights = rho ** -np.concatenate((np.arange(m), np.arange(m - 1)), dtype=float)
+    step = max(1, _CHUNK_ELEMENTS // (2 * m - 1))
+    buf = np.empty((step, 2 * m - 1))
+    chunks = substreams(seed, (), range(-(-out.shape[1] // step)))
+    for lo, rng in zip(range(0, out.shape[1], step), chunks):
+        w1, u1 = out[:, lo:lo + step]
+        rng.standard_normal(out=w1)
+        eps = sample_innovation_rows(model, (rng,), buf[:len(w1)].reshape(1, -1)).reshape(len(w1), -1)
+        eps *= weights
+        np.add.reduce(eps[:, :m], axis=1, out=u1)
+        denom = np.add.reduce(eps[:, m:], axis=1, out=eps[:, 0])  # U2's sum, in U1's spent column 0
+        denom += rho * y0
+        denom += mu * rho / (rho - 1.0)
+        if np.any(np.abs(denom) < 1e-300):
+            raise FloatingPointError("explosive limit denominator vanished")
+        u1 *= rho * rho - 1.0
+        u1 /= denom
 
 
 def _normal_factor(regime: Regime, mu: float, variance: float | None):
@@ -211,13 +211,14 @@ def sample_limit(regime: Regime, mu: float, model: InnovationModel, draws: int, 
         raise ValueError(f"draws must be >= 1, got {draws}")
     if not (math.isfinite(mu) and math.isfinite(y0)):
         raise ValueError("mu and y0 must be finite")
+    out = np.empty((2, draws))
     # Draws that overflow are refused below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"), _unbuffered():
         if regime.tag == "P2":
-            out = _explosive_law(regime.rho, mu, y0, model, draws, seed)
+            _explosive_law(regime.rho, mu, y0, model, seed, out)
         else:
             (a11, a12), (a21, a22) = _normal_factor(regime, mu, model.variance)
-            out, rng = np.empty((2, draws)), generator(seed)
+            rng = generator(seed)
             for z in out:
                 rng.standard_normal(out=z)
             for lo in range(0, draws, _CHUNK_ELEMENTS):
@@ -227,8 +228,7 @@ def sample_limit(regime: Regime, mu: float, model: InnovationModel, draws: int, 
                 z1 += a12 * z2
                 z2 *= a22
                 z2 += u
-            out = out.T
     # min and max carry any NaN or infinity, and need no mask the size of out
     if not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise OverflowError(f"{regime.tag} limit draws overflow double precision at these parameters")
-    return out
+    return out.T

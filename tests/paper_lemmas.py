@@ -17,7 +17,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ar1mc.estimator import SingularDesignError
-from ar1mc.innovations import ell_at_bn
+from ar1mc.innovations import ell_at_bn, sample_innovation_rows
 from ar1mc.process import resolve_rho
 from ar1mc.rng import generator
 
@@ -102,7 +102,7 @@ def replication_reference(config, n: int, r: int) -> tuple[float, float, float, 
     rho = 1 (a running sum) or the blocked closed form of ``disc_path``,
     then centered least squares on 1-D sums.
     """
-    e = config.model.sample(fresh_stream(config.seed, 1, n, r), n)
+    e = sample_innovation_rows(config.model, (fresh_stream(config.seed, 1, n, r),), np.empty((1, n)))[0]
     rho = resolve_rho(config.regime, n)
     mu, y0 = config.mu, config.y0
     if abs(rho) > 1:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ar1mc import limits
 from ar1mc.cli import main
 from ar1mc.estimator import ls_estimate
 from ar1mc.innovations import _CHUNK_ELEMENTS, InnovationModel
@@ -260,6 +261,17 @@ class TestLimitSample:
         assert code == 1
         assert out == ""
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
+    def test_vanished_denominator_exits_1(self, capsys, monkeypatch):
+        # One series term (M = 1) leaves U2 empty: at mu = 0 and y0 = 0 every
+        # P2 denominator is 0.0.
+        monkeypatch.setattr(limits, "_SERIES_TOL", 1.0)
+        code, out, err = run(["limit-sample", "--regime", "P2", "--rho", "2", "--mu", "0",
+                              "--draws", "50"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: explosive limit denominator vanished\n"
 
     def test_explosive_peak_memory_flat_in_root(self, tmp_path):
         # The P2 series have M ~ 27.6/log|rho| terms per draw.  Chunks of at

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from ar1mc import limits
-from ar1mc.innovations import _CHUNK_ELEMENTS, InnovationModel
+from ar1mc.innovations import _CHUNK_ELEMENTS, InnovationModel, sample_innovation_rows
 from ar1mc.limits import (
     _normal_factor,
     default_truncation,
@@ -176,7 +176,8 @@ class TestExplosiveLimit:
             rows = min(step, draws - lo)
             rng = fresh_stream(seed, c)
             w1 = rng.standard_normal(rows)
-            eps = model.sample(rng, rows * (2 * m - 1)).reshape(rows, 2 * m - 1)
+            eps = sample_innovation_rows(model, (rng,), np.empty((1, rows * (2 * m - 1))))
+            eps = eps.reshape(rows, 2 * m - 1)
             u1 = eps[:, :m] @ rho ** -np.arange(0.0, m)
             u2 = rho * y0 + rho * (eps[:, m:] @ rho ** -np.arange(1.0, m))
             assert np.array_equal(got[lo:lo + rows, 0], w1)
@@ -192,6 +193,14 @@ class TestExplosiveLimit:
         assert default_truncation(2.0) == 51
         b = sample_limit(regime, 0.0, InnovationModel("gaussian", 1.0), 20_000, 74)
         assert ks_two_sample(a[:, 1], b[:, 1]) < 0.02
+
+    def test_vanished_denominator_is_refused(self, monkeypatch):
+        # At a series tolerance of 1, M = 1 and U2 is an empty sum, so with
+        # mu = 0 and y0 = 0 every denominator is 0.0.
+        monkeypatch.setattr(limits, "_SERIES_TOL", 1.0)
+        assert default_truncation(2.0) == 1
+        with pytest.raises(FloatingPointError, match="^explosive limit denominator vanished$"):
+            sample_limit(Regime("P2", rho=2.0), 0.0, InnovationModel("gaussian", 1.0), 1000, 3)
 
     def test_default_truncation_threshold(self):
         for rho in (1.2, 2.0, 5.0):
@@ -480,7 +489,8 @@ class TestDispatch:
 
 
 class TestNormalLawInPlace:
-    """The normal laws are formed in place, one chunk of scratch at a time."""
+    """The limit laws are formed in place: the normal laws one chunk of
+    scratch at a time, P2 in one reused buffer of series rows."""
 
     REGIMES = [Regime("P1", rho=0.6), Regime("P3"), Regime("P5", c=-1.5, alpha=0.5),
                Regime("P6", c=1.5, alpha=0.5)]
@@ -496,15 +506,25 @@ class TestNormalLawInPlace:
         want = np.column_stack([a11 * z1 + a12 * z2, a21 * z1 + a22 * z2])
         assert np.array_equal(got, want)
 
-    def test_peak_is_the_output_plus_chunk_scratch(self):
-        # The scratch is two chunks of 2^16 values, whatever the draw count;
-        # whole copies of z1 and z2 would add about twice the output.
-        regime = Regime("P5", c=-1.5, alpha=0.5)
+    @pytest.mark.parametrize("regime, model", [
+        (Regime("P5", c=-1.5, alpha=0.5), InnovationModel("gaussian", 1.0)),
+        (Regime("P2", rho=1.2), InnovationModel("pareto2")),
+        (Regime("P2", rho=1.2), InnovationModel("gaussian", 1.0)),
+        (Regime("P2", rho=-1.5), InnovationModel("pareto2")),
+        (Regime("P2", rho=-1.5), InnovationModel("gaussian", 1.0)),
+    ], ids=["P5-gaussian", "P2-1.2-pareto2", "P2-1.2-gaussian", "P2-neg1.5-pareto2",
+            "P2-neg1.5-gaussian"])
+    def test_peak_is_the_output_plus_chunk_scratch(self, regime, model):
+        # The scratch is at most two chunks of 2^16 values, whatever the draw
+        # count: the normal laws' z1 and z2 slices, the P2 law's one buffer
+        # of series rows (one draw fits a chunk while |rho| >= 1.00084).
+        # Whole copies of z1 and z2, or a draws-long P2 denominator, would
+        # add about the output again.
         # imports what a first draw needs
-        sample_limit(regime, MU, InnovationModel("gaussian", 1.0), 10, 3)
+        sample_limit(regime, MU, model, 10, 3)
         tracemalloc.start()
         try:
-            out = sample_limit(regime, MU, InnovationModel("gaussian", 1.0), 400_000, 3)
+            out = sample_limit(regime, MU, model, 400_000, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -59,7 +59,8 @@ class TestSubstreamRows:
         # its second sign word; the next row must still start its own stream
         model = InnovationModel(model_id)
         rows = sample_innovation_rows(model, substreams(3, (1, 77), range(6)), np.empty((6, 77)))
-        expected = [model.sample(fresh_stream(3, 1, 77, r), 77) for r in range(6)]
+        expected = [sample_innovation_rows(model, (fresh_stream(3, 1, 77, r),), np.empty((1, 77)))[0]
+                    for r in range(6)]
         assert np.array_equal(rows, np.array(expected))
 
     @pytest.mark.parametrize("model_id", ["gaussian", "pareto2"])
