@@ -52,6 +52,10 @@ MUTANTS = [
     # the P2 chunk tests, the Cauchy-case quartiles and the golden registry see.
     ("np.any(np.abs(denom) < 1e-300)", "False"),
     ("np.arange(m - 1)", "np.arange(1, m)"),
+    # Every limit chunk one stream id later, (c + 1,) in place of (c,): the
+    # normal laws' registry entries and pins (stream (0,) is the seed's own
+    # generator) and the chunk-rule tests of tests/test_limits.py see it.
+    ("range(-(-draws // step))", "range(1, 1 - (-draws // step))"),
     ("math.log(abs(rho)))) + 1", "math.log(abs(rho)))) + 0"),
     ("2.0 * c * c / mu", "2.0 * c / mu"),
     ("math.sqrt(n / ell), math.sqrt(n)", "math.sqrt(n / ell), math.sqrt(n - 1)"),

@@ -14,9 +14,10 @@ normals Z1, Z2, hence covariance A A^T.  The model enters only through its
 variance class (P1, P5).  P5 is rank one; P3/P4 are linear in W(1) and the
 Wiener integral of the deterministic growth curve G_c(s) = int_0^s exp(c*u) du.
 
-P2 alone is not normal: ``_explosive_law`` draws (W1, (rho^2-1) U1 /
-(U2 + mu*rho/(rho-1))) with U1, U2 independent weighted series of raw
-innovations from the actual error model.
+P2 alone is not normal: its law is (W1, (rho^2-1) U1 / (U2 + mu*rho/(rho-1)))
+with U1, U2 independent weighted series of raw innovations from the actual
+error model.  Every law is drawn in one loop of chunks, chunk c from stream
+(c,) under the seed, so a chunk's draws do not depend on the draw count.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .innovations import _CHUNK_ELEMENTS, InnovationModel, _unbuffered, ell_at_bn, sample_innovation_rows
 from .process import Regime, resolve_rho
-from .rng import generator, substreams
+from .rng import substreams
 
 __all__ = ["error_rates", "sample_limit"]
 
@@ -116,40 +117,6 @@ def default_truncation(rho: float) -> int:
     return int(math.ceil(-math.log(_SERIES_TOL) / math.log(abs(rho)))) + 1
 
 
-def _explosive_law(rho, mu, y0, model, seed, out) -> None:
-    """P2 into ``out`` (2, draws): a standard normal and a ratio of two weighted innovation series.
-
-    U1 = sum_{s<M} rho^-s eps_s and U2 = rho*y0 + sum_{s<M-1} rho^-s eps'_s
-    (that is, rho * sum_{1<=t<M} rho^-t eps'_t) use disjoint fresh draws
-    from ``model``, truncated once rho^-M < _SERIES_TOL.  The series stay raw
-    (not divided by sqrt(l(b_M))): the rate rho^n carries no l(b_n), so the
-    innovation scale must meet the shift mu*rho/(rho-1) and y0 unchanged.
-
-    Chunk c holds k = max(1, _CHUNK_ELEMENTS // (2M-1)) draws, from stream
-    (c,) under seed (``rng.substreams``): its k W1 normals, then one row of
-    2M-1 innovations per draw, whose first M columns give U1 and last M-1
-    give U2, weighted in place in one buffer of k rows.
-    """
-    m = default_truncation(rho)
-    weights = rho ** -np.concatenate((np.arange(m), np.arange(m - 1)), dtype=float)
-    step = max(1, _CHUNK_ELEMENTS // (2 * m - 1))
-    buf = np.empty((step, 2 * m - 1))
-    chunks = substreams(seed, (), range(-(-out.shape[1] // step)))
-    for lo, rng in zip(range(0, out.shape[1], step), chunks):
-        w1, u1 = out[:, lo:lo + step]
-        rng.standard_normal(out=w1)
-        eps = sample_innovation_rows(model, (rng,), buf[:len(w1)].reshape(1, -1)).reshape(len(w1), -1)
-        eps *= weights
-        np.add.reduce(eps[:, :m], axis=1, out=u1)
-        denom = np.add.reduce(eps[:, m:], axis=1, out=eps[:, 0])  # U2's sum, in U1's spent column 0
-        denom += rho * y0
-        denom += mu * rho / (rho - 1.0)
-        if np.any(np.abs(denom) < 1e-300):
-            raise FloatingPointError("explosive limit denominator vanished")
-        u1 *= rho * rho - 1.0
-        u1 /= denom
-
-
 def _normal_factor(regime: Regime, mu: float, variance: float | None):
     """The factor A = ((a11, a12), (a21, a22)) of the normal law under P1, P3-P6.
 
@@ -206,6 +173,17 @@ def sample_limit(regime: Regime, mu: float, model: InnovationModel, draws: int, 
 
     ``model`` picks the variance branch (P1, P5) and supplies the series
     innovations (P2); ``y0`` enters only the P2 law.
+
+    Chunk c holds max(1, 2^16 // w) draws from stream (c,) under seed
+    (``rng.substreams``; stream (0,) is ``generator(seed)``): first their
+    component-1 normals, then w values per draw.  A normal law takes w = 1,
+    its Z2 normals, and applies its factor in place.  P2 takes w = 2M-1
+    innovations from ``model``, weighted in place in one buffer of chunk
+    rows: U1 = sum_{s<M} rho^-s eps_s from the first M columns, U2 =
+    rho*y0 + sum_{s<M-1} rho^-s eps'_s (that is, rho * sum_{1<=t<M} rho^-t
+    eps'_t) from the last M-1, truncated once rho^-M < _SERIES_TOL.  The
+    series stay raw (not divided by sqrt(l(b_M))): the rate rho^n carries no
+    l(b_n), so the innovation scale must meet mu*rho/(rho-1) and y0 unchanged.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -215,14 +193,31 @@ def sample_limit(regime: Regime, mu: float, model: InnovationModel, draws: int, 
     # Draws that overflow are refused below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"), _unbuffered():
         if regime.tag == "P2":
-            _explosive_law(regime.rho, mu, y0, model, seed, out)
+            rho = regime.rho
+            m = default_truncation(rho)
+            weights = rho ** -np.concatenate((np.arange(m), np.arange(m - 1)), dtype=float)
+            step = max(1, _CHUNK_ELEMENTS // (2 * m - 1))
+            buf = np.empty((step, 2 * m - 1))
         else:
             (a11, a12), (a21, a22) = _normal_factor(regime, mu, model.variance)
-            rng = generator(seed)
-            for z in out:
-                rng.standard_normal(out=z)
-            for lo in range(0, draws, _CHUNK_ELEMENTS):
-                z1, z2 = out[:, lo:lo + _CHUNK_ELEMENTS]
+            step = _CHUNK_ELEMENTS
+        chunks = substreams(seed, (), range(-(-draws // step)))
+        for lo, rng in zip(range(0, draws, step), chunks):
+            z1, z2 = out[:, lo:lo + step]
+            rng.standard_normal(out=z1)
+            if regime.tag == "P2":
+                eps = sample_innovation_rows(model, (rng,), buf[:len(z1)].reshape(1, -1)).reshape(len(z1), -1)
+                eps *= weights
+                np.add.reduce(eps[:, :m], axis=1, out=z2)
+                denom = np.add.reduce(eps[:, m:], axis=1, out=eps[:, 0])  # U2's sum, in U1's spent column 0
+                denom += rho * y0
+                denom += mu * rho / (rho - 1.0)
+                if np.any(np.abs(denom) < 1e-300):
+                    raise FloatingPointError("explosive limit denominator vanished")
+                z2 *= rho * rho - 1.0
+                z2 /= denom
+            else:
+                rng.standard_normal(out=z2)
                 u = a21 * z1
                 z1 *= a11
                 z1 += a12 * z2

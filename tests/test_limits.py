@@ -489,15 +489,32 @@ class TestDispatch:
 
 
 class TestNormalLawInPlace:
-    """The limit laws are formed in place: the normal laws one chunk of
-    scratch at a time, P2 in one reused buffer of series rows."""
+    """The limit laws are formed in place, one chunk at a time, chunk c from
+    stream (c,) under the seed: the normal laws in one chunk of scratch, P2
+    in one reused buffer of series rows."""
 
     REGIMES = [Regime("P1", rho=0.6), Regime("P3"), Regime("P5", c=-1.5, alpha=0.5),
                Regime("P6", c=1.5, alpha=0.5)]
 
     @pytest.mark.parametrize("regime", REGIMES, ids=lambda r: r.tag)
     def test_each_draw_is_the_factor_times_the_two_normal_draws(self, regime):
+        # chunk c's z1 and then its z2 come from stream (c,)
         draws = 2 * _CHUNK_ELEMENTS + 7  # three chunks, the last one short
+        got = sample_limit(regime, MU, InnovationModel("gaussian", 2.0), draws, 13)
+        (a11, a12), (a21, a22) = _normal_factor(regime, MU, 4.0)
+        los = range(0, draws, _CHUNK_ELEMENTS)
+        assert draws - los[-1] == 7
+        for c, lo in enumerate(los):
+            rng = fresh_stream(13, c)
+            z1 = rng.standard_normal(min(_CHUNK_ELEMENTS, draws - lo))
+            z2 = rng.standard_normal(len(z1))
+            want = np.column_stack([a11 * z1 + a12 * z2, a21 * z1 + a22 * z2])
+            assert np.array_equal(got[lo:lo + len(z1)], want)
+
+    @pytest.mark.parametrize("regime", REGIMES, ids=lambda r: r.tag)
+    def test_one_chunk_is_all_of_z1_then_all_of_z2_from_the_seed(self, regime):
+        # up to 2^16 draws make one chunk, from stream (0,): generator(seed)
+        draws = _CHUNK_ELEMENTS
         got = sample_limit(regime, MU, InnovationModel("gaussian", 2.0), draws, 13)
         (a11, a12), (a21, a22) = _normal_factor(regime, MU, 4.0)
         rng = generator(13)
@@ -505,6 +522,17 @@ class TestNormalLawInPlace:
         z2 = rng.standard_normal(draws)
         want = np.column_stack([a11 * z1 + a12 * z2, a21 * z1 + a22 * z2])
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("regime, model", [
+        (regime, InnovationModel("gaussian", 2.0)) for regime in REGIMES
+    ] + [(Regime("P2", rho=1.2), InnovationModel("pareto2"))], ids=["P1", "P3", "P5", "P6", "P2"])
+    def test_whole_chunks_do_not_depend_on_the_draw_count(self, regime, model):
+        width = 2 * default_truncation(regime.rho) - 1 if regime.tag == "P2" else 1
+        step = max(1, _CHUNK_ELEMENTS // width)
+        long = sample_limit(regime, MU, model, 2 * step + 5, 17)
+        short = sample_limit(regime, MU, model, step + 1, 17)
+        # chunk 0 is the one chunk whole in both
+        assert np.array_equal(long[:step], short[:step])
 
     @pytest.mark.parametrize("regime, model", [
         (Regime("P5", c=-1.5, alpha=0.5), InnovationModel("gaussian", 1.0)),
