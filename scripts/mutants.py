@@ -65,7 +65,20 @@ MUTANTS = [
     # scale cases see.
     ("ell = model.variance if model.variance is not None else ell_at_bn(model, n)",
      "ell = ell_at_bn(model, n)"),
-    ("delta2 = n * sxe", "delta2 = (n - 1) * sxe"),
+    ("n * sxe, delta3, singular", "(n - 1) * sxe, delta3, singular"),
+    # The engine's estimates without their truth (the bare Delta ratios), and
+    # with the two ratios swapped between mu_hat and rho_hat.  No report
+    # field moves, only the CSV's estimates: the stream-map and row-pair
+    # tests (engine rows against replication_reference), the exact-ratio test
+    # of tests/test_montecarlo.py, the subtraction check of TestRates and the
+    # registry's CSVs see both.
+    ("[mu + mu_error, rho + rho_error,", "[mu_error, rho_error,"),
+    ("mu + mu_error, rho + rho_error", "mu + rho_error, rho + mu_error"),
+    # ls_estimate fitting e in place of y: its estimates become its errors,
+    # and its Deltas keep their bits.  C1, the oracle and Delta-identity
+    # fixtures, the shift relation and the chunk-stage bit test see it; the
+    # hand-solved example does not, as its truth (0, 0) makes e equal y.
+    ("for innovations in (y, e):", "for innovations in (e, e):"),
     # Least squares centring e in place and multiplying there: every sum
     # keeps its bits, so only the tests that hold ls_rows and ls_sums to
     # leaving e as it was, and those that read a path's e again after

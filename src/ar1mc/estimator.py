@@ -1,17 +1,17 @@
 """Least-squares estimation of (mu, rho) from one path or a block of paths.
 
 The estimator minimizes sum_t (y_t - mu - rho*y_{t-1})^2.  Writing
-x = (y_0..y_{n-1}) and S for raw sums, the closed form is
+x = (y_0..y_{n-1}), e for the innovations that generated the path and S for
+raw sums, its estimation errors decompose exactly as
 
-    rho_hat = (n*S_xy - S_x*S_y) / Delta3,      Delta3 = n*S_xx - S_x^2,
-    mu_hat  = (S_y*S_xx - S_x*S_xy) / Delta3,
+    mu_hat - mu   = Delta1/Delta3,      Delta1 = S_xx*S_e - S_x*S_xe,
+    rho_hat - rho = Delta2/Delta3,      Delta2 = n*S_xe - S_x*S_e,
+                                        Delta3 = n*S_xx - S_x^2,
 
-and with the innovations e that generated the path the estimation errors
-decompose exactly as mu_hat - mu = Delta1/Delta3, rho_hat - rho =
-Delta2/Delta3 where
-
-    Delta1 = S_xx*S_e - S_x*S_xe,
-    Delta2 = n*S_xe - S_x*S_e.
+so every estimate here is its truth plus its Delta ratio, from four sums of
+x and e.  A path read from a file has no truth: it is fitted with truth (0, 0)
+and y as its own innovations (y_t = 0 + 0*y_{t-1} + y_t), so its estimates
+are the Delta ratios of y.
 
 All sums here are computed from mean-centered series (numpy pairwise
 summation); Delta3 is a difference of large near-equal terms when the
@@ -47,56 +47,53 @@ class LsEstimate:
 
 
 def ls_sums(path: np.ndarray, e: np.ndarray, work: np.ndarray, sums: np.ndarray) -> None:
-    """Stage 1: writes xbar, zbar, S_xx, S_xy, ebar and S_xe (the centred sums) of
-    each row of the paths ``path`` (rows, n + 1), y_0..y_n, into ``sums`` (6, rows).
-    The C-contiguous ``work`` (rows * n values or more) takes the centred lagged
-    series; y = path[:, 1:] is consumed as the work space of the products and ``e``
-    is only read.  Every sum runs along a row, so a row gets its floats on its own."""
+    """Stage 1: writes xbar, S_xx, ebar and S_xe (the centred sums) of each row of
+    the paths ``path`` (rows, n + 1), y_0..y_n, and innovations ``e`` into ``sums``
+    (4, rows).  The C-contiguous ``work`` (rows * n values or more) takes the centred
+    lagged series; y = path[:, 1:] is consumed as the work space of the products and
+    ``e`` is only read.  Every sum runs along a row, so a row gets its floats on its own."""
     rows, n = e.shape
     x, y, xc = path[:, :-1], path[:, 1:], work.reshape(-1)[:rows * n].reshape(rows, n)
-    xbar, zbar, sxx, sxy, ebar, sxe = sums
+    xbar, sxx, ebar, sxe = sums
     # Overflow is refused by ls_from_sums, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(x, np.divide(np.add.reduce(x, axis=1, out=xbar), n, out=xbar)[:, np.newaxis], out=xc)
-        y -= np.divide(np.add.reduce(y, axis=1, out=zbar), n, out=zbar)[:, np.newaxis]
-        np.add.reduce(np.multiply(xc, y, out=y), axis=1, out=sxy)
         np.add.reduce(np.square(xc, out=y), axis=1, out=sxx)
         np.subtract(e, np.divide(np.add.reduce(e, axis=1, out=ebar), n, out=ebar)[:, np.newaxis], out=y)
         np.add.reduce(np.multiply(xc, y, out=y), axis=1, out=sxe)
 
 
-def ls_from_sums(sums: np.ndarray, n: int) -> tuple[LsEstimate, np.ndarray]:
-    """Stage 2: the LsEstimate (one entry per row) and the singular-design mask
-    of the rows whose ``ls_sums`` are ``sums``.  A singular row's estimates and
-    Delta1/Delta2 are NaN; its Delta3 stays.  Refuses the whole block if any
-    row's sums of squares of the lagged series overflow."""
-    xbar, zbar, sxx, sxy, ebar, sxe = sums
-    # Overflow is refused below and singular rows are masked before any division.
+def ls_from_sums(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 2: Delta1, Delta2, Delta3 and the singular-design mask of the rows
+    whose ``ls_sums`` are ``sums``.  A singular row's Delta1 and Delta2 are NaN;
+    its Delta3 stays.  Refuses the whole block if any row's sums of squares of
+    the lagged series overflow."""
+    xbar, sxx, ebar, sxe = sums
+    # Overflow is refused below; a singular row's S_xe is NaN before any product.
     with np.errstate(over="ignore", invalid="ignore"):
         sum_sq = sxx + n * xbar**2  # sum(x^2), no cancellation (Chan, Golub & LeVeque 1983)
         delta3 = n * sxx
         if not (np.all(np.isfinite(delta3)) and np.all(np.isfinite(sum_sq))):
             raise OverflowError("sums of squares of the lagged series overflow double precision")
         singular = delta3 <= _SINGULAR_EPS * n * sum_sq
-        sxx = np.where(singular, 1.0, sxx)
-        rho_hat = sxy / sxx
-        mu_hat = zbar - rho_hat * xbar
-        delta1 = n * (ebar * sxx - xbar * sxe)
-        delta2 = n * sxe
-    for values in (mu_hat, rho_hat, delta1, delta2):
-        values[singular] = np.nan
-    return LsEstimate(mu_hat, rho_hat, delta1, delta2, delta3), singular
+        sxe = np.where(singular, np.nan, sxe)
+        return n * (ebar * sxx - xbar * sxe), n * sxe, delta3, singular
 
 
 def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.ndarray]:
-    """Both stages on the paths ``y`` (rows, n) from y0 and innovations ``e``, both kept."""
+    """Both stages on the paths ``y`` (rows, n) from y0 and innovations ``e``, both
+    kept: the estimates are y's Delta ratios (truth (0, 0), y its own innovations),
+    and the Deltas are e's."""
     rows, n = y.shape
     if n < 2:
         raise ValueError("need n >= 2 observations")
-    path, sums = np.empty((rows, n + 1)), np.empty((6, rows))
-    path[:, 0], path[:, 1:] = y0, y
-    ls_sums(path, e, np.empty((rows, n)), sums)
-    return ls_from_sums(sums, n)
+    path, work, fits = np.empty((rows, n + 1)), np.empty((rows, n)), []
+    for innovations in (y, e):
+        path[:, 0], path[:, 1:], sums = y0, y, np.empty((4, rows))
+        ls_sums(path, innovations, work, sums)
+        fits.append(ls_from_sums(sums, n))
+    (mu_num, rho_num, delta3, singular), (delta1, delta2, _, _) = fits
+    return LsEstimate(mu_num / delta3, rho_num / delta3, delta1, delta2, delta3), singular
 
 
 def ls_estimate(path: Ar1Path) -> LsEstimate:

@@ -196,9 +196,9 @@ def _replicate_block(payload):
     ``rho`` is the root ``path_root`` accepted for size n.  Returns one
     row (mu_hat, rho_hat, mu error, rho error, singular) per replication,
     NaN but for the flag where the design is singular.  The errors are the
-    Delta ratios, which equal (mu_hat - mu, rho_hat - rho_n) exactly for
-    the generating truth but keep their own relative precision below
-    ulp(rho_hat), where literal subtraction of the rounded estimates
+    Delta ratios, and the estimates are the truth plus them: mu + Delta1/Delta3
+    and rho + Delta2/Delta3.  The ratios keep their own relative precision
+    below ulp(rho_hat), where literal subtraction of the rounded estimates
     resolves nothing; the explosive-side rates run_experiment applies
     exceed 1/ulp.
 
@@ -206,21 +206,22 @@ def _replicate_block(payload):
     innovations, one row per stream (1, n, r) under seed; the paths led by y0,
     which ls_sums reads as the views x and y; and the recursion's block_plan,
     in whose lanes ls_sums then centres x.  ls_from_sums solves the block's
-    sums at once.  Each row equals the single path and ls_estimate of its stream.
+    four sums at once.  Each row's errors equal the Delta ratios ls_estimate
+    gives for the single path of its stream.
     """
     rho, mu, y0, model, n, seed, r_lo, r_hi = payload
     rngs = substreams(seed, (_PATH_STREAM, n), range(r_lo, r_hi))
     step = min(r_hi - r_lo, max(1, _CHUNK_ELEMENTS // n))
     e_rows, path, plan = np.empty((step, n)), np.empty((step, n + 1)), block_plan(rho, n, step)
-    sums = np.empty((6, r_hi - r_lo))
+    sums = np.empty((4, r_hi - r_lo))
     with _unbuffered():
         for lo in range(0, r_hi - r_lo, step):
             e = sample_innovation_rows(model, rngs, e_rows[:r_hi - r_lo - lo])
             recurse_rows(mu, rho, y0, e, path, plan)
             ls_sums(path[:len(e)], e, plan[-1], sums[:, lo:lo + len(e)])
-        est, singular = ls_from_sums(sums, n)
-    return np.column_stack(
-        [est.mu_hat, est.rho_hat, est.delta1 / est.delta3, est.delta2 / est.delta3, singular])
+        delta1, delta2, delta3, singular = ls_from_sums(sums, n)
+    mu_error, rho_error = delta1 / delta3, delta2 / delta3
+    return np.column_stack([mu + mu_error, rho + rho_error, mu_error, rho_error, singular])
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:

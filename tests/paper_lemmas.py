@@ -96,11 +96,12 @@ def replication_reference(config, n: int, r: int) -> tuple[float, float, float, 
 
     Returns (mu_hat, rho_hat, mu error, rho error), all NaN when the design
     is singular; the errors are the Delta ratios Delta1/Delta3 and
-    Delta2/Delta3.  This is the per-replication pipeline the Monte Carlo
-    engine runs in blocks of rows: innovations from stream (1, n, r) under
-    the seed, the closed-form explosive path, lfilter at
-    rho = 1 (a running sum) or the blocked closed form of ``disc_path``,
-    then centered least squares on 1-D sums.
+    Delta2/Delta3, and the estimates are the truth (mu, rho_n) plus them.
+    This is the per-replication pipeline the Monte Carlo engine runs in
+    blocks of rows: innovations from stream (1, n, r) under the seed, the
+    closed-form explosive path, lfilter at rho = 1 (a running sum) or the
+    blocked closed form of ``disc_path``, then centered least squares on
+    1-D sums.
     """
     e = sample_innovation_rows(config.model, (fresh_stream(config.seed, 1, n, r),), np.empty((1, n)))[0]
     rho = resolve_rho(config.regime, n)
@@ -120,12 +121,10 @@ def replication_reference(config, n: int, r: int) -> tuple[float, float, float, 
     delta3 = n * sxx
     if delta3 <= 1e-12 * n * float(np.sum(x * x)):
         return (math.nan,) * 4
-    zbar = float(np.mean(y))
-    rho_hat = float(np.sum(xc * (y - zbar))) / sxx
     ebar = float(np.mean(e))
     sxe = float(np.sum(xc * (e - ebar)))
-    delta1 = n * (ebar * sxx - xbar * sxe)
-    return zbar - rho_hat * xbar, rho_hat, delta1 / delta3, n * sxe / delta3
+    mu_error, rho_error = n * (ebar * sxx - xbar * sxe) / delta3, n * sxe / delta3
+    return mu + mu_error, rho + rho_error, mu_error, rho_error
 
 
 def disc_path(x: np.ndarray, rho: float, y0: float) -> np.ndarray:

@@ -72,8 +72,9 @@ def test_c01_estimator_against_oracle_and_delta_identities():
             abs(a.mu_hat - mu_orc) / max(abs(mu_orc), 1.0),
         )
         # identity deviation beyond the quantization of the comparator must
-        # be <= 1e-10 rel; mu_hat is assembled as zbar - rho_hat*xbar, so
-        # its subtraction quantizes at ulps of |xbar|, not of |mu_hat|
+        # be <= 1e-10 rel; mu_hat is the data's own Delta ratio,
+        # n*(ybar*S_xx - xbar*S_xy)/Delta3, so its difference quantizes at
+        # ulps of |xbar|, not of |mu_hat|
         mu_err, rho_err = a.mu_hat - mu, a.rho_hat - path.rho
         xbar = abs(float(np.sum(lagged(path)))) / path.n
         mu_scale = max(1.0, abs(a.mu_hat), abs(mu)) + xbar * (1.0 + abs(a.rho_hat))

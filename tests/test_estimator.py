@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -163,8 +162,9 @@ class TestClosedForm:
 @pytest.mark.parametrize("bufsize", [8192, 1024])
 def test_chunk_stage_consumes_only_y_for_the_same_bits(regime, n, bufsize):
     # ls_rows leaves the caller's y and e as they were; ls_sums consumes y
-    # and only reads e, and every field keeps its bits, under the default
-    # ufunc buffer and the block engine's.
+    # and only reads its innovations, and every field keeps its bits, under
+    # the default ufunc buffer and the block engine's: the Deltas from the
+    # sums over e, the estimates from those over y as its own innovations.
     mu, y0 = 1.0, 0.5
     rows, rho = _CHUNK_ELEMENTS // n, path_root(regime, mu, y0, n)
     e = sample_innovation_rows(InnovationModel("pareto2"), substreams(7, (1, n), range(rows)),
@@ -176,22 +176,27 @@ def test_chunk_stage_consumes_only_y_for_the_same_bits(regime, n, bufsize):
     plain, plain_singular = ls_rows(y0, y, e)
     for arr, copy in zip((y, e), kept):
         assert np.array_equal(arr.view(np.int64), copy.view(np.int64))
-    sums = np.empty((6, rows))
-    outer = np.setbufsize(bufsize)
-    try:
-        ls_sums(path, e, plan[-1], sums)
-    finally:
-        np.setbufsize(outer)
+    fits = []
+    for innovations in (kept[0], e):
+        path[:, 1:], sums = kept[0], np.empty((4, rows))
+        outer = np.setbufsize(bufsize)
+        try:
+            ls_sums(path, innovations, plan[-1], sums)
+        finally:
+            np.setbufsize(outer)
+        fits.append(ls_from_sums(sums, n))
     assert np.array_equal(e.view(np.int64), kept[1].view(np.int64))
-    est, singular = ls_from_sums(sums, n)
+    (mu_num, rho_num, delta3, singular), (*deltas, _) = fits
     assert plain_singular.tolist() == singular.tolist() == [False] * (rows - 1) + [True]
-    assert_same_bits(est, plain)
+    assert_same_bits(deltas, plain)
+    assert_same_bits((mu_num / delta3, rho_num / delta3), plain, names=("mu_hat", "rho_hat"))
 
 
-def assert_same_bits(est, want, rows=slice(None)):
-    for field in dataclasses.fields(est):
-        got, expected = getattr(est, field.name)[rows], getattr(want, field.name)
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), field.name
+def assert_same_bits(values, want, rows=slice(None), names=("delta1", "delta2", "delta3")):
+    """``values``, the arrays ls_from_sums returns, match the fields ``names`` of
+    the LsEstimate ``want`` bit for bit in ``rows``."""
+    for got, name in zip(values, names, strict=True):
+        assert np.array_equal(got[rows].view(np.int64), getattr(want, name).view(np.int64)), name
 
 
 def block_chunks(n, rows, y0=0.5):
@@ -205,8 +210,8 @@ def block_chunks(n, rows, y0=0.5):
 
 
 def block_sums(y0, y, e, chunks):
-    """ls_sums of each chunk of a block, into the block's one (6, rows) array."""
-    sums, path = np.empty((6, len(y))), np.empty((len(y), y.shape[1] + 1))
+    """ls_sums of each chunk of a block, into the block's one (4, rows) array."""
+    sums, path = np.empty((4, len(y))), np.empty((len(y), y.shape[1] + 1))
     path[:, 0], path[:, 1:] = y0, y
     for chunk in chunks:
         ls_sums(path[chunk], e[chunk], np.empty(y[chunk].shape), sums[:, chunk])
@@ -217,19 +222,19 @@ def block_sums(y0, y, e, chunks):
 def test_block_stage_matches_each_row_alone(n):
     # Every chunk mixes singular rows (a constant lagged series, and one
     # whose spread is below the guard's floor) with ordinary ones; the
-    # block's estimates are those of each row on its own, bit for bit.
+    # block's Deltas are those of each row on its own, bit for bit.
     y0 = 0.5
     y, e, chunks = block_chunks(n, 2 * (_CHUNK_ELEMENTS // n) + 3, y0)
     for chunk in chunks:
         y[chunk.start] = y0
         y[chunk.stop - 1] = y0 + 1e-9 * e[chunk.stop - 1]
     marked = {c.start for c in chunks} | {c.stop - 1 for c in chunks}
-    est, singular = ls_from_sums(block_sums(y0, y, e, chunks), n)
+    *deltas, singular = ls_from_sums(block_sums(y0, y, e, chunks), n)
     assert len(chunks) == 3 and np.flatnonzero(singular).tolist() == sorted(marked)
     for i in range(len(y)):
         alone, alone_singular = ls_rows(y0, y[i:i + 1], e[i:i + 1])
         assert alone_singular[0] == singular[i]
-        assert_same_bits(est, alone, slice(i, i + 1))
+        assert_same_bits(deltas, alone, slice(i, i + 1))
 
 
 def test_block_refused_for_an_overflow_in_its_last_chunk():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ar1mc.cli import main
-from ar1mc.innovations import InnovationModel
+from ar1mc.innovations import InnovationModel, sample_innovation_rows
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import (
     ConfigError,
@@ -20,8 +21,10 @@ from ar1mc.montecarlo import (
     run_experiment,
     summarize,
 )
-from ar1mc.process import Regime, simulate_path
+from ar1mc.process import Ar1Path, Regime, path_root, recurse_rows, simulate_path
+from ar1mc.rng import substreams
 from paper_lemmas import (
+    exact_delta_ratios,
     normalized_stationary_sums,
     normalized_tilde_sums,
     replication_reference,
@@ -549,6 +552,29 @@ class TestStreamMap:
                                          y0=2.0, n_list=(1000, 2000), replications=130))
         assert all(30 < block["singular"] < 100 for block in report.per_n)
 
+
+# Each engine estimate is its truth plus its Delta ratio, rounded once: the
+# ratio lies within the Delta test's 256 eps of the exact one
+# (tests/test_estimator.py), and adding the truth rounds to within half an
+# ulp of the estimate, so the bound is 1/2 ulp(estimate) + 256 eps |exact|.
+# A fit of the data (rho_hat = S_xy/S_xx, mu_hat = ybar - rho_hat*xbar)
+# cancels where the path grows, and misses this bound under P2 and P6.
+@pytest.mark.parametrize("regime, n", [
+    (Regime("P1", rho=0.5), 400), (Regime("P2", rho=1.2), 120),
+    (Regime("P3"), 400), (Regime("P6", c=1.0, alpha=0.5), 400),
+], ids=["P1", "P2", "P3", "P6"])
+def test_engine_estimates_are_the_truth_plus_the_exact_ratios(regime, n):
+    cfg = small_config(regime=regime, n_list=(n,), replications=100, limit_draws=1000, y0=0.5)
+    rows = run_experiment(cfg).rows[0]
+    rho = path_root(regime, cfg.mu, cfg.y0, n)
+    e = sample_innovation_rows(cfg.model, substreams(cfg.seed, (1, n), range(100)), np.empty((100, n)))
+    eps = Fraction(np.finfo(float).eps)
+    for row, y, e_row in zip(rows, recurse_rows(cfg.mu, rho, cfg.y0, e), e):
+        exact = exact_delta_ratios(Ar1Path(mu=cfg.mu, rho=rho, y0=cfg.y0, y=y, e=e_row))
+        for estimate, truth, want in zip(row[:2], (cfg.mu, rho), exact):
+            error = Fraction(float(estimate)) - Fraction(truth)
+            bound = Fraction(float(np.spacing(abs(estimate)))) / 2 + 256 * eps * abs(want)
+            assert abs(error - want) <= bound, (float(error), float(want))
 
 class TestNormalizedSums:
     def test_stationary_sums_converge(self):
