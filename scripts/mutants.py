@@ -41,9 +41,10 @@ MUTANTS = [
     ("_PATH_STREAM = 1", "_PATH_STREAM = 3"),
     # The stream id in counter word 0, which counts the stream's blocks:
     # stream r + 1 then starts one block into stream r.  The fresh-counter
-    # references of tests/test_rng.py, the chunk and stream-map tests (their
+    # references of tests/test_rng.py, the reference Philox of
+    # tests/test_stream_spec.py, the chunk and stream-map tests (their
     # streams are built from explicit counters) and the registry see it.
-    ("counter[1:len(prefix) + 2] = (*prefix, i)", "counter[:len(prefix) + 1] = (i, *prefix)"),
+    ("counter[word] = i", "counter[0] = i"),
     ("_SERIES_TOL = 1e-12", "_SERIES_TOL = 1e-9"),
     # The P2 law's per-chunk refusal of a vanished denominator: the ratio is
     # then infinite and sample_limit refuses it as an overflow, so only the
@@ -197,9 +198,10 @@ MUTANTS = [
 #
 # Not listed, because it is equivalent: swapping the arguments of a KS call
 # (``ks_two_sample(limit[:, 0], s_mu)``).  ks_two_sample evaluates the gaps
-# at the points of the smaller sample whichever argument holds it, and
-# |k/|a| - j/|b|| is the same float in either order, so every report byte
-# stays; TestKs checks both orders against the pooled formula.  Nor is
+# on both sides of its first argument's points, both sides of either
+# sample's points meet the pooled maximum, and |k/|a| - j/|b|| is the same
+# float in either order, so every report byte stays; TestKs checks both
+# orders against the pooled formula.  Nor is
 # comparing the carry sweeps as floats rather than as bytes
 # (``np.array_equal(carry, old)``): the two differ only on NaN, where every
 # sweep runs and the path is refused, and on the sign of a zero carry, which

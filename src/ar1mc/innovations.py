@@ -22,7 +22,6 @@ import math
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -270,9 +269,8 @@ def _first_true(pred: Callable[[float], bool], lo: float, what: str) -> float:
     return hi
 
 
-@lru_cache(maxsize=256)
 def _positivity_edge(model: InnovationModel) -> float:
-    """``b_0``: the smallest float ``x >= 1`` with ``l(x) > 0``."""
+    """``b_0``: the smallest float ``x >= 1`` with ``l(x) > 0``, searched once per b_n."""
     return _first_true(lambda x: eval_l(model, x) > 0.0, 1.0,
                        f"l(x) of model {model.id!r} never becomes positive below {_S_MAX:g}")
 

@@ -122,18 +122,16 @@ class McReport:
 def ks_two_sample(a, b) -> float:
     """Exact sup-distance between the empirical CDFs of two nonempty samples.
 
-    Both samples are sorted.  Between two points of the smaller one the gap
-    |F_a - F_b| is largest at an end: at a point of that sample itself, or
-    just before the next one.  Evaluating both sides of each of its points
-    therefore meets the pooled maximum, as the same float quotients k/|a|
-    and j/|b|, so the argument order does not change the result.
+    Both samples are sorted, and the gaps are taken on both sides of ``a``'s
+    points.  Between two points of either sample |F_a - F_b| is largest at an
+    end: at a point of that sample, or just before the next one.  So either
+    sample's points meet the pooled maximum, as the same float quotients
+    k/|a| and j/|b|, and either argument order gives the same bits.
     """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("ks_two_sample requires nonempty samples")
-    if a.size > b.size:
-        a, b = b, a
     gaps = [np.searchsorted(a, a, side) / a.size - np.searchsorted(b, a, side) / b.size
             for side in ("right", "left")]
     return float(max(np.max(np.abs(gap)) for gap in gaps))

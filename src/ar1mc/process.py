@@ -186,8 +186,7 @@ def recurse_rows(mu: float, rho: float, y0: float, e: np.ndarray, path: np.ndarr
             (np.add if unit else np.multiply)(x[k::2], mu if unit else w, out=pairs[:len(x[k::2]), :n, k])
         if unit:
             lanes[:, 0, 0] += y0
-        if size > 1:  # a block of one term is its own sum
-            np.cumsum(z, axis=2, out=z)
+        np.cumsum(z, axis=2, out=z)  # leaves rho = 0's blocks of one term as they are
         if not unit:
             # carry_{b+1} = lead * p_L * (carry_b + z[:, b, -1]).  Each sweep forms every
             # carry from the last sweep's, in the other buffer, so k sweeps make the first

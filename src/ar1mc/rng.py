@@ -54,12 +54,15 @@ def substreams(seed: int, prefix: tuple[int, ...], ids: Iterable[int]) -> Iterat
     ``Philox(key=<its key>, counter=[0, *prefix, id, 0...])`` would, so the
     all-zero path is ``generator(seed)`` itself.  It is one object, so each
     stream's draws must finish before the iterator advances.  The path is at
-    most three entries, each in [0, 2**64).
+    most three entries, each in [0, 2**64); the first ``next`` refuses a longer
+    one with ValueError, even when ``ids`` is empty.
     """
     rng = generator(seed)
     state = rng.bit_generator.state  # counter 0, an empty buffer, no cached half word
     counter = state["state"]["counter"]
+    word = len(prefix) + 1  # the counter word that holds the id; the prefix's are written once
+    counter[1:word + 1] = (*prefix, 0)
     for i in ids:
-        counter[1:len(prefix) + 2] = (*prefix, i)
+        counter[word] = i
         rng.bit_generator.state = state
         yield rng

@@ -475,7 +475,7 @@ class TestModelConfig:
 
 class TestModelValue:
     """A model is a value: equal ids and scales give equal, hashable,
-    picklable models, and equal models share one b_0 cache entry."""
+    picklable models."""
 
     MODELS = [InnovationModel("gaussian", 1.0), InnovationModel("gaussian", 0.5),
               InnovationModel("uniform", 2.0), InnovationModel("rademacher"),
@@ -493,13 +493,6 @@ class TestModelValue:
         back = pickle.loads(pickle.dumps(model))
         assert back == model
         assert np.array_equal(sample_innovations(back, 50, 3), sample_innovations(model, 50, 3))
-
-    def test_equal_model_hits_bn_cache(self):
-        innovations._positivity_edge.cache_clear()
-        compute_bn(InnovationModel("gaussian", 1.5), 100)
-        compute_bn(InnovationModel("gaussian", 1.5), 200)
-        info = innovations._positivity_edge.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
 
     @pytest.mark.parametrize("name, sigma", [("gaussian", "1"), ("gaussian", True),
                                              ("pareto2", 1.0), ("cauchy", None), (["x"], None)])

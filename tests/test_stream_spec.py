@@ -1,0 +1,72 @@
+"""The stream contract in its own terms: a pure-Python Philox4x64-10 (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) reproduces the
+words that ``rng.substreams`` draws, so a change of the counter layout, or of
+numpy's Philox, fails here by name and not only as a moved report byte.
+
+Stream ``path`` under ``seed`` is Philox keyed by ``generator(seed)``'s key,
+with the counter ``[0, *path]`` padded to four words; numpy adds 1 to word 0
+before each block of four words, and ``random()`` keeps a word's top 53 bits.
+"""
+
+import pytest
+
+from ar1mc.rng import generator, substreams
+
+_MASK = 2**64 - 1
+_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_ROUNDS = 10
+_BLOCKS = 3
+
+SEEDS = [0, 7, 2**64 + 3]
+# (prefix, ids): replications (1, n, r), the limit laws' chunks (c,), and a
+# two-word path
+PATHS = {"replication": ((1, 5000), [0, 1, 17, 2**64 - 1]),
+         "limit-chunk": ((), [1, 2, 40]),
+         "two-word": ((2,), [0, 3])}
+
+
+def philox_block(counter, key):
+    """Philox4x64-10 of one four-word counter under a two-word key."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(_ROUNDS):
+        p0, p1 = _MULTIPLIERS[0] * c0, _MULTIPLIERS[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
+        k0, k1 = (k0 + _WEYL[0]) & _MASK, (k1 + _WEYL[1]) & _MASK
+    return [c0, c1, c2, c3]
+
+
+def reference_words(seed, path):
+    """The first ``4 * _BLOCKS`` raw words of stream ``path`` under ``seed``
+    (word 0 would carry into the path only after 2^64 blocks)."""
+    key = [int(k) for k in generator(seed).bit_generator.state["state"]["key"]]
+    counter = [0, *path, 0, 0, 0][:4]
+    words = []
+    for _ in range(_BLOCKS):
+        counter[0] += 1
+        words += philox_block(counter, key)
+    return words
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("prefix, ids", PATHS.values(), ids=PATHS)
+def test_raw_words(seed, prefix, ids):
+    # one iterator, so each stream is re-counted from the one before it
+    got = [rng.bit_generator.random_raw(4 * _BLOCKS).tolist() for rng in substreams(seed, prefix, ids)]
+    assert got == [reference_words(seed, (*prefix, i)) for i in ids]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_zero_path_is_the_seeds_generator(seed):
+    # the all-zero counter: generator(seed) itself, and stream (0,)
+    (rng,) = substreams(seed, (), [0])
+    assert rng.bit_generator.random_raw(4 * _BLOCKS).tolist() == reference_words(seed, ())
+    assert generator(seed).bit_generator.random_raw(4 * _BLOCKS).tolist() == reference_words(seed, ())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_keeps_53_bits_of_each_word(seed):
+    (rng,) = substreams(seed, (1, 5000), [17])
+    expected = [(w >> 11) * 2.0**-53 for w in reference_words(seed, (1, 5000, 17))]
+    assert rng.random(4 * _BLOCKS).tolist() == expected
