@@ -79,9 +79,9 @@ MUTANTS = [
     # and its Deltas keep their bits.  C1, the oracle and Delta-identity
     # fixtures, the shift relation and the chunk-stage bit test see it; the
     # hand-solved example does not, as its truth (0, 0) makes e equal y.
-    ("for innovations in (y, e):", "for innovations in (e, e):"),
+    ("for innovations in (path.y, path.e):", "for innovations in (path.e, path.e):"),
     # Least squares centring e in place and multiplying there: every sum
-    # keeps its bits, so only the tests that hold ls_rows and ls_sums to
+    # keeps its bits, so only the tests that hold ls_estimate and ls_sums to
     # leaving e as it was, and those that read a path's e again after
     # ls_estimate, see it.
     ("[:, np.newaxis], out=y)\n        np.add.reduce(np.multiply(xc, y, out=y), axis=1, out=sxe)",
@@ -126,6 +126,9 @@ MUTANTS = [
     # whose estimates overflow, and the config reader's three rules (a JSON
     # null, a required key left out, an unknown key).
     ("if not np.all(np.isfinite(fields)):", "if False:"),
+    # ls_estimate on a singular design, which then divides by Delta3 <= eps
+    # n sum(x^2): the singular cases of tests/test_estimator.py see it.
+    ("if singular:", "if False:"),
     ("if value is None:", "if False:"),
     ("if missing:", "if False:"),
     ("if unknown:", "if False:"),
@@ -189,7 +192,7 @@ MUTANTS = [
     ("pairs[rows // 2:, :, 1] = pairs[:, n:] = 0.0", "pairs[rows // 2:, :, 1] = 0.0"),
 ]
 # The other exact-arithmetic oracles (the P5 and P6 factor entries,
-# ``error_rates`` and ``ls_rows``) have no mutant that they alone kill: the
+# ``error_rates`` and ``ls_estimate``) have no mutant that they alone kill: the
 # golden registry holds each of those values for its regimes byte for byte,
 # in the report's rates and limit fields and the replication CSV, so every
 # edit that moves them by more than the oracles' few eps moves a pinned byte

@@ -51,7 +51,8 @@ def ls_sums(path: np.ndarray, e: np.ndarray, work: np.ndarray, sums: np.ndarray)
     the paths ``path`` (rows, n + 1), y_0..y_n, and innovations ``e`` into ``sums``
     (4, rows).  The C-contiguous ``work`` (rows * n values or more) takes the centred
     lagged series; y = path[:, 1:] is consumed as the work space of the products and
-    ``e`` is only read.  Every sum runs along a row, so a row gets its floats on its own."""
+    ``e`` is only read.  Every sum runs along a row, so a row gets the same floats in
+    a chunk of the block engine as on its own in ls_estimate."""
     rows, n = e.shape
     x, y, xc = path[:, :-1], path[:, 1:], work.reshape(-1)[:rows * n].reshape(rows, n)
     xbar, sxx, ebar, sxe = sums
@@ -80,32 +81,27 @@ def ls_from_sums(sums: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.n
         return n * (ebar * sxx - xbar * sxe), n * sxe, delta3, singular
 
 
-def ls_rows(y0: float, y: np.ndarray, e: np.ndarray) -> tuple[LsEstimate, np.ndarray]:
-    """Both stages on the paths ``y`` (rows, n) from y0 and innovations ``e``, both
-    kept: the estimates are y's Delta ratios (truth (0, 0), y its own innovations),
-    and the Deltas are e's."""
-    rows, n = y.shape
-    if n < 2:
-        raise ValueError("need n >= 2 observations")
-    path, work, fits = np.empty((rows, n + 1)), np.empty((rows, n)), []
-    for innovations in (y, e):
-        path[:, 0], path[:, 1:], sums = y0, y, np.empty((4, rows))
-        ls_sums(path, innovations, work, sums)
-        fits.append(ls_from_sums(sums, n))
-    (mu_num, rho_num, delta3, singular), (delta1, delta2, _, _) = fits
-    return LsEstimate(mu_num / delta3, rho_num / delta3, delta1, delta2, delta3), singular
-
-
 def ls_estimate(path: Ar1Path) -> LsEstimate:
-    """Least-squares (mu_hat, rho_hat) with the Delta decomposition.
+    """Least-squares (mu_hat, rho_hat) with the Delta decomposition, from the block
+    engine's two stages (ls_sums, then ls_from_sums) on the one row of ``path``:
+    over y as its own innovations with truth (0, 0), whose Delta ratios are the
+    estimates, and over e, which gives the Deltas.  The path's y and e are kept.
 
     Raises SingularDesignError when the lagged regressor is numerically
     constant, and OverflowError when an estimate or a Delta is not finite.
     """
-    est, singular = ls_rows(path.y0, path.y[np.newaxis], path.e[np.newaxis])
-    if singular[0]:
-        raise SingularDesignError(f"lagged regressor is numerically constant (Delta3={est.delta3[0]:.3e})")
-    fields = [float(v[0]) for v in (est.mu_hat, est.rho_hat, est.delta1, est.delta2, est.delta3)]
+    n = path.n
+    if n < 2:
+        raise ValueError("need n >= 2 observations")
+    row, work, fits = np.empty((1, n + 1)), np.empty(n), []
+    for innovations in (path.y, path.e):
+        row[0, 0], row[0, 1:], sums = path.y0, path.y, np.empty((4, 1))
+        ls_sums(row, innovations[np.newaxis], work, sums)
+        fits.append([float(v[0]) for v in ls_from_sums(sums, n)])
+    (mu_num, rho_num, delta3, singular), (delta1, delta2, _, _) = fits
+    if singular:
+        raise SingularDesignError(f"lagged regressor is numerically constant (Delta3={delta3:.3e})")
+    fields = [mu_num / delta3, rho_num / delta3, delta1, delta2, delta3]
     if not np.all(np.isfinite(fields)):
         raise OverflowError("least-squares estimates overflow double precision")
     return LsEstimate(*fields)

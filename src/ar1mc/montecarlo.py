@@ -150,7 +150,7 @@ def rate_slope(n_list, rmse_list) -> dict:
     sxx = float(np.sum(xc * xc))
     slope = float(np.sum(xc * y) / sxx)
     resid = y - (y.mean() + slope * xc)
-    rss = max(float(np.sum(resid * resid)), 0.0)
+    rss = float(np.sum(resid * resid))
     stderr = math.sqrt(rss / (x.size - 2) / sxx)
     return {"slope": slope, "stderr": stderr}
 

@@ -14,9 +14,11 @@ regimes it moves, and lists the moves with ``scripts/report_diff.py``:
     PYTHONPATH=src python tests/test_golden_reports.py P2
 
 ``CLI_PINS`` below holds the sha256 of the CSVs that ``ar1mc simulate``
-and ``ar1mc limit-sample`` write, which the registry does not cover; they
-check the streamed CSV writer and each limit law byte for byte.  A change
-that moves them on purpose prints the new table with
+and ``ar1mc limit-sample`` write, and of the JSON that ``ar1mc estimate``
+writes for each ``simulate`` CSV, which the registry does not cover; they
+check the streamed CSV writer, each limit law and the fit of a path read
+from a file byte for byte.  A change that moves them on purpose prints the
+new table with
 
     PYTHONPATH=src python tests/test_golden_reports.py --cli
 """
@@ -110,10 +112,12 @@ def test_report_bytes_match_registry(registry, name, workers, tmp_path):
     assert got["csv_sha256"] == want["csv_sha256"], f"{where}: replication CSV moved"
 
 
-# simulate and limit-sample entries: command-regime-model.  The limit laws
-# run where the model matters (P1 and P5 through its variance class, P2
-# through its series innovations) under both models, the others under one.
-CLI_NAMES = ([f"simulate-{label}-{model}" for label in ("P1", "P2", "P3") for model in _MODELS]
+# simulate, estimate and limit-sample entries: command-regime-model.  Each
+# estimate entry fits the CSV of its simulate entry.  The limit laws run
+# where the model matters (P1 and P5 through its variance class, P2 through
+# its series innovations) under both models, the others under one.
+CLI_NAMES = ([f"{command}-{label}-{model}" for command in ("simulate", "estimate")
+              for label in ("P1", "P2", "P3") for model in _MODELS]
              + [f"limit-sample-{label}-{model}" for label in ("P1", "P2", "P5@0.5")
                 for model in _MODELS]
              + [f"limit-sample-{label}-gaussian" for label in ("P3", "P6")])
@@ -124,6 +128,12 @@ CLI_PINS = {
     "simulate-P2-pareto2": "74d9912b0148f3e64ea204a878032b156ea0a7e9bf5767d84849a4726c4a9455",
     "simulate-P3-gaussian": "037f49484063b59cc607f540c679fc192ac88cec05ae67a1c28086e00d772e48",
     "simulate-P3-pareto2": "0bcfbc4feacf41e2a70f5d54e516edde9b41b7b52a8692ffce93bbd71dc55a7a",
+    "estimate-P1-gaussian": "154e35c785ef84d185cde0ca8084e67812f402d13a16dd1ca60c09e1192d2aaa",
+    "estimate-P1-pareto2": "f330e7d634089f9e219434ae6b123ac53b134b3c648baa6d446b25245eaedf78",
+    "estimate-P2-gaussian": "d73879c8e18a0527714ce90a2381df8b5a20daa131ef8fa2cc514b518bde0b55",
+    "estimate-P2-pareto2": "dc9be4436d2b4053aa0b414926723c213d0358b5824adce9d21beea5ebf983be",
+    "estimate-P3-gaussian": "459e75ac073a8333c59b0b164826b1981cfd91b93f550ebb93b3f946570f45ee",
+    "estimate-P3-pareto2": "c275ddeeefb086001b9dfdd32db6ecc9e52bfa64a111699ad19addae36b824b8",
     "limit-sample-P1-gaussian": "ea3a2d992302e8a3324f5ab3243f8c747c5a13dd65caec62c833d33cac0eef9c",
     "limit-sample-P1-pareto2": "d3321e3ef59ec983c65866ee2908bb47b9bc52663da58bcb14ca9e7d25a45657",
     "limit-sample-P2-gaussian": "807a76eb400c299c4c051b3f0141c52b223e496dfa974ee6ce7faa56fd720bc3",
@@ -150,8 +160,13 @@ def cli_argv(name: str, out: Path) -> list[str]:
 
 
 def cli_sha256(name: str, workdir: Path) -> str:
-    out = workdir / "out.csv"
-    assert main(cli_argv(name, out)) == 0
+    out = workdir / "out"
+    if name.startswith("estimate-"):
+        path = workdir / "path.csv"
+        assert main(cli_argv(name.replace("estimate", "simulate", 1), path)) == 0
+        assert main(["estimate", "--in", str(path), "--out", str(out)]) == 0
+    else:
+        assert main(cli_argv(name, out)) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -161,7 +176,7 @@ def test_cli_pins_list_every_case():
 
 @pytest.mark.parametrize("name", CLI_NAMES)
 def test_cli_csv_bytes_match_pins(name, tmp_path):
-    assert cli_sha256(name, tmp_path) == CLI_PINS[name], f"{name}: CSV bytes moved"
+    assert cli_sha256(name, tmp_path) == CLI_PINS[name], f"{name}: output bytes moved"
 
 
 def rewrite(tags) -> None:

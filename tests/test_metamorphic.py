@@ -38,7 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ar1mc.estimator import ls_rows
+from ar1mc.estimator import ls_from_sums, ls_sums
 from ar1mc.innovations import InnovationModel, sample_innovation_rows
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
 from ar1mc.process import Regime, path_root, recurse_rows
@@ -72,6 +72,17 @@ RANDOM_REGIMES = st.one_of(
 BLOCK_MODELS = [InnovationModel("gaussian", 1.0), InnovationModel("uniform", 1.0),
                 InnovationModel("rademacher"), InnovationModel("pareto2"),
                 InnovationModel("gaussian", 1e-100)]
+
+
+def _errors(mu, rho, y0, e):
+    """(Delta1/Delta3, Delta2/Delta3, singular) of the paths from innovations
+    ``e`` (rows, n): the block engine's stages on its path buffer."""
+    rows, n = e.shape
+    path, sums = np.empty((rows, n + 1)), np.empty((4, rows))
+    recurse_rows(mu, rho, y0, e, path)
+    ls_sums(path, e, np.empty((rows, n)), sums)
+    delta1, delta2, delta3, singular = ls_from_sums(sums, n)
+    return delta1 / delta3, delta2 / delta3, singular
 
 
 def _run(regime, model, mu, y0):
@@ -150,13 +161,11 @@ def test_negation_negates_the_mu_error_only(model, n):
     e = sample_innovation_rows(model, substreams(11, (n,), range(6)), np.empty((6, n)))
     for rho in (0.5, -0.9, 1.0 - 2.0 / n, 1.0, 1.0 + n ** -0.5, 1.2 ** (60 / n), -1.3 ** (60 / n)):
         for mu, y0 in ((1.0, 2.0), (-0.3, 5.0), (0.0, -1.0)):
-            est, singular = ls_rows(y0, recurse_rows(mu, rho, y0, e), e)
-            neg, neg_singular = ls_rows(-y0, recurse_rows(-mu, rho, -y0, -e), -e)
+            mu_err, rho_err, singular = _errors(mu, rho, y0, e)
+            neg_mu_err, neg_rho_err, neg_singular = _errors(-mu, rho, -y0, -e)
             assert np.array_equal(neg_singular, singular)
-            assert np.array_equal(neg.delta1 / neg.delta3, -(est.delta1 / est.delta3),
-                                  equal_nan=True)
-            assert np.array_equal(neg.delta2 / neg.delta3, est.delta2 / est.delta3,
-                                  equal_nan=True)
+            assert np.array_equal(neg_mu_err, -mu_err, equal_nan=True)
+            assert np.array_equal(neg_rho_err, rho_err, equal_nan=True)
 
 
 @settings(max_examples=80)
@@ -166,8 +175,8 @@ def test_signed_power_of_two_scales_the_mu_error_only(model, regime, n, j, sign,
     k = sign * 2.0 ** j
     rho = path_root(regime, mu, y0, n)
     e = sample_innovation_rows(model, substreams(11, (n,), range(6)), np.empty((6, n)))
-    est, singular = ls_rows(y0, recurse_rows(mu, rho, y0, e), e)
-    out, out_singular = ls_rows(k * y0, recurse_rows(k * mu, rho, k * y0, k * e), k * e)
+    mu_err, rho_err, singular = _errors(mu, rho, y0, e)
+    out_mu_err, out_rho_err, out_singular = _errors(k * mu, rho, k * y0, k * e)
     assert np.array_equal(out_singular, singular)
-    assert np.array_equal(out.delta1 / out.delta3, k * (est.delta1 / est.delta3), equal_nan=True)
-    assert np.array_equal(out.delta2 / out.delta3, est.delta2 / est.delta3, equal_nan=True)
+    assert np.array_equal(out_mu_err, k * mu_err, equal_nan=True)
+    assert np.array_equal(out_rho_err, rho_err, equal_nan=True)

@@ -6,10 +6,19 @@ numpy's Philox, fails here by name and not only as a moved report byte.
 Stream ``path`` under ``seed`` is Philox keyed by ``generator(seed)``'s key,
 with the counter ``[0, *path]`` padded to four words; numpy adds 1 to word 0
 before each block of four words, and ``random()`` keeps a word's top 53 bits.
+The uniform, pareto2 and rademacher rows are derived here from those words
+and the laws' documented arithmetic.  Two parts of numpy are pinned, not
+derived: ``standard_normal``'s ziggurat and ``np.add.reduce``'s pairwise
+summation order, on which every gaussian path and every sum rests.
 """
 
+import hashlib
+import math
+
+import numpy as np
 import pytest
 
+from ar1mc.innovations import InnovationModel, sample_innovation_rows
 from ar1mc.rng import generator, substreams
 
 _MASK = 2**64 - 1
@@ -49,6 +58,11 @@ def reference_words(seed, path):
     return words
 
 
+def uniforms(words):
+    """``random()`` of each word: its top 53 bits times 2^-53."""
+    return [(w >> 11) * 2.0**-53 for w in words]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("prefix, ids", PATHS.values(), ids=PATHS)
 def test_raw_words(seed, prefix, ids):
@@ -68,5 +82,51 @@ def test_zero_path_is_the_seeds_generator(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_keeps_53_bits_of_each_word(seed):
     (rng,) = substreams(seed, (1, 5000), [17])
-    expected = [(w >> 11) * 2.0**-53 for w in reference_words(seed, (1, 5000, 17))]
-    assert rng.random(4 * _BLOCKS).tolist() == expected
+    assert rng.random(4 * _BLOCKS).tolist() == uniforms(reference_words(seed, (1, 5000, 17)))
+
+
+def one_row(model, n):
+    """``sample_innovation_rows``' row of ``n`` values from stream (1, 5000, 17) under seed 7."""
+    return sample_innovation_rows(model, substreams(7, (1, 5000), [17]), np.empty((1, n)))[0].tolist()
+
+
+def test_uniform_row():
+    # -a + 2a U, a = sigma sqrt(3): one random() per value
+    a = 2.0 * math.sqrt(3.0)
+    expected = [u * (2.0 * a) - a for u in uniforms(reference_words(7, (1, 5000, 17)))]
+    assert one_row(InnovationModel("uniform", 2.0), len(expected)) == expected
+
+
+def test_pareto2_row():
+    # the magnitudes 1/sqrt(1 - U) from words 0-10, then the signs from word
+    # 11: value k is negative where its bit k, least significant first, is set
+    words = reference_words(7, (1, 5000, 17))
+    expected = [(1 - 2 * ((words[11] >> k) & 1)) / math.sqrt(1.0 - u)
+                for k, u in enumerate(uniforms(words[:11]))]
+    assert one_row(InnovationModel("pareto2"), 11) == expected
+
+
+def test_rademacher_row():
+    # value k is 1 - 2 (bit k mod 64 of word k // 64): no random() draws
+    words = reference_words(7, (1, 5000, 17))
+    expected = [1.0 - 2 * ((words[k // 64] >> (k % 64)) & 1) for k in range(100)]
+    assert one_row(InnovationModel("rademacher"), 100) == expected
+
+
+def test_gaussian_pin():
+    # numpy's ziggurat standard_normal over one stream, pinned by its bytes:
+    # it draws from the raw words above but by no arithmetic written here
+    (rng,) = substreams(7, (1, 5000), [17])
+    digest = hashlib.sha256(rng.standard_normal(1000).astype("<f8").tobytes()).hexdigest()
+    assert digest == "7f1d464ce7e7999706061436d4f7a0de868a774532250ab6d87223205aaf9c13"
+
+
+def test_summation_pin():
+    # numpy's pairwise summation order, which every sum and mean here takes:
+    # its float differs from the left-to-right sum (cumsum's last value) and
+    # from the correctly rounded one, so a change of order moves it
+    x = 1.0 / np.arange(1, 100_001)
+    total = float(np.add.reduce(x))
+    assert total.hex() == "0x1.82e27a22f3fb2p+3"
+    assert total != np.cumsum(x)[-1]
+    assert total != math.fsum(x.tolist())
