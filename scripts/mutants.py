@@ -75,13 +75,18 @@ MUTANTS = [
     # registry's CSVs see both.
     ("[mu + mu_error, rho + rho_error,", "[mu_error, rho_error,"),
     ("mu + mu_error, rho + rho_error", "mu + rho_error, rho + mu_error"),
-    # ls_estimate fitting e in place of y: its estimates become its errors,
-    # and its Deltas keep their bits.  C1, the oracle and Delta-identity
-    # fixtures, the shift relation and the chunk-stage bit test see it; the
-    # hand-solved example does not, as its truth (0, 0) makes e equal y.
-    ("for innovations in (path.y, path.e):", "for innovations in (path.e, path.e):"),
+    # ls_estimate fitting e in place of y in row 0: its estimates become its
+    # errors, and its Deltas keep their bits.  C1, the oracle and
+    # Delta-identity fixtures, the shift relation and the chunk-stage bit test
+    # see it; the hand-solved example does not, as its truth (0, 0) makes e
+    # equal y.
+    ("np.ldexp(path.y, -k)", "np.ldexp(path.e, -k)"),
+    # ls_estimate's ratios not scaled back by 2^k: every estimate of a path
+    # with max|y| >= 1 shrinks by that power of 2, which the estimate pins
+    # of tests/test_golden_reports.py see.
+    ("rho_num / delta3], k)", "rho_num / delta3], 0)"),
     # Least squares centring e in place and multiplying there: every sum
-    # keeps its bits, so only the tests that hold ls_estimate and ls_sums to
+    # keeps its bits, so only the tests that hold ls_estimate and ls_deltas to
     # leaving e as it was, and those that read a path's e again after
     # ls_estimate, see it.
     ("[:, np.newaxis], out=y)\n        np.add.reduce(np.multiply(xc, y, out=y), axis=1, out=sxe)",
@@ -176,12 +181,12 @@ MUTANTS = [
     # restore tests of tests/test_montecarlo.py and tests/test_limits.py see
     # (after a run or a draw, and after one that raises).
     ("np.setbufsize(bufsize)", "bufsize"),
-    # Every chunk's centred sums written to the block's first slice: later
+    # Every chunk's Deltas written to the block's first slice: later
     # chunks overwrite the first one's rows and the block's other rows keep
     # whatever np.empty held, which the stream-map tests of
     # tests/test_montecarlo.py (blocks of several chunks) and the golden
     # registry see.
-    ("sums[:, lo:lo + len(e)]", "sums[:, :len(e)]"),
+    ("deltas[:, lo:lo + len(e)]", "deltas[:, :len(e)]"),
     # The recursion's row pairs: lane 1 - k read back into the rows of lane
     # k (every row off, a one-row path too, which reads the spare lane), and
     # an odd chunk's spare lane or the last block's pad left as the buffer

@@ -26,7 +26,7 @@ import numpy as np
 # simulate_path and ls_estimate, the one-path forms of the block engine
 # below, are not called here; they stay importable from this module because
 # the benchmark's tracer hooks them on it (a bypassed hook reports 0 calls).
-from .estimator import ls_estimate, ls_from_sums, ls_sums  # noqa: F401
+from .estimator import ls_deltas, ls_estimate  # noqa: F401
 from .innovations import (_CHUNK_ELEMENTS, ConfigError, ConfigValue, InnovationModel, _finite_real,
                           _unbuffered, sample_innovation_rows)
 from .limits import error_rates, sample_limit
@@ -202,24 +202,23 @@ def _replicate_block(payload):
 
     Replications run in chunks of rows on buffers made once per block: the
     innovations, one row per stream (1, n, r) under seed; the paths led by y0,
-    which ls_sums reads as the views x and y; and the recursion's block_plan,
-    in whose lanes ls_sums then centres x.  ls_from_sums solves the block's
-    four sums at once.  Each row's errors equal the Delta ratios ls_estimate
-    gives for the single path of its stream.
+    which ls_deltas reads as the views x and y; and the recursion's block_plan,
+    in whose lanes ls_deltas then centres x.  ls_deltas solves each chunk,
+    whose four vectors go into the block's slice.  Each row's errors equal
+    the Delta ratios ls_estimate gives for the single path of its stream.
     """
     rho, mu, y0, model, n, seed, r_lo, r_hi = payload
     rngs = substreams(seed, (_PATH_STREAM, n), range(r_lo, r_hi))
     step = min(r_hi - r_lo, max(1, _CHUNK_ELEMENTS // n))
     e_rows, path, plan = np.empty((step, n)), np.empty((step, n + 1)), block_plan(rho, n, step)
-    sums = np.empty((4, r_hi - r_lo))
+    deltas = np.empty((4, r_hi - r_lo))
     with _unbuffered():
         for lo in range(0, r_hi - r_lo, step):
             e = sample_innovation_rows(model, rngs, e_rows[:r_hi - r_lo - lo])
             recurse_rows(mu, rho, y0, e, path, plan)
-            ls_sums(path[:len(e)], e, plan[-1], sums[:, lo:lo + len(e)])
-        delta1, delta2, delta3, singular = ls_from_sums(sums, n)
-    mu_error, rho_error = delta1 / delta3, delta2 / delta3
-    return np.column_stack([mu + mu_error, rho + rho_error, mu_error, rho_error, singular])
+            deltas[:, lo:lo + len(e)] = ls_deltas(path[:len(e)], e, plan[-1])
+    mu_error, rho_error = deltas[:2] / deltas[2]
+    return np.column_stack([mu + mu_error, rho + rho_error, mu_error, rho_error, deltas[3]])
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> McReport:

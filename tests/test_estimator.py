@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ar1mc.estimator import _SINGULAR_EPS, SingularDesignError, ls_estimate, ls_from_sums, ls_sums
+from ar1mc.estimator import _SINGULAR_EPS, SingularDesignError, ls_deltas, ls_estimate
 from ar1mc.innovations import (_CHUNK_ELEMENTS, InnovationModel, compute_bn, ell_at_bn,
                                sample_innovation_rows)
 from ar1mc.limits import error_rates
@@ -169,20 +169,34 @@ class TestClosedForm:
     Regime("P6", c=1.0, alpha=0.5),
 ], ids=["P1-0.5", "P1--0.9", "P2-1.2", "P2--1.5", "P3", "P4-2", "P4--2", "P5", "P6"])
 def test_estimates_within_their_rounding_of_the_exact_fit(regime):
-    K, eps = 8, np.finfo(float).eps
     for n in (60, 400):
         for model in ("gaussian", "uniform", "rademacher", "pareto2"):
             for seed in range(40):
                 path = simulate_path(regime, 1.0, 0.5, InnovationModel(model), n, seed)
-                est, x = ls_estimate(path), lagged(path)
-                mu_hat, rho_hat = exact_delta_ratios(Ar1Path(0.0, 0.0, path.y0, path.y, path.y))
-                xc, yc = x - x.mean(), path.y - path.y.mean()
-                spread = np.sum(np.abs(xc * yc)) / np.sum(xc * xc)
-                s_mu = (np.mean(np.abs(path.y)) + abs(est.rho_hat) * np.mean(np.abs(x))
-                        + abs(x.mean()) * spread)
-                s_rho = abs(est.rho_hat) + spread
-                assert abs(Fraction(est.mu_hat) - mu_hat) <= K * eps * s_mu, (n, model, seed)
-                assert abs(Fraction(est.rho_hat) - rho_hat) <= K * eps * s_rho, (n, model, seed)
+                assert_fit_within_rounding(path, (n, model, seed))
+
+
+def test_explosive_path_fits_within_its_rounding():
+    # ybar * S_xx (about 6e104 * 2e215) overflows here although the fit is
+    # finite: ls_estimate fits y scaled by 2^-k (k = 357), and its fit is
+    # within the same K eps s of the exact one (K 0.23 on mu_hat, whose
+    # exact value -3.1e87 is below eps s_mu = 4.2e89, the fit's conditioning
+    # as above, and 0.93 on rho_hat).
+    path = simulate_path(Regime("P2", rho=1.05), 1.0, 0.0, InnovationModel("gaussian"), 5000, 7)
+    assert_fit_within_rounding(path, "P2-1.05")
+
+
+def assert_fit_within_rounding(path, label):
+    """ls_estimate of ``path`` lies within K eps s of the exact rational fit of its y."""
+    K, eps = 8, np.finfo(float).eps
+    est, x = ls_estimate(path), lagged(path)
+    mu_hat, rho_hat = exact_delta_ratios(Ar1Path(0.0, 0.0, path.y0, path.y, path.y))
+    xc, yc = x - x.mean(), path.y - path.y.mean()
+    spread = np.sum(np.abs(xc * yc)) / np.sum(xc * xc)
+    s_mu = np.mean(np.abs(path.y)) + abs(est.rho_hat) * np.mean(np.abs(x)) + abs(x.mean()) * spread
+    s_rho = abs(est.rho_hat) + spread
+    assert abs(Fraction(est.mu_hat) - mu_hat) <= K * eps * s_mu, label
+    assert abs(Fraction(est.rho_hat) - rho_hat) <= K * eps * s_rho, label
 
 
 # Chunks as the block engine makes them: y is the view path[:, 1:] of a
@@ -195,12 +209,12 @@ def test_estimates_within_their_rounding_of_the_exact_fit(regime):
                          ids=["P1-0.5", "P1--0.9", "P2", "P3"])
 @pytest.mark.parametrize("bufsize", [8192, 1024])
 def test_chunk_stage_consumes_only_y_for_the_same_bits(regime, n, bufsize):
-    # ls_sums consumes y and only reads its innovations, and every field of
+    # ls_deltas consumes y and only reads its innovations, and every field of
     # every row keeps its bits, non-finite ones too, between the block
-    # engine's ufunc buffer and the default one of ls_estimate's one-row
-    # stages: the Deltas from the sums over e, the estimates from those over
-    # y as its own innovations.  P2 at n = 5000 overflows ybar * S_xx, so
-    # ls_estimate refuses its estimates while the Deltas stay finite.
+    # engine's ufunc buffer and the default one of ls_estimate's two-row
+    # block: the Deltas from the fit over e, the estimates from that over y
+    # as its own innovations, scaled by 2^-k as ls_estimate scales them.
+    # Unscaled, P2 at n = 5000 would overflow ybar * S_xx; scaled, its rows fit.
     mu, y0 = 1.0, 0.5
     rows, rho = _CHUNK_ELEMENTS // n, path_root(regime, mu, y0, n)
     e = sample_innovation_rows(InnovationModel("pareto2"), substreams(7, (1, n), range(rows)),
@@ -209,19 +223,19 @@ def test_chunk_stage_consumes_only_y_for_the_same_bits(regime, n, bufsize):
     y = recurse_rows(mu, rho, y0, e, path, plan)
     y[-1] = y0  # a constant lagged series: a singular row
     kept = y.copy(), e.copy()
+    k = np.maximum(0, np.frexp(np.max(np.abs(kept[0]), axis=1))[1])
     fits = []
-    for innovations in (kept[0], e):
-        path[:, 1:], sums = kept[0], np.empty((4, rows))
+    for innovations in (np.ldexp(kept[0], -k[:, np.newaxis]), e):
+        path[:, 1:] = kept[0]
         outer = np.setbufsize(bufsize)
         try:
-            ls_sums(path, innovations, plan[-1], sums)
+            fits.append(ls_deltas(path, innovations, plan[-1]))
         finally:
             np.setbufsize(outer)
-        fits.append(ls_from_sums(sums, n))
     assert np.array_equal(e.view(np.int64), kept[1].view(np.int64))
     (mu_num, rho_num, delta3, singular), (*deltas, _) = fits
     assert singular.tolist() == [False] * (rows - 1) + [True]
-    assert_rows_alone((mu_num / delta3, rho_num / delta3, *deltas), singular,
+    assert_rows_alone((*np.ldexp((mu_num / delta3, rho_num / delta3), k), *deltas), singular,
                       [Ar1Path(mu, rho, y0, *row) for row in zip(*kept)], FIELDS)
 
 
@@ -229,23 +243,23 @@ FIELDS = ("mu_hat", "rho_hat", "delta1", "delta2", "delta3")
 
 
 def assert_rows_alone(values, singular, paths, names=FIELDS[2:]):
-    """Row i of ``values``, the arrays of the fields ``names`` from the stages
+    """Row i of ``values``, the arrays of the fields ``names`` from ls_deltas
     over a block, and of its ``singular`` mask keep their bits, NaN and inf
-    too, when the stages run on ``paths[i]`` alone as ls_estimate runs them.
+    too, when ls_deltas runs on ``paths[i]`` alone as ls_estimate runs it, on
+    a two-row block: y as its own innovations, scaled by 2^-k, then e.
     ls_estimate leaves the path's y and e as they were and returns those
     fields as floats, or refuses a singular row (SingularDesignError) and a
     row with a field that is not finite (OverflowError)."""
     for i, path in enumerate(paths):
-        fits = []
-        for innovations in (path.y, path.e):
-            row, sums = np.append(path.y0, path.y)[np.newaxis], np.empty((4, 1))
-            ls_sums(row, innovations[np.newaxis], np.empty(path.n), sums)
-            fits.append(ls_from_sums(sums, path.n))
-        (mu_num, rho_num, delta3, alone_singular), (*deltas, _) = fits
-        alone = dict(zip(FIELDS, (mu_num / delta3, rho_num / delta3, *deltas)))
-        assert alone_singular[0] == singular[i]
+        k = max(0, int(np.frexp(np.max(np.abs(path.y)))[1]))
+        block = np.tile(np.append(path.y0, path.y), (2, 1))
+        fit = ls_deltas(block, np.stack([np.ldexp(path.y, -k), path.e]), np.empty(2 * path.n))
+        (mu_num, delta1), (rho_num, delta2), (_, delta3), (_, alone_singular) = fit
+        ratios = np.ldexp((mu_num / delta3, rho_num / delta3), k)
+        alone = dict(zip(FIELDS, (*ratios, delta1, delta2, delta3)))
+        assert alone_singular == singular[i]
         for got, name in zip(values, names, strict=True):
-            assert got[i].tobytes() == alone[name][0].tobytes(), (i, name)
+            assert got[i].tobytes() == alone[name].tobytes(), (i, name)
         kept = path.y.tobytes(), path.e.tobytes()
         if singular[i] or not np.all(np.isfinite(list(alone.values()))):
             with pytest.raises(SingularDesignError if singular[i] else OverflowError):
@@ -268,13 +282,13 @@ def block_chunks(n, rows, y0=0.5):
     return y, e, [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def block_sums(y0, y, e, chunks):
-    """ls_sums of each chunk of a block, into the block's one (4, rows) array."""
-    sums, path = np.empty((4, len(y))), np.empty((len(y), y.shape[1] + 1))
+def block_deltas(y0, y, e, chunks):
+    """ls_deltas of each chunk of a block, into the block's one (4, rows) array."""
+    deltas, path = np.empty((4, len(y))), np.empty((len(y), y.shape[1] + 1))
     path[:, 0], path[:, 1:] = y0, y
     for chunk in chunks:
-        ls_sums(path[chunk], e[chunk], np.empty(y[chunk].shape), sums[:, chunk])
-    return sums
+        deltas[:, chunk] = ls_deltas(path[chunk], e[chunk], np.empty(y[chunk].shape))
+    return deltas
 
 
 @pytest.mark.parametrize("n", [600, 5000])
@@ -288,30 +302,30 @@ def test_block_stage_matches_each_row_alone(n):
         y[chunk.start] = y0
         y[chunk.stop - 1] = y0 + 1e-9 * e[chunk.stop - 1]
     marked = {c.start for c in chunks} | {c.stop - 1 for c in chunks}
-    *deltas, singular = ls_from_sums(block_sums(y0, y, e, chunks), n)
+    *deltas, singular = block_deltas(y0, y, e, chunks)
     assert len(chunks) == 3 and np.flatnonzero(singular).tolist() == sorted(marked)
     assert_rows_alone(deltas, singular, [Ar1Path(1.0, 0.5, y0, *row) for row in zip(y, e)])
 
 
 def test_block_refused_for_an_overflow_in_its_last_chunk():
-    # The refusal comes once per block, after every chunk: a block whose
-    # only overflowing row is the last row of its last chunk is refused.
+    # The refusal comes once per chunk, after the sums of all of its rows: a
+    # block whose only overflowing row is the last row of its last chunk is
+    # refused there, and that chunk's other rows alone are not.
     n = 600
     y, e, chunks = block_chunks(n, 2 * (_CHUNK_ELEMENTS // n) + 3)
     y[-1] *= 1e155
-    sums = block_sums(0.5, y, e, chunks)
-    ls_from_sums(sums[:, :-1], n)  # the other rows alone are not refused
+    last = chunks[-1]
+    block_deltas(0.5, y[last][:-1], e[last][:-1], [slice(None)])  # not refused
     with pytest.raises(OverflowError,
                        match="^sums of squares of the lagged series overflow double precision$"):
-        ls_from_sums(sums, n)
+        block_deltas(0.5, y, e, chunks)
 
 
 def guard_decisions(x):
-    """The stages' (overflow, singular) on the lagged series ``x`` of one path."""
-    path, sums = np.append(x, 0.0)[np.newaxis], np.empty((4, 1))  # y_n is not a regressor
-    ls_sums(path, np.zeros((1, x.size)), np.empty(x.size), sums)
+    """ls_deltas' (overflow, singular) on the lagged series ``x`` of one path."""
+    path = np.append(x, 0.0)[np.newaxis]  # y_n is not a regressor
     try:
-        return False, bool(ls_from_sums(sums, x.size)[3][0])
+        return False, bool(ls_deltas(path, np.zeros((1, x.size)), np.empty(x.size))[3][0])
     except OverflowError:
         return True, None
 
@@ -327,7 +341,7 @@ def raw_guard_decisions(x):
 
 
 class TestSingularGuard:
-    """ls_from_sums derives the guard's sum(x^2) as sum((x - xbar)^2) + n*xbar^2;
+    """ls_deltas derives the guard's sum(x^2) as sum((x - xbar)^2) + n*xbar^2;
     each path's singular and overflow decisions are those of the raw sum."""
 
     @staticmethod

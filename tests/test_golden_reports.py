@@ -21,6 +21,10 @@ from a file byte for byte.  A change that moves them on purpose prints the
 new table with
 
     PYTHONPATH=src python tests/test_golden_reports.py --cli
+
+A failing entry or pin ends its message with the tests of
+``tests/test_stream_spec.py`` that fail too, run in a fresh process, so a
+moved byte names the part of numpy's stream contract that moved with it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -38,6 +44,7 @@ import pytest
 from ar1mc.cli import main
 
 REGISTRY = Path(__file__).with_name("golden_reports.json")
+ROOT = Path(__file__).resolve().parents[1]
 
 _spec = importlib.util.spec_from_file_location(
     "report_diff", Path(__file__).parents[1] / "scripts" / "report_diff.py")
@@ -92,6 +99,21 @@ def _entry(report: bytes, csv: bytes) -> dict:
     }
 
 
+def failing_tests(spec: Path) -> list[str]:
+    """The ids of the tests in ``spec`` that fail or error, from a fresh pytest process."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider", str(spec)],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        timeout=600)
+    return [line.split()[1] for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+
+
+def spec_note() -> str:
+    """The last line of a failure message here: the stream spec tests that fail too."""
+    failed = failing_tests(ROOT / "tests" / "test_stream_spec.py")
+    return "\nstream spec tests failing too: " + (", ".join(failed) or "none")
+
+
 @pytest.fixture(scope="module")
 def registry():
     return json.loads(REGISTRY.read_text())
@@ -107,9 +129,9 @@ def test_report_bytes_match_registry(registry, name, workers, tmp_path):
     got = _entry(*run_entry(name, workers, tmp_path))
     moved = report_diff.moved_fields(want["fields"], got["fields"])
     where = f"{name} at workers {workers} (registry numpy {registry['numpy']}, here {np.__version__})"
-    assert not moved, f"{where}: report fields moved:\n" + "\n".join(moved)
-    assert got["report_sha256"] == want["report_sha256"], f"{where}: report bytes moved"
-    assert got["csv_sha256"] == want["csv_sha256"], f"{where}: replication CSV moved"
+    assert not moved, f"{where}: report fields moved:\n" + "\n".join(moved) + spec_note()
+    assert got["report_sha256"] == want["report_sha256"], f"{where}: report bytes moved" + spec_note()
+    assert got["csv_sha256"] == want["csv_sha256"], f"{where}: replication CSV moved" + spec_note()
 
 
 # simulate, estimate and limit-sample entries: command-regime-model.  Each
@@ -176,7 +198,16 @@ def test_cli_pins_list_every_case():
 
 @pytest.mark.parametrize("name", CLI_NAMES)
 def test_cli_csv_bytes_match_pins(name, tmp_path):
-    assert cli_sha256(name, tmp_path) == CLI_PINS[name], f"{name}: output bytes moved"
+    assert cli_sha256(name, tmp_path) == CLI_PINS[name], f"{name}: output bytes moved" + spec_note()
+
+
+def test_failing_tests_are_named(tmp_path):
+    spec = tmp_path / "test_spec.py"
+    spec.write_text("import pytest\n\n"
+                    "def test_holds():\n    pass\n\n"
+                    "@pytest.mark.parametrize('word', [0, 1])\n"
+                    "def test_moved(word):\n    assert word == 0\n")
+    assert [name.rsplit("::", 1)[1] for name in failing_tests(spec)] == ["test_moved[1]"]
 
 
 def rewrite(tags) -> None:

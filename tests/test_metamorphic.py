@@ -38,7 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ar1mc.estimator import ls_from_sums, ls_sums
+from ar1mc.estimator import ls_deltas
 from ar1mc.innovations import InnovationModel, sample_innovation_rows
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
 from ar1mc.process import Regime, path_root, recurse_rows
@@ -76,12 +76,11 @@ BLOCK_MODELS = [InnovationModel("gaussian", 1.0), InnovationModel("uniform", 1.0
 
 def _errors(mu, rho, y0, e):
     """(Delta1/Delta3, Delta2/Delta3, singular) of the paths from innovations
-    ``e`` (rows, n): the block engine's stages on its path buffer."""
+    ``e`` (rows, n): the block engine's ls_deltas on its path buffer."""
     rows, n = e.shape
-    path, sums = np.empty((rows, n + 1)), np.empty((4, rows))
+    path = np.empty((rows, n + 1))
     recurse_rows(mu, rho, y0, e, path)
-    ls_sums(path, e, np.empty((rows, n)), sums)
-    delta1, delta2, delta3, singular = ls_from_sums(sums, n)
+    delta1, delta2, delta3, singular = ls_deltas(path, e, np.empty((rows, n)))
     return delta1 / delta3, delta2 / delta3, singular
 
 
