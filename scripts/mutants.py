@@ -77,9 +77,9 @@ MUTANTS = [
     ("mu + mu_error, rho + rho_error", "mu + rho_error, rho + mu_error"),
     # ls_estimate fitting e in place of y in row 0: its estimates become its
     # errors, and its Deltas keep their bits.  C1, the oracle and
-    # Delta-identity fixtures, the shift relation and the chunk-stage bit test
-    # see it; the hand-solved example does not, as its truth (0, 0) makes e
-    # equal y.
+    # Delta-identity fixtures, the shift relation, the rounding tests of the
+    # exact fit and the six estimate pins see it; the hand-solved example does
+    # not, as its truth (0, 0) makes e equal y.
     ("np.ldexp(path.y, -k)", "np.ldexp(path.e, -k)"),
     # ls_estimate's ratios not scaled back by 2^k: every estimate of a path
     # with max|y| >= 1 shrinks by that power of 2, which the estimate pins

@@ -123,8 +123,6 @@ def _load_config(filename: str) -> ExperimentConfig:
     try:
         with open(filename) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {filename}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{filename}: invalid JSON ({exc})")
     return ExperimentConfig.from_dict(raw)

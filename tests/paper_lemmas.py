@@ -18,7 +18,7 @@ from scipy.signal import lfilter
 
 from ar1mc.estimator import SingularDesignError
 from ar1mc.innovations import ell_at_bn, sample_innovation_rows
-from ar1mc.process import resolve_rho
+from ar1mc.process import Ar1Path, resolve_rho
 from ar1mc.rng import generator
 
 # Standard normals (rows x grid steps) per chunk in the grid samplers;
@@ -91,17 +91,13 @@ def fresh_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def replication_reference(config, n: int, r: int) -> tuple[float, float, float, float]:
-    """Replication r at size n of an experiment, one path on its own.
-
-    Returns (mu_hat, rho_hat, mu error, rho error), all NaN when the design
-    is singular; the errors are the Delta ratios Delta1/Delta3 and
-    Delta2/Delta3, and the estimates are the truth (mu, rho_n) plus them.
-    This is the per-replication pipeline the Monte Carlo engine runs in
-    blocks of rows: innovations from stream (1, n, r) under the seed, the
+def reference_path(config, n: int, r: int) -> Ar1Path:
+    """Replication r at size n of an experiment, as an ``Ar1Path`` built on
+    its own: innovations from stream (1, n, r) under the seed, then the
     closed-form explosive path, lfilter at rho = 1 (a running sum) or the
-    blocked closed form of ``disc_path``, then centered least squares on
-    1-D sums.
+    blocked closed form of ``disc_path``.  ``config`` needs only the
+    regime, model, mu, y0 and seed of an ``ExperimentConfig``.  These are
+    the paths the Monte Carlo engine draws and recurses in blocks of rows.
     """
     e = sample_innovation_rows(config.model, (fresh_stream(config.seed, 1, n, r),), np.empty((1, n)))[0]
     rho = resolve_rho(config.regime, n)
@@ -114,7 +110,18 @@ def replication_reference(config, n: int, r: int) -> tuple[float, float, float, 
         y, _ = lfilter([1.0], [1.0, -rho], mu + e, zi=np.array([rho * y0]))
     else:
         y = disc_path(mu + e, rho, y0)
-    x = np.concatenate(([y0], y[:-1]))
+    return Ar1Path(mu=mu, rho=rho, y0=y0, y=y, e=e)
+
+
+def replication_reference(config, n: int, r: int) -> tuple[float, float, float, float]:
+    """(mu_hat, rho_hat, mu error, rho error) of ``reference_path(config, n, r)``
+    by centered least squares on 1-D sums, all NaN when the design is
+    singular.  The errors are the Delta ratios Delta1/Delta3 and
+    Delta2/Delta3, and the estimates are the truth (mu, rho_n) plus them:
+    the row the Monte Carlo engine gives for replication r at size n.
+    """
+    path = reference_path(config, n, r)
+    mu, rho, e, x = path.mu, path.rho, path.e, lagged(path)
     xbar = float(np.mean(x))
     xc = x - xbar
     sxx = float(np.sum(xc * xc))

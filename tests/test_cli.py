@@ -330,11 +330,13 @@ class TestMc:
         assert (code, err) == (0, "")
         assert out == report.read_text()
 
-    def test_missing_config_exits_2_with_filename(self, tmp_path, capsys):
-        missing = tmp_path / "missing.json"
-        code, _, err = run(["mc", "--config", str(missing)], capsys)
-        assert code == 2
-        assert "missing.json" in err
+    @pytest.mark.parametrize("flag", ["mc --config", "estimate --in"])
+    @pytest.mark.parametrize("name", ["missing.json", "a_directory"])
+    def test_unreadable_input_exits_1_with_filename(self, tmp_path, capsys, flag, name):
+        (tmp_path / "a_directory").mkdir()
+        code, out, err = run([*flag.split(), str(tmp_path / name)], capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and name in err
 
     @pytest.mark.parametrize("overrides, named", [
         ({"typo_key": 1}, "typo_key"),

@@ -1,20 +1,19 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ar1mc.estimator import _SINGULAR_EPS, SingularDesignError, ls_deltas, ls_estimate
-from ar1mc.innovations import (_CHUNK_ELEMENTS, InnovationModel, compute_bn, ell_at_bn,
-                               sample_innovation_rows)
+from ar1mc.innovations import _CHUNK_ELEMENTS, InnovationModel, compute_bn, ell_at_bn
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
-from ar1mc.process import (Ar1Path, Regime, block_plan, path_root, recurse_rows, resolve_rho,
-                           simulate_path)
-from ar1mc.rng import substreams
-from paper_lemmas import exact_delta_ratios, lagged, normal_equations_oracle
+from ar1mc.process import Ar1Path, Regime, block_plan, resolve_rho, simulate_path
+from paper_lemmas import exact_delta_ratios, lagged, normal_equations_oracle, reference_path
 
 
 def path_from_y(y_full, mu, rho):
@@ -202,123 +201,77 @@ def assert_fit_within_rounding(path, label):
 # Chunks as the block engine makes them: y is the view path[:, 1:] of a
 # path buffer whose column 0 holds y0, and the lanes of the recursion's plan
 # (padded to whole blocks of 700 terms at rho = 0.5 from n = 2001, of 4605
-# at -0.9 at n = 5000) takes the centred lagged series.
+# at -0.9 at n = 5000) take the centred lagged series.
+def engine_chunk(regime, n, rows):
+    """(path buffer, innovations) of replications 0..rows-1 at size ``n`` of
+    a pareto2 experiment (mu 1, y0 0.5, seed 7), each path built on its own
+    by paper_lemmas.reference_path."""
+    config = SimpleNamespace(regime=regime, model=InnovationModel("pareto2"), mu=1.0, y0=0.5, seed=7)
+    paths = [reference_path(config, n, r) for r in range(rows)]
+    buffer = np.empty((rows, n + 1))
+    buffer[:, 0], buffer[:, 1:] = 0.5, [path.y for path in paths]
+    return buffer, np.array([path.e for path in paths])
+
+
 @pytest.mark.parametrize("n", [600, 2001, 4096, 5000])
 @pytest.mark.parametrize("regime", [Regime("P1", rho=0.5), Regime("P1", rho=-0.9),
                                     Regime("P2", rho=1.05), Regime("P3")],
                          ids=["P1-0.5", "P1--0.9", "P2", "P3"])
 @pytest.mark.parametrize("bufsize", [8192, 1024])
 def test_chunk_stage_consumes_only_y_for_the_same_bits(regime, n, bufsize):
-    # ls_deltas consumes y and only reads its innovations, and every field of
-    # every row keeps its bits, non-finite ones too, between the block
-    # engine's ufunc buffer and the default one of ls_estimate's two-row
-    # block: the Deltas from the fit over e, the estimates from that over y
-    # as its own innovations, scaled by 2^-k as ls_estimate scales them.
-    # Unscaled, P2 at n = 5000 would overflow ybar * S_xx; scaled, its rows fit.
-    mu, y0 = 1.0, 0.5
-    rows, rho = _CHUNK_ELEMENTS // n, path_root(regime, mu, y0, n)
-    e = sample_innovation_rows(InnovationModel("pareto2"), substreams(7, (1, n), range(rows)),
-                               np.empty((rows, n)))
-    path, plan = np.empty((rows, n + 1)), block_plan(rho, n, rows)
-    y = recurse_rows(mu, rho, y0, e, path, plan)
-    y[-1] = y0  # a constant lagged series: a singular row
-    kept = y.copy(), e.copy()
-    k = np.maximum(0, np.frexp(np.max(np.abs(kept[0]), axis=1))[1])
-    fits = []
-    for innovations in (np.ldexp(kept[0], -k[:, np.newaxis]), e):
-        path[:, 1:] = kept[0]
-        outer = np.setbufsize(bufsize)
-        try:
-            fits.append(ls_deltas(path, innovations, plan[-1]))
-        finally:
-            np.setbufsize(outer)
+    # ls_deltas consumes y and only reads its innovations, and every row's
+    # Deltas keep their bits, NaN too, between the block engine's ufunc
+    # buffer and the default one of ls_estimate on that row alone.  Singular
+    # rows (a constant lagged series first and last, one whose spread is
+    # below the guard's floor between) leave the other rows as they are.
+    path, e = engine_chunk(regime, n, _CHUNK_ELEMENTS // n)
+    marked = [0, len(e) // 2, len(e) - 1]
+    path[marked, 1:] = 0.5
+    path[marked[1], 1:] += 1e-9 * e[marked[1]]
+    kept = path.copy(), e.copy()
+    outer = np.setbufsize(bufsize)
+    try:
+        deltas = ls_deltas(path, e, block_plan(resolve_rho(regime, n), n, len(e))[-1])
+    finally:
+        np.setbufsize(outer)
     assert np.array_equal(e.view(np.int64), kept[1].view(np.int64))
-    (mu_num, rho_num, delta3, singular), (*deltas, _) = fits
-    assert singular.tolist() == [False] * (rows - 1) + [True]
-    assert_rows_alone((*np.ldexp((mu_num / delta3, rho_num / delta3), k), *deltas), singular,
-                      [Ar1Path(mu, rho, y0, *row) for row in zip(*kept)], FIELDS)
+    assert np.flatnonzero(deltas[3]).tolist() == marked
+    assert_rows_alone(deltas, *kept)
 
 
-FIELDS = ("mu_hat", "rho_hat", "delta1", "delta2", "delta3")
-
-
-def assert_rows_alone(values, singular, paths, names=FIELDS[2:]):
-    """Row i of ``values``, the arrays of the fields ``names`` from ls_deltas
-    over a block, and of its ``singular`` mask keep their bits, NaN and inf
-    too, when ls_deltas runs on ``paths[i]`` alone as ls_estimate runs it, on
-    a two-row block: y as its own innovations, scaled by 2^-k, then e.
-    ls_estimate leaves the path's y and e as they were and returns those
-    fields as floats, or refuses a singular row (SingularDesignError) and a
-    row with a field that is not finite (OverflowError)."""
-    for i, path in enumerate(paths):
-        k = max(0, int(np.frexp(np.max(np.abs(path.y)))[1]))
-        block = np.tile(np.append(path.y0, path.y), (2, 1))
-        fit = ls_deltas(block, np.stack([np.ldexp(path.y, -k), path.e]), np.empty(2 * path.n))
-        (mu_num, delta1), (rho_num, delta2), (_, delta3), (_, alone_singular) = fit
-        ratios = np.ldexp((mu_num / delta3, rho_num / delta3), k)
-        alone = dict(zip(FIELDS, (*ratios, delta1, delta2, delta3)))
-        assert alone_singular == singular[i]
-        for got, name in zip(values, names, strict=True):
-            assert got[i].tobytes() == alone[name].tobytes(), (i, name)
-        kept = path.y.tobytes(), path.e.tobytes()
-        if singular[i] or not np.all(np.isfinite(list(alone.values()))):
-            with pytest.raises(SingularDesignError if singular[i] else OverflowError):
-                ls_estimate(path)
+def assert_rows_alone(deltas, path, e):
+    """Row i of ``deltas``, ls_deltas' (Delta1, Delta2, Delta3, singular)
+    over a block of ``path`` (rows, n + 1) and ``e``, is what ls_estimate
+    gives for path i alone: the same Deltas as floats, bit for bit, or a
+    refusal, SingularDesignError for a singular row (whose Delta1 and
+    Delta2 are NaN) and OverflowError for a row with a Delta that is not
+    finite.  ls_estimate leaves the path's y and e as they were."""
+    for i, (row, fields, singular) in enumerate(zip(path, np.transpose(deltas[:3]), deltas[3])):
+        alone = Ar1Path(math.nan, math.nan, row[0], row[1:].copy(), e[i].copy())
+        if singular:
+            assert np.all(np.isnan(fields[:2])), i
+            with pytest.raises(SingularDesignError):
+                ls_estimate(alone)
+        elif not np.all(np.isfinite(fields)):
+            with pytest.raises(OverflowError):
+                ls_estimate(alone)
         else:
-            est = ls_estimate(path)
-            for name, want in alone.items():
-                field = getattr(est, name)
-                assert type(field) is float and np.float64(field).tobytes() == want.tobytes(), name
-        assert (path.y.tobytes(), path.e.tobytes()) == kept
+            est = dataclasses.astuple(ls_estimate(alone))
+            assert all(type(field) is float for field in est), i
+            assert np.array(est[2:]).tobytes() == fields.tobytes(), i
+        assert (alone.y.tobytes(), alone.e.tobytes()) == (row[1:].tobytes(), e[i].tobytes())
 
 
-def block_chunks(n, rows, y0=0.5):
-    """(y, e, chunk slices) of a replication block of ``rows`` P1 pareto2
-    paths, cut into chunks as the block engine cuts it (the last one short)."""
-    e = sample_innovation_rows(InnovationModel("pareto2"), substreams(7, (1, n), range(rows)),
-                               np.empty((rows, n)))
-    y = recurse_rows(1.0, 0.5, y0, e).copy()
-    step = _CHUNK_ELEMENTS // n
-    return y, e, [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-
-
-def block_deltas(y0, y, e, chunks):
-    """ls_deltas of each chunk of a block, into the block's one (4, rows) array."""
-    deltas, path = np.empty((4, len(y))), np.empty((len(y), y.shape[1] + 1))
-    path[:, 0], path[:, 1:] = y0, y
-    for chunk in chunks:
-        deltas[:, chunk] = ls_deltas(path[chunk], e[chunk], np.empty(y[chunk].shape))
-    return deltas
-
-
-@pytest.mark.parametrize("n", [600, 5000])
-def test_block_stage_matches_each_row_alone(n):
-    # Every chunk mixes singular rows (a constant lagged series, and one
-    # whose spread is below the guard's floor) with ordinary ones; the
-    # block's Deltas are those of each row on its own, bit for bit.
-    y0 = 0.5
-    y, e, chunks = block_chunks(n, 2 * (_CHUNK_ELEMENTS // n) + 3, y0)
-    for chunk in chunks:
-        y[chunk.start] = y0
-        y[chunk.stop - 1] = y0 + 1e-9 * e[chunk.stop - 1]
-    marked = {c.start for c in chunks} | {c.stop - 1 for c in chunks}
-    *deltas, singular = block_deltas(y0, y, e, chunks)
-    assert len(chunks) == 3 and np.flatnonzero(singular).tolist() == sorted(marked)
-    assert_rows_alone(deltas, singular, [Ar1Path(1.0, 0.5, y0, *row) for row in zip(y, e)])
-
-
-def test_block_refused_for_an_overflow_in_its_last_chunk():
-    # The refusal comes once per chunk, after the sums of all of its rows: a
-    # block whose only overflowing row is the last row of its last chunk is
-    # refused there, and that chunk's other rows alone are not.
-    n = 600
-    y, e, chunks = block_chunks(n, 2 * (_CHUNK_ELEMENTS // n) + 3)
-    y[-1] *= 1e155
-    last = chunks[-1]
-    block_deltas(0.5, y[last][:-1], e[last][:-1], [slice(None)])  # not refused
+def test_block_refused_for_an_overflow_in_its_last_row():
+    # ls_deltas refuses a block once, after the sums of all of its rows: a
+    # block whose only overflowing row is its last is refused, and its other
+    # rows alone are not.
+    path, e = engine_chunk(Regime("P1", rho=0.5), 600, 3)
+    path[-1, 1:] *= 1e155
+    ls_deltas(path[:-1].copy(), e[:-1], np.empty(e[:-1].size))  # not refused
     with pytest.raises(OverflowError,
                        match="^sums of squares of the lagged series overflow double precision$"):
-        block_deltas(0.5, y, e, chunks)
+        ls_deltas(path, e, np.empty(e.size))
 
 
 def guard_decisions(x):

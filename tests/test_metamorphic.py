@@ -32,16 +32,17 @@ rates read sigma^2, not l(b_n), so the relation holds also at a large
 sigma, where b_n sits on its floor b_0 + 1 = 2 at every n <= 120.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ar1mc.estimator import ls_deltas
+from ar1mc.estimator import SingularDesignError, ls_estimate
 from ar1mc.innovations import InnovationModel, sample_innovation_rows
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
-from ar1mc.process import Regime, path_root, recurse_rows
+from ar1mc.process import Ar1Path, Regime, path_root, recurse_rows
 from ar1mc.rng import substreams
 
 # (comp1, comp2) exponents of 2 that doubling (sigma, mu, y0) puts on the
@@ -75,13 +76,15 @@ BLOCK_MODELS = [InnovationModel("gaussian", 1.0), InnovationModel("uniform", 1.0
 
 
 def _errors(mu, rho, y0, e):
-    """(Delta1/Delta3, Delta2/Delta3, singular) of the paths from innovations
-    ``e`` (rows, n): the block engine's ls_deltas on its path buffer."""
-    rows, n = e.shape
-    path = np.empty((rows, n + 1))
-    recurse_rows(mu, rho, y0, e, path)
-    delta1, delta2, delta3, singular = ls_deltas(path, e, np.empty((rows, n)))
-    return delta1 / delta3, delta2 / delta3, singular
+    """ls_estimate's (Delta1/Delta3, Delta2/Delta3) of each path from
+    innovations ``e`` (rows, n), two (rows,) arrays, NaN where the design is
+    singular."""
+    errors = np.full((2, len(e)), np.nan)
+    for i, (y, e_row) in enumerate(zip(recurse_rows(mu, rho, y0, e), e)):
+        with contextlib.suppress(SingularDesignError):
+            est = ls_estimate(Ar1Path(mu, rho, y0, y, e_row))
+            errors[:, i] = est.delta1 / est.delta3, est.delta2 / est.delta3
+    return errors
 
 
 def _run(regime, model, mu, y0):
@@ -160,9 +163,8 @@ def test_negation_negates_the_mu_error_only(model, n):
     e = sample_innovation_rows(model, substreams(11, (n,), range(6)), np.empty((6, n)))
     for rho in (0.5, -0.9, 1.0 - 2.0 / n, 1.0, 1.0 + n ** -0.5, 1.2 ** (60 / n), -1.3 ** (60 / n)):
         for mu, y0 in ((1.0, 2.0), (-0.3, 5.0), (0.0, -1.0)):
-            mu_err, rho_err, singular = _errors(mu, rho, y0, e)
-            neg_mu_err, neg_rho_err, neg_singular = _errors(-mu, rho, -y0, -e)
-            assert np.array_equal(neg_singular, singular)
+            mu_err, rho_err = _errors(mu, rho, y0, e)
+            neg_mu_err, neg_rho_err = _errors(-mu, rho, -y0, -e)
             assert np.array_equal(neg_mu_err, -mu_err, equal_nan=True)
             assert np.array_equal(neg_rho_err, rho_err, equal_nan=True)
 
@@ -174,8 +176,7 @@ def test_signed_power_of_two_scales_the_mu_error_only(model, regime, n, j, sign,
     k = sign * 2.0 ** j
     rho = path_root(regime, mu, y0, n)
     e = sample_innovation_rows(model, substreams(11, (n,), range(6)), np.empty((6, n)))
-    mu_err, rho_err, singular = _errors(mu, rho, y0, e)
-    out_mu_err, out_rho_err, out_singular = _errors(k * mu, rho, k * y0, k * e)
-    assert np.array_equal(out_singular, singular)
+    mu_err, rho_err = _errors(mu, rho, y0, e)
+    out_mu_err, out_rho_err = _errors(k * mu, rho, k * y0, k * e)
     assert np.array_equal(out_mu_err, k * mu_err, equal_nan=True)
     assert np.array_equal(out_rho_err, rho_err, equal_nan=True)

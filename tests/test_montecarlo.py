@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ar1mc.cli import main
-from ar1mc.innovations import InnovationModel, sample_innovation_rows
+from ar1mc.innovations import InnovationModel
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import (
     ConfigError,
@@ -21,12 +21,12 @@ from ar1mc.montecarlo import (
     run_experiment,
     summarize,
 )
-from ar1mc.process import Ar1Path, Regime, path_root, recurse_rows, simulate_path
-from ar1mc.rng import substreams
+from ar1mc.process import Regime, simulate_path
 from paper_lemmas import (
     exact_delta_ratios,
     normalized_stationary_sums,
     normalized_tilde_sums,
+    reference_path,
     replication_reference,
     sample_time_changed_functionals,
 )
@@ -565,13 +565,10 @@ class TestStreamMap:
 ], ids=["P1", "P2", "P3", "P6"])
 def test_engine_estimates_are_the_truth_plus_the_exact_ratios(regime, n):
     cfg = small_config(regime=regime, n_list=(n,), replications=100, limit_draws=1000, y0=0.5)
-    rows = run_experiment(cfg).rows[0]
-    rho = path_root(regime, cfg.mu, cfg.y0, n)
-    e = sample_innovation_rows(cfg.model, substreams(cfg.seed, (1, n), range(100)), np.empty((100, n)))
     eps = Fraction(np.finfo(float).eps)
-    for row, y, e_row in zip(rows, recurse_rows(cfg.mu, rho, cfg.y0, e), e):
-        exact = exact_delta_ratios(Ar1Path(mu=cfg.mu, rho=rho, y0=cfg.y0, y=y, e=e_row))
-        for estimate, truth, want in zip(row[:2], (cfg.mu, rho), exact):
+    for r, row in enumerate(run_experiment(cfg).rows[0]):
+        path = reference_path(cfg, n, r)
+        for estimate, truth, want in zip(row[:2], (path.mu, path.rho), exact_delta_ratios(path)):
             error = Fraction(float(estimate)) - Fraction(truth)
             bound = Fraction(float(np.spacing(abs(estimate)))) / 2 + 256 * eps * abs(want)
             assert abs(error - want) <= bound, (float(error), float(want))
