@@ -17,8 +17,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ar1mc.estimator import SingularDesignError
-from ar1mc.innovations import ell_at_bn, sample_innovation_rows
-from ar1mc.process import Ar1Path, resolve_rho
+from ar1mc.innovations import InnovationModel, ell_at_bn, sample_innovation_rows
+from ar1mc.process import Ar1Path, Regime, resolve_rho
 from ar1mc.rng import generator
 
 # Standard normals (rows x grid steps) per chunk in the grid samplers;
@@ -36,6 +36,33 @@ def refit_residual(path) -> float:
     """max_t |y_t - mu - rho*y_{t-1} - e_t|, for round-off checks."""
     resid = path.y - (path.mu + path.rho * lagged(path) + path.e)
     return float(np.max(np.abs(resid)))
+
+
+def conditioned_fixture(rng, i):
+    """Random fixtures over all six regimes, explosive growth capped so that
+    float64 subtraction of the estimates resolves far beyond 1e-10."""
+    kind = i % 6
+    mu = float(rng.normal(0.0, 2.0))
+    y0 = float(rng.normal(0.0, 2.0))
+    if kind == 0:
+        reg, n = Regime("P1", rho=float(rng.uniform(-0.9, 0.9))), int(rng.integers(50, 1500))
+    elif kind == 1:
+        rho = float(rng.uniform(1.05, 1.5))
+        reg, n = Regime("P2", rho=rho), max(10, min(int(rng.integers(10, 120)), int(5.0 / math.log(rho))))
+    elif kind == 2:
+        reg, n = Regime("P3"), int(rng.integers(50, 1500))
+    elif kind == 3:
+        reg, n = Regime("P4", c=float(rng.uniform(-3.0, 3.0)) or 1.0), int(rng.integers(50, 1500))
+    elif kind == 4:
+        reg = Regime("P5", c=float(rng.uniform(-3.0, -0.2)), alpha=float(rng.uniform(0.1, 0.9)))
+        n = int(rng.integers(50, 1500))
+    else:
+        alpha = float(rng.uniform(0.3, 0.9))
+        n = int(rng.integers(50, 800))
+        c = min(1.5, 5.0 / n ** (1.0 - alpha)) * float(rng.uniform(0.3, 1.0))
+        reg = Regime("P6", c=c, alpha=alpha)
+    model = InnovationModel(("gaussian", "uniform", "rademacher", "pareto2")[i % 4])
+    return reg, mu, y0, model, n
 
 
 def normal_equations_oracle(path) -> tuple[float, float]:

@@ -20,40 +20,14 @@ from ar1mc.limits import default_truncation, sample_limit
 from ar1mc.montecarlo import ks_two_sample
 from acceptance_checks import C2_IMPLIED_CORR, CHECKS
 from paper_lemmas import (
-    grid_unit_root_limit, lagged, normal_equations_oracle, sample_growth_functionals,
+    conditioned_fixture, grid_unit_root_limit, lagged, normal_equations_oracle,
+    sample_growth_functionals,
 )
 
 
 def report(cid, ok, detail):
     print(f"[acceptance {cid}] {detail} -> {'PASS' if ok else 'FAIL'}")
     return ok
-
-
-def conditioned_fixture(rng, i):
-    """Random fixtures over all six regimes, explosive growth capped so that
-    float64 subtraction of the estimates resolves far beyond 1e-10."""
-    kind = i % 6
-    mu = float(rng.normal(0.0, 2.0))
-    y0 = float(rng.normal(0.0, 2.0))
-    if kind == 0:
-        reg, n = m.Regime("P1", rho=float(rng.uniform(-0.9, 0.9))), int(rng.integers(50, 1500))
-    elif kind == 1:
-        rho = float(rng.uniform(1.05, 1.5))
-        reg, n = m.Regime("P2", rho=rho), max(10, min(int(rng.integers(10, 120)), int(5.0 / math.log(rho))))
-    elif kind == 2:
-        reg, n = m.Regime("P3"), int(rng.integers(50, 1500))
-    elif kind == 3:
-        reg, n = m.Regime("P4", c=float(rng.uniform(-3.0, 3.0)) or 1.0), int(rng.integers(50, 1500))
-    elif kind == 4:
-        reg = m.Regime("P5", c=float(rng.uniform(-3.0, -0.2)), alpha=float(rng.uniform(0.1, 0.9)))
-        n = int(rng.integers(50, 1500))
-    else:
-        alpha = float(rng.uniform(0.3, 0.9))
-        n = int(rng.integers(50, 800))
-        c = min(1.5, 5.0 / n ** (1.0 - alpha)) * float(rng.uniform(0.3, 1.0))
-        reg = m.Regime("P6", c=c, alpha=alpha)
-    model = m.InnovationModel(("gaussian", "uniform", "rademacher", "pareto2")[i % 4])
-    return reg, mu, y0, model, n
 
 
 def test_c01_estimator_against_oracle_and_delta_identities():

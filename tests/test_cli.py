@@ -53,6 +53,32 @@ def write_config(path, **overrides):
     return path
 
 
+# An unknown flag or command is a usage error: exit 2, nothing written, one
+# stderr line naming it.  Every case but the first was an argument once.
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--regime", "P3", "--n", "50", "--mu", "1", "--frobnicate"],
+     "unrecognized arguments: --frobnicate"),
+    # estimate writes its one output to --out or stdout
+    (["estimate", "--in", "p.csv", "--json", "est.json"], "unrecognized arguments: --json est.json"),
+    # the P2 series cutoff is derived from rho, never set
+    (["limit-sample", "--regime", "P2", "--rho", "1.2", "--mu", "1", "--truncation", "50"],
+     "unrecognized arguments: --truncation 50"),
+    # the report is a function of the config alone; its seed is the config's
+    (["mc", "--config", "exp.json", "--seed", "5"], "unrecognized arguments: --seed 5"),
+    # the RMSE rate fit is part of every mc report
+    (["rates", "--config", "exp.json"], "invalid choice: 'rates'"),
+], ids=["frobnicate", "estimate-json", "limit-sample-truncation", "mc-seed", "rates"])
+def test_unknown_flag_or_command_is_a_usage_error(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "exp.json")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1 and named in err, err
+    assert [path.name for path in tmp_path.iterdir()] == ["exp.json"]
+
+
 class TestSimulate:
     def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "path.csv"
@@ -74,14 +100,6 @@ class TestSimulate:
         code, _, err = run(["simulate", "--regime", "P1", "--n", "50", "--mu", "1"], capsys)
         assert code == 2
         assert "rho" in err
-
-    def test_bad_flag_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--regime", "P3", "--n", "50", "--mu", "1", "--frobnicate"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "--frobnicate" in err
 
     def test_overflow_is_runtime_error(self, capsys):
         code, _, err = run(["simulate", "--regime", "P2", "--rho", "2.0",
@@ -124,16 +142,6 @@ class TestEstimateRoundTrip:
         code, out, err = run(["estimate", "--in", str(csv)], capsys)
         assert (code, err) == (0, "")
         assert out.encode() == out_json.read_bytes()
-
-    def test_json_flag_is_a_usage_error(self, tmp_path, capsys):
-        # estimate writes its one output to --out or stdout
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--in", "p.csv", "--json", str(tmp_path / "est.json")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "unrecognized arguments" in err and "--json" in err
-        assert not (tmp_path / "est.json").exists()
 
     def test_constant_series_is_runtime_error(self, tmp_path, capsys):
         csv = tmp_path / "flat.csv"
@@ -204,16 +212,6 @@ class TestLimitSample:
         assert [int(row[0]) for row in rows] == list(range(draws))
         for j in (0, 1):
             assert [float(row[j + 1]).hex() for row in rows] == [x.hex() for x in law[:, j].tolist()]
-
-    def test_truncation_flag_is_a_usage_error(self, capsys):
-        # the P2 series cutoff is derived from rho, never set
-        with pytest.raises(SystemExit) as exc:
-            main(["limit-sample", "--regime", "P2", "--rho", "1.2", "--mu", "1",
-                  "--truncation", "50"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "--truncation" in err
 
     @pytest.mark.parametrize("regime", [
         ["--regime", "P1", "--rho", "0.5"],
@@ -454,16 +452,6 @@ class TestMc:
             outs.append(report.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_seed_flag_is_refused(self, tmp_path, capsys):
-        # the report is a function of the config alone; its seed is the config's
-        cfg = write_config(tmp_path / "exp.json")
-        with pytest.raises(SystemExit) as exc:
-            main(["mc", "--config", str(cfg), "--seed", "5"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "--seed" in err
-
 
 class TestOutOfMemory:
     # Each run asks numpy for more than 2^48 bytes in one array, beyond any
@@ -574,15 +562,6 @@ class TestRates:
         code, _, _ = run(["mc", "--config", str(cfg), "--out", str(out)], capsys)
         assert code == 0
         assert json.loads(out.read_text())["rate_fit"] is None
-
-    def test_rates_subcommand_is_gone(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "exp.json", n_list=[100, 200, 400])
-        with pytest.raises(SystemExit) as exc:
-            main(["rates", "--config", str(cfg)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "invalid choice" in err and "rates" in err
 
 
 # --- fuzzed outside inputs ----------------------------------------------------

@@ -13,7 +13,9 @@ from ar1mc.innovations import _CHUNK_ELEMENTS, InnovationModel, compute_bn, ell_
 from ar1mc.limits import error_rates
 from ar1mc.montecarlo import ExperimentConfig, run_experiment
 from ar1mc.process import Ar1Path, Regime, block_plan, resolve_rho, simulate_path
-from paper_lemmas import exact_delta_ratios, lagged, normal_equations_oracle, reference_path
+from paper_lemmas import (
+    conditioned_fixture, exact_delta_ratios, lagged, normal_equations_oracle, reference_path,
+)
 
 
 def path_from_y(y_full, mu, rho):
@@ -21,34 +23,6 @@ def path_from_y(y_full, mu, rho):
     y_full = np.asarray(y_full, dtype=float)
     e = y_full[1:] - mu - rho * y_full[:-1]
     return Ar1Path(mu=mu, rho=rho, y0=float(y_full[0]), y=y_full[1:], e=e)
-
-
-def random_fixture(rng, i):
-    """Well-conditioned fixtures covering every regime (growth capped so the
-    float subtraction the identities are checked against stays meaningful)."""
-    kind = i % 6
-    mu = float(rng.normal(0.0, 2.0))
-    y0 = float(rng.normal(0.0, 2.0))
-    if kind == 0:
-        reg, n = Regime("P1", rho=float(rng.uniform(-0.9, 0.9))), int(rng.integers(50, 1500))
-    elif kind == 1:
-        rho = float(rng.uniform(1.05, 1.5))
-        reg, n = Regime("P2", rho=rho), max(10, min(int(rng.integers(10, 120)), int(5.0 / math.log(rho))))
-    elif kind == 2:
-        reg, n = Regime("P3"), int(rng.integers(50, 1500))
-    elif kind == 3:
-        c = float(rng.uniform(-3.0, 3.0)) or 1.0
-        reg, n = Regime("P4", c=c), int(rng.integers(50, 1500))
-    elif kind == 4:
-        reg = Regime("P5", c=float(rng.uniform(-3.0, -0.2)), alpha=float(rng.uniform(0.1, 0.9)))
-        n = int(rng.integers(50, 1500))
-    else:
-        alpha = float(rng.uniform(0.3, 0.9))
-        n = int(rng.integers(50, 800))
-        c = min(1.5, 5.0 / n ** (1.0 - alpha)) * float(rng.uniform(0.3, 1.0))
-        reg = Regime("P6", c=c, alpha=alpha)
-    model = InnovationModel(("gaussian", "uniform", "rademacher", "pareto2")[i % 4])
-    return simulate_path(reg, mu, y0, model, n, int(rng.integers(2 ** 32)))
 
 
 class TestClosedForm:
@@ -107,7 +81,7 @@ class TestClosedForm:
     def test_oracle_agreement_on_fixtures(self):
         rng = np.random.default_rng(7)
         for i in range(200):
-            path = random_fixture(rng, i)
+            path = simulate_path(*conditioned_fixture(rng, i), int(rng.integers(2 ** 32)))
             a = ls_estimate(path)
             mu_orc, rho_orc = normal_equations_oracle(path)
             assert abs(a.rho_hat - rho_orc) <= 1e-10 * max(abs(rho_orc), 1.0)
@@ -116,7 +90,7 @@ class TestClosedForm:
     def test_delta_identities_on_fixtures(self):
         rng = np.random.default_rng(11)
         for i in range(200):
-            path = random_fixture(rng, i)
+            path = simulate_path(*conditioned_fixture(rng, i), int(rng.integers(2 ** 32)))
             est = ls_estimate(path)
             mu_err, rho_err = est.mu_hat - path.mu, est.rho_hat - path.rho
             assert est.delta1 / est.delta3 == pytest.approx(mu_err, rel=1e-10, abs=1e-10 * max(1.0, abs(mu_err)))
